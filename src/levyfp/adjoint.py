@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSpec
-from .grids import DensityField, Grid, ScalarField
+from .grids import Grid, ScalarField
 from .norms import weighted_seminorm
-from .operators import face_velocities, levy_integral_field, _variable_diffusion_term
+# levy_integral_field stays importable here: perfbench/tracing.py traces the quadrature through it
+from .operators import NumericalFailure, StepSetup, levy_integral_field  # noqa: F401
 from .weights import WeightFunction
 
 __all__ = [
@@ -77,56 +78,24 @@ def tapered_linear(grid: Grid, plateau: float = 0.65, cutoff: float = 0.95) -> S
 class _AdjointStepper:
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, jump_route: str,
                  forward_horizon: float | None):
-        if grid.dim != 1:
-            raise NotImplementedError("adjoint solver implemented for d=1 only")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
         if spec.is_time_dependent and forward_horizon is None:
             raise ValueError("time-dependent drift needs forward_horizon to reverse the clock")
-        self.spec = spec
+        self.stage = StepSetup(spec, grid, dt, jump_route)
         self.grid = grid
         self.dt = dt
-        self.horizon = forward_horizon
-        sym = spec.diffusion.lambda0 * grid.wavenumber_magnitude**2
-        route = jump_route
-        if route == "auto":
-            route = "spectral" if (not spec.levy.is_active or spec.levy.has_exact_symbol) else "quadrature"
-        if spec.levy.is_active and route == "spectral":
-            if not spec.levy.has_exact_symbol:
-                raise ValueError(f"no exact symbol for levy kind {spec.levy.kind!r}")
-            sym = sym + spec.levy.scale * grid.wavenumber_magnitude**spec.levy.sigma
-        self.diffusion_factor = np.exp(-dt * sym)
-        self.quadrature_jump = spec.levy.is_active and route == "quadrature"
-        self.static_w = None if spec.is_time_dependent else face_velocities(grid, spec.drift, 0.0)
-        w0 = self.static_w if self.static_w is not None else self._faces(0.0)
-        wmax = np.abs(w0).max()
-        if wmax > 0 and dt * wmax > 0.95 * grid.dx:
-            from .forward import NumericalFailure
-            raise NumericalFailure(
-                f"CFL violation in adjoint advection: dt={dt:g} exceeds "
-                f"{0.95 * grid.dx / wmax:g} allowed by max|b|={wmax:g}")
-
-    def _faces(self, s: float) -> np.ndarray:
-        if self.static_w is not None:
-            return self.static_w
-        return face_velocities(self.grid, self.spec.drift, self.horizon - s)
+        self.horizon = forward_horizon or 0.0  # a static drift never reads the time
+        self.stage.check_stability(1.0, " in adjoint advection")
 
     def _advect(self, v: np.ndarray, s: float) -> np.ndarray:
         # exact transpose of the forward donor update
         #   m_i <- m_i - rho (wp_i m_i + wm_i m_{i+1} - wp_{i-1} m_{i-1} - wm_{i-1} m_i)
-        w = self._faces(s)
-        wp = np.maximum(w, 0.0)
-        wm = np.minimum(w, 0.0)
+        wp, wm = self.stage.upwind_split(self.horizon - s)
         rho = self.dt / self.grid.dx
         return v - rho * (wp * (v - np.roll(v, -1)) + np.roll(wm, 1) * (np.roll(v, 1) - v))
 
     def step(self, v: np.ndarray, s: float, source: np.ndarray | None) -> np.ndarray:
         v = self._advect(v, s)
-        v = np.real(np.fft.ifft(self.diffusion_factor * np.fft.fft(v)))
-        if self.quadrature_jump:
-            v = v + self.dt * levy_integral_field(DensityField(self.grid, v), self.spec.levy).values
-        if self.spec.diffusion.has_variable_part:
-            v = v + self.dt * _variable_diffusion_term(v, self.grid, self.spec, adjoint=False)
+        v = self.stage.diffuse(v, adjoint=False)
         if source is not None:
             v = v + self.dt * source
         return v
@@ -184,7 +153,6 @@ def solve_backward(
     s = 0.0
 
     def record():
-        from .forward import NumericalFailure
         if not np.all(np.isfinite(v)) or np.abs(v).max() > 1e12:
             raise NumericalFailure(f"backward run blew up at s={s:g}")
         times.append(s)

@@ -3,10 +3,10 @@
 One step is a Strang composition: half a transport step, a full diffusion
 step, half a transport step. Transport is the conservative upwind flux with
 SSP-RK2 substeps; the constant-coefficient diffusion (lambda0 plus the
-fractional symbol) is applied exactly in Fourier space; variable Sigma and
-non-fractional jump kernels, which have no exact symbol, go in as explicit
-Euler terms inside the diffusion stage. Every stage telescopes, so mass is
-conserved to rounding regardless of step size.
+fractional symbol) is applied exactly in Fourier space; an explicit Euler step
+of a shell-quadrature jump term rides in the same multiply as the quadrature's
+discrete symbol, built once per run; variable Sigma is an explicit Euler term.
+Every stage telescopes, so mass is conserved to rounding regardless of step size.
 """
 from __future__ import annotations
 
@@ -18,12 +18,11 @@ from .generators import GeneratorSpec
 from .grids import DensityField, Grid
 from .norms import weighted_tv_norm
 from .operators import (
+    NumericalFailure,
+    StepSetup,
     divergence_of_flux,
-    face_velocities,
-    fractional_action,
-    levy_integral_field,
+    levy_integral_field,  # noqa: F401  perfbench/tracing.py traces the quadrature through this name
     transport_flux,
-    _variable_diffusion_term,
 )
 
 __all__ = [
@@ -36,10 +35,6 @@ __all__ = [
     "solve",
     "stationary_solve",
 ]
-
-
-class NumericalFailure(RuntimeError):
-    """A run left its validity envelope (CFL, stability, boundary mass)."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,59 +87,15 @@ class _Stepper:
     """Precomputed pieces of one Strang step for a fixed (spec, grid, dt)."""
 
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, limiter: str, jump_route: str):
-        if grid.dim != 1:
-            raise NotImplementedError("forward solver implemented for d=1 only")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        self.spec = spec
+        self.stage = StepSetup(spec, grid, dt, jump_route)
         self.grid = grid
         self.dt = dt
         self.limiter = limiter
-        sym = spec.diffusion.lambda0 * grid.wavenumber_magnitude**2
-        route = jump_route
-        if route == "auto":
-            route = "spectral" if (not spec.levy.is_active or spec.levy.has_exact_symbol) else "quadrature"
-        if spec.levy.is_active and route == "spectral":
-            if not spec.levy.has_exact_symbol:
-                raise ValueError(f"no exact symbol for levy kind {spec.levy.kind!r}")
-            sym = sym + spec.levy.scale * grid.wavenumber_magnitude**spec.levy.sigma
-        self.diffusion_factor = np.exp(-dt * sym)
-        self.quadrature_jump = spec.levy.is_active and route == "quadrature"
-        self.static_w = None if spec.is_time_dependent else face_velocities(grid, spec.drift, 0.0)
-        self._check_stability()
-
-    def _check_stability(self):
-        # CFL for the transport halves (two RK substeps of dt/2 each)
-        w = self.static_w
-        if w is None:
-            tt = np.linspace(0.0, 10.0, 21)
-            wmax = max(np.abs(face_velocities(self.grid, self.spec.drift, t)).max() for t in tt)
-        else:
-            wmax = np.abs(w).max()
-        if wmax > 0 and 0.5 * self.dt * wmax > 0.95 * self.grid.dx:
-            raise NumericalFailure(
-                f"CFL violation: dt={self.dt:g} exceeds {1.9 * self.grid.dx / wmax:g} "
-                f"allowed by max|b|={wmax:g} on dx={self.grid.dx:g}")
-        if self.quadrature_jump:
-            # explicit Euler on the quadrature jump term: probe the most
-            # oscillatory mode for the spectral radius
-            probe = DensityField(self.grid, np.cos(np.pi * np.arange(self.grid.n)))
-            lam = np.abs(levy_integral_field(probe, self.spec.levy).values).max()
-            if self.dt * lam > 1.8:
-                raise NumericalFailure(
-                    f"explicit jump term unstable: dt={self.dt:g} * |I|={lam:g} > 1.8; "
-                    f"reduce dt below {1.8 / lam:g}")
-        if self.spec.diffusion.has_variable_part:
-            smax = self.spec.diffusion.sigma_squared(self.grid.nodes).max()
-            if self.dt * smax > 0.45 * self.grid.dx**2:
-                raise NumericalFailure(
-                    f"explicit variable diffusion unstable: need dt <= "
-                    f"{0.45 * self.grid.dx**2 / smax:g}, got {self.dt:g}")
+        # two RK substeps of dt/2 per transport half
+        self.stage.check_stability(0.5)
 
     def _faces(self, t: float) -> np.ndarray:
-        if self.static_w is not None:
-            return self.static_w
-        return face_velocities(self.grid, self.spec.drift, t)
+        return self.stage.faces(t)
 
     def _transport_half(self, m: np.ndarray, t: float) -> np.ndarray:
         # SSP-RK2 over dt/2 for d/dt m + div(w m) = 0
@@ -156,17 +107,9 @@ class _Stepper:
         m2 = m1 - tau * divergence_of_flux(transport_flux(m1, w1, dx, self.limiter), dx)
         return 0.5 * (m + m2)
 
-    def _diffusion_full(self, m: np.ndarray) -> np.ndarray:
-        out = np.real(np.fft.ifft(self.diffusion_factor * np.fft.fft(m)))
-        if self.quadrature_jump:
-            out = out + self.dt * levy_integral_field(DensityField(self.grid, out), self.spec.levy).values
-        if self.spec.diffusion.has_variable_part:
-            out = out + self.dt * _variable_diffusion_term(out, self.grid, self.spec, adjoint=True)
-        return out
-
     def step(self, m: np.ndarray, t: float) -> np.ndarray:
         m = self._transport_half(m, t)
-        m = self._diffusion_full(m)
+        m = self.stage.diffuse(m, adjoint=True)
         return self._transport_half(m, t + 0.5 * self.dt)
 
 

@@ -5,7 +5,9 @@ Two independent routes exist for the jump part and both stay available:
 * spectral: on the periodic grid the symmetric stable integral is diagonal
   in Fourier space with symbol scale*|xi|^sigma (sigma = 2 gives -Lap);
 * quadrature: compensated dyadic-shell integration of the singular kernel,
-  usable for any symmetric density and for off-grid callables.
+  usable for any symmetric density and for off-grid callables. The time
+  steppers apply it as its discrete Fourier symbol, built once per run
+  (StepSetup); the per-node loop stays as the oracle.
 
 The drift enters the adjoint in divergence form through a conservative
 finite-volume upwind flux (optional second-order limited reconstruction),
@@ -21,16 +23,15 @@ from .grids import Grid, ScalarField
 __all__ = [
     "spectral_derivative",
     "fractional_action",
-    "apply_fractional_diffusion",
     "shell_quadrature_nodes",
     "levy_integral_field",
-    "apply_levy_quadrature",
     "levy_integral_callable",
     "transport_flux",
     "divergence_of_flux",
     "face_velocities",
     "apply_generator",
     "apply_adjoint_generator",
+    "StepSetup",
 ]
 
 _LIMITERS = ("mc", "minmod", "fromm", "off")
@@ -60,10 +61,6 @@ def fractional_action(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarra
     if grid.dim == 1:
         return np.real(np.fft.ifft(mult * np.fft.fft(values)))
     return np.real(np.fft.ifft2(mult * np.fft.fft2(values)))
-
-
-def apply_fractional_diffusion(u: ScalarField, sigma: float) -> ScalarField:
-    return u.with_values(fractional_action(u.values, u.grid, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +202,6 @@ def levy_integral_field(
     return u.with_values(acc)
 
 
-def apply_levy_quadrature(u: ScalarField, x: float, nu: LevyMeasureSpec, **kw) -> float:
-    """Pointwise I(x, [u]) for a grid field; x snaps to the nearest node."""
-    grid = u.grid
-    i = int(np.round((x + grid.half_width) / grid.dx)) % grid.n
-    return float(levy_integral_field(u, nu, **kw).values[i])
-
-
 def levy_integral_callable(
     fn,
     xs: np.ndarray,
@@ -299,23 +289,30 @@ def _variable_diffusion_term(values: np.ndarray, grid: Grid, g: GeneratorSpec, a
     return s2 * d2
 
 
+def _resolve_jump_route(nu: LevyMeasureSpec, route: str) -> str | None:
+    """"spectral", "quadrature", or None for an inactive measure."""
+    if route == "auto":
+        route = "spectral" if nu.has_exact_symbol else "quadrature"
+    if route not in ("spectral", "quadrature"):
+        raise ValueError(f"unknown jump route {route!r}")
+    if not nu.is_active:
+        return None
+    if route == "spectral" and not nu.has_exact_symbol:
+        raise ValueError(f"no exact symbol for levy kind {nu.kind!r}")
+    return route
+
+
 def _jump_term(values: np.ndarray, grid: Grid, g: GeneratorSpec, route: str) -> np.ndarray:
     """-I(x, [u]) as a value array (equals +(-Lap)^{sigma/2} u for the
     fractional kind); the adjoint jump term is identical because the builtin
     measures are symmetric, so reflecting the measure is a no-op."""
     nu = g.levy
-    if not nu.is_active:
+    route = _resolve_jump_route(nu, route)
+    if route is None:
         return np.zeros_like(values)
-    if route == "auto":
-        route = "spectral" if nu.has_exact_symbol else "quadrature"
     if route == "spectral":
-        if not nu.has_exact_symbol:
-            raise ValueError(f"no exact symbol for levy kind {nu.kind!r}")
         return nu.scale * fractional_action(values, grid, nu.sigma)
-    if route == "quadrature":
-        field = ScalarField(grid, values)
-        return -levy_integral_field(field, nu).values
-    raise ValueError(f"unknown jump route {route!r}")
+    return -levy_integral_field(ScalarField(grid, values), nu).values
 
 
 def apply_generator(u: ScalarField, g: GeneratorSpec, t: float = 0.0, jump_route: str = "auto") -> ScalarField:
@@ -370,3 +367,93 @@ def apply_adjoint_generator(
     # flux approximates -b*m, so div(b m) = -divergence_of_flux(flux)
     out += divergence_of_flux(flux, grid.dx)
     return m.with_values(out, t=t)
+
+
+# ---------------------------------------------------------------------------
+# setup shared by the forward and backward time steppers
+
+
+class NumericalFailure(RuntimeError):
+    """A run left its validity envelope (CFL, stability, boundary mass)."""
+
+
+class StepSetup:
+    """Operator pieces of one time step of either clock for a fixed (spec, grid, dt).
+
+    ``diffuse`` applies constant-coefficient diffusion and the jump part by
+    one FFT pair: an exact symbol sits in the exponent, while the explicit
+    Euler jump step of the quadrature route is the factor (1 + dt*lam), with
+    ``jump_symbol`` lam such that fft(levy_integral_field(u)) = lam * fft(u).
+    Faces are in forward time; a time-dependent drift is probed for the CFL
+    bound at t = 0, 0.5, ..., 10.
+    """
+
+    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, jump_route: str):
+        if grid.dim != 1:
+            raise NotImplementedError("time steppers implemented for d=1 only")
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        self.spec = spec
+        self.grid = grid
+        self.dt = dt
+        self.jump_route = _resolve_jump_route(spec.levy, jump_route)
+        sym = spec.diffusion.lambda0 * grid.wavenumber_magnitude**2
+        if self.jump_route == "spectral":
+            sym = sym + spec.levy.scale * grid.wavenumber_magnitude**spec.levy.sigma
+        self.diffusion_factor = np.exp(-dt * sym)
+        self.jump_symbol, self.jump_radius = None, 0.0
+        if self.jump_route == "quadrature":
+            # the shell loop on the periodic grid is a symmetric circulant: its
+            # symbol is the real FFT of its unit-impulse response. It kills
+            # constants, so lam[0] is exactly 0, not the impulse sum's residue.
+            impulse = np.zeros(grid.n)
+            impulse[0] = 1.0
+            lam = np.fft.fft(levy_integral_field(ScalarField(grid, impulse), spec.levy).values).real
+            lam[0] = 0.0
+            self.diffusion_factor = self.diffusion_factor * (1.0 + dt * lam)
+            self.jump_symbol, self.jump_radius = lam, float(np.abs(lam).max())
+        self.static_w = self.static_split = None
+        if not spec.is_time_dependent:
+            self.static_w = face_velocities(grid, spec.drift, 0.0)
+            self.static_split = (np.maximum(self.static_w, 0.0), np.minimum(self.static_w, 0.0))
+        probe_times = np.linspace(0.0, 10.0, 21) if spec.is_time_dependent else (0.0,)
+        self.wmax = max(np.abs(self.faces(t)).max() for t in probe_times)
+
+    def check_stability(self, substep: float, where: str = ""):
+        """Raise NumericalFailure if an explicit piece is unstable; substep = advection step / dt."""
+        dt, dx, wmax = self.dt, self.grid.dx, self.wmax
+        if wmax > 0 and substep * dt * wmax > 0.95 * dx:
+            raise NumericalFailure(
+                f"CFL violation{where}: dt={dt:g} exceeds {0.95 * dx / (substep * wmax):g} "
+                f"allowed by max|b|={wmax:g} on dx={dx:g}")
+        # explicit Euler jump step: the spectral radius is max|lam|
+        lam = self.jump_radius
+        if dt * lam > 1.8:
+            raise NumericalFailure(
+                f"explicit jump term unstable: dt={dt:g} * |I|={lam:g} > 1.8; "
+                f"reduce dt below {1.8 / lam:g}")
+        if self.spec.diffusion.has_variable_part:
+            smax = self.spec.diffusion.sigma_squared(self.grid.nodes).max()
+            if dt * smax > 0.45 * dx**2:
+                raise NumericalFailure(
+                    f"explicit variable diffusion unstable: need dt <= "
+                    f"{0.45 * dx**2 / smax:g}, got {dt:g}")
+
+    def faces(self, t: float) -> np.ndarray:
+        """Face velocities w at forward time t."""
+        return self.static_w if self.static_w is not None else face_velocities(self.grid, self.spec.drift, t)
+
+    def upwind_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(max(w, 0), min(w, 0)) at forward time t."""
+        if self.static_split is not None:
+            return self.static_split
+        w = self.faces(t)
+        return np.maximum(w, 0.0), np.minimum(w, 0.0)
+
+    def diffuse(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
+        """Diffusion and jumps over dt, then the explicit variable-Sigma term
+        (adjoint=True: its Fokker-Planck form, for the forward clock)."""
+        out = np.real(np.fft.ifft(self.diffusion_factor * np.fft.fft(values)))
+        if self.spec.diffusion.has_variable_part:
+            out = out + self.dt * _variable_diffusion_term(out, self.grid, self.spec, adjoint)
+        return out

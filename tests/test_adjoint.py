@@ -16,7 +16,7 @@ from levyfp.adjoint import (
 from levyfp.forward import NumericalFailure, gaussian, solve
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Grid, ScalarField
-from levyfp.operators import divergence_of_flux, face_velocities, transport_flux
+from levyfp.operators import divergence_of_flux, face_velocities, levy_integral_field, transport_flux
 from levyfp.weights import WeightFunction
 
 GRID = Grid(dim=1, n=1024, half_width=16.0)
@@ -125,6 +125,22 @@ def test_advection_step_is_exact_transpose_of_forward_flux():
         fwd[:, j] = e - dt * divergence_of_flux(transport_flux(e, w, g.dx, "off"), g.dx)
         adj[:, j] = stepper._advect(e, 0.0)
     assert np.abs(adj - fwd.T).max() == 0.0
+
+
+def test_quadrature_backward_step_matches_unfused_node_loop():
+    # reference: advection, an exact heat factor, then an explicit Euler
+    # step of the per-node shell loop
+    spec = GeneratorSpec(
+        LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.tempered(1.5), DriftSpec.ou(1.0)
+    )
+    dt = 5e-4
+    xi = tanh_profile(GRID)
+    ref = _AdjointStepper(spec, GRID, dt, "auto", None)
+    heat = np.exp(-dt * spec.diffusion.lambda0 * GRID.wavenumber_magnitude**2)
+    v = np.real(np.fft.ifft(heat * np.fft.fft(ref._advect(xi.values, 0.0))))
+    want = v + dt * levy_integral_field(ScalarField(GRID, v), spec.levy).values
+    got = solve_backward(xi, spec, s_final=dt, dt=dt).final.values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +259,26 @@ def test_duality_rejects_callable_source():
 def test_backward_cfl_violation_detected():
     with pytest.raises(NumericalFailure, match="CFL violation in adjoint"):
         solve_backward(tanh_profile(GRID), OU, s_final=0.1, dt=5e-3)
+
+
+def test_backward_explicit_jump_term_instability_detected():
+    # the backward clock takes the same explicit Euler jump step as the forward
+    spec = GeneratorSpec(
+        LocalDiffusionSpec.constant(0.0), LevyMeasureSpec.tempered(1.5), DriftSpec.none()
+    )
+    with pytest.raises(NumericalFailure, match="jump term unstable.*reduce dt"):
+        solve_backward(tanh_profile(GRID), spec, s_final=0.5, dt=0.5)
+
+
+def test_backward_cfl_bound_covers_drift_probe_times():
+    # |b| = (1 + t)|x| is within the bound at the run's own forward times
+    # but not over the probe times [0, 10] the forward clock checks
+    drift = DriftSpec(kind="growing-ou", alpha=1.0, gamma=2.0, R=0.0, time_dependent=True,
+                      fn=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float))
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
+    assert 1e-3 * 1.01 * GRID.half_width < 0.95 * GRID.dx
+    with pytest.raises(NumericalFailure, match="CFL violation in adjoint"):
+        solve_backward(tanh_profile(GRID), spec, s_final=0.01, dt=1e-3, forward_horizon=0.01)
 
 
 def test_backward_horizon_must_be_step_multiple():

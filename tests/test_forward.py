@@ -4,6 +4,7 @@ import pytest
 
 from levyfp.forward import (
     NumericalFailure,
+    _Stepper,
     gaussian,
     gaussian_difference,
     smooth_bump,
@@ -12,8 +13,9 @@ from levyfp.forward import (
     step_once,
 )
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
-from levyfp.grids import Grid
+from levyfp.grids import DensityField, Grid
 from levyfp.norms import weighted_tv_norm
+from levyfp.operators import levy_integral_field
 from levyfp.weights import WeightFunction
 
 GRID = Grid(dim=1, n=1024, half_width=16.0)
@@ -28,6 +30,12 @@ def ou_spec(lambda0: float = 1.0) -> GeneratorSpec:
 def ou_frac_spec() -> GeneratorSpec:
     return GeneratorSpec(
         LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0)
+    )
+
+
+def tempered_ou_spec() -> GeneratorSpec:
+    return GeneratorSpec(
+        LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.tempered(1.5), DriftSpec.ou(1.0)
     )
 
 
@@ -97,6 +105,31 @@ def test_step_conserves_mass(route):
         mass = m.values.sum() * GRID.cell_volume
         assert abs(mass - prev) < 1e-12
         prev = mass
+
+
+def test_quadrature_route_mass_drift_over_many_steps():
+    # the fused jump factor is exactly 1 at k = 0, so mass telescopes
+    run = solve(gaussian(GRID), tempered_ou_spec(), t_final=1.0, dt=5e-4, record_every=100)
+    assert len(run.mass) == 21
+    assert np.abs(run.mass - run.mass[0]).max() <= 1e-12
+
+
+def test_quadrature_strang_step_matches_unfused_node_loop():
+    # reference: the diffusion stage as an exact heat factor followed by an
+    # explicit Euler step of the per-node shell loop
+    spec = tempered_ou_spec()
+    dt = 5e-4
+    m0 = gaussian_difference(GRID, -1.0, 1.0, 1.0, 1.0)
+    ref = _Stepper(spec, GRID, dt, "mc", "auto")
+    heat = np.exp(-dt * spec.diffusion.lambda0 * GRID.wavenumber_magnitude**2)
+
+    def unfused_stage(m):
+        out = np.real(np.fft.ifft(heat * np.fft.fft(m)))
+        return out + dt * levy_integral_field(DensityField(GRID, out), spec.levy).values
+
+    want = ref._transport_half(unfused_stage(ref._transport_half(m0.values, 0.0)), 0.5 * dt)
+    got = step_once(m0, spec, dt).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_ou_variance_matches_closed_form():

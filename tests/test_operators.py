@@ -13,6 +13,7 @@ from levyfp.generators import (
 )
 from levyfp.grids import Grid, ScalarField
 from levyfp.operators import (
+    StepSetup,
     apply_adjoint_generator,
     apply_generator,
     divergence_of_flux,
@@ -31,6 +32,10 @@ GRID = Grid(dim=1, n=1024, half_width=16.0)
 def _zero_drift() -> DriftSpec:
     return DriftSpec(kind="zero", alpha=0.0, gamma=2.0, R=0.0,
                      fn=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+
+
+def _tempered_spec() -> GeneratorSpec:
+    return GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.tempered(1.5), DriftSpec.ou(1.0))
 
 
 def _gaussian(grid: Grid) -> ScalarField:
@@ -138,6 +143,61 @@ def test_quadrature_error_shrinks_with_refinement():
     coarse = np.abs(levy_integral_field(u, nu).values - ref).max()
     fine = np.abs(levy_integral_field(u, nu, shells_per_octave=2, nodes_per_shell=16).values - ref).max()
     assert fine < 0.5 * coarse
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("sigma", [0.7, 1.5, 1.9])
+@pytest.mark.parametrize("kind", ["tempered", "fractional"])
+def test_quadrature_symbol_matches_node_loop(kind, sigma, n):
+    # the shell loop is a circulant on the periodic grid: its FFT symbol
+    # reproduces it to rounding on any field
+    g = Grid(dim=1, n=n, half_width=16.0)
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), getattr(LevyMeasureSpec, kind)(sigma),
+                         DriftSpec.ou(1.0))
+    nu = spec.levy
+    lam = StepSetup(spec, g, 1e-4, "quadrature").jump_symbol
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        u = rng.standard_normal(n)
+        want = levy_integral_field(ScalarField(g, u), nu).values
+        got = np.real(np.fft.ifft(lam * np.fft.fft(u)))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_quadrature_symbol_zero_mode_is_exact():
+    setup = StepSetup(_tempered_spec(), GRID, 5e-4, "auto")
+    assert setup.jump_symbol[0] == 0.0
+    assert setup.diffusion_factor[0] == 1.0
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("kind", ["tempered", "fractional"])
+def test_symbol_radius_equals_nyquist_probe(kind, n):
+    # the stability gate reads max|lam|; on the builtin kernels the largest
+    # modulus sits at the Nyquist mode, where a quadrature pass on the most
+    # oscillatory grid mode measured it
+    g = Grid(dim=1, n=n, half_width=16.0)
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), getattr(LevyMeasureSpec, kind)(1.5),
+                         DriftSpec.ou(1.0))
+    radius = StepSetup(spec, g, 1e-4, "quadrature").jump_radius
+    probe = ScalarField(g, np.cos(np.pi * np.arange(n)))
+    want = np.abs(levy_integral_field(probe, spec.levy).values).max()
+    assert abs(radius - want) <= 1e-12 * want
+
+
+def test_step_setup_route_resolution():
+    assert StepSetup(_tempered_spec(), GRID, 1e-4, "auto").jump_route == "quadrature"
+    frac = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0))
+    assert StepSetup(frac, GRID, 1e-4, "auto").jump_route == "spectral"
+    assert StepSetup(frac, GRID, 1e-4, "quadrature").jump_route == "quadrature"
+    local = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
+    assert StepSetup(local, GRID, 1e-4, "quadrature").jump_route is None
+    with pytest.raises(ValueError, match="no exact symbol"):
+        StepSetup(_tempered_spec(), GRID, 1e-4, "spectral")
+    with pytest.raises(ValueError, match="unknown jump route"):
+        StepSetup(frac, GRID, 1e-4, "fourier")
+    with pytest.raises(ValueError, match="unknown jump route"):
+        apply_generator(_gaussian(GRID), frac, jump_route="fourier")
 
 
 def test_levy_field_rejects_sigma_two():
