@@ -323,6 +323,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if data[key] not in choices:
             raise ConfigError(f"{key}: must be one of {', '.join(choices)}, got {data[key]!r}")
 
+    if data["grid.d"] != 1:
+        raise ConfigError(f"grid.d: solvers are implemented for d=1 only, got {data['grid.d']}")
     # constructors carry the per-object admissibility checks; surface their
     # refusals as validation errors before any compute starts
     try:
@@ -333,8 +335,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
-    if grid.dim != 1:
-        raise ConfigError(f"grid.d: solvers are implemented for d=1 only, got {grid.dim}")
 
     _check_admissibility(data, weights)
     return ExperimentConfig(data=data, grid=grid, generator=generator, weights=weights)

@@ -1,6 +1,6 @@
 """Periodic grids and grid-sampled fields.
 
-Everything downstream lives on a uniform periodic lattice over [-L, L)^d.
+Everything downstream lives on a uniform periodic lattice over [-L, L), d = 1.
 Fields are immutable value objects: solvers return new fields instead of
 mutating in place, so snapshots can be shared across threads or processes
 without copies.
@@ -29,11 +29,12 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic lattice on [-L, L)^d, d in {1, 2}.
+    """Uniform periodic lattice on [-L, L) in d = 1.
 
-    Nodes are x_i = -L + i*dx with dx = 2L/N, so index N wraps back to
-    index 0.  Angular wavenumbers are xi_j = pi*j/L in FFT ordering, which
-    makes exp(i*xi_j*x) exactly periodic on the box.
+    ``dim`` mirrors the config's ``grid.d`` and must be 1.  Nodes are
+    x_i = -L + i*dx with dx = 2L/N, so index N wraps back to index 0.
+    Angular wavenumbers are xi_j = pi*j/L in FFT ordering, which makes
+    exp(i*xi_j*x) exactly periodic on the box.
     """
 
     dim: int
@@ -41,8 +42,8 @@ class Grid:
     half_width: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if self.dim != 1:
+            raise ValueError(f"dim must be 1, got {self.dim}")
         if self.n < 8 or not _is_power_of_two(int(self.n)):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if not (np.isfinite(self.half_width) and self.half_width > 0):
@@ -55,51 +56,36 @@ class Grid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        """Node coordinates: shape (n,) for d=1, (n, n, 2) for d=2."""
-        axis = -self.half_width + self.dx * np.arange(self.n)
-        if self.dim == 1:
-            return axis
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([xx, yy], axis=-1)
+        """Node coordinates x_i = -L + i*dx, shape (n,)."""
+        return -self.half_width + self.dx * np.arange(self.n)
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Angular wavenumbers xi_j = pi*j/L in numpy FFT ordering."""
-        axis = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        if self.dim == 1:
-            return axis
-        kx, ky = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([kx, ky], axis=-1)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     @cached_property
     def wavenumber_magnitude(self) -> np.ndarray:
-        if self.dim == 1:
-            return np.abs(self.wavenumbers)
-        return np.sqrt(np.sum(self.wavenumbers**2, axis=-1))
+        return np.abs(self.wavenumbers)
 
     @cached_property
     def radii(self) -> np.ndarray:
-        """Euclidean distance of each node from the origin."""
-        if self.dim == 1:
-            return np.abs(self.nodes)
-        return np.sqrt(np.sum(self.nodes**2, axis=-1))
+        """Distance of each node from the origin."""
+        return np.abs(self.nodes)
 
     @property
     def cell_volume(self) -> float:
-        return self.dx**self.dim
+        return self.dx
 
     @property
     def shape(self) -> tuple:
-        return (self.n,) * self.dim
+        return (self.n,)
 
     def boundary_band(self, fraction: float = 0.05) -> np.ndarray:
         """Boolean mask of the ceil(fraction*n) cells nearest each box edge."""
         width = int(np.ceil(fraction * self.n))
         idx = np.arange(self.n)
-        near = (idx < width) | (idx >= self.n - width)
-        if self.dim == 1:
-            return near
-        return near[:, None] | near[None, :]
+        return (idx < width) | (idx >= self.n - width)
 
 
 def _as_values(grid: Grid, values) -> np.ndarray:
@@ -157,8 +143,6 @@ class DensityField:
         m = self.mass()
         if abs(m) < 1e-300:
             raise ValueError("variance undefined for zero-mass density")
-        if self.grid.dim != 1:
-            raise NotImplementedError("variance only implemented for d=1")
         x = self.grid.nodes
         mean = float(np.sum(x * self.values) * self.grid.cell_volume) / m
         return float(np.sum((x - mean) ** 2 * self.values) * self.grid.cell_volume) / m
@@ -178,20 +162,13 @@ FLOAT_FMT = "%.17g"
 
 
 def write_field_csv(field, path) -> None:
-    """Write a field as CSV with header x,value (x,y,value for d=2)."""
-    grid = field.grid
+    """Write a field as CSV with header x,value."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if grid.dim == 1:
-            writer.writerow(["x", "value"])
-            for x, v in zip(grid.nodes, field.values):
-                writer.writerow([FLOAT_FMT % x, FLOAT_FMT % v])
-        else:
-            writer.writerow(["x", "y", "value"])
-            nodes = grid.nodes.reshape(-1, 2)
-            for (x, y), v in zip(nodes, field.values.reshape(-1)):
-                writer.writerow([FLOAT_FMT % x, FLOAT_FMT % y, FLOAT_FMT % v])
+        writer.writerow(["x", "value"])
+        for x, v in zip(field.grid.nodes, field.values):
+            writer.writerow([FLOAT_FMT % x, FLOAT_FMT % v])
 
 
 def read_field_csv(path, kind: str = "density", t: float = 0.0):
@@ -201,20 +178,11 @@ def read_field_csv(path, kind: str = "density", t: float = 0.0):
         reader = csv.reader(fh)
         header = next(reader)
         rows = np.array([[float(c) for c in row] for row in reader])
-    if header[:2] == ["x", "value"]:
-        x, v = rows[:, 0], rows[:, 1]
-        n = x.size
-        dx = x[1] - x[0]
-        if not np.allclose(np.diff(x), dx, rtol=0, atol=1e-12 * abs(dx)):
-            raise ValueError("non-uniform x column")
-        grid = Grid(1, n, -x[0])
-        values = v
-    elif header[:3] == ["x", "y", "value"]:
-        n = int(round(np.sqrt(rows.shape[0])))
-        x = rows[:, 0].reshape(n, n)
-        grid = Grid(2, n, -x[0, 0])
-        values = rows[:, 2].reshape(n, n)
-    else:
+    if header[:2] != ["x", "value"]:
         raise ValueError(f"unrecognized field CSV header: {header}")
+    x, v = rows[:, 0], rows[:, 1]
+    dx = x[1] - x[0]
+    if not np.allclose(np.diff(x), dx, rtol=0, atol=1e-12 * abs(dx)):
+        raise ValueError("non-uniform x column")
     cls = DensityField if kind == "density" else ScalarField
-    return cls(grid, values, t)
+    return cls(Grid(1, x.size, -x[0]), v, t)

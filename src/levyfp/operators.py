@@ -42,9 +42,7 @@ _LIMITERS = ("mc", "minmod", "fromm", "off")
 
 
 def spectral_derivative(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """FFT derivative along the single axis of a d=1 grid."""
-    if grid.dim != 1:
-        raise NotImplementedError("spectral derivatives implemented for d=1 only")
+    """FFT derivative on the grid."""
     xi = grid.wavenumbers
     spec = np.fft.fft(values) * (1j * xi) ** order
     if order % 2 == 1:
@@ -58,9 +56,7 @@ def fractional_action(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarra
     if not 0.0 < sigma <= 2.0:
         raise ValueError(f"sigma must lie in (0, 2], got {sigma}")
     mult = grid.wavenumber_magnitude**sigma
-    if grid.dim == 1:
-        return np.real(np.fft.ifft(mult * np.fft.fft(values)))
-    return np.real(np.fft.ifft2(mult * np.fft.fft2(values)))
+    return np.real(np.fft.ifft(mult * np.fft.fft(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +163,6 @@ def levy_integral_field(
     collapses to 2 (mean(u) - u(x)) * nu(z > z_max).
     """
     grid = u.grid
-    if grid.dim != 1:
-        raise NotImplementedError("jump quadrature implemented for d=1 only")
     if not nu.is_active:
         return u.with_values(np.zeros_like(u.values))
     if not 0.0 < nu.sigma < 2.0:
@@ -324,8 +318,6 @@ def apply_generator(u: ScalarField, g: GeneratorSpec, t: float = 0.0, jump_route
     otherwise (``jump_route`` forces one or the other).
     """
     grid = u.grid
-    if grid.dim != 1:
-        raise NotImplementedError("apply_generator implemented for d=1 only")
     vals = u.values
     out = np.zeros_like(vals)
     lam0 = g.diffusion.lambda0
@@ -353,8 +345,6 @@ def apply_adjoint_generator(
     rounding and signed inputs are handled without clipping.
     """
     grid = m.grid
-    if grid.dim != 1:
-        raise NotImplementedError("apply_adjoint_generator implemented for d=1 only")
     vals = m.values
     out = np.zeros_like(vals)
     lam0 = g.diffusion.lambda0
@@ -389,8 +379,6 @@ class StepSetup:
     """
 
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, jump_route: str):
-        if grid.dim != 1:
-            raise NotImplementedError("time steppers implemented for d=1 only")
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.spec = spec

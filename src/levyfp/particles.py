@@ -93,11 +93,8 @@ class ParticleEnsemble:
     t: float
     seed: int
     step_index: int = 0
-    dim: int = 1
 
     def __post_init__(self):
-        if self.dim != 1:
-            raise NotImplementedError("particle simulation implemented for d=1 only")
         if self.positions.ndim != 1 or self.positions.size < 1:
             raise ValueError("need at least one particle in a flat position array")
         if not np.all(np.isfinite(self.positions)):

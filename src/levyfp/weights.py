@@ -20,13 +20,9 @@ __all__ = ["bracket", "WeightFunction"]
 
 
 def bracket(x: np.ndarray) -> np.ndarray:
-    """<x> = sqrt(1 + |x|^2); x may be scalar, (...,) for d=1, or (..., d)."""
+    """<x> = sqrt(1 + x^2), elementwise on scalars or arrays of d=1 points."""
     x = np.asarray(x, dtype=float)
-    if x.ndim >= 1 and x.shape[-1] in (2, 3) and x.ndim > 1:
-        r2 = np.sum(x**2, axis=-1)
-    else:
-        r2 = x**2
-    return np.sqrt(1.0 + r2)
+    return np.sqrt(1.0 + x**2)
 
 
 @dataclass(frozen=True)
@@ -84,22 +80,18 @@ class WeightFunction:
         return self.profile(bracket(x))
 
     def grad(self, x) -> np.ndarray:
-        """d/dx phi for d=1 points; for (..., d) points returns the gradient vector."""
+        """d/dx phi."""
         if self.profile_d1 is None:
             raise ValueError(f"weight {self.label!r} has no derivative evaluator")
         x = np.asarray(x, dtype=float)
         s = bracket(x)
-        if x.ndim > 1 and x.shape[-1] in (2, 3):
-            return (self.profile_d1(s) / s)[..., None] * x
         return self.profile_d1(s) * x / s
 
     def hess(self, x) -> np.ndarray:
-        """Second derivative (d=1 points only)."""
+        """d^2/dx^2 phi."""
         if self.profile_d2 is None:
             raise ValueError(f"weight {self.label!r} has no second-derivative evaluator")
         x = np.asarray(x, dtype=float)
-        if x.ndim > 1 and x.shape[-1] in (2, 3):
-            raise NotImplementedError("hess is only implemented for d=1 points")
         s = bracket(x)
         # d/dx [ f'(s) x / s ] with s = <x>: f''(s) x^2/s^2 + f'(s) (1/s - x^2/s^3)
         return self.profile_d2(s) * x**2 / s**2 + self.profile_d1(s) * (1.0 / s - x**2 / s**3)

@@ -206,6 +206,10 @@ def test_validate_command(tmp_path, capsys):
     assert "valid: forward-decay" in capsys.readouterr().out
     bad = write_config(tmp_path, "bad.json", **{"grid.n": 300})
     assert main(["validate", str(bad)]) == 2
+    capsys.readouterr()
+    two_d = write_config(tmp_path, "two_d.json", **{"grid.d": 2})
+    assert main(["validate", str(two_d)]) == 2
+    assert "grid.d: solvers are implemented for d=1 only, got 2" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -20,6 +20,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(1, 4, 16.0)  # too small
     with pytest.raises(ValueError):
+        Grid(2, 32, 4.0)  # d = 1 only
+    with pytest.raises(ValueError):
         Grid(3, 64, 16.0)
     with pytest.raises(ValueError):
         Grid(1, 64, -1.0)

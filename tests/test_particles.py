@@ -84,11 +84,6 @@ def test_ensemble_rejects_empty_and_nonfinite():
         ParticleEnsemble(np.array([0.0, np.nan]), 0.0, 0)
 
 
-def test_ensemble_rejects_higher_dimensions():
-    with pytest.raises(NotImplementedError, match="d=1"):
-        ParticleEnsemble(np.zeros(4), 0.0, 0, dim=2)
-
-
 def test_ensemble_from_density_rejects_signed_and_empty():
     m = gaussian(GRID, std=1.0)
     signed = type(m)(GRID, m.values - m.values.max())

@@ -119,13 +119,124 @@ def test_seminorm_shift_invariance_and_homogeneity(shift, scale, seed):
     assert scaled == pytest.approx(scale * base, rel=1e-12)
 
 
-def test_seminorm_d2_sampled_scan_runs():
-    g = Grid(2, 32, 4.0)
-    xx = g.nodes[..., 0]
-    u = ScalarField(g, np.sin(np.pi * xx / 4.0))
-    w = WeightFunction.power(1.0)
-    val = weighted_seminorm(u, w)
-    assert 0.0 < val <= 1.0
+# ---------------------------------------------------------------------------
+# seminorm: the exhaustive O(N^2) pair scan is the oracle for the linear-time
+# iteration, which must return the same float, not just a close one
+
+ORACLE_WEIGHTS = (
+    WeightFunction.power(0.5),
+    WeightFunction.power(1.0),
+    WeightFunction.exponential(0.25, 1.0),
+    WeightFunction.power(0.0),
+)
+
+
+def pair_scan_seminorm(u, phi, chunk=512):
+    """max |u_i - u_j| / (phi_i + phi_j) over all pairs, by row chunks."""
+    best = 0.0
+    for start in range(0, u.size, chunk):
+        sl = slice(start, min(start + chunk, u.size))
+        num = np.abs(u[sl, None] - u[None, :])
+        den = phi[sl, None] + phi[None, :]
+        best = max(best, float(np.max(num / den)))
+    return best
+
+
+def assert_matches_pair_scan(g, u, w):
+    expected = pair_scan_seminorm(np.asarray(u, dtype=float), w(g.nodes))
+    assert weighted_seminorm(ScalarField(g, u), w) == expected
+
+
+def oracle_fields(g, rng):
+    x = g.nodes
+    L = g.half_width
+    yield rng.normal(size=g.n)
+    yield rng.uniform(-1e3, 1e3, size=g.n)
+    yield np.sin(np.pi * x / L) * np.exp(-x**2 / 8.0) + 0.1 * x
+    yield np.cos(3 * np.pi * x / L) + 0.01 * x**2
+    yield np.tanh(x)
+    yield np.tanh(2.0 * (x - 1.0)) + 0.5
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+@pytest.mark.parametrize("w", ORACLE_WEIGHTS, ids=lambda w: w.label)
+def test_seminorm_equals_pair_scan_on_random_and_smooth_fields(n, w):
+    g = Grid(1, n, 16.0)
+    rng = np.random.default_rng(1000 + n)
+    for u in oracle_fields(g, rng):
+        assert_matches_pair_scan(g, u, w)
+
+
+@pytest.mark.parametrize("w", ORACLE_WEIGHTS, ids=lambda w: w.label)
+def test_seminorm_equals_pair_scan_on_near_ties(w):
+    # u = +-c*phi + const makes every (+, -) pair tie at ratio c; a 1e-15
+    # relative perturbation leaves many pairs within rounding of the best
+    rng = np.random.default_rng(29)
+    for n in (8, 64, 1024):
+        g = Grid(1, n, 16.0)
+        phi = w(g.nodes)
+        for _ in range(25):
+            c = rng.uniform(0.1, 10.0)
+            const = rng.uniform(-100.0, 100.0)
+            signs = rng.choice([-1.0, 1.0], size=n)
+            u = signs * c * phi + const
+            u = u * (1.0 + 1e-15 * rng.standard_normal(n))
+            assert_matches_pair_scan(g, u, w)
+
+
+@pytest.mark.parametrize("w", ORACLE_WEIGHTS, ids=lambda w: w.label)
+def test_seminorm_of_constants_is_exactly_zero(w):
+    for n in (8, 1024):
+        g = Grid(1, n, 16.0)
+        for c in (0.0, -2.5, 3.7, 1e12):
+            assert weighted_seminorm(ScalarField(g, np.full(n, c)), w) == 0.0
+
+
+def test_seminorm_all_tie_field_runs_chunked_final_pass(monkeypatch):
+    # phi = 1, u = +-1: every (+1, -1) pair attains the maximum 1, so the
+    # final pass scans N/2 x N/2 pairs, more rows than one chunk holds
+    import levyfp.norms as norms
+
+    g = Grid(1, 2048, 16.0)
+    u = np.where(np.arange(g.n) % 2 == 0, 1.0, -1.0)
+    w = WeightFunction.power(0.0)
+    seen = []
+    original = norms._max_pair_ratio
+
+    def spy(u, phi, rows, cols):
+        seen.append((rows.size, cols.size))
+        return original(u, phi, rows, cols)
+
+    monkeypatch.setattr(norms, "_max_pair_ratio", spy)
+    assert weighted_seminorm(ScalarField(g, u), w) == pair_scan_seminorm(u, w(g.nodes)) == 1.0
+    assert seen == [(g.n // 2, g.n // 2)]
+    assert g.n // 2 > norms._PAIR_CHUNK
+
+
+@pytest.mark.parametrize("mu", [3.0, 800.0])
+def test_seminorm_equals_pair_scan_when_weight_overflows(mu):
+    # exp(mu <x>^2) is inf near the box edges (mu = 3) or on every node
+    # (mu = 800); pairs with an infinite weight have ratio 0 in the scan
+    g = Grid(1, 64, 16.0)
+    w = WeightFunction.exponential(mu, 2.0)
+    rng = np.random.default_rng(3)
+    with np.errstate(over="ignore"):
+        assert np.isinf(w(g.nodes)).any()
+        for u in oracle_fields(g, rng):
+            assert_matches_pair_scan(g, u, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 32]),
+    w=st.sampled_from(ORACLE_WEIGHTS),
+    data=st.data(),
+)
+def test_seminorm_equals_pair_scan_property(n, w, data):
+    g = Grid(1, n, 4.0)
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    u = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    assert_matches_pair_scan(g, u, w)
 
 
 # ---------------------------------------------------------------------------
