@@ -3,10 +3,11 @@
 v(s) = u(t - s) satisfies  d/ds v + b . Dv = lambda0 Lap v + tr(Sigma^2 D^2 v)
 + I(x,[v]) + f,  marched here with a Lie split: one advection step, then the
 same diffusion stage the forward solver uses. The advection update is the
-exact matrix transpose of the forward donor flux, so the only duality
-mismatch between the two solvers is the splitting-order difference, which is
-O(dt^2) per step and Theta(dt) accumulated; it cannot hide a sign or stencil
-inconsistency.
+exact matrix transpose of the forward donor flux; its two differences,
+v_i - v_{i+1} and v_{i-1} - v_i, are two views of one periodic difference
+array. The only duality mismatch between the two solvers is the
+splitting-order difference, which is O(dt^2) per step and Theta(dt)
+accumulated; it cannot hide a sign or stencil inconsistency.
 """
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ import numpy as np
 from .generators import GeneratorSpec
 from .grids import Grid, ScalarField
 from .norms import weighted_seminorm
+from .operators import NumericalFailure, StepSetup, _periodic_difference
 # levy_integral_field stays importable here: perfbench/tracing.py traces the quadrature through it
-from .operators import NumericalFailure, StepSetup, levy_integral_field  # noqa: F401
+from .operators import levy_integral_field  # noqa: F401
 from .weights import WeightFunction
 
 __all__ = [
@@ -80,18 +82,21 @@ class _AdjointStepper:
                  forward_horizon: float | None):
         if spec.is_time_dependent and forward_horizon is None:
             raise ValueError("time-dependent drift needs forward_horizon to reverse the clock")
-        self.stage = StepSetup(spec, grid, dt, jump_route)
+        self.stage = StepSetup(spec, grid, dt, jump_route, substep=1.0, where=" in adjoint advection")
         self.grid = grid
         self.dt = dt
         self.horizon = forward_horizon or 0.0  # a static drift never reads the time
-        self.stage.check_stability(1.0, " in adjoint advection")
 
     def _advect(self, v: np.ndarray, s: float) -> np.ndarray:
         # exact transpose of the forward donor update
         #   m_i <- m_i - rho (wp_i m_i + wm_i m_{i+1} - wp_{i-1} m_{i-1} - wm_{i-1} m_i)
+        # with e[k] = v[k-1] - v[k] (one periodic difference array, of -v),
+        # v_i - v_{i+1} is e[1:] and v_{i-1} - v_i is e[:-1]
         wp, wm = self.stage.upwind_split(self.horizon - s)
         rho = self.dt / self.grid.dx
-        return v - rho * (wp * (v - np.roll(v, -1)) + np.roll(wm, 1) * (np.roll(v, 1) - v))
+        e = _periodic_difference(-v)
+        wm_prev = np.concatenate((wm[-1:], wm[:-1]))
+        return v - rho * (wp * e[1:] + wm_prev * e[:-1])
 
     def step(self, v: np.ndarray, s: float, source: np.ndarray | None) -> np.ndarray:
         v = self._advect(v, s)

@@ -245,7 +245,15 @@ def _build_generator(data) -> GeneratorSpec:
     return GeneratorSpec(diffusion, levy, drift)
 
 
-def _check_admissibility(data, weights):
+def _check_admissibility(data, grid, weights):
+    for label, w in weights.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.isfinite(w(grid.nodes))
+        if bad.any():
+            raise ConfigError(
+                f"weights: {label} overflows on the grid: not finite at |x| >= "
+                f"{np.abs(grid.nodes[bad]).min():g} (grid.half_width={grid.half_width:g})"
+            )
     jumps = data["levy.kind"] != "none"
     if jumps:
         sigma = data["levy.sigma"]
@@ -336,7 +344,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    _check_admissibility(data, weights)
+    _check_admissibility(data, grid, weights)
     return ExperimentConfig(data=data, grid=grid, generator=generator, weights=weights)
 
 

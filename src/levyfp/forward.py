@@ -87,12 +87,11 @@ class _Stepper:
     """Precomputed pieces of one Strang step for a fixed (spec, grid, dt)."""
 
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, limiter: str, jump_route: str):
-        self.stage = StepSetup(spec, grid, dt, jump_route)
+        # two RK substeps of dt/2 per transport half
+        self.stage = StepSetup(spec, grid, dt, jump_route, substep=0.5)
         self.grid = grid
         self.dt = dt
         self.limiter = limiter
-        # two RK substeps of dt/2 per transport half
-        self.stage.check_stability(0.5)
 
     def _faces(self, t: float) -> np.ndarray:
         return self.stage.faces(t)

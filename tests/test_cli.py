@@ -212,6 +212,17 @@ def test_validate_command(tmp_path, capsys):
     assert "grid.d: solvers are implemented for d=1 only, got 2" in capsys.readouterr().err
 
 
+def test_validate_refuses_weight_that_overflows_on_grid(tmp_path, capsys):
+    # exp(3 <x>^2) is inf beyond |x| ~ 15.4, inside a half width of 16
+    wide = write_config(tmp_path, "wide.json", **{"grid.half_width": 16.0, "weights": ["exp3_2"]})
+    assert main(["validate", str(wide)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: weights: exp3_2 overflows on the grid: not finite at |x| >= 15.375" in err
+    narrow = write_config(tmp_path, "narrow.json", **{"grid.half_width": 8.0, "weights": ["exp3_2"]})
+    assert main(["validate", str(narrow)]) == 0
+    assert "valid: forward-decay" in capsys.readouterr().out
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -238,6 +238,19 @@ def test_cfl_violation_reports_allowed_dt():
         solve(gaussian(GRID), ou_spec(), t_final=1.0, dt=0.01)
 
 
+def test_cfl_bound_covers_times_past_ten():
+    # b = (1 + t) x breaks 0.5 dt max|w| <= 0.95 dx only once t > 11.06
+    g = Grid(dim=1, n=64, half_width=4.0)
+    drift = DriftSpec(kind="growing-ou", alpha=1.0, gamma=2.0, R=0.0, time_dependent=True,
+                      fn=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float))
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
+    m0 = gaussian(g, std=0.5)
+    run = solve(m0, spec, t_final=11.0, dt=5e-3, record_every=10**9)
+    assert np.all(np.isfinite(run.final.values))
+    with pytest.raises(NumericalFailure, match=r"CFL violation at t=11\.06\d*: dt=0\.005 exceeds"):
+        solve(m0, spec, t_final=12.0, dt=5e-3, record_every=10**9)
+
+
 def test_explicit_jump_term_instability_detected():
     spec = GeneratorSpec(
         LocalDiffusionSpec.constant(0.0), LevyMeasureSpec.tempered(1.5), DriftSpec.none()

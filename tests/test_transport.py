@@ -1,0 +1,159 @@
+"""Transport layer against its np.roll oracles: the limited upwind flux, its
+divergence and the backward advection must agree bit for bit, sign bits of
+zeros included, and so must whole forward and backward steps."""
+import numpy as np
+import pytest
+
+import levyfp.forward as forward
+from levyfp.adjoint import _AdjointStepper
+from levyfp.forward import _Stepper
+from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
+from levyfp.grids import Grid
+from levyfp.operators import _LIMITERS, divergence_of_flux, transport_flux
+
+# ---------------------------------------------------------------------------
+# oracles: the np.roll expressions the slicing code replaced
+
+
+def oracle_slope(m, dx, limiter):
+    if limiter == "off":
+        return np.zeros_like(m)
+    left = (m - np.roll(m, 1)) / dx
+    right = (np.roll(m, -1) - m) / dx
+    central = 0.5 * (left + right)
+    if limiter == "fromm":
+        return central
+    if limiter == "minmod":
+        return np.where(left * right > 0, np.sign(left) * np.minimum(np.abs(left), np.abs(right)), 0.0)
+    lim = np.minimum(np.abs(central), 2.0 * np.minimum(np.abs(left), np.abs(right)))
+    return np.where(left * right > 0, np.sign(central) * lim, 0.0)
+
+
+def oracle_flux(m, w_faces, dx, limiter="mc"):
+    s = oracle_slope(m, dx, limiter)
+    from_left = m + 0.5 * dx * s
+    from_right = np.roll(m - 0.5 * dx * s, -1)
+    return np.where(w_faces >= 0, w_faces * from_left, w_faces * from_right)
+
+
+def oracle_divergence(flux, dx):
+    return (flux - np.roll(flux, 1)) / dx
+
+
+def oracle_advect(stepper, v, s):
+    wp, wm = stepper.stage.upwind_split(stepper.horizon - s)
+    rho = stepper.dt / stepper.grid.dx
+    return v - rho * (wp * (v - np.roll(v, -1)) + np.roll(wm, 1) * (np.roll(v, 1) - v))
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---------------------------------------------------------------------------
+# seeded fields: scales 1e-5 to 1e5, exact zeros of both signs, equal
+# neighbours (zero differences), and velocities of both signs with zeros
+
+
+def random_field(rng, n):
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    k = max(1, n // 8)
+    x[rng.choice(n, k, replace=False)] = 0.0
+    x[rng.choice(n, k, replace=False)] = -0.0
+    i = rng.choice(n, k, replace=False)
+    x[i] = x[(i + 1) % n]
+    return x
+
+
+def random_velocity(rng, n):
+    w = rng.standard_normal(n)
+    p = rng.permutation(n)
+    k = max(1, n // 8)
+    w[p[:k]] = 0.0
+    w[p[k:2 * k]] = -0.0
+    w[p[-2]], w[p[-1]] = abs(w[p[-2]]), -abs(w[p[-1]])
+    return w
+
+
+SIZES = (4, 8, 256, 1024)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("limiter", _LIMITERS)
+def test_flux_and_divergence_match_roll_oracle(n, limiter):
+    rng = np.random.default_rng(1000 + n)
+    for dx in (1e-3, 0.0625, 3.0):
+        m = random_field(rng, n)
+        w = random_velocity(rng, n)
+        assert np.any(w > 0) and np.any(w < 0) and np.any(w == 0)
+        flux = transport_flux(m, w, dx, limiter)
+        assert_bitwise(flux, oracle_flux(m, w, dx, limiter))
+        assert_bitwise(divergence_of_flux(flux, dx), oracle_divergence(flux, dx))
+
+
+@pytest.mark.parametrize("limiter", _LIMITERS)
+def test_flux_matches_oracle_on_signed_zero_fields(limiter):
+    # all-zero data of mixed sign: the "off" reconstruction m + 0.0 must
+    # turn -0.0 into +0.0 exactly as zero slopes did
+    m = np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0])
+    w = np.array([1.0, -1.0, 0.0, -0.0, 2.0, -2.0, -0.0, 1.0])
+    assert_bitwise(transport_flux(m, w, 0.5, limiter), oracle_flux(m, w, 0.5, limiter))
+
+
+def _advect_stepper(n, rng, time_dependent):
+    g = Grid(dim=1, n=n, half_width=4.0)
+    w = random_velocity(rng, n)
+    if time_dependent:
+        drift = DriftSpec(kind="random", alpha=0.0, gamma=2.0, R=0.0, time_dependent=True,
+                          fn=lambda t, x: -(1.0 + t) * w)
+    else:
+        drift = DriftSpec(kind="random", alpha=0.0, gamma=2.0, R=0.0, fn=lambda t, x: -w)
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
+    # horizon 1: the moving faces reach 2 max|w|
+    dt = 0.2 * g.dx / (2.0 * np.abs(w).max())
+    return _AdjointStepper(spec, g, dt, "auto", 1.0 if time_dependent else None)
+
+
+@pytest.mark.parametrize("n", SIZES[1:])  # Grid needs n >= 8
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_advect_matches_roll_oracle(n, time_dependent):
+    rng = np.random.default_rng(2000 + n)
+    stepper = _advect_stepper(n, rng, time_dependent)
+    for s in (0.0, 0.25, 0.5):
+        v = random_field(rng, n)
+        assert_bitwise(stepper._advect(v, s), oracle_advect(stepper, v, s))
+
+
+# ---------------------------------------------------------------------------
+# whole steps built from the oracles
+
+
+FRAC_OU = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0))
+TEMPERED_OU = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.tempered(1.5), DriftSpec.ou(1.0))
+MOVING = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
+                       DriftSpec.perturbed_power(1.0, 2.0, 0.5))
+
+
+@pytest.mark.parametrize("limiter", _LIMITERS)
+@pytest.mark.parametrize("spec", [FRAC_OU, TEMPERED_OU, MOVING], ids=["spectral", "quadrature", "moving"])
+def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
+    g = Grid(dim=1, n=256, half_width=8.0)
+    m = random_field(np.random.default_rng(3), g.n)
+    stepper = _Stepper(spec, g, 2e-3, limiter, "auto")
+    got = stepper.step(m, 0.25)
+    monkeypatch.setattr(forward, "transport_flux", oracle_flux)
+    monkeypatch.setattr(forward, "divergence_of_flux", oracle_divergence)
+    assert_bitwise(got, stepper.step(m, 0.25))
+
+
+@pytest.mark.parametrize("spec", [FRAC_OU, TEMPERED_OU, MOVING], ids=["spectral", "quadrature", "moving"])
+def test_backward_step_matches_oracle_step(monkeypatch, spec):
+    g = Grid(dim=1, n=256, half_width=8.0)
+    rng = np.random.default_rng(4)
+    v, source = random_field(rng, g.n), rng.standard_normal(g.n)
+    stepper = _AdjointStepper(spec, g, 2e-3, "auto", 1.0 if spec.is_time_dependent else None)
+    got = stepper.step(v, 0.25, source)
+    monkeypatch.setattr(_AdjointStepper, "_advect", oracle_advect)
+    assert_bitwise(got, stepper.step(v, 0.25, source))
