@@ -206,7 +206,14 @@ def _run_particles(cfg: ExperimentConfig, outdir: Path) -> dict:
         "n_particles": n,
         "t_final": float(run.times[-1]),
         "final_moments": {lab: float(run.moments[lab][-1]) for lab in labels},
+        **_cap_excess_entry(run.cap_excess),
     }
+
+
+def _cap_excess_entry(cap_excess) -> dict:
+    """The Monte Carlo truncation a tempered run accepted; nothing otherwise,
+    so that other summaries keep their bytes."""
+    return {} if cap_excess is None else {"tempered_cap_excess": cap_excess}
 
 
 def _run_coupling(cfg: ExperimentConfig, outdir: Path) -> dict:
@@ -235,6 +242,7 @@ def _run_coupling(cfg: ExperimentConfig, outdir: Path) -> dict:
         "n_pairs": cfg["coupling.n_pairs"],
         "final_uncoupled_fraction": float(run.uncoupled_fraction[-1]),
         "fits": {"uncoupled_fraction": fit},
+        **_cap_excess_entry(run.cap_excess),
     }
 
 

@@ -431,7 +431,7 @@ class StepSetup:
             lam[0] = 0.0
             self.diffusion_factor = self.diffusion_factor * (1.0 + dt * lam)
             self.jump_symbol, self.jump_radius = lam, float(np.abs(lam).max())
-        self.static_w = self.static_split = None
+        self.static_w = self.static_split = self._last_faces = None
         if not spec.is_time_dependent:
             self.static_w = face_velocities(grid, spec.drift, 0.0)
             self.static_split = (np.maximum(self.static_w, 0.0), np.minimum(self.static_w, 0.0))
@@ -466,8 +466,12 @@ class StepSetup:
         """Face velocities w at forward time t, CFL-checked when they move."""
         if self.static_w is not None:
             return self.static_w
+        # a Strang step asks for t + dt/2 twice in a row: keep the last faces
+        if self._last_faces is not None and self._last_faces[0] == t:
+            return self._last_faces[1]
         w = face_velocities(self.grid, self.spec.drift, t)
         self._check_cfl(w, t)
+        self._last_faces = (t, w)
         return w
 
     def upwind_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:

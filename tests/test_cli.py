@@ -12,6 +12,7 @@ from levyfp.config import (
     parse_config,
     parse_weight,
 )
+from levyfp.particles import _ParticleStepper
 
 FAST_FORWARD = {
     "experiment": "forward-decay",
@@ -394,3 +395,55 @@ def test_csv_floats_carry_17_significant_digits(tmp_path):
     t_cell = lines[2].split(",")[0]
     assert t_cell == format_float(0.05)
     assert float(t_cell) == 0.05
+
+
+# ---------------------------------------------------------------------------
+# particle experiments
+
+
+@pytest.mark.parametrize("experiment", ["particles", "coupling"])
+def test_tempered_cap_excess_reported_only_for_tempered_runs(tmp_path, experiment):
+    base = {
+        "experiment": experiment,
+        "levy.sigma": 1.5,
+        "diffusion.lambda0": 0.25,
+        "particles.source": "point",
+        "particles.n": 2000,
+        "coupling.n_pairs": 2000,
+        "time.dt": 0.01,
+        "time.t_final": 0.1,
+        "fit.model": "none",
+        "seed": 3,
+    }
+    for kind in ("tempered", "fractional"):
+        out = tmp_path / kind
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({**base, "levy.kind": kind, "output.dir": str(out)}))
+        assert main(["run", str(path)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        if kind == "tempered":
+            stepper = _ParticleStepper(parse_config(json.loads(path.read_text())).generator, 0.01)
+            assert summary["tempered_cap_excess"] == stepper.tempered.cap_excess
+        else:
+            assert "tempered_cap_excess" not in summary
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_particle_blow_up_exits_3_with_its_time(tmp_path):
+    # x -> -9999 x per step: a numerical failure, not a config error
+    path = tmp_path / "blow.json"
+    path.write_text(json.dumps({
+        "experiment": "particles",
+        "levy.kind": "fractional",
+        "drift.kind": "power",
+        "drift.alpha": 1e4,
+        "drift.gamma": 2.0,
+        "particles.source": "point",
+        "particles.n": 1000,
+        "time.dt": 1.0,
+        "time.t_final": 200.0,
+        "output.dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", str(path)]) == 3
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["error"] == "particle positions left the finite range at t=78"

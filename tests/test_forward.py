@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from levyfp import operators
 from levyfp.forward import (
     NumericalFailure,
     _Stepper,
@@ -249,6 +250,41 @@ def test_cfl_bound_covers_times_past_ten():
     assert np.all(np.isfinite(run.final.values))
     with pytest.raises(NumericalFailure, match=r"CFL violation at t=11\.06\d*: dt=0\.005 exceeds"):
         solve(m0, spec, t_final=12.0, dt=5e-3, record_every=10**9)
+
+
+def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
+    # a Strang step asks for faces at t, t + dt/2, t + dt/2 and t + dt; the
+    # second t + dt/2 is served from the last faces, so at most 3 of the 4
+    # evaluations per step remain, and the trajectory does not move
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5),
+                         DriftSpec.perturbed_power(1.0, 1.5, 0.3))
+    m0 = gaussian(GRID, std=1.0)
+    weights = {"pow0.5": WeightFunction.power(0.5)}
+    calls = []
+    evaluate = operators.face_velocities
+
+    def spy(grid, drift, t):
+        calls.append(t)
+        return evaluate(grid, drift, t)
+
+    monkeypatch.setattr(operators, "face_velocities", spy)
+    run = solve(m0, spec, t_final=0.1, dt=1e-2, record_weights=weights, eps_boundary=0.05)
+    memo_calls = list(calls)
+    assert len(memo_calls) <= 3 * 10
+    assert len(memo_calls) == len(set(memo_calls))
+
+    def faces_unmemoized(self, t):
+        w = operators.face_velocities(self.grid, self.spec.drift, t)
+        self._check_cfl(w, t)
+        return w
+
+    calls.clear()
+    monkeypatch.setattr(operators.StepSetup, "faces", faces_unmemoized)
+    oracle = solve(m0, spec, t_final=0.1, dt=1e-2, record_weights=weights, eps_boundary=0.05)
+    assert len(calls) == 4 * 10
+    assert set(calls) == set(memo_calls)
+    assert np.array_equal(run.final.values, oracle.final.values)
+    assert np.array_equal(run.weighted_norms["pow0.5"], oracle.weighted_norms["pow0.5"])
 
 
 def test_explicit_jump_term_instability_detected():
