@@ -336,7 +336,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     # constructors carry the per-object admissibility checks; surface their
     # refusals as validation errors before any compute starts
     try:
-        grid = Grid(data["grid.d"], data["grid.n"], data["grid.half_width"])
+        grid = Grid(data["grid.n"], data["grid.half_width"])
         generator = _build_generator(data)
         weights = {label: parse_weight(label) for label in data["weights"]}
     except ConfigError:

@@ -31,7 +31,6 @@ __all__ = [
     "gaussian_difference",
     "smooth_bump",
     "ForwardRun",
-    "step_once",
     "solve",
     "stationary_solve",
 ]
@@ -93,16 +92,13 @@ class _Stepper:
         self.dt = dt
         self.limiter = limiter
 
-    def _faces(self, t: float) -> np.ndarray:
-        return self.stage.faces(t)
-
     def _transport_half(self, m: np.ndarray, t: float) -> np.ndarray:
         # SSP-RK2 over dt/2 for d/dt m + div(w m) = 0
         tau = 0.5 * self.dt
         dx = self.grid.dx
-        w0 = self._faces(t)
+        w0 = self.stage.faces(t)
         m1 = m - tau * divergence_of_flux(transport_flux(m, w0, dx, self.limiter), dx)
-        w1 = self._faces(t + tau)
+        w1 = self.stage.faces(t + tau)
         m2 = m1 - tau * divergence_of_flux(transport_flux(m1, w1, dx, self.limiter), dx)
         return 0.5 * (m + m2)
 
@@ -110,18 +106,6 @@ class _Stepper:
         m = self._transport_half(m, t)
         m = self.stage.diffuse(m, adjoint=True)
         return self._transport_half(m, t + 0.5 * self.dt)
-
-
-def step_once(
-    m: DensityField,
-    spec: GeneratorSpec,
-    dt: float,
-    limiter: str = "mc",
-    jump_route: str = "auto",
-) -> DensityField:
-    """Advance a density by a single Strang step."""
-    stepper = _Stepper(spec, m.grid, dt, limiter, jump_route)
-    return m.with_values(stepper.step(m.values, m.t), t=m.t + dt)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ The operator acting on test functions is
     L^b[u] = -lambda0 * Lap(u) - tr(Sigma Sigma^T D^2 u) - I(x, [u]) + b . Du
 
 where I is the compensated jump integral against a symmetric Levy measure
-whose density is pinched between lam/|z|^{d+sigma} and Lam/|z|^{d+sigma}.
+whose density is pinched between lam/|z|^{1+sigma} and Lam/|z|^{1+sigma}.
 These dataclasses only describe the pieces; discretizations live in
 ``operators`` and the solvers.
 """
@@ -28,17 +28,17 @@ __all__ = [
 ]
 
 
-def stable_normalization(d: int, sigma: float) -> float:
-    """Constant C(d, sigma) with (-Lap)^{sigma/2} u = C * PV-integral of
-    (u(x) - u(x+z)) / |z|^{d+sigma} dz, i.e. the density making the Fourier
-    symbol exactly |xi|^sigma."""
+def stable_normalization(sigma: float) -> float:
+    """Constant C(sigma) with (-Lap)^{sigma/2} u = C * PV-integral of
+    (u(x) - u(x+z)) / |z|^{1+sigma} dz in d = 1, i.e. the density making the
+    Fourier symbol exactly |xi|^sigma."""
     if not 0.0 < sigma < 2.0:
         raise ValueError(f"sigma must lie in (0, 2), got {sigma}")
     return (
         sigma
         * 2.0 ** (sigma - 1.0)
-        * math.gamma((d + sigma) / 2.0)
-        / (math.pi ** (d / 2.0) * math.gamma(1.0 - sigma / 2.0))
+        * math.gamma((1.0 + sigma) / 2.0)
+        / (math.pi ** 0.5 * math.gamma(1.0 - sigma / 2.0))
     )
 
 
@@ -70,7 +70,7 @@ class LevyMeasureSpec:
             raise ValueError(f"fractional measure needs sigma in (0, 2), got {sigma}")
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
-        c = scale * stable_normalization(1, sigma)
+        c = scale * stable_normalization(sigma)
         return LevyMeasureSpec(
             kind="fractional",
             sigma=sigma,
@@ -86,7 +86,7 @@ class LevyMeasureSpec:
         stable normalization, so it matches the fractional kind near z = 0."""
         if not 0.0 < sigma < 2.0:
             raise ValueError(f"tempered measure needs sigma in (0, 2), got {sigma}")
-        c = stable_normalization(1, sigma) if scale is None else float(scale)
+        c = stable_normalization(sigma) if scale is None else float(scale)
         if c <= 0:
             raise ValueError(f"scale must be positive, got {c}")
         return LevyMeasureSpec(
@@ -105,19 +105,6 @@ class LevyMeasureSpec:
     @property
     def has_exact_symbol(self) -> bool:
         return self.kind == "fractional"
-
-    def check_bounds(self, z_samples: np.ndarray) -> bool:
-        """Verify the declared pinching on sample points (lower bound only
-        where it is claimed, i.e. |z| <= 1 for tempered kernels)."""
-        if not self.is_active:
-            return True
-        z = np.abs(np.asarray(z_samples, dtype=float))
-        z = z[z > 0]
-        rho = self.density(z) * z ** (1.0 + self.sigma)
-        ok_upper = bool(np.all(rho <= self.upper * (1.0 + 1e-12)))
-        small = z <= 1.0
-        ok_lower = bool(np.all(rho[small] >= self.lower * (1.0 - 1e-12)))
-        return ok_upper and ok_lower
 
 
 @dataclass(frozen=True)
@@ -243,26 +230,6 @@ class DriftSpec:
 
     def __call__(self, t: float, x) -> np.ndarray:
         return self.fn(t, np.asarray(x, dtype=float))
-
-    def check_confinement(self, radii: np.ndarray, t_samples=(0.0, 0.7, 1.9), slack: float = 1e-9) -> bool:
-        """b(t, x).x >= alpha|x|^gamma on sampled |x| >= R (both signs, d=1)."""
-        r = np.asarray(radii, dtype=float)
-        r = r[r >= max(self.R, 1e-12)]
-        if r.size == 0:
-            return True
-        x = np.concatenate([r, -r])
-        for t in t_samples:
-            if np.any(self.fn(t, x) * x < self.alpha * np.abs(x) ** self.gamma - slack):
-                return False
-        return True
-
-    def check_one_sided(self, xs: np.ndarray, ys: np.ndarray, t: float = 0.0, slack: float = 1e-9) -> bool:
-        """(b(x)-b(y)).(x-y) >= -c0 |x-y| (|x-y| wedge 1) on sample pairs."""
-        x = np.asarray(xs, dtype=float)
-        y = np.asarray(ys, dtype=float)
-        lhs = (self.fn(t, x) - self.fn(t, y)) * (x - y)
-        r = np.abs(x - y)
-        return bool(np.all(lhs >= -self.c0 * r * np.minimum(r, 1.0) - slack))
 
 
 @dataclass(frozen=True)

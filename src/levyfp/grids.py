@@ -7,10 +7,8 @@ without copies.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -18,8 +16,6 @@ __all__ = [
     "Grid",
     "ScalarField",
     "DensityField",
-    "write_field_csv",
-    "read_field_csv",
 ]
 
 
@@ -31,19 +27,15 @@ def _is_power_of_two(n: int) -> bool:
 class Grid:
     """Uniform periodic lattice on [-L, L) in d = 1.
 
-    ``dim`` mirrors the config's ``grid.d`` and must be 1.  Nodes are
-    x_i = -L + i*dx with dx = 2L/N, so index N wraps back to index 0.
+    Nodes are x_i = -L + i*dx with dx = 2L/N, so index N wraps back to index 0.
     Angular wavenumbers are xi_j = pi*j/L in FFT ordering, which makes
     exp(i*xi_j*x) exactly periodic on the box.
     """
 
-    dim: int
     n: int
     half_width: float
 
     def __post_init__(self):
-        if self.dim != 1:
-            raise ValueError(f"dim must be 1, got {self.dim}")
         if self.n < 8 or not _is_power_of_two(int(self.n)):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if not (np.isfinite(self.half_width) and self.half_width > 0):
@@ -67,11 +59,6 @@ class Grid:
     @cached_property
     def wavenumber_magnitude(self) -> np.ndarray:
         return np.abs(self.wavenumbers)
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        """Distance of each node from the origin."""
-        return np.abs(self.nodes)
 
     @property
     def cell_volume(self) -> float:
@@ -135,10 +122,6 @@ class DensityField:
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.cell_volume)
 
-    def moment(self, k: float) -> float:
-        """Integral of |x|^k against the density."""
-        return float(np.sum(self.grid.radii**k * self.values) * self.grid.cell_volume)
-
     def variance(self) -> float:
         m = self.mass()
         if abs(m) < 1e-300:
@@ -147,42 +130,6 @@ class DensityField:
         mean = float(np.sum(x * self.values) * self.grid.cell_volume) / m
         return float(np.sum((x - mean) ** 2 * self.values) * self.grid.cell_volume) / m
 
-    def min_value(self) -> float:
-        return float(np.min(self.values))
-
     def boundary_mass(self, fraction: float = 0.05) -> float:
         band = self.grid.boundary_band(fraction)
         return float(np.sum(np.abs(self.values[band])) * self.grid.cell_volume)
-
-    def is_probability(self, tol: float = 1e-6) -> bool:
-        return abs(self.mass() - 1.0) <= tol and self.min_value() >= -1e-12
-
-
-FLOAT_FMT = "%.17g"
-
-
-def write_field_csv(field, path) -> None:
-    """Write a field as CSV with header x,value."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "value"])
-        for x, v in zip(field.grid.nodes, field.values):
-            writer.writerow([FLOAT_FMT % x, FLOAT_FMT % v])
-
-
-def read_field_csv(path, kind: str = "density", t: float = 0.0):
-    """Read a field CSV written by write_field_csv, reconstructing the grid."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(c) for c in row] for row in reader])
-    if header[:2] != ["x", "value"]:
-        raise ValueError(f"unrecognized field CSV header: {header}")
-    x, v = rows[:, 0], rows[:, 1]
-    dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx, rtol=0, atol=1e-12 * abs(dx)):
-        raise ValueError("non-uniform x column")
-    cls = DensityField if kind == "density" else ScalarField
-    return cls(Grid(1, x.size, -x[0]), v, t)

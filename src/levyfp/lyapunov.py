@@ -1,6 +1,5 @@
 """Lyapunov-side checkers: super-solution inequalities for bracket weights,
-classification of weights by decay regime, barrier constants from the
-comparison construction, and the decay-rate ODE.
+classification of weights by decay regime, and the decay-rate ODE.
 
 Everything here is pointwise: weights are differentiated analytically and the
 jump integral goes through shell quadrature for callables, so no periodic box
@@ -20,13 +19,11 @@ from .weights import WeightFunction, bracket
 
 __all__ = [
     "LyapunovReport",
-    "BarrierSpec",
     "RateOdeSolution",
     "generator_on_weight",
     "verify_lemma_lyap",
     "classify_weight",
     "h_model_function",
-    "min_barrier_C2",
     "solve_rate_ode",
 ]
 
@@ -280,90 +277,6 @@ def h_model_function(model: dict):
         return lambda r: c * np.asarray(r, dtype=float) ** (-p)
     q = float(model["q"])
     return lambda r: c / np.log(np.asarray(r, dtype=float)) ** q
-
-
-# ---------------------------------------------------------------------------
-# barrier function
-
-
-@dataclass(frozen=True)
-class BarrierSpec:
-    """psi(r) = C1 (1 - e^{-C2 r^theta}): increasing, concave, bounded by C1,
-    psi(0) = 0. Derivatives sample r > 0 only; psi'' is singular at the
-    origin for theta < 1."""
-
-    C1: float
-    C2: float
-    theta: float
-
-    def __post_init__(self):
-        if self.C1 <= 0 or self.C2 <= 0:
-            raise ValueError(f"C1 and C2 must be positive, got C1={self.C1}, C2={self.C2}")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-
-    def psi(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return -self.C1 * np.expm1(-self.C2 * r**self.theta)
-
-    def psi_d1(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        t = self.theta
-        return self.C1 * self.C2 * t * r ** (t - 1.0) * np.exp(-self.C2 * r**t)
-
-    def psi_d2(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        t = self.theta
-        return (
-            self.C1 * self.C2 * t * r ** (t - 2.0) * np.exp(-self.C2 * r**t)
-            * ((t - 1.0) - self.C2 * t * r**t)
-        )
-
-
-def min_barrier_C2(
-    lam: float, lambda0: float, sigma: float, delta: float, theta: float,
-    C: float, r1: float,
-) -> float:
-    """Smallest C2 with 4 lam theta C2 xi^theta >= C (xi^{sigma-1} v xi) for
-    all xi in (0, r1] when sigma > 1, or with (xi^delta v xi) when sigma <= 1.
-
-    Found by bisection on C2 against a dense geometric grid; lambda0 rides
-    along for interface symmetry only, the sign condition involves the jump
-    intensity alone."""
-    if lam <= 0 or r1 <= 0:
-        raise ValueError(f"lam and r1 must be positive, got lam={lam}, r1={r1}")
-    if C < 0:
-        raise ValueError(f"C must be >= 0, got {C}")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if sigma > 1.0:
-        if theta >= sigma - 1.0:
-            raise ValueError(
-                f"barrier exponent must satisfy theta < sigma - 1 when sigma > 1: "
-                f"got theta={theta:g}, sigma={sigma:g}"
-            )
-        low_exp = sigma - 1.0
-    else:
-        if theta >= delta:
-            raise ValueError(
-                f"barrier exponent must satisfy theta < delta when sigma <= 1: "
-                f"got theta={theta:g}, delta={delta:g}"
-            )
-        low_exp = delta
-    if C == 0.0:
-        return 0.0
-    xi = np.geomspace(r1 * 1e-10, r1, 8193)
-    need = C * np.maximum(xi**low_exp, xi)
-    scale = 4.0 * lam * theta * xi**theta
-    hi = float(np.max(need / scale))
-    lo = 0.0
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if np.all(4.0 * lam * theta * mid * xi**theta >= need):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weighted oscillation seminorms, shifted sup norms, and measure distances.
+"""Weighted oscillation seminorms, shifted sup norms, and weighted TV norms.
 
 The oscillation seminorm of u with respect to a weight phi is
 
@@ -27,7 +27,6 @@ __all__ = [
     "weighted_seminorm",
     "inf_shift_norm",
     "weighted_tv_norm",
-    "kantorovich_d1",
 ]
 
 _PAIR_CHUNK = 512
@@ -128,24 +127,3 @@ def weighted_tv_norm(m: DensityField, w: WeightFunction) -> float:
     """Integral of phi d|m| by the midpoint rule on the grid."""
     phi = np.asarray(w(m.grid.nodes), dtype=float)
     return float(np.sum(phi * np.abs(m.values)) * m.grid.cell_volume)
-
-
-def kantorovich_d1(m1: DensityField, m2: DensityField, mass_tol: float = 1e-6) -> float:
-    """Transport-type distance between two probability densities (d=1).
-
-    Computes the CDF-difference integral, the exact dual of the Lipschitz
-    constraint in one dimension, then clips at the total-variation bound 2
-    implied by capping test functions at sup-norm 1 (each measure has mass 1).
-    Clipping at a constant keeps the triangle inequality intact.
-    """
-    if m1.grid != m2.grid:
-        raise ValueError("densities must share a grid")
-    for m in (m1, m2):
-        if abs(m.mass() - 1.0) > mass_tol:
-            raise ValueError(f"not probability measures: mass {m.mass():.8g} differs from 1 beyond {mass_tol:g}")
-    dx = m1.grid.dx
-    cdf1 = np.cumsum(m1.values) * dx
-    cdf2 = np.cumsum(m2.values) * dx
-    lipschitz_part = float(np.sum(np.abs(cdf1 - cdf2)) * dx)
-    sup_cap = m1.mass() + m2.mass()
-    return min(lipschitz_part, sup_cap)

@@ -24,42 +24,16 @@ from .generators import GeneratorSpec, LevyMeasureSpec
 from .grids import Grid, ScalarField
 
 __all__ = [
-    "spectral_derivative",
-    "fractional_action",
     "shell_quadrature_nodes",
     "levy_integral_field",
     "levy_integral_callable",
     "transport_flux",
     "divergence_of_flux",
     "face_velocities",
-    "apply_generator",
-    "apply_adjoint_generator",
     "StepSetup",
 ]
 
 _LIMITERS = ("mc", "minmod", "fromm", "off")
-
-
-# ---------------------------------------------------------------------------
-# spectral route
-
-
-def spectral_derivative(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """FFT derivative on the grid."""
-    xi = grid.wavenumbers
-    spec = np.fft.fft(values) * (1j * xi) ** order
-    if order % 2 == 1:
-        # the Nyquist mode has no well-defined odd derivative; zero it
-        spec[grid.n // 2] = 0.0
-    return np.real(np.fft.ifft(spec))
-
-
-def fractional_action(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    """(-Lap)^{sigma/2} via the multiplier |xi|^sigma; sigma = 2 is -Lap."""
-    if not 0.0 < sigma <= 2.0:
-        raise ValueError(f"sigma must lie in (0, 2], got {sigma}")
-    mult = grid.wavenumber_magnitude**sigma
-    return np.real(np.fft.ifft(mult * np.fft.fft(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,69 +293,6 @@ def _resolve_jump_route(nu: LevyMeasureSpec, route: str) -> str | None:
     if route == "spectral" and not nu.has_exact_symbol:
         raise ValueError(f"no exact symbol for levy kind {nu.kind!r}")
     return route
-
-
-def _jump_term(values: np.ndarray, grid: Grid, g: GeneratorSpec, route: str) -> np.ndarray:
-    """-I(x, [u]) as a value array (equals +(-Lap)^{sigma/2} u for the
-    fractional kind); the adjoint jump term is identical because the builtin
-    measures are symmetric, so reflecting the measure is a no-op."""
-    nu = g.levy
-    route = _resolve_jump_route(nu, route)
-    if route is None:
-        return np.zeros_like(values)
-    if route == "spectral":
-        return nu.scale * fractional_action(values, grid, nu.sigma)
-    return -levy_integral_field(ScalarField(grid, values), nu).values
-
-
-def apply_generator(u: ScalarField, g: GeneratorSpec, t: float = 0.0, jump_route: str = "auto") -> ScalarField:
-    """L^b[u] = -lambda0 Lap u - tr(Sigma Sigma^T D^2 u) - I(x,[u]) + b . Du.
-
-    Differential parts use spectral differentiation, so fields sampled from
-    non-periodic functions carry seam oscillation; the jump part goes through
-    the spectral symbol for the fractional kind and shell quadrature
-    otherwise (``jump_route`` forces one or the other).
-    """
-    grid = u.grid
-    vals = u.values
-    out = np.zeros_like(vals)
-    lam0 = g.diffusion.lambda0
-    if lam0 > 0:
-        out += lam0 * fractional_action(vals, grid, 2.0)  # -lambda0 Lap u
-    out -= _variable_diffusion_term(vals, grid, g, adjoint=False)
-    out += _jump_term(vals, grid, g, jump_route)
-    b = np.asarray(g.drift(t, grid.nodes), dtype=float)
-    out += b * spectral_derivative(vals, grid, 1)
-    return u.with_values(out, t=t)
-
-
-def apply_adjoint_generator(
-    m: ScalarField,
-    g: GeneratorSpec,
-    t: float = 0.0,
-    limiter: str = "mc",
-    jump_route: str = "auto",
-) -> ScalarField:
-    """L^*[m] - div(b m): the spatial operator of the forward equation
-    d/dt m = -(L^*[m] - div(b m)).
-
-    Second-order terms are spectral / centered FD; the divergence uses the
-    conservative upwind flux, so the output integrates to zero exactly up to
-    rounding and signed inputs are handled without clipping.
-    """
-    grid = m.grid
-    vals = m.values
-    out = np.zeros_like(vals)
-    lam0 = g.diffusion.lambda0
-    if lam0 > 0:
-        out += lam0 * fractional_action(vals, grid, 2.0)
-    out -= _variable_diffusion_term(vals, grid, g, adjoint=True)
-    out += _jump_term(vals, grid, g, jump_route)
-    w = face_velocities(grid, g.drift, t)
-    flux = transport_flux(vals, w, grid.dx, limiter)
-    # flux approximates -b*m, so div(b m) = -divergence_of_flux(flux)
-    out += divergence_of_flux(flux, grid.dx)
-    return m.with_values(out, t=t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Particle side of the dynamics: Euler steps with exact stable increments,
-histogram cross-checks against grid densities, and reflection coupling.
+ensembles sampled from grid densities, the empirical characteristic function,
+and reflection coupling.
 
 Randomness comes from counter-based Philox substreams. Every step of every
 particle consumes a fixed number of 64-bit words determined by the generator
@@ -28,7 +29,6 @@ from scipy.special import pdtrc
 
 from .generators import GeneratorSpec, LevyMeasureSpec
 from .grids import DensityField
-from .norms import weighted_tv_norm
 from .operators import NumericalFailure
 from .weights import WeightFunction
 
@@ -36,13 +36,11 @@ __all__ = [
     "ParticleEnsemble",
     "ParticleRun",
     "CouplingRun",
-    "sample_stable",
     "ensemble_at",
     "ensemble_from_density",
     "step_ensemble",
     "simulate",
     "empirical_cf",
-    "ensemble_vs_grid_distance",
     "reflection_coupling_run",
 ]
 
@@ -109,17 +107,6 @@ def _stable_cms(sigma: float, u_angle: np.ndarray, u_exp: np.ndarray) -> np.ndar
     theta **= (1.0 - sigma) / sigma
     a *= theta
     return a
-
-
-def sample_stable(sigma: float, scale: float, rng: np.random.Generator, size=None):
-    """Draw symmetric sigma-stable variates scaled so the characteristic
-    function is e^{-|scale * xi|^sigma}; sigma = 2 is the Gaussian branch."""
-    if not 0.0 < sigma <= 2.0:
-        raise ValueError(f"stability index must lie in (0, 2], got {sigma}")
-    n = 1 if size is None else int(size)
-    u = rng.random((n, 2))
-    out = scale * _stable_cms(sigma, u[:, 0], u[:, 1])
-    return float(out[0]) if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +411,6 @@ def empirical_cf(ens: ParticleEnsemble, xi_values: np.ndarray) -> np.ndarray:
     dropping it halves the Monte Carlo noise."""
     xi = np.atleast_1d(np.asarray(xi_values, dtype=float))
     return np.array([float(np.mean(np.cos(v * ens.positions))) for v in xi])
-
-
-def ensemble_vs_grid_distance(ens: ParticleEnsemble, m: DensityField,
-                              w: WeightFunction) -> float:
-    """Weighted TV norm of (cell histogram of the ensemble) - m. Particles
-    outside the box land in the end cells, which charges escaped mass to the
-    distance instead of hiding it."""
-    g = m.grid
-    # node i owns [node_i - dx/2, node_i + dx/2), so round to the nearest node
-    idx = np.clip(np.floor((ens.positions + g.half_width) / g.dx + 0.5).astype(int), 0, g.n - 1)
-    hist = np.bincount(idx, minlength=g.n) / (ens.n_particles * g.dx)
-    return weighted_tv_norm(DensityField(g, hist - m.values), w)
 
 
 # ---------------------------------------------------------------------------

@@ -95,13 +95,3 @@ class WeightFunction:
         s = bracket(x)
         # d/dx [ f'(s) x / s ] with s = <x>: f''(s) x^2/s^2 + f'(s) (1/s - x^2/s^3)
         return self.profile_d2(s) * x**2 / s**2 + self.profile_d1(s) * (1.0 / s - x**2 / s**3)
-
-    def theta_power(self, theta: float) -> "WeightFunction":
-        """phi**theta as a new weight of the same family."""
-        if not (0.0 < theta <= 1.0):
-            raise ValueError(f"theta must lie in (0, 1], got {theta}")
-        if self.kind == "power":
-            return WeightFunction.power(self.k * theta)
-        if self.kind == "exponential":
-            return WeightFunction.exponential(self.mu * theta, self.k)
-        raise ValueError("theta_power only supported for builtin weight families")

@@ -49,7 +49,7 @@ from levyfp.rates import (
 )
 from levyfp.weights import WeightFunction
 
-G = Grid(1, 1024, 16.0)
+G = Grid(1024, 16.0)
 W05 = WeightFunction.power(0.5)
 
 
@@ -134,7 +134,7 @@ def test_ac03_fractional_ou_stationary_law():
 
     # wider box than default: the sigma=1.5 tails carry O(L^{-1.5}) mass and
     # the transform inherits the truncation error
-    g3 = Grid(1, 2048, 32.0)
+    g3 = Grid(2048, 32.0)
     rho, _ = stationary_solve(spec, g3, dt=1.5e-3, eps_boundary=0.05)
     cf = np.array([np.sum(rho.values * np.cos(v * g3.nodes)) * g3.cell_volume for v in xi])
     grid_err = float(np.abs(cf - target).max())
@@ -260,7 +260,7 @@ def test_ac06_duality():
 
 
 def test_ac07_seminorm_shift_identity():
-    g = Grid(1, 256, 12.0)
+    g = Grid(256, 12.0)
     rng = np.random.default_rng(20260816)
     weights = [WeightFunction.power(0.5), WeightFunction.power(1.0),
                WeightFunction.exponential(0.5, 1.0)]

@@ -19,7 +19,7 @@ from levyfp.grids import Grid, ScalarField
 from levyfp.operators import divergence_of_flux, face_velocities, levy_integral_field, transport_flux
 from levyfp.weights import WeightFunction
 
-GRID = Grid(dim=1, n=1024, half_width=16.0)
+GRID = Grid(n=1024, half_width=16.0)
 
 OU = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
 OU_FRAC = GeneratorSpec(
@@ -112,7 +112,7 @@ def test_comparison_principle_on_spectral_route():
 def test_advection_step_is_exact_transpose_of_forward_flux():
     # the forward donor update and the backward advection are assembled from
     # the same face velocities; their matrices must be transposes bitwise
-    g = Grid(dim=1, n=64, half_width=4.0)
+    g = Grid(n=64, half_width=4.0)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
     dt = 0.125 * g.dx
     w = face_velocities(g, spec.drift, 0.0)
@@ -155,7 +155,7 @@ def test_oscillation_of_constant_is_zero():
 
 
 def test_oscillation_trace_is_shift_invariant():
-    g = Grid(dim=1, n=256, half_width=16.0)
+    g = Grid(n=256, half_width=16.0)
     spec = GeneratorSpec(
         LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0)
     )
@@ -169,7 +169,7 @@ def test_oscillation_trace_is_shift_invariant():
 
 def test_oscillation_heavier_weight_dominates():
     # <x>^1 >= <x>^0.5 node-wise, so the k = 1 seminorm can only be smaller
-    g = Grid(dim=1, n=256, half_width=16.0)
+    g = Grid(n=256, half_width=16.0)
     spec = GeneratorSpec(
         LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0)
     )
@@ -234,7 +234,7 @@ def test_duality_with_static_source():
 
 def test_duality_rejects_grid_mismatch():
     fw = solve(gaussian(GRID), OU, t_final=0.01, dt=1e-3)
-    other = tanh_profile(Grid(dim=1, n=512, half_width=16.0))
+    other = tanh_profile(Grid(n=512, half_width=16.0))
     with pytest.raises(ValueError, match="grid"):
         duality_residual(fw, other)
 
@@ -289,7 +289,7 @@ def test_backward_horizon_must_be_step_multiple():
 
 
 def test_time_dependent_drift_needs_forward_horizon():
-    g = Grid(dim=1, n=128, half_width=4.0)
+    g = Grid(n=128, half_width=4.0)
     spec = GeneratorSpec(
         LocalDiffusionSpec.constant(1.0),
         LevyMeasureSpec.none(),

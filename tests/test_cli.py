@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -211,6 +212,22 @@ def test_validate_command(tmp_path, capsys):
     two_d = write_config(tmp_path, "two_d.json", **{"grid.d": 2})
     assert main(["validate", str(two_d)]) == 2
     assert "grid.d: solvers are implemented for d=1 only, got 2" in capsys.readouterr().err
+
+
+def test_config_echo_and_hash_are_pinned(tmp_path, monkeypatch):
+    # the echo of one fixed forward-decay config, key "grid.d" included, and
+    # its hash are held at the values earlier releases wrote; the output path
+    # is relative so that it is part of the pinned bytes
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "pinned.json", **{"output.dir": "out"})
+    assert main(["run", str(cfg)]) == 0
+    echo = (tmp_path / "out" / "config.resolved.json").read_bytes()
+    assert b'  "grid.d": 1,\n' in echo
+    assert hashlib.sha256(echo).hexdigest() == (
+        "eef64bf5c62d5a4b01fc573bd6fc57bb9bc6a9e96d282d6c7d493d5859b5e39f")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config_hash"] == (
+        "5ff041d0719ae544d9127d309d7fab4889eb65c43b0a438bd75040f3edb08ac2")
 
 
 def test_validate_refuses_weight_that_overflows_on_grid(tmp_path, capsys):

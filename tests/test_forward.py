@@ -11,7 +11,6 @@ from levyfp.forward import (
     smooth_bump,
     solve,
     stationary_solve,
-    step_once,
 )
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import DensityField, Grid
@@ -19,7 +18,7 @@ from levyfp.norms import weighted_tv_norm
 from levyfp.operators import levy_integral_field
 from levyfp.weights import WeightFunction
 
-GRID = Grid(dim=1, n=1024, half_width=16.0)
+GRID = Grid(n=1024, half_width=16.0)
 
 
 def ou_spec(lambda0: float = 1.0) -> GeneratorSpec:
@@ -89,21 +88,21 @@ def test_single_step_is_exact_fractional_semigroup():
     # b = 0, lambda0 = 0: the whole Strang step collapses to the Fourier
     # multiplier, so one step must reproduce it to rounding
     m0 = gaussian(GRID)
-    out = step_once(m0, drift_free(1.5), dt=0.1)
+    out = _Stepper(drift_free(1.5), GRID, 0.1, "mc", "auto").step(m0.values, 0.0)
     want = np.real(
         np.fft.ifft(np.exp(-0.1 * GRID.wavenumber_magnitude**1.5) * np.fft.fft(m0.values))
     )
-    assert np.abs(out.values - want).max() < 1e-12
-    assert out.t == pytest.approx(0.1)
+    assert np.abs(out - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("route", ["spectral", "quadrature"])
 def test_step_conserves_mass(route):
-    m = gaussian(GRID)
-    prev = m.values.sum() * GRID.cell_volume
-    for _ in range(5):
-        m = step_once(m, ou_frac_spec(), dt=1e-3, jump_route=route)
-        mass = m.values.sum() * GRID.cell_volume
+    stepper = _Stepper(ou_frac_spec(), GRID, 1e-3, "mc", route)
+    m = gaussian(GRID).values
+    prev = m.sum() * GRID.cell_volume
+    for k in range(5):
+        m = stepper.step(m, k * 1e-3)
+        mass = m.sum() * GRID.cell_volume
         assert abs(mass - prev) < 1e-12
         prev = mass
 
@@ -129,7 +128,7 @@ def test_quadrature_strang_step_matches_unfused_node_loop():
         return out + dt * levy_integral_field(DensityField(GRID, out), spec.levy).values
 
     want = ref._transport_half(unfused_stage(ref._transport_half(m0.values, 0.0)), 0.5 * dt)
-    got = step_once(m0, spec, dt).values
+    got = _Stepper(spec, GRID, dt, "mc", "auto").step(m0.values, 0.0)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -211,8 +210,9 @@ def test_snapshots_match_repeated_single_steps():
     fw = solve(m0, ou_frac_spec(), t_final=0.004, dt=1e-3, record_every=10**9,
                eps_boundary=0.05, snapshot_times=(0.002,))
     assert len(fw.snapshots) == 1
-    manual = step_once(step_once(m0, ou_frac_spec(), dt=1e-3), ou_frac_spec(), dt=1e-3)
-    assert np.array_equal(fw.snapshots[0].values, manual.values)
+    stepper = _Stepper(ou_frac_spec(), GRID, 1e-3, "mc", "auto")
+    manual = stepper.step(stepper.step(m0.values, 0.0), 1e-3)
+    assert np.array_equal(fw.snapshots[0].values, manual)
 
 
 def test_pairings_recorded_against_static_function():
@@ -241,7 +241,7 @@ def test_cfl_violation_reports_allowed_dt():
 
 def test_cfl_bound_covers_times_past_ten():
     # b = (1 + t) x breaks 0.5 dt max|w| <= 0.95 dx only once t > 11.06
-    g = Grid(dim=1, n=64, half_width=4.0)
+    g = Grid(n=64, half_width=4.0)
     drift = DriftSpec(kind="growing-ou", alpha=1.0, gamma=2.0, R=0.0, time_dependent=True,
                       fn=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float))
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
@@ -292,7 +292,7 @@ def test_explicit_jump_term_instability_detected():
         LocalDiffusionSpec.constant(0.0), LevyMeasureSpec.tempered(1.5), DriftSpec.none()
     )
     with pytest.raises(NumericalFailure, match="jump term unstable.*reduce dt"):
-        step_once(gaussian(GRID), spec, dt=0.5)
+        solve(gaussian(GRID), spec, t_final=0.5, dt=0.5)
 
 
 def test_variable_diffusion_instability_detected():
@@ -300,7 +300,7 @@ def test_variable_diffusion_instability_detected():
         LocalDiffusionSpec.tanh_variable(1.0, 0.5), LevyMeasureSpec.none(), DriftSpec.ou(1.0)
     )
     with pytest.raises(NumericalFailure, match="variable diffusion unstable"):
-        step_once(gaussian(GRID), spec, dt=2e-3)
+        solve(gaussian(GRID), spec, t_final=2e-3, dt=2e-3)
 
 
 def test_horizon_must_be_step_multiple():
@@ -310,7 +310,7 @@ def test_horizon_must_be_step_multiple():
 
 def test_nonpositive_dt_rejected():
     with pytest.raises(ValueError, match="dt"):
-        step_once(gaussian(GRID), ou_spec(), dt=0.0)
+        solve(gaussian(GRID), ou_spec(), t_final=0.0, dt=0.0)
 
 
 def test_boundary_breach_names_first_offending_time():
@@ -351,7 +351,7 @@ def test_stationary_reports_convergence_time(ou_stationary):
 def test_stationary_fractional_transform():
     # |xi|^sigma mhat = -xi mhat' integrates to mhat = e^{-|xi|^sigma/sigma};
     # measured 3.6e-3 on the checked band
-    g = Grid(dim=1, n=1024, half_width=32.0)
+    g = Grid(n=1024, half_width=32.0)
     spec = GeneratorSpec(
         LocalDiffusionSpec.constant(0.0), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0)
     )
@@ -374,6 +374,6 @@ def test_stationary_rejects_time_dependent_drift():
 
 
 def test_stationary_nonconvergence_raises():
-    g = Grid(dim=1, n=256, half_width=16.0)
+    g = Grid(n=256, half_width=16.0)
     with pytest.raises(NumericalFailure, match="no stationary profile"):
         stationary_solve(ou_spec(), g, dt=5e-3, tol=1e-15, max_time=2.0)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.lyapunov import (
-    BarrierSpec,
     LyapunovReport,
     classify_weight,
     h_model_function,
-    min_barrier_C2,
     solve_rate_ode,
     verify_lemma_lyap,
 )
@@ -196,88 +194,6 @@ def test_h_model_function_forms():
     np.testing.assert_allclose(invlog(r), 3.0 / np.log(r) ** 2)
     with pytest.raises(ValueError):
         h_model_function({"form": "spline"})
-
-
-# ---------------------------------------------------------------------------
-# barrier function
-
-
-def test_barrier_shape_invariants():
-    b = BarrierSpec(C1=2.0, C2=0.9, theta=0.4)
-    assert b.psi(0.0) == 0.0
-    r = np.geomspace(1e-4, 50.0, 2001)
-    assert np.all(b.psi_d1(r) > 0)  # increasing
-    assert np.all(b.psi_d2(r) < 0)  # concave
-    assert np.all(b.psi(r) < 2.0)  # bounded by C1
-    assert b.psi(1e9) == pytest.approx(2.0, rel=1e-6)
-
-
-def test_barrier_derivatives_match_finite_differences():
-    b = BarrierSpec(C1=1.5, C2=0.7, theta=0.6)
-    r = np.array([0.3, 1.0, 4.0, 12.0])
-    h1, h2 = 1e-6, 1e-4  # wider step for the second difference: roundoff ~eps/h^2
-    fd1 = (b.psi(r + h1) - b.psi(r - h1)) / (2 * h1)
-    fd2 = (b.psi(r + h2) - 2 * b.psi(r) + b.psi(r - h2)) / h2**2
-    np.testing.assert_allclose(b.psi_d1(r), fd1, rtol=1e-6)
-    np.testing.assert_allclose(b.psi_d2(r), fd2, rtol=1e-4, atol=1e-10)
-
-
-def test_barrier_validation():
-    with pytest.raises(ValueError):
-        BarrierSpec(C1=0.0, C2=1.0, theta=0.5)
-    with pytest.raises(ValueError):
-        BarrierSpec(C1=1.0, C2=-1.0, theta=0.5)
-    with pytest.raises(ValueError):
-        BarrierSpec(C1=1.0, C2=1.0, theta=1.0)
-
-
-# ---------------------------------------------------------------------------
-# minimal barrier constant
-
-
-def barrier_c2_oracle(lam, sigma, delta, theta, C, r1):
-    # direct dense-grid maximization of the sign condition
-    xi = np.linspace(1e-9, r1, 100001)
-    low = sigma - 1.0 if sigma > 1.0 else delta
-    return float(np.max(C * np.maximum(xi**low, xi) / (4.0 * lam * theta * xi**theta)))
-
-
-def test_min_barrier_c2_matches_grid_oracle():
-    got = min_barrier_C2(lam=1.0, lambda0=1.0, sigma=1.5, delta=0.5, theta=0.4, C=1.0, r1=2.0)
-    assert got == pytest.approx(barrier_c2_oracle(1.0, 1.5, 0.5, 0.4, 1.0, 2.0), rel=1e-9)
-    # on (0,2] the maximum of (xi^{0.1} v xi^{0.6})/1.6 sits at xi = 2
-    assert got == pytest.approx(2.0**0.6 / 1.6, rel=1e-9)
-
-
-def test_min_barrier_c2_small_sigma_branch():
-    got = min_barrier_C2(lam=0.7, lambda0=1.0, sigma=0.8, delta=0.6, theta=0.3, C=1.3, r1=1.5)
-    assert got == pytest.approx(barrier_c2_oracle(0.7, 0.8, 0.6, 0.3, 1.3, 1.5), rel=1e-9)
-
-
-def test_min_barrier_c2_vacuous_and_linear_in_C():
-    kwargs = dict(lam=1.0, lambda0=1.0, sigma=1.5, delta=0.5, theta=0.4, r1=2.0)
-    assert min_barrier_C2(C=0.0, **kwargs) == 0.0
-    one = min_barrier_C2(C=1.0, **kwargs)
-    assert min_barrier_C2(C=3.0, **kwargs) == pytest.approx(3.0 * one, rel=1e-12)
-
-
-def test_min_barrier_c2_monotonicities():
-    base = dict(lam=1.0, lambda0=1.0, sigma=1.5, delta=0.5, theta=0.3, C=1.0, r1=2.0)
-    r1_seq = [min_barrier_C2(**{**base, "r1": v}) for v in (1.0, 2.0, 4.0, 8.0)]
-    assert all(a <= b for a, b in zip(r1_seq, r1_seq[1:]))  # nondecreasing in r1
-    c_seq = [min_barrier_C2(**{**base, "C": v}) for v in (0.5, 1.0, 2.0)]
-    assert all(a <= b for a, b in zip(c_seq, c_seq[1:]))  # nondecreasing in C
-    lam_seq = [min_barrier_C2(**{**base, "lam": v}) for v in (0.5, 1.0, 2.0)]
-    assert all(a >= b for a, b in zip(lam_seq, lam_seq[1:]))  # nonincreasing in lam
-    th_seq = [min_barrier_C2(**{**base, "theta": v}) for v in (0.2, 0.3, 0.45)]
-    assert all(a >= b for a, b in zip(th_seq, th_seq[1:]))  # nonincreasing in theta
-
-
-def test_min_barrier_c2_refuses_out_of_range_theta():
-    with pytest.raises(ValueError, match="theta < sigma - 1"):
-        min_barrier_C2(lam=1.0, lambda0=1.0, sigma=1.5, delta=0.5, theta=0.6, C=1.0, r1=2.0)
-    with pytest.raises(ValueError, match="theta < delta"):
-        min_barrier_C2(lam=1.0, lambda0=1.0, sigma=0.8, delta=0.5, theta=0.55, C=1.0, r1=2.0)
 
 
 # ---------------------------------------------------------------------------

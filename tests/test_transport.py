@@ -103,7 +103,7 @@ def test_flux_matches_oracle_on_signed_zero_fields(limiter):
 
 
 def _advect_stepper(n, rng, time_dependent):
-    g = Grid(dim=1, n=n, half_width=4.0)
+    g = Grid(n=n, half_width=4.0)
     w = random_velocity(rng, n)
     if time_dependent:
         drift = DriftSpec(kind="random", alpha=0.0, gamma=2.0, R=0.0, time_dependent=True,
@@ -139,7 +139,7 @@ MOVING = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
 @pytest.mark.parametrize("limiter", _LIMITERS)
 @pytest.mark.parametrize("spec", [FRAC_OU, TEMPERED_OU, MOVING], ids=["spectral", "quadrature", "moving"])
 def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
-    g = Grid(dim=1, n=256, half_width=8.0)
+    g = Grid(n=256, half_width=8.0)
     m = random_field(np.random.default_rng(3), g.n)
     stepper = _Stepper(spec, g, 2e-3, limiter, "auto")
     got = stepper.step(m, 0.25)
@@ -150,7 +150,7 @@ def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
 
 @pytest.mark.parametrize("spec", [FRAC_OU, TEMPERED_OU, MOVING], ids=["spectral", "quadrature", "moving"])
 def test_backward_step_matches_oracle_step(monkeypatch, spec):
-    g = Grid(dim=1, n=256, half_width=8.0)
+    g = Grid(n=256, half_width=8.0)
     rng = np.random.default_rng(4)
     v, source = random_field(rng, g.n), rng.standard_normal(g.n)
     stepper = _AdjointStepper(spec, g, 2e-3, "auto", 1.0 if spec.is_time_dependent else None)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyfp.grids import DensityField, Grid, ScalarField
-from levyfp.norms import inf_shift_norm, kantorovich_d1, weighted_seminorm, weighted_tv_norm
+from levyfp.norms import inf_shift_norm, weighted_seminorm, weighted_tv_norm
 from levyfp.weights import WeightFunction, bracket
 
-GRID = Grid(1, 256, 8.0)
+GRID = Grid(256, 8.0)
 
 
 def field(values):
@@ -50,12 +50,6 @@ def test_weight_validation():
         WeightFunction.exponential(0.5, -2.0)
 
 
-def test_theta_power_reduction():
-    w = WeightFunction.exponential(0.5, 1.0).theta_power(0.5)
-    assert w.mu == pytest.approx(0.25)
-    assert WeightFunction.power(1.0).theta_power(0.5).k == pytest.approx(0.5)
-
-
 # ---------------------------------------------------------------------------
 # seminorm: oracle is an independent brute-force double loop
 
@@ -72,7 +66,7 @@ def brute_force_seminorm(u, phi):
 
 def test_seminorm_matches_brute_force_oracle():
     rng = np.random.default_rng(7)
-    g = Grid(1, 64, 8.0)
+    g = Grid(64, 8.0)
     w = WeightFunction.power(0.5)
     phi = w(g.nodes)
     for _ in range(5):
@@ -161,7 +155,7 @@ def oracle_fields(g, rng):
 @pytest.mark.parametrize("n", [8, 64, 1024])
 @pytest.mark.parametrize("w", ORACLE_WEIGHTS, ids=lambda w: w.label)
 def test_seminorm_equals_pair_scan_on_random_and_smooth_fields(n, w):
-    g = Grid(1, n, 16.0)
+    g = Grid(n, 16.0)
     rng = np.random.default_rng(1000 + n)
     for u in oracle_fields(g, rng):
         assert_matches_pair_scan(g, u, w)
@@ -173,7 +167,7 @@ def test_seminorm_equals_pair_scan_on_near_ties(w):
     # relative perturbation leaves many pairs within rounding of the best
     rng = np.random.default_rng(29)
     for n in (8, 64, 1024):
-        g = Grid(1, n, 16.0)
+        g = Grid(n, 16.0)
         phi = w(g.nodes)
         for _ in range(25):
             c = rng.uniform(0.1, 10.0)
@@ -187,7 +181,7 @@ def test_seminorm_equals_pair_scan_on_near_ties(w):
 @pytest.mark.parametrize("w", ORACLE_WEIGHTS, ids=lambda w: w.label)
 def test_seminorm_of_constants_is_exactly_zero(w):
     for n in (8, 1024):
-        g = Grid(1, n, 16.0)
+        g = Grid(n, 16.0)
         for c in (0.0, -2.5, 3.7, 1e12):
             assert weighted_seminorm(ScalarField(g, np.full(n, c)), w) == 0.0
 
@@ -197,7 +191,7 @@ def test_seminorm_all_tie_field_runs_chunked_final_pass(monkeypatch):
     # final pass scans N/2 x N/2 pairs, more rows than one chunk holds
     import levyfp.norms as norms
 
-    g = Grid(1, 2048, 16.0)
+    g = Grid(2048, 16.0)
     u = np.where(np.arange(g.n) % 2 == 0, 1.0, -1.0)
     w = WeightFunction.power(0.0)
     seen = []
@@ -217,7 +211,7 @@ def test_seminorm_all_tie_field_runs_chunked_final_pass(monkeypatch):
 def test_seminorm_equals_pair_scan_when_weight_overflows(mu):
     # exp(mu <x>^2) is inf near the box edges (mu = 3) or on every node
     # (mu = 800); pairs with an infinite weight have ratio 0 in the scan
-    g = Grid(1, 64, 16.0)
+    g = Grid(64, 16.0)
     w = WeightFunction.exponential(mu, 2.0)
     rng = np.random.default_rng(3)
     with np.errstate(over="ignore"):
@@ -233,7 +227,7 @@ def test_seminorm_equals_pair_scan_when_weight_overflows(mu):
     data=st.data(),
 )
 def test_seminorm_equals_pair_scan_property(n, w, data):
-    g = Grid(1, n, 4.0)
+    g = Grid(n, 4.0)
     values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     u = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
     assert_matches_pair_scan(g, u, w)
@@ -280,7 +274,7 @@ def test_inf_shift_norm_on_plus_minus_one():
 
 
 def test_weighted_tv_gaussian_second_moment():
-    g = Grid(1, 1024, 16.0)
+    g = Grid(1024, 16.0)
     x = g.nodes
     m = DensityField(g, np.exp(-x**2 / 2) / np.sqrt(2 * np.pi))
     w = WeightFunction.power(2.0)
@@ -290,68 +284,8 @@ def test_weighted_tv_gaussian_second_moment():
 
 
 def test_weighted_tv_sign_insensitive():
-    g = Grid(1, 256, 8.0)
+    g = Grid(256, 8.0)
     x = g.nodes
     m = DensityField(g, np.exp(-x**2 / 2) / np.sqrt(2 * np.pi))
     w = WeightFunction.power(1.0)
     assert weighted_tv_norm(m.with_values(-m.values), w) == pytest.approx(weighted_tv_norm(m, w))
-
-
-# ---------------------------------------------------------------------------
-# transport distance: quantile-coupling oracle
-
-
-def gaussian_density(grid, center, std=1.0):
-    x = grid.nodes
-    return np.exp(-((x - center) ** 2) / (2 * std**2)) / (std * np.sqrt(2 * np.pi))
-
-
-def quantile_coupling_oracle(center1, center2, n_samples=100_000, seed=5):
-    rng = np.random.default_rng(seed)
-    a = np.sort(rng.normal(center1, 1.0, n_samples))
-    b = np.sort(rng.normal(center2, 1.0, n_samples))
-    return float(np.mean(np.abs(a - b)))
-
-
-def test_kantorovich_identical_is_zero():
-    g = Grid(1, 1024, 16.0)
-    m = DensityField(g, gaussian_density(g, 0.0))
-    assert kantorovich_d1(m, m) == 0.0
-
-
-def test_kantorovich_point_masses():
-    # near-point masses at 0 and 0.5: the distance is the shift, under the cap
-    g = Grid(1, 4096, 16.0)
-    m1 = DensityField(g, gaussian_density(g, 0.0, std=0.01))
-    m2 = DensityField(g, gaussian_density(g, 0.5, std=0.01))
-    assert kantorovich_d1(m1, m2) == pytest.approx(0.5, abs=1e-3)
-
-
-def test_kantorovich_gaussians_match_quantile_oracle():
-    g = Grid(1, 1024, 16.0)
-    m1 = DensityField(g, gaussian_density(g, 0.0))
-    m2 = DensityField(g, gaussian_density(g, 1.0))
-    oracle = quantile_coupling_oracle(0.0, 1.0)  # equals the mean shift, 1.0
-    assert kantorovich_d1(m1, m2) == pytest.approx(oracle, abs=1e-2)
-
-
-def test_kantorovich_mass_check():
-    g = Grid(1, 256, 8.0)
-    m1 = DensityField(g, gaussian_density(g, 0.0))
-    bad = m1.with_values(m1.values * 1.5)
-    with pytest.raises(ValueError, match="not probability"):
-        kantorovich_d1(m1, bad)
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_kantorovich_triangle_inequality(seed):
-    rng = np.random.default_rng(seed)
-    g = Grid(1, 512, 12.0)
-    centers = rng.uniform(-2, 2, size=3)
-    stds = rng.uniform(0.5, 1.2, size=3)
-    ms = [DensityField(g, gaussian_density(g, c, s)) for c, s in zip(centers, stds)]
-    d01 = kantorovich_d1(ms[0], ms[1])
-    d12 = kantorovich_d1(ms[1], ms[2])
-    d02 = kantorovich_d1(ms[0], ms[2])
-    assert d02 <= d01 + d12 + 1e-8
