@@ -18,7 +18,7 @@ import numpy as np
 from .generators import GeneratorSpec
 from .grids import Grid, ScalarField
 from .norms import weighted_seminorm
-from .operators import NumericalFailure, StepSetup, _periodic_difference
+from .operators import RunGuard, StepSetup, _periodic_difference
 # levy_integral_field stays importable here: perfbench/tracing.py traces the quadrature through it
 from .operators import levy_integral_field  # noqa: F401
 from .weights import WeightFunction
@@ -141,9 +141,7 @@ def solve_backward(
     """
     grid = xi.grid
     stepper = _AdjointStepper(spec, grid, dt, jump_route, forward_horizon)
-    n_steps = int(round(s_final / dt))
-    if abs(n_steps * dt - s_final) > 1e-9 * max(1.0, s_final):
-        raise ValueError(f"s_final={s_final} is not an integer number of steps of dt={dt}")
+    guard = RunGuard(dt, s_final, record_every, clock="s")
 
     if source is None:
         src_at = lambda s: None
@@ -158,17 +156,15 @@ def solve_backward(
     s = 0.0
 
     def record():
-        if not np.all(np.isfinite(v)) or np.abs(v).max() > 1e12:
-            raise NumericalFailure(f"backward run blew up at s={s:g}")
+        sup.append(guard.check_blow_up(v, s))
         times.append(s)
         profiles.append(ScalarField(grid, v, s))
-        sup.append(float(np.abs(v).max()))
 
     record()
-    for k in range(1, n_steps + 1):
+    for k in range(1, guard.n_steps + 1):
         v = stepper.step(v, s, src_at(s))
         s = k * dt
-        if k % record_every == 0 or k == n_steps:
+        if guard.records(k):
             record()
 
     return AdjointRun(
@@ -229,10 +225,11 @@ def duality_residual(
             raise ValueError("forward run lacks recorded <f, m> pairings; "
                              "re-run solve with pair_with=f")
 
+    n_steps = RunGuard(fw.dt, t, clock="s").n_steps
     adj = solve_backward(
         xi, fw.spec, s_final=t, dt=fw.dt, jump_route=jump_route,
         source=src_arr, forward_horizon=t if fw.spec.is_time_dependent else None,
-        record_every=max(1, int(round(t / fw.dt))),
+        record_every=max(1, n_steps),
     )
     vol = grid.cell_volume
     lhs = float(np.sum(xi.values * fw.final.values) * vol)
@@ -250,6 +247,6 @@ def duality_residual(
         lhs=lhs + f_term,
         rhs=rhs,
         dt=fw.dt,
-        n_steps=int(round(t / fw.dt)),
+        n_steps=n_steps,
         description=fw.spec.describe(),
     )

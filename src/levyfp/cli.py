@@ -73,31 +73,29 @@ def write_json(path, obj) -> None:
         fh.write(canonical_json(obj) + "\n")
 
 
-def _fit_block(cfg: ExperimentConfig, times, values, source: str):
-    """Fit per config plus the window-shift stability report; fit problems
-    are recorded, not raised: a series that resists fitting is a result."""
+def _fit_series(cfg: ExperimentConfig, outdir: Path, times, series: dict, prefix: str = "") -> dict:
+    """Fit each labelled series (column prefix + label) per config, with its window-shift
+    stability report; write fit.json if any fit ran. A fit that fails is recorded as a result."""
     model = cfg["fit.model"]
-    if model == "none":
-        return None
-    window = None
-    if cfg["fit.t_lo"] is not None:
-        window = (cfg["fit.t_lo"], cfg["fit.t_hi"])
-    try:
-        report = window_shift_stability(
-            _FITTERS[model],
-            times,
-            values,
-            window=window,
-            transient_frac=cfg["fit.transient_frac"],
-            series_source=source,
-        )
-    except ValueError as exc:
-        return {"error": str(exc)}
-    return {
-        "fit": report["fit"].to_json(),
-        "shifted_exponents": report["shifted_exponents"],
-        "max_rel_change": report["max_rel_change"],
-    }
+    if model == "none" or not series:
+        return dict.fromkeys(series)
+    window = None if cfg["fit.t_lo"] is None else (cfg["fit.t_lo"], cfg["fit.t_hi"])
+    fits = {}
+    for lab, values in series.items():
+        try:
+            report = window_shift_stability(_FITTERS[model], times, values, window=window,
+                                            transient_frac=cfg["fit.transient_frac"],
+                                            series_source=prefix + lab)
+        except ValueError as exc:
+            fits[lab] = {"error": str(exc)}
+            continue
+        fits[lab] = {
+            "fit": report["fit"].to_json(),
+            "shifted_exponents": report["shifted_exponents"],
+            "max_rel_change": report["max_rel_change"],
+        }
+    write_json(outdir / "fit.json", fits)
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +124,13 @@ def _run_forward_decay(cfg: ExperimentConfig, outdir: Path) -> dict:
     cols = [run.times, run.mass, run.min_value, run.boundary_mass]
     cols += [run.weighted_norms[lab] for lab in labels]
     write_csv(outdir / "series.csv", header, list(zip(*cols)))
-    fits = {lab: _fit_block(cfg, run.times, run.weighted_norms[lab], f"norm_{lab}") for lab in labels}
-    if any(f is not None for f in fits.values()):
-        write_json(outdir / "fit.json", fits)
     return {
         "t_final": float(run.times[-1]),
         "mass_initial": float(run.mass[0]),
         "mass_final": float(run.mass[-1]),
         "min_value": float(run.min_value.min()),
         "boundary_mass_max": float(run.boundary_mass.max()),
-        "fits": fits,
+        "fits": _fit_series(cfg, outdir, run.times, run.weighted_norms, "norm_"),
     }
 
 
@@ -152,13 +147,10 @@ def _run_adjoint_oscillation(cfg: ExperimentConfig, outdir: Path) -> dict:
     header = ["s", "sup_norm"] + [f"osc_{lab}" for lab in labels]
     cols = [run.times, run.sup_norm] + [traces[lab] for lab in labels]
     write_csv(outdir / "series.csv", header, list(zip(*cols)))
-    fits = {lab: _fit_block(cfg, run.times, traces[lab], f"osc_{lab}") for lab in labels}
-    if any(f is not None for f in fits.values()):
-        write_json(outdir / "fit.json", fits)
     return {
         "s_final": float(run.times[-1]),
         "sup_norm_final": float(run.sup_norm[-1]),
-        "fits": fits,
+        "fits": _fit_series(cfg, outdir, run.times, traces, "osc_"),
     }
 
 
@@ -235,13 +227,11 @@ def _run_coupling(cfg: ExperimentConfig, outdir: Path) -> dict:
     )
     # the fraction hits exact zero once every pair meets; fit the positive part
     positive = run.uncoupled_fraction > 0.0
-    fit = _fit_block(cfg, run.times[positive], run.uncoupled_fraction[positive], "uncoupled_fraction")
-    if fit is not None:
-        write_json(outdir / "fit.json", {"uncoupled_fraction": fit})
+    series = {"uncoupled_fraction": run.uncoupled_fraction[positive]}
     return {
         "n_pairs": cfg["coupling.n_pairs"],
         "final_uncoupled_fraction": float(run.uncoupled_fraction[-1]),
-        "fits": {"uncoupled_fraction": fit},
+        "fits": _fit_series(cfg, outdir, run.times[positive], series),
         **_cap_excess_entry(run.cap_excess),
     }
 
@@ -266,13 +256,10 @@ def _run_rate_ode(cfg: ExperimentConfig, outdir: Path) -> dict:
         n_points=cfg["rate_ode.n_points"],
     )
     write_csv(outdir / "varpi.csv", ["t", "varpi"], list(zip(sol.times, sol.varpi)))
-    fit = _fit_block(cfg, sol.times, sol.varpi, "varpi")
-    if fit is not None:
-        write_json(outdir / "fit.json", {"varpi": fit})
     return {
         "max_implicit_residual": sol.max_implicit_residual,
         "varpi_final": float(sol.varpi[-1]),
-        "fits": {"varpi": fit},
+        "fits": _fit_series(cfg, outdir, sol.times, {"varpi": sol.varpi}),
     }
 
 

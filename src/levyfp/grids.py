@@ -68,12 +68,6 @@ class Grid:
     def shape(self) -> tuple:
         return (self.n,)
 
-    def boundary_band(self, fraction: float = 0.05) -> np.ndarray:
-        """Boolean mask of the ceil(fraction*n) cells nearest each box edge."""
-        width = int(np.ceil(fraction * self.n))
-        idx = np.arange(self.n)
-        return (idx < width) | (idx >= self.n - width)
-
 
 def _as_values(grid: Grid, values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -129,7 +123,3 @@ class DensityField:
         x = self.grid.nodes
         mean = float(np.sum(x * self.values) * self.grid.cell_volume) / m
         return float(np.sum((x - mean) ** 2 * self.values) * self.grid.cell_volume) / m
-
-    def boundary_mass(self, fraction: float = 0.05) -> float:
-        band = self.grid.boundary_band(fraction)
-        return float(np.sum(np.abs(self.values[band])) * self.grid.cell_volume)

@@ -31,6 +31,7 @@ __all__ = [
     "divergence_of_flux",
     "face_velocities",
     "StepSetup",
+    "RunGuard",
 ]
 
 _LIMITERS = ("mc", "minmod", "fromm", "off")
@@ -301,6 +302,54 @@ def _resolve_jump_route(nu: LevyMeasureSpec, route: str) -> str | None:
 
 class NumericalFailure(RuntimeError):
     """A run left its validity envelope (CFL, stability, boundary mass)."""
+
+
+class RunGuard:
+    """The validity envelope every marching loop polices: ``n_steps`` whole steps
+    of dt from t0 to t_final, the steps it records, blow-up and the boundary
+    band. Messages name the time ``clock``: "t", or "s" on the backward clock."""
+
+    BAND = 0.05  # share of the cells at each end of the box that forms the boundary band
+
+    def __init__(self, dt: float, t_final: float, record_every: int = 1, t0: float = 0.0,
+                 clock: str = "t", extra_records=()):
+        self.n_steps = int(round((t_final - t0) / dt))
+        if abs(t0 + self.n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+            raise ValueError(f"{clock}_final={t_final} is not an integer number of steps of dt={dt}")
+        self.record_every = record_every
+        self.extra_records = extra_records
+        self.clock = clock
+
+    def records(self, k: int) -> bool:
+        """Every record_every-th step, the last one and those in extra_records."""
+        return k % self.record_every == 0 or k == self.n_steps or k in self.extra_records
+
+    def check_blow_up(self, values: np.ndarray, at: float) -> float:
+        """sup|values|; NumericalFailure when it is NaN (max propagates NaN) or beyond 1e12."""
+        sup = np.abs(values).max()
+        if not sup <= 1e12:
+            run = "backward run" if self.clock == "s" else "forward run"
+            raise NumericalFailure(f"{run} blew up at {self.clock}={at:g}")
+        return float(sup)
+
+    @staticmethod
+    def boundary_mass(values: np.ndarray, dx: float, eps: float, t: float | None = None) -> float:
+        """Absolute mass in the first and last ceil(BAND * n) cells, summed in index
+        order; NumericalFailure above eps at time t, or (t=None) in a stationary profile."""
+        w = int(np.ceil(RunGuard.BAND * values.size))
+        b = float(np.sum(np.abs(np.concatenate((values[:w], values[-w:])))) * dx)
+        if b > eps:
+            raise NumericalFailure(
+                f"stationary profile parks {b:.3e} mass in the boundary band (eps={eps:g}); enlarge the box"
+                if t is None else
+                f"boundary mass {b:.3e} exceeds eps={eps:g} at t={t:g}: the box is too small for this horizon")
+        return b
+
+    @staticmethod
+    def check_positions(x: np.ndarray, t: float):
+        """Finiteness only, which particle loops check on every chunk of every step."""
+        if not np.isfinite(x).all():
+            raise NumericalFailure(f"particle positions left the finite range at t={t:g}")
 
 
 class StepSetup:

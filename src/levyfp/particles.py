@@ -29,7 +29,7 @@ from scipy.special import pdtrc
 
 from .generators import GeneratorSpec, LevyMeasureSpec
 from .grids import DensityField
-from .operators import NumericalFailure
+from .operators import RunGuard
 from .weights import WeightFunction
 
 __all__ = [
@@ -276,11 +276,6 @@ class _ParticleStepper:
         return None if self.tempered is None else self.tempered.cap_excess
 
 
-def _check_finite(x: np.ndarray, t: float):
-    if not np.isfinite(x).all():
-        raise NumericalFailure(f"particle positions left the finite range at t={t:g}")
-
-
 def _chunk_bounds(n: int, chunk_size: int | None):
     """The fewest equal chunks of at most chunk_size (default _CHUNK)
     particles, so that threads get even shares."""
@@ -342,7 +337,7 @@ def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
     def advance(i0: int, i1: int):
         u = _uniforms(ens.seed, stream, i0, i1 - i0, stepper.stride)
         stepper.move(ens.positions[i0:i1], ens.t, u, out=new[i0:i1])
-        _check_finite(new[i0:i1], t_new)
+        RunGuard.check_positions(new[i0:i1], t_new)
 
     _for_chunks(advance, ens.n_particles, chunk_size, _pool)
     return ParticleEnsemble(new, t_new, ens.seed, ens.step_index + 1)
@@ -372,9 +367,7 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
     weighted moments) every record_every steps. Every step is checked for
     finiteness. The chunks of a step run on a thread pool with one thread per
     available core; the result does not depend on the core count."""
-    n_steps = int(round((t_final - ens.t) / dt))
-    if abs(ens.t + n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"t_final={t_final} is not an integer number of steps of dt={dt}")
+    guard = RunGuard(dt, t_final, record_every, t0=ens.t)
     stepper = _ParticleStepper(spec, dt)
     moment_weights = moment_weights or {}
 
@@ -387,9 +380,9 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
 
     record()
     with _chunk_pool(ens.n_particles, chunk_size) as pool:
-        for k in range(1, n_steps + 1):
+        for k in range(1, guard.n_steps + 1):
             ens = step_ensemble(ens, spec, dt, chunk_size, _stepper=stepper, _pool=pool)
-            if k % record_every == 0 or k == n_steps:
+            if guard.records(k):
                 record()
 
     return ParticleRun(
@@ -442,9 +435,7 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
     which it moves as one. Pairs are stepped in chunks on a thread pool as in
     simulate: each chunk draws one uniform block that moves both X and Y."""
     stepper = _ParticleStepper(spec, dt)
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError(f"t_final={t_final} is not an integer number of steps of dt={dt}")
+    guard = RunGuard(dt, t_final, record_every)
 
     x = np.full(n_pairs, float(x0))
     y = np.full(n_pairs, float(y0))
@@ -455,7 +446,7 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
     times, frac = [0.0], [float(np.mean(~coupled))]
     t = 0.0
     with _chunk_pool(n_pairs, None) as pool:
-        for k in range(1, n_steps + 1):
+        for k in range(1, guard.n_steps + 1):
             x_new, y_new = np.empty_like(x), np.empty_like(y)
             t_new = k * dt
 
@@ -470,13 +461,13 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
                 ys[meet] = xs[meet]
                 t_couple[i0:i1][meet] = t_new
                 c |= meet
-                _check_finite(xs, t_new)
-                _check_finite(ys, t_new)
+                guard.check_positions(xs, t_new)
+                guard.check_positions(ys, t_new)
 
             _for_chunks(advance, n_pairs, None, pool)
             t = t_new
             x, y = x_new, y_new
-            if k % record_every == 0 or k == n_steps:
+            if guard.records(k):
                 times.append(t)
                 frac.append(float(np.mean(~coupled)))
 

@@ -8,7 +8,7 @@ scale-equivariant: rescaling the series moves only the prefactor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -42,7 +42,6 @@ from levyfp.particles import (
 )
 from levyfp.rates import (
     fit_exponential,
-    fit_power,
     fit_stretched,
     predicted_q,
     window_shift_stability,

@@ -283,6 +283,31 @@ def test_backward_cfl_bound_covers_run_times():
         solve_backward(tanh_profile(GRID), spec, s_final=1.0, dt=1e-3, forward_horizon=1.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e13])
+@pytest.mark.parametrize("record_every, message, raised_after",
+                         [(1, "backward run blew up at s=0.03", 3), (4, "backward run blew up at s=0.04", 4)])
+def test_backward_blow_up_is_raised_at_the_first_record_after_it(monkeypatch, bad, record_every, message,
+                                                                 raised_after):
+    # as on the forward clock: checked at records, so raised at step 3 or 4
+    steps = []
+    clean = _AdjointStepper.step
+
+    def poisoned(self, v, s, source):
+        steps.append(s)
+        out = clean(self, v, s, source).copy()
+        if len(steps) == 3:
+            out[40] = bad
+        return out
+
+    monkeypatch.setattr(_AdjointStepper, "step", poisoned)
+    g = Grid(128, 8.0)
+    with pytest.raises(NumericalFailure) as info:
+        solve_backward(tanh_profile(g), OU, s_final=0.1, dt=0.01, record_every=record_every)
+    assert str(info.value) == message
+    assert len(steps) == raised_after
+
+
 def test_backward_horizon_must_be_step_multiple():
     with pytest.raises(ValueError, match="integer number of steps"):
         solve_backward(tanh_profile(GRID), OU, s_final=0.0015, dt=1e-3)

@@ -1,9 +1,9 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
+from levyfp import forward
 from levyfp.cli import main
 from levyfp.config import (
     ConfigError,
@@ -200,6 +200,30 @@ def test_run_numerical_failure_exits_3(tmp_path):
     assert len(failure["config_hash"]) == 64
     # the echo is still written so the failing run is reproducible
     assert (tmp_path / "out" / "config.resolved.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forward_blow_up_exits_3_with_its_time(tmp_path, monkeypatch):
+    # a stepper that turns one value into inf at step 30; with time.stride 25
+    # the run notices at the record of step 50, t = 0.1
+    steps = []
+    clean = forward._Stepper.step
+
+    def poisoned(self, m, t):
+        steps.append(t)
+        out = clean(self, m, t).copy()
+        if len(steps) == 30:
+            out[100] = float("inf")
+        return out
+
+    monkeypatch.setattr(forward._Stepper, "step", poisoned)
+    cfg = write_config(tmp_path, "blow.json", **{"output.dir": str(tmp_path / "out")})
+    assert main(["run", str(cfg)]) == 3
+    assert len(steps) == 50
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "numerical-failure"
+    assert failure["error"] == "forward run blew up at t=0.1"
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_validate_command(tmp_path, capsys):

@@ -320,6 +320,32 @@ def test_boundary_breach_names_first_offending_time():
         solve(gaussian(GRID), drift_free(1.0), t_final=1.0, dt=0.01, eps_boundary=1e-4)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e13])
+@pytest.mark.parametrize("record_every, message, raised_after",
+                         [(1, "forward run blew up at t=0.03", 3), (4, "forward run blew up at t=0.04", 4)])
+def test_blow_up_is_raised_at_the_first_record_after_it(monkeypatch, bad, record_every, message,
+                                                        raised_after):
+    # step 3 writes one bad value; blow-up is checked at records, so it is
+    # raised at step 3 when every step is recorded and at step 4 otherwise
+    steps = []
+    clean = _Stepper.step
+
+    def poisoned(self, m, t):
+        steps.append(t)
+        out = clean(self, m, t).copy()
+        if len(steps) == 3:
+            out[40] = bad
+        return out
+
+    monkeypatch.setattr(_Stepper, "step", poisoned)
+    g = Grid(128, 8.0)
+    with pytest.raises(NumericalFailure) as info:
+        solve(gaussian(g), ou_spec(), t_final=0.1, dt=0.01, record_every=record_every, eps_boundary=0.05)
+    assert str(info.value) == message
+    assert len(steps) == raised_after
+
+
 # ---------------------------------------------------------------------------
 # stationary profiles
 

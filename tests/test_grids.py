@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from levyfp.grids import DensityField, Grid, ScalarField
+from levyfp.operators import NumericalFailure, RunGuard
 
 
 def test_grid_geometry():
@@ -49,11 +50,18 @@ def test_density_moments_against_gaussian():
     assert m.variance() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_boundary_band_width():
-    g = Grid(1024, 16.0)
-    band = g.boundary_band(0.05)
-    # ceil(0.05 * 1024) = 52 cells off each edge
-    assert band.sum() == 2 * 52
-    m = DensityField(g, np.ones(1024) / 32.0)
-    assert m.boundary_mass() == pytest.approx(2 * 52 * g.dx / 32.0)
-
+def test_boundary_band_mass_matches_mask_oracle():
+    # the band used to be taken with this boolean mask of ceil(0.05 n) cells
+    # off each edge; the guard's two end slices must sum to the same bits
+    rng = np.random.default_rng(5)
+    for n, width in ((8, 1), (1024, 52)):
+        g = Grid(n, 16.0)
+        idx = np.arange(n)
+        mask = (idx < width) | (idx >= n - width)
+        m = rng.standard_normal(n)
+        oracle = float(np.sum(np.abs(m[mask])) * g.dx)
+        assert RunGuard.boundary_mass(m, g.dx, np.inf) == oracle
+        with pytest.raises(NumericalFailure, match=r"^boundary mass .* at t=0\.5: the box"):
+            RunGuard.boundary_mass(m, g.dx, 0.5 * oracle, t=0.5)
+        with pytest.raises(NumericalFailure, match=r"^stationary profile parks"):
+            RunGuard.boundary_mass(m, g.dx, 0.5 * oracle)

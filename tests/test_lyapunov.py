@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.lyapunov import (
-    LyapunovReport,
     classify_weight,
     h_model_function,
     solve_rate_ode,
