@@ -92,10 +92,9 @@ class _AdjointStepper:
         #   m_i <- m_i - rho (wp_i m_i + wm_i m_{i+1} - wp_{i-1} m_{i-1} - wm_{i-1} m_i)
         # with e[k] = v[k-1] - v[k] (one periodic difference array, of -v),
         # v_i - v_{i+1} is e[1:] and v_{i-1} - v_i is e[:-1]
-        wp, wm = self.stage.upwind_split(self.horizon - s)
+        wp, wm_prev = self.stage.transpose_split(self.horizon - s)
         rho = self.dt / self.grid.dx
         e = _periodic_difference(-v)
-        wm_prev = np.concatenate((wm[-1:], wm[:-1]))
         return v - rho * (wp * e[1:] + wm_prev * e[:-1])
 
     def step(self, v: np.ndarray, s: float, source: np.ndarray | None) -> np.ndarray:

@@ -220,20 +220,24 @@ def stationary_solve(
 
     Heavy-tailed stationary laws park real mass near the seam, so the
     boundary budget default is far looser than for transient runs; the
-    attained boundary mass is reported for the caller to judge.
+    attained boundary mass is reported for the caller to judge. Blow-up is
+    checked at the end of every block of check_interval.
     """
     if spec.is_time_dependent:
         raise ValueError("stationary solve needs a time-independent drift")
     stepper = _Stepper(spec, grid, dt, limiter, jump_route)
-    per_block = max(1, int(round(check_interval / dt)))
+    # one block of steps between convergence checks
+    block = RunGuard(dt, max(1, int(round(check_interval / dt))) * dt)
     m = gaussian(grid).values
-    t = 0.0
+    k, t = 0, 0.0
     diff = np.inf
     while t < max_time:
         prev = m
-        for _ in range(per_block):
+        for _ in range(block.n_steps):
             m = stepper.step(m, t)
-            t += dt
+            k += 1
+            t = k * dt
+        block.check_blow_up(m, t)
         diff = float(np.sum(np.abs(m - prev)) * grid.cell_volume)
         if diff < tol:
             break

@@ -7,14 +7,20 @@ Two independent routes exist for the jump part and both stay available:
 * quadrature: compensated dyadic-shell integration of the singular kernel,
   usable for any symmetric density and for off-grid callables. The time
   steppers apply it as its discrete Fourier symbol, built once per run
-  (StepSetup); the per-node loop stays as the oracle.
+  (StepSetup) from the unit-impulse response, which is assembled from the
+  interpolation taps each node puts on the impulse, equal bit for bit to
+  the per-node loop; the loop stays as the oracle.
+
+The time steppers apply constant-coefficient diffusion and the jump symbol
+in one real FFT pair (rfft/irfft) on the n//2 + 1 half spectrum.
 
 The drift enters the adjoint in divergence form through a conservative
 finite-volume upwind flux (optional second-order limited reconstruction),
 so the discrete adjoint output always integrates to zero. Its stencils are
 taken by slicing one periodic difference array d[k] = m[k] - m[k-1],
 k = 0..n with indices mod n: the left slopes are d[:-1], the right slopes
-d[1:], and the divergence is d[:-1] of the flux.
+d[1:], and the divergence is d[:-1] of the flux. The centered second
+differences slice one periodically padded copy of their input.
 """
 from __future__ import annotations
 
@@ -100,6 +106,17 @@ def _mass_beyond(nu: LevyMeasureSpec, z_max: float) -> float:
     return float(np.sum(w * nu.density(z)))
 
 
+def _lagrange_weights(t):
+    """Weights of the 4-point Lagrange taps j-1, j, j+1, j+2 at offset t in
+    [0, 1) from tap j; t may be a scalar or an array."""
+    return (
+        -t * (t - 1.0) * (t - 2.0) / 6.0,
+        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+        -t * (t + 1.0) * (t - 2.0) / 2.0,
+        t * (t + 1.0) * (t - 1.0) / 6.0,
+    )
+
+
 def _periodic_shift_interp(values: np.ndarray, grid: Grid, z: float) -> np.ndarray:
     """u(x_i + z) for all i by periodic 4-point Lagrange interpolation.
 
@@ -109,17 +126,49 @@ def _periodic_shift_interp(values: np.ndarray, grid: Grid, z: float) -> np.ndarr
     """
     s = z / grid.dx
     j = int(np.floor(s))
-    t = s - j
-    vm1 = np.roll(values, -(j - 1))
-    v0 = np.roll(values, -j)
-    v1 = np.roll(values, -(j + 1))
-    v2 = np.roll(values, -(j + 2))
+    wm1, w0, w1, w2 = _lagrange_weights(s - j)
     return (
-        (-t * (t - 1.0) * (t - 2.0) / 6.0) * vm1
-        + ((t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0) * v0
-        + (-t * (t + 1.0) * (t - 2.0) / 2.0) * v1
-        + (t * (t + 1.0) * (t - 1.0) / 6.0) * v2
+        wm1 * np.roll(values, -(j - 1))
+        + w0 * np.roll(values, -j)
+        + w1 * np.roll(values, -(j + 1))
+        + w2 * np.roll(values, -(j + 2))
     )
+
+
+def _periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
+    """values with ``width`` periodic ghost cells at each end: q[i + width] = values[i mod n]."""
+    return np.concatenate((values[-width:], values, values[:width]))
+
+
+def _fourth_order_d2(values: np.ndarray, dx: float) -> np.ndarray:
+    """4th-order centered periodic second difference."""
+    q = _periodic_pad(values, 2)
+    return (-q[4:] + 16.0 * q[3:-1] - 30.0 * values + 16.0 * q[1:-3] - q[:-4]) / (12.0 * dx**2)
+
+
+def _shell_rule(grid: Grid, nu: LevyMeasureSpec, r_min, z_max, shells_per_octave: int = 1,
+                nodes_per_shell: int = 8):
+    """(r_min, z_max, nodes z, weights w * density(z)) of the quadrature on the
+    grid, r_min defaulting to dx/4 and z_max to 64 L."""
+    if not 0.0 < nu.sigma < 2.0:
+        raise ValueError(f"jump quadrature needs sigma in (0, 2), got {nu.sigma}")
+    r_min = grid.dx / 4.0 if r_min is None else float(r_min)
+    z_max = 64.0 * grid.half_width if z_max is None else float(z_max)
+    if r_min <= 0:
+        raise ValueError(f"r_min must be positive, got {r_min}")
+    z, w = shell_quadrature_nodes(r_min, z_max, shells_per_octave, nodes_per_shell)
+    return r_min, z_max, z, w * nu.density(z)
+
+
+def _add_local_terms(acc: np.ndarray, vals: np.ndarray, grid: Grid, nu: LevyMeasureSpec,
+                     r_min: float, z_max: float) -> np.ndarray:
+    """acc plus the Taylor term below r_min, then the tail beyond z_max, in place."""
+    # 4th-order centered second difference: the m2 weight blows up like
+    # r_min^(2-sigma)/(2-sigma) near sigma = 2, so the dx^2 floor of the
+    # 3-point stencil is not good enough there.
+    acc += 0.5 * _fourth_order_d2(vals, grid.dx) * _second_moment_inner(nu, r_min)
+    acc += 2.0 * (float(np.mean(vals)) - vals) * _mass_beyond(nu, z_max)
+    return acc
 
 
 def levy_integral_field(
@@ -143,14 +192,7 @@ def levy_integral_field(
     grid = u.grid
     if not nu.is_active:
         return u.with_values(np.zeros_like(u.values))
-    if not 0.0 < nu.sigma < 2.0:
-        raise ValueError(f"jump quadrature needs sigma in (0, 2), got {nu.sigma}")
-    r_min = grid.dx / 4.0 if r_min is None else float(r_min)
-    z_max = 64.0 * grid.half_width if z_max is None else float(z_max)
-    if r_min <= 0:
-        raise ValueError(f"r_min must be positive, got {r_min}")
-    z, w = shell_quadrature_nodes(r_min, z_max, shells_per_octave, nodes_per_shell)
-    rho_w = w * nu.density(z)
+    r_min, z_max, z, rho_w = _shell_rule(grid, nu, r_min, z_max, shells_per_octave, nodes_per_shell)
     vals = u.values
     acc = np.zeros_like(vals)
     for zk, rw in zip(z, rho_w):
@@ -159,19 +201,37 @@ def levy_integral_field(
             + _periodic_shift_interp(vals, grid, -zk)
             - 2.0 * vals
         )
-    # 4th-order centered second difference: the m2 weight blows up like
-    # r_min^(2-sigma)/(2-sigma) near sigma = 2, so the dx^2 floor of the
-    # 3-point stencil is not good enough there.
-    d2 = (
-        -np.roll(vals, -2)
-        + 16.0 * np.roll(vals, -1)
-        - 30.0 * vals
-        + 16.0 * np.roll(vals, 1)
-        - np.roll(vals, 2)
-    ) / (12.0 * grid.dx**2)
-    acc += 0.5 * d2 * _second_moment_inner(nu, r_min)
-    acc += 2.0 * (float(np.mean(vals)) - vals) * _mass_beyond(nu, z_max)
-    return u.with_values(acc)
+    return u.with_values(_add_local_terms(acc, vals, grid, nu, r_min, z_max))
+
+
+def _impulse_response(grid: Grid, nu: LevyMeasureSpec) -> np.ndarray:
+    """levy_integral_field of the unit impulse at cell 0 (default rule), bit for
+    bit, built from the Lagrange taps without the per-node loop.
+
+    On the impulse each shift +-z_k reaches only its 4 tap cells, where the
+    loop's interpolant is exactly the tap weight. Row k of ``terms`` is what
+    node k adds: the weights of +z_k, those of -z_k summed onto them, minus 2
+    at cell 0, times the node weight. Adding the rows in node order repeats
+    the loop's additions on every cell.
+    """
+    n = grid.n
+    r_min, z_max, z, rho_w = _shell_rule(grid, nu, None, None)
+    terms = np.zeros((z.size, n))
+    rows = np.arange(z.size)[:, None]
+    for shift in (z, -z):
+        s = shift / grid.dx
+        j = np.floor(s)
+        # the impulse sits in tap j + r of cell i where i + j + r = 0 mod n
+        cells = -(j.astype(np.int64)[:, None] + np.arange(-1, 3)) % n
+        terms[rows, cells] += np.stack(_lagrange_weights(s - j), axis=1)
+    terms[:, 0] -= 2.0
+    terms *= rho_w[:, None]
+    acc = np.zeros(n)
+    for row in terms:
+        acc += row
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    return _add_local_terms(acc, impulse, grid, nu, r_min, z_max)
 
 
 def levy_integral_callable(
@@ -277,10 +337,20 @@ def _variable_diffusion_term(values: np.ndarray, grid: Grid, g: GeneratorSpec, a
         return np.zeros_like(values)
     s2 = g.diffusion.sigma_squared(grid.nodes)
     if adjoint:
-        prod = s2 * values
-        return (np.roll(prod, -1) - 2.0 * prod + np.roll(prod, 1)) / grid.dx**2
-    d2 = (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / grid.dx**2
-    return s2 * d2
+        return _second_difference(s2 * values, grid.dx)
+    return s2 * _second_difference(values, grid.dx)
+
+
+def _second_difference(p: np.ndarray, dx: float) -> np.ndarray:
+    """3-point centered periodic second difference."""
+    q = _periodic_pad(p, 1)
+    return (q[2:] - 2.0 * p + q[:-2]) / dx**2
+
+
+def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """max(w, 0), min(w, 0) and min(w, 0) shifted one cell on (entry i is min(w_{i-1}, 0))."""
+    wm = np.minimum(w, 0.0)
+    return np.maximum(w, 0.0), wm, np.concatenate((wm[-1:], wm[:-1]))
 
 
 def _resolve_jump_route(nu: LevyMeasureSpec, route: str) -> str | None:
@@ -356,9 +426,12 @@ class StepSetup:
     """Operator pieces of one time step of either clock for a fixed (spec, grid, dt).
 
     ``diffuse`` applies constant-coefficient diffusion and the jump part by
-    one FFT pair: an exact symbol sits in the exponent, while the explicit
+    one real FFT pair (rfft/irfft) with ``diffusion_factor`` on the n//2 + 1
+    half spectrum: an exact symbol sits in the exponent, while the explicit
     Euler jump step of the quadrature route is the factor (1 + dt*lam), with
-    ``jump_symbol`` lam such that fft(levy_integral_field(u)) = lam * fft(u).
+    ``jump_symbol`` lam such that fft(levy_integral_field(u)) = lam * fft(u)
+    on the full spectrum. lam is the FFT of the quadrature's unit-impulse
+    response, built from its Lagrange taps (``_impulse_response``).
     Faces are in forward time. The explicit pieces are checked at setup, the
     advection against the CFL bound for a step of ``substep * dt``: a static
     drift once, a time-dependent one on every face array ``faces`` builds, so
@@ -376,25 +449,25 @@ class StepSetup:
         self.substep = substep
         self.where = where
         self.jump_route = _resolve_jump_route(spec.levy, jump_route)
-        sym = spec.diffusion.lambda0 * grid.wavenumber_magnitude**2
+        modes = grid.n // 2 + 1  # the half spectrum of rfft
+        xi = grid.wavenumber_magnitude[:modes]
+        sym = spec.diffusion.lambda0 * xi**2
         if self.jump_route == "spectral":
-            sym = sym + spec.levy.scale * grid.wavenumber_magnitude**spec.levy.sigma
+            sym = sym + spec.levy.scale * xi**spec.levy.sigma
         self.diffusion_factor = np.exp(-dt * sym)
         self.jump_symbol, self.jump_radius = None, 0.0
         if self.jump_route == "quadrature":
             # the shell loop on the periodic grid is a symmetric circulant: its
             # symbol is the real FFT of its unit-impulse response. It kills
             # constants, so lam[0] is exactly 0, not the impulse sum's residue.
-            impulse = np.zeros(grid.n)
-            impulse[0] = 1.0
-            lam = np.fft.fft(levy_integral_field(ScalarField(grid, impulse), spec.levy).values).real
+            lam = np.fft.fft(_impulse_response(grid, spec.levy)).real
             lam[0] = 0.0
-            self.diffusion_factor = self.diffusion_factor * (1.0 + dt * lam)
+            self.diffusion_factor = self.diffusion_factor * (1.0 + dt * lam[:modes])
             self.jump_symbol, self.jump_radius = lam, float(np.abs(lam).max())
         self.static_w = self.static_split = self._last_faces = None
         if not spec.is_time_dependent:
             self.static_w = face_velocities(grid, spec.drift, 0.0)
-            self.static_split = (np.maximum(self.static_w, 0.0), np.minimum(self.static_w, 0.0))
+            self.static_split = _upwind_split(self.static_w)
             self._check_cfl(self.static_w)
         self._check_explicit_terms()
 
@@ -434,17 +507,27 @@ class StepSetup:
         self._last_faces = (t, w)
         return w
 
-    def upwind_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(max(w, 0), min(w, 0)) at forward time t."""
+    def _split(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.static_split is not None:
             return self.static_split
-        w = self.faces(t)
-        return np.maximum(w, 0.0), np.minimum(w, 0.0)
+        return _upwind_split(self.faces(t))
+
+    def upwind_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(max(w, 0), min(w, 0)) at forward time t."""
+        return self._split(t)[:2]
+
+    def transpose_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(max(w, 0), min(w, 0) one cell on) at forward time t: entry i of the
+        second is min(w_{i-1}, 0), as the backward advection reads it."""
+        wp, _, wm_prev = self._split(t)
+        return wp, wm_prev
 
     def diffuse(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
         """Diffusion and jumps over dt, then the explicit variable-Sigma term
         (adjoint=True: its Fokker-Planck form, for the forward clock)."""
-        out = np.real(np.fft.ifft(self.diffusion_factor * np.fft.fft(values)))
+        spectrum = np.fft.rfft(values)
+        spectrum *= self.diffusion_factor
+        out = np.fft.irfft(spectrum, self.grid.n)
         if self.spec.diffusion.has_variable_part:
             out = out + self.dt * _variable_diffusion_term(out, self.grid, self.spec, adjoint)
         return out

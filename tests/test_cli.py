@@ -226,6 +226,29 @@ def test_forward_blow_up_exits_3_with_its_time(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_stationary_blow_up_exits_3_at_the_first_block_end(tmp_path, monkeypatch):
+    # NaN at step 3; the convergence check after one unit of time (100 steps
+    # of dt 0.01) notices it, long before max_time
+    steps = []
+    clean = forward._Stepper.step
+
+    def poisoned(self, m, t):
+        steps.append(t)
+        out = clean(self, m, t).copy()
+        if len(steps) == 3:
+            out[40] = float("nan")
+        return out
+
+    monkeypatch.setattr(forward._Stepper, "step", poisoned)
+    cfg = write_config(tmp_path, "stationary.json", **{
+        "experiment": "stationary", "grid.n": 64, "grid.half_width": 8.0, "time.dt": 0.01,
+        "output.dir": str(tmp_path / "out")})
+    assert main(["run", str(cfg)]) == 3
+    assert len(steps) == 100
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["error"] == "forward run blew up at t=1"
+
+
 def test_validate_command(tmp_path, capsys):
     good = write_config(tmp_path, "good.json")
     assert main(["validate", str(good)]) == 0

@@ -403,3 +403,41 @@ def test_stationary_nonconvergence_raises():
     g = Grid(n=256, half_width=16.0)
     with pytest.raises(NumericalFailure, match="no stationary profile"):
         stationary_solve(ou_spec(), g, dt=5e-3, tol=1e-15, max_time=2.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e13])
+def test_stationary_blow_up_is_raised_at_the_first_block_end(monkeypatch, bad):
+    # step 3 writes one bad value; with check_interval 1 and dt 0.01 the first
+    # block ends at step 100, not at max_time (500 steps)
+    steps = []
+    clean = _Stepper.step
+
+    def poisoned(self, m, t):
+        steps.append(t)
+        out = clean(self, m, t).copy()
+        if len(steps) == 3:
+            out[40] = bad
+        return out
+
+    monkeypatch.setattr(_Stepper, "step", poisoned)
+    with pytest.raises(NumericalFailure) as info:
+        stationary_solve(ou_spec(), Grid(64, 8.0), dt=0.01, max_time=5.0)
+    assert str(info.value) == "forward run blew up at t=1"
+    assert len(steps) == 100
+
+
+def test_stationary_clock_is_a_step_count(monkeypatch):
+    # t = k * dt: 500 steps reach max_time=5 at dt=0.01, where summing dt
+    # 500 times falls short of 5 and ran a sixth block
+    steps = []
+    clean = _Stepper.step
+
+    def counted(self, m, t):
+        steps.append(t)
+        return clean(self, m, t)
+
+    monkeypatch.setattr(_Stepper, "step", counted)
+    with pytest.raises(NumericalFailure, match="no stationary profile within t=5"):
+        stationary_solve(ou_spec(), Grid(64, 8.0), dt=0.01, tol=0.0, max_time=5.0)
+    assert steps == [k * 0.01 for k in range(500)]
