@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -405,6 +404,8 @@ def cmd_sweep(config_path: str, workers: int) -> int:
     if workers <= 1:
         rows = [_sweep_cell(p) for p in payloads]
     else:
+        import multiprocessing
+
         with multiprocessing.Pool(processes=min(workers, len(payloads))) as pool:
             rows = pool.map(_sweep_cell, payloads)
 

@@ -4,6 +4,10 @@ classification of weights by decay regime, and the decay-rate ODE.
 Everything here is pointwise: weights are differentiated analytically and the
 jump integral goes through shell quadrature for callables, so no periodic box
 is involved and sample radii can sit far beyond any solver grid.
+
+Only the rate ODE needs scipy, for its integrator and the quadrature of the
+implicit time identity; ``solve_rate_ode`` imports it when called, so the
+checkers and every other experiment load numpy alone.
 """
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .generators import GeneratorSpec
 from .operators import levy_integral_callable
@@ -315,6 +318,8 @@ def solve_rate_ode(h, L: float, theta: float, T: float, n_points: int = 201) -> 
         raise ValueError(f"T must be positive, got {T}")
     if n_points < 2:
         raise ValueError(f"need at least 2 recorded points, got {n_points}")
+    from scipy.integrate import quad, solve_ivp
+
     probe = L * np.geomspace(1.0, 1e6, 7)
     hp = np.array([float(h(r)) for r in probe])
     if np.any(~np.isfinite(hp)) or np.any(hp <= 0):

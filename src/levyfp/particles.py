@@ -14,6 +14,10 @@ uniform block and writes its own slice of the new positions, so the chunks
 can be mapped over a thread pool: numpy releases the interpreter lock in the
 Philox fill and in the ufuncs, and the bytes do not depend on the worker
 count.
+
+Only a tempered kernel needs scipy, for the compound-Poisson rate and its
+Poisson tail; it is imported when such a kernel's jumps are set up, so
+fractional and jump-free runs load numpy alone.
 """
 from __future__ import annotations
 
@@ -24,8 +28,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import pdtrc
 
 from .generators import GeneratorSpec, LevyMeasureSpec
 from .grids import DensityField
@@ -139,7 +141,8 @@ def ensemble_at(x0: float, n_particles: int, seed: int = 0, t: float = 0.0) -> P
 
 def ensemble_from_density(m: DensityField, n_particles: int, seed: int = 0) -> ParticleEnsemble:
     """Inverse-CDF sample of the piecewise-constant law the grid density
-    defines on its cells. Draws one word block per particle from stream 0."""
+    defines on its cells. Draws one word block per particle from stream 0,
+    chunk by chunk."""
     vals = m.values
     if np.any(vals < 0):
         raise ValueError("cannot sample a signed density")
@@ -149,12 +152,18 @@ def ensemble_from_density(m: DensityField, n_particles: int, seed: int = 0) -> P
     if total <= 0:
         raise ValueError("density has no mass to sample")
     cdf = np.cumsum(cell_mass) / total
-    u = _uniforms(seed, 0, 0, n_particles, 4)[:, 0]
-    idx = np.searchsorted(cdf, u, side="right")
-    left = g.nodes[idx] - 0.5 * g.dx
-    prev = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-    frac = (u - prev) / np.maximum(cdf[idx] - prev, 1e-300)
-    return ParticleEnsemble(left + frac * g.dx, 0.0, seed)
+    positions = np.empty(n_particles)
+
+    def draw(i0: int, i1: int):
+        u = _uniforms(seed, 0, i0, i1 - i0, 4)[:, 0]
+        idx = np.searchsorted(cdf, u, side="right")
+        left = g.nodes[idx] - 0.5 * g.dx
+        prev = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
+        frac = (u - prev) / np.maximum(cdf[idx] - prev, 1e-300)
+        positions[i0:i1] = left + frac * g.dx
+
+    _for_chunks(draw, n_particles, None, None)
+    return ParticleEnsemble(positions, 0.0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +177,9 @@ class _TemperedJumps:
     is exposed for the caller to judge."""
 
     def __init__(self, levy: LevyMeasureSpec, dt: float, z_cut: float = 0.5):
+        from scipy.integrate import quad
+        from scipy.special import pdtrc
+
         rho = lambda z: levy.density(np.array([z]))[0]
         self.z_cut = z_cut
         self.rate = 2.0 * quad(rho, z_cut, np.inf)[0]
@@ -340,7 +352,10 @@ def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
         RunGuard.check_positions(new[i0:i1], t_new)
 
     _for_chunks(advance, ens.n_particles, chunk_size, _pool)
-    return ParticleEnsemble(new, t_new, ens.seed, ens.step_index + 1)
+    # every chunk has checked its positions: skip the constructor's rescan
+    stepped = object.__new__(ParticleEnsemble)
+    stepped.__dict__.update(positions=new, t=t_new, seed=ens.seed, step_index=ens.step_index + 1)
+    return stepped
 
 
 @dataclass(frozen=True)
@@ -365,21 +380,27 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
              chunk_size: int | None = None) -> ParticleRun:
     """March the ensemble to t_final recording mean weight values (empirical
     weighted moments) every record_every steps. Every step is checked for
-    finiteness. The chunks of a step run on a thread pool with one thread per
-    available core; the result does not depend on the core count."""
+    finiteness. The chunks of a step, and the weight evaluations of a record,
+    run on a thread pool with one thread per available core; the result does
+    not depend on the core count."""
     guard = RunGuard(dt, t_final, record_every, t0=ens.t)
     stepper = _ParticleStepper(spec, dt)
     moment_weights = moment_weights or {}
 
     times, moments = [], {name: [] for name in moment_weights}
+    values = np.empty(ens.n_particles)
 
     def record():
         times.append(ens.t)
         for name, w in moment_weights.items():
-            moments[name].append(float(np.mean(w(ens.positions))))
+            def evaluate(i0: int, i1: int):
+                values[i0:i1] = w(ens.positions[i0:i1])
 
-    record()
+            _for_chunks(evaluate, ens.n_particles, chunk_size, pool)
+            moments[name].append(float(np.mean(values)))
+
     with _chunk_pool(ens.n_particles, chunk_size) as pool:
+        record()
         for k in range(1, guard.n_steps + 1):
             ens = step_ensemble(ens, spec, dt, chunk_size, _stepper=stepper, _pool=pool)
             if guard.records(k):

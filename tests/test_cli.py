@@ -1,5 +1,8 @@
 import hashlib
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -511,3 +514,50 @@ def test_particle_blow_up_exits_3_with_its_time(tmp_path):
     assert main(["run", str(path)]) == 3
     failure = json.loads((tmp_path / "out" / "failure.json").read_text())
     assert failure["error"] == "particle positions left the finite range at t=78"
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy and multiprocessing load only in the calls that use them
+
+SRC = str(pathlib.Path(__file__).parents[1] / "src")
+
+
+def run_fresh(code, *args):
+    """Run code in a new interpreter with src on its path, and return the
+    scipy and multiprocessing modules that interpreter holds afterwards."""
+    script = (f"import json, sys\nsys.path.insert(0, {SRC!r})\nfrom levyfp.cli import main\n{code}\n"
+              "roots = ('scipy', 'multiprocessing')\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))")
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_validate_and_forward_run_load_neither_scipy_nor_multiprocessing(tmp_path):
+    cfg = write_config(tmp_path, "fwd.json", **{"grid.n": 64, "time.t_final": 0.2,
+                                                "output.dir": str(tmp_path / "out")})
+    loaded = run_fresh("assert main(['validate', sys.argv[1]]) == 0\n"
+                       "assert main(['run', sys.argv[1]]) == 0", cfg)
+    assert (tmp_path / "out" / "summary.json").exists()
+    assert loaded == []
+
+
+def test_deferred_scipy_imports_resolve_in_a_fresh_interpreter(tmp_path):
+    particles = tmp_path / "particles.json"
+    particles.write_text(json.dumps({
+        "experiment": "particles", "levy.kind": "tempered", "levy.sigma": 1.5,
+        "diffusion.lambda0": 0.25, "particles.source": "point", "particles.n": 1000,
+        "time.dt": 0.01, "time.t_final": 0.05, "fit.model": "none",
+        "output.dir": str(tmp_path / "p"),
+    }))
+    rate_ode = tmp_path / "rode.json"
+    rate_ode.write_text(json.dumps({
+        "experiment": "rate-ode", "rate_ode.form": "power", "rate_ode.p": 1.0,
+        "rate_ode.L": 2.0, "rate_ode.theta": 0.3, "rate_ode.t_final": 2.0,
+        "fit.model": "none", "output.dir": str(tmp_path / "r"),
+    }))
+    loaded = run_fresh("assert main(['run', sys.argv[1]]) == 0\n"
+                       "assert main(['run', sys.argv[2]]) == 0", particles, rate_ode)
+    assert {"scipy.integrate", "scipy.special"} <= set(loaded)
+    assert (tmp_path / "p" / "summary.json").exists() and (tmp_path / "r" / "summary.json").exists()

@@ -431,6 +431,53 @@ def test_failed_chunk_cancels_the_chunks_not_yet_started():
     assert ran <= {1}
 
 
+def test_ensemble_from_density_matches_one_block_draw():
+    # 70_001 particles: the last chunk is shorter than the others
+    m = gaussian(GRID, center=0.5, std=1.2)
+    n = 70_001
+    assert n % particles._CHUNK != 0
+    ens = ensemble_from_density(m, n, seed=9)
+    cell_mass = m.values * GRID.cell_volume
+    cdf = np.cumsum(cell_mass) / cell_mass.sum()
+    u = uniforms_oracle(9, 0, 0, n, 4)[:, 0]
+    idx = np.searchsorted(cdf, u, side="right")
+    prev = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
+    frac = (u - prev) / np.maximum(cdf[idx] - prev, 1e-300)
+    assert_bitwise(ens.positions, GRID.nodes[idx] - 0.5 * GRID.dx + frac * GRID.dx)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+@pytest.mark.parametrize("chunk_size", [None, 999, 10**6])
+def test_recorded_moments_match_whole_array_mean(monkeypatch, cores, chunk_size):
+    # chunks write disjoint slices of one array; with more threads than
+    # cores and frequent switches a lost write would change the mean
+    set_cores(monkeypatch, cores)
+    weights = {"pow0.5": WeightFunction.power(0.5), "pow1.2": WeightFunction.power(1.2)}
+    ens = ensemble_from_density(gaussian(GRID, std=1.0), 70_001, seed=21)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run = simulate(ens, ORACLE_SPECS["fractional"], dt=1e-2, t_final=0.05, record_every=5,
+                       moment_weights=weights, chunk_size=chunk_size)
+    finally:
+        sys.setswitchinterval(interval)
+    for name, w in weights.items():
+        want = [np.mean(w(ens.positions)), np.mean(w(run.final.positions))]
+        assert np.array_equal(run.moments[name], want)
+
+
+def test_steps_skip_the_constructor_rescan(monkeypatch):
+    ens = ensemble_at(0.5, 1000, seed=4)
+    scans = []
+    monkeypatch.setattr(ParticleEnsemble, "__post_init__", lambda self: scans.append(self.t))
+    run = simulate(ens, ou_brownian_spec(), dt=0.1, t_final=0.3)
+    assert scans == []
+    final = run.final
+    assert (final.t, final.seed, final.step_index, final.n_particles) == (0.1 + 0.1 + 0.1, 4, 3, 1000)
+    ParticleEnsemble(final.positions, final.t, final.seed, final.step_index)
+    assert len(scans) == 1  # the public constructor still scans
+
+
 def test_chunk_size_is_validated():
     with pytest.raises(ValueError, match="chunk_size"):
         simulate(ensemble_at(0.0, 10), ou_brownian_spec(), dt=0.1, t_final=0.2, chunk_size=0)

@@ -1,5 +1,6 @@
-"""Every name a module lists in ``__all__`` resolves on that module, and no
-module imports a name it never uses."""
+"""Every name a module lists in ``__all__`` resolves on that module, no
+module imports a name it never uses, and importing levyfp loads neither scipy
+nor multiprocessing."""
 import ast
 import importlib
 import pathlib
@@ -53,3 +54,42 @@ def test_unused_import_check_sees_what_it_should():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+DEFERRED = ("scipy", "multiprocessing")
+
+
+def import_time_imports(source: str) -> list:
+    """Imports of a package in ``DEFERRED`` that run when the module is loaded:
+    every statement outside a function body, class bodies and ``if``/``try``
+    blocks included."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        else:
+            names = []
+        found.extend(f"{n} (line {node.lineno})" for n in names if n.split(".")[0] in DEFERRED)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_import_time_check_sees_what_it_should():
+    source = ("import numpy\nfrom scipy.special import pdtrc\nif True:\n    import multiprocessing.pool\n"
+              "class A:\n    import scipy\n    def f(self):\n        import scipy.integrate\n"
+              "def g():\n    from scipy.integrate import quad\nfrom .scipy import x\nimport scipyx\n")
+    assert import_time_imports(source) == [
+        "scipy.special (line 2)", "multiprocessing.pool (line 4)", "scipy (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "levyfp").glob("*.py")), ids=lambda p: p.name)
+def test_no_import_time_scipy_or_multiprocessing(path):
+    assert import_time_imports(path.read_text()) == []
