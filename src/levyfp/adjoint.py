@@ -40,34 +40,29 @@ __all__ = [
 # terminal data
 
 
-def tanh_profile(grid: Grid, slope: float = 1.0) -> ScalarField:
-    return ScalarField(grid=grid, values=np.tanh(slope * grid.nodes))
+def tanh_profile(grid: Grid) -> ScalarField:
+    return ScalarField(grid=grid, values=np.tanh(grid.nodes))
 
 
-def ramp_profile(grid: Grid, a: float = -1.0, b: float = 1.0) -> ScalarField:
-    if not a < b:
-        raise ValueError(f"ramp needs a < b, got a={a}, b={b}")
-    return ScalarField(grid=grid, values=np.clip((grid.nodes - a) / (b - a), 0.0, 1.0))
+def ramp_profile(grid: Grid) -> ScalarField:
+    """0 left of -1, 1 right of 1, linear in between."""
+    return ScalarField(grid=grid, values=np.clip((grid.nodes + 1.0) / 2.0, 0.0, 1.0))
 
 
-def smoothed_indicator(grid: Grid, a: float = -1.0, b: float = 1.0, width: float = 0.2) -> ScalarField:
-    """Smooth profile ~ 1 on [a, b], falling to 0 over the scale width."""
-    if not a < b or width <= 0:
-        raise ValueError("need a < b and width > 0")
+def smoothed_indicator(grid: Grid) -> ScalarField:
+    """Smooth profile ~ 1 on [-1, 1], falling to 0 over the scale 0.2."""
     x = grid.nodes
-    vals = 0.5 * (np.tanh((x - a) / width) - np.tanh((x - b) / width))
+    vals = 0.5 * (np.tanh((x + 1.0) / 0.2) - np.tanh((x - 1.0) / 0.2))
     return ScalarField(grid=grid, values=vals)
 
 
-def tapered_linear(grid: Grid, plateau: float = 0.65, cutoff: float = 0.95) -> ScalarField:
-    """x rolled off to zero near the seam: exactly x on |x| <= plateau*L,
-    exactly 0 beyond cutoff*L, cos^2-smooth in between. Keeps spectral stages
+def tapered_linear(grid: Grid) -> ScalarField:
+    """x rolled off to zero near the seam: exactly x on |x| <= 0.65 L,
+    exactly 0 beyond 0.95 L, cos^2-smooth in between. Keeps spectral stages
     free of a seam jump without distorting the interior."""
-    if not 0.0 < plateau < cutoff <= 1.0:
-        raise ValueError("need 0 < plateau < cutoff <= 1")
     x = grid.nodes
-    r0 = plateau * grid.half_width
-    r1 = cutoff * grid.half_width
+    r0 = 0.65 * grid.half_width
+    r1 = 0.95 * grid.half_width
     ramp = np.clip((np.abs(x) - r0) / (r1 - r0), 0.0, 1.0)
     vals = np.where(ramp >= 1.0, 0.0, x * np.cos(0.5 * np.pi * ramp) ** 2)
     return ScalarField(grid=grid, values=vals)
@@ -78,6 +73,8 @@ def tapered_linear(grid: Grid, plateau: float = 0.65, cutoff: float = 0.95) -> S
 
 
 class _AdjointStepper:
+    """One Lie step of the backward clock; jump_route as in forward._Stepper."""
+
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, jump_route: str,
                  forward_horizon: float | None):
         if spec.is_time_dependent and forward_horizon is None:
@@ -128,7 +125,6 @@ def solve_backward(
     spec: GeneratorSpec,
     s_final: float,
     dt: float,
-    jump_route: str = "auto",
     source=None,
     forward_horizon: float | None = None,
     record_every: int = 1,
@@ -139,7 +135,7 @@ def solve_backward(
     source may be None, a static array/field, or a callable s -> array.
     """
     grid = xi.grid
-    stepper = _AdjointStepper(spec, grid, dt, jump_route, forward_horizon)
+    stepper = _AdjointStepper(spec, grid, dt, "auto", forward_horizon)
     guard = RunGuard(dt, s_final, record_every, clock="s")
 
     if source is None:
@@ -194,14 +190,12 @@ class DualityReport:
     rhs: float
     dt: float
     n_steps: int
-    description: dict
 
 
 def duality_residual(
     fw,
     xi: ScalarField,
     source=None,
-    jump_route: str = "auto",
 ) -> DualityReport:
     """Measure the pairing gap between a completed forward run and a fresh
     backward run of the same generator on the same grid and time step.
@@ -226,8 +220,8 @@ def duality_residual(
 
     n_steps = RunGuard(fw.dt, t, clock="s").n_steps
     adj = solve_backward(
-        xi, fw.spec, s_final=t, dt=fw.dt, jump_route=jump_route,
-        source=src_arr, forward_horizon=t if fw.spec.is_time_dependent else None,
+        xi, fw.spec, s_final=t, dt=fw.dt, source=src_arr,
+        forward_horizon=t if fw.spec.is_time_dependent else None,
         record_every=max(1, n_steps),
     )
     vol = grid.cell_volume
@@ -247,5 +241,4 @@ def duality_residual(
         rhs=rhs,
         dt=fw.dt,
         n_steps=n_steps,
-        description=fw.spec.describe(),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -140,7 +141,7 @@ def _coerce(key, tag, value):
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
-        return float(value)
+        return _finite(key, value)
     if tag == "str-list":
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"{key}: expected a list of strings, got {value!r}")
@@ -150,8 +151,17 @@ def _coerce(key, tag, value):
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
-        return [float(v) for v in value]
+        return [_finite(key, v) for v in value]
     raise AssertionError(tag)
+
+
+def _finite(key, value) -> float:
+    """float(value); NaN and +-inf would reach the solvers and the
+    serializer, so they are refused here with the key's name."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return value
 
 
 def parse_weight(label: str) -> WeightFunction:

@@ -114,7 +114,6 @@ class LocalDiffusionSpec:
     lambda0: float
     kind: str = "constant"
     sigma0: float = 0.0
-    sigma1: float = 0.0
     sigma_fn: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -127,14 +126,13 @@ class LocalDiffusionSpec:
 
     @staticmethod
     def tanh_variable(lambda0: float, a: float) -> "LocalDiffusionSpec":
-        """Sigma(x) = a*tanh(x): sup bound sigma0 = a, Lipschitz bound sigma1 = a."""
+        """Sigma(x) = a*tanh(x), with sup bound sigma0 = a."""
         if a < 0:
             raise ValueError(f"amplitude must be >= 0, got {a}")
         return LocalDiffusionSpec(
             lambda0=lambda0,
             kind="tanh",
             sigma0=a,
-            sigma1=a,
             sigma_fn=lambda x: a * np.tanh(x),
         )
 
@@ -247,19 +245,3 @@ class GeneratorSpec:
     @property
     def is_time_dependent(self) -> bool:
         return self.drift.time_dependent
-
-    def describe(self) -> dict:
-        d = {
-            "lambda0": self.diffusion.lambda0,
-            "sigma_kind": self.diffusion.kind,
-            "levy_kind": self.levy.kind,
-            "drift_kind": self.drift.kind,
-            "drift_alpha": self.drift.alpha,
-            "drift_gamma": self.drift.gamma,
-        }
-        if self.levy.is_active:
-            d["levy_sigma"] = self.levy.sigma
-            d["levy_scale"] = self.levy.scale
-        if self.diffusion.has_variable_part:
-            d["sigma0"] = self.diffusion.sigma0
-        return d

@@ -12,7 +12,7 @@ checkers and every other experiment load numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,22 +31,24 @@ __all__ = [
 ]
 
 
+# shell quadrature range of the jump integral on weights: Taylor model below
+# _R_MIN, exact power-law tail beyond _Z_MAX
+_R_MIN, _Z_MAX = 1e-6, 1e12
+# times besides t = 0 at which a time-dependent drift is probed
+_DRIFT_PROBE_TIMES = (0.7, 1.9)
+# sample radii of the super-solution inequality, before midpoint refinement
+_LEMMA_RADII = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 161)])
+
+
 # ---------------------------------------------------------------------------
 # generator action on weights
 
 
-def generator_on_weight(
-    g: GeneratorSpec,
-    w: WeightFunction,
-    xs: np.ndarray,
-    t: float = 0.0,
-    r_min: float = 1e-6,
-    z_max: float = 1e12,
-) -> np.ndarray:
+def generator_on_weight(g: GeneratorSpec, w: WeightFunction, xs: np.ndarray, t: float = 0.0) -> np.ndarray:
     """L^b[w](x) = -(lambda0 + Sigma^2(x)) w'' - I(x, [w]) + b(t, x) w' at xs.
 
     Derivatives are analytic; the jump integral uses shell quadrature plus an
-    exact power-law tail beyond z_max, so weights with k close to sigma do not
+    exact power-law tail beyond _Z_MAX, so weights with k close to sigma do not
     lose their slowly converging tail."""
     if w.profile_d1 is None or w.profile_d2 is None:
         raise ValueError(f"weight {w.label!r} needs first and second derivative evaluators")
@@ -65,13 +67,13 @@ def generator_on_weight(
                 f"jump part requires a weight growing slower than the measure decays: "
                 f"need k < sigma, got k={w.k:g}, sigma={nu.sigma:g}"
             )
-        jump = levy_integral_callable(w, x, nu, d2fn=w.hess, r_min=r_min, z_max=z_max)
+        jump = levy_integral_callable(w, x, nu, d2fn=w.hess, r_min=_R_MIN, z_max=_Z_MAX)
         if nu.kind == "fractional" and w.kind == "power" and w.k > 0:
-            # beyond z_max the compensated difference is 2 z^k - 2 w(x) up to
+            # beyond _Z_MAX the compensated difference is 2 z^k - 2 w(x) up to
             # O(x^2/z^2) relative, and the pure power density integrates exactly
             s = nu.sigma
             jump = jump + 2.0 * nu.lower * (
-                z_max ** (w.k - s) / (s - w.k) - w(x) * z_max ** (-s) / s
+                _Z_MAX ** (w.k - s) / (s - w.k) - w(x) * _Z_MAX ** (-s) / s
             )
         out = out - jump
     return out
@@ -86,7 +88,7 @@ def _smallest_K(g: GeneratorSpec, beta: float, eps: float, radii: np.ndarray) ->
     x = np.concatenate([radii, -radii[radii > 0]])
     alpha, gamma = g.drift.alpha, g.drift.gamma
     rhs = (alpha - eps) * beta * w(x) / bracket(x) ** (2.0 - gamma)
-    t_samples = (0.0, 0.7, 1.9) if g.is_time_dependent else (0.0,)
+    t_samples = (0.0, *_DRIFT_PROBE_TIMES) if g.is_time_dependent else (0.0,)
     worst = -math.inf
     for t in t_samples:
         deficit = rhs - generator_on_weight(g, w, x, t=t)
@@ -94,14 +96,12 @@ def _smallest_K(g: GeneratorSpec, beta: float, eps: float, radii: np.ndarray) ->
     return max(0.0, worst)
 
 
-def verify_lemma_lyap(
-    g: GeneratorSpec, beta: float, eps: float, radii: np.ndarray | None = None
-) -> tuple[bool, float]:
+def verify_lemma_lyap(g: GeneratorSpec, beta: float, eps: float) -> tuple[bool, float]:
     """Smallest additive constant K closing the super-solution inequality
 
         L^b[<x>^beta] >= (alpha - eps) beta <x>^beta / <x>^{2-gamma} - K
 
-    on sampled radii (both signs), together with a verdict: K must be finite
+    on _LEMMA_RADII (both signs), together with a verdict: K must be finite
     and stable under midpoint refinement of the radius set."""
     if beta < 0 or not np.isfinite(beta):
         raise ValueError(f"beta must be >= 0, got {beta}")
@@ -118,11 +118,7 @@ def verify_lemma_lyap(
             f"with a jump part and beta > 1 the drift growth must dominate the "
             f"jump transport (gamma > 1): got beta={beta:g}, gamma={g.drift.gamma:g}"
         )
-    if radii is None:
-        radii = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 161)])
-    radii = np.unique(np.abs(np.asarray(radii, dtype=float)))
-    if radii.size < 2:
-        raise ValueError("need at least two sample radii")
+    radii = _LEMMA_RADII
     refined = np.unique(np.concatenate([radii, 0.5 * (radii[:-1] + radii[1:])]))
     k_coarse = _smallest_K(g, beta, eps, radii)
     k_fine = _smallest_K(g, beta, eps, refined)
@@ -141,13 +137,11 @@ class LyapunovReport:
     """Measured generator-to-weight ratios and the regime they support."""
 
     weight: WeightFunction
-    generator: GeneratorSpec
     radii: np.ndarray
     ratio: np.ndarray
     classification: str  # "H1" | "H2" | "neither"
     omega0: float | None
     h_model: dict | None
-    h_ratio: np.ndarray | None
     K_eps_table: dict
 
     def to_json(self) -> dict:
@@ -180,12 +174,7 @@ def _log_slope(logx: np.ndarray, logy: np.ndarray) -> tuple[float, float, float]
     return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(res**2)))
 
 
-def classify_weight(
-    g: GeneratorSpec,
-    w: WeightFunction,
-    radii: np.ndarray | None = None,
-    h1_threshold: float = 1e-3,
-) -> LyapunovReport:
+def classify_weight(g: GeneratorSpec, w: WeightFunction) -> LyapunovReport:
     """Decide which decay regime the weight supports under the generator.
 
     The liminf of L^b[w]/w is approximated by the infimum over the outer
@@ -194,21 +183,18 @@ def classify_weight(
     and the exponential regime is not claimed. Failing that, decreasing-h
     models (power in w, inverse power of log w) are fitted on the outer half
     and selected by residual; "neither" is a valid outcome."""
-    radii = _default_radii(w) if radii is None else np.asarray(radii, dtype=float)
-    radii = np.unique(radii[radii > 0])
-    if radii.size < 16:
-        raise ValueError("need at least 16 sample radii to split tail bands")
+    radii = _default_radii(w)
     lb_pos = generator_on_weight(g, w, radii)
     lb_neg = generator_on_weight(g, w, -radii)
     if g.is_time_dependent:
-        for t in (0.7, 1.9):
+        for t in _DRIFT_PROBE_TIMES:
             lb_pos = np.minimum(lb_pos, generator_on_weight(g, w, radii, t=t))
             lb_neg = np.minimum(lb_neg, generator_on_weight(g, w, -radii, t=t))
     vals = np.minimum(lb_pos, lb_neg)  # lower envelope: the inequalities are one-sided
     phi = w(radii)
     ratio = vals / phi
 
-    def report(classification, omega0=None, h_model=None, h_ratio=None):
+    def report(classification, omega0=None, h_model=None):
         table = {}
         if w.kind == "power":
             try:
@@ -216,9 +202,8 @@ def classify_weight(
             except ValueError:
                 table = {}
         return LyapunovReport(
-            weight=w, generator=g, radii=radii, ratio=ratio,
-            classification=classification, omega0=omega0, h_model=h_model,
-            h_ratio=h_ratio, K_eps_table=table,
+            weight=w, radii=radii, ratio=ratio, classification=classification,
+            omega0=omega0, h_model=h_model, K_eps_table=table,
         )
 
     if not np.all(np.isfinite(ratio)):
@@ -235,7 +220,7 @@ def classify_weight(
     keep = radii <= radii[-1] / 2.0
     omega_half = band_inf(radii[keep], ratio[keep]) if keep.sum() >= 8 else omega_full
     stable = abs(omega_full - omega_half) <= 0.1 * max(abs(omega_half), 1e-12)
-    if omega_full > h1_threshold and stable:
+    if omega_full > 1e-3 and stable:
         return report("H1", omega0=omega_full)
 
     # sub-exponential regime: L^b[w] must still blow up along the tail
@@ -264,9 +249,7 @@ def classify_weight(
             )
     if not candidates:
         return report("neither")
-    best = min(candidates, key=lambda m: m["residual"])
-    h = h_model_function(best)
-    return report("H2", h_model=best, h_ratio=vals / (h(phi) * phi))
+    return report("H2", h_model=min(candidates, key=lambda m: m["residual"]))
 
 
 def h_model_function(model: dict):
@@ -288,18 +271,13 @@ def h_model_function(model: dict):
 
 @dataclass(frozen=True)
 class RateOdeSolution:
-    """Recorded varpi trajectory plus the dense interpolant behind it."""
+    """Recorded varpi trajectory and the worst implicit-identity residual."""
 
     times: np.ndarray
     varpi: np.ndarray
     L: float
     theta: float
     max_implicit_residual: float
-    _dense: object = field(default=None, repr=False)
-
-    def __call__(self, t):
-        out = self._dense(np.asarray(t, dtype=float))
-        return out[0] if out.ndim > 1 else float(out[0])
 
 
 def solve_rate_ode(h, L: float, theta: float, T: float, n_points: int = 201) -> RateOdeSolution:
@@ -339,7 +317,7 @@ def solve_rate_ode(h, L: float, theta: float, T: float, n_points: int = 201) -> 
     times = np.linspace(0.0, T, n_points)
     sol = solve_ivp(
         rhs, (0.0, T), [1.0], method="RK45", t_eval=times,
-        dense_output=True, rtol=1e-11, atol=1e-16,
+        rtol=1e-11, atol=1e-16,
     )
     if not sol.success:
         raise RuntimeError(f"rate ODE integration failed: {sol.message}")
@@ -360,5 +338,5 @@ def solve_rate_ode(h, L: float, theta: float, T: float, n_points: int = 201) -> 
         )
     return RateOdeSolution(
         times=times, varpi=varpi, L=float(L), theta=float(theta),
-        max_implicit_residual=float(worst), _dense=sol.sol,
+        max_implicit_residual=float(worst),
     )

@@ -241,8 +241,6 @@ def levy_integral_callable(
     d2fn=None,
     r_min: float = 1e-6,
     z_max: float = 1e12,
-    shells_per_octave: int = 1,
-    nodes_per_shell: int = 8,
 ) -> np.ndarray:
     """Compensated jump integral of a callable u at arbitrary points (d=1).
 
@@ -252,7 +250,7 @@ def levy_integral_callable(
     """
     if not nu.is_active:
         return np.zeros_like(np.asarray(xs, dtype=float))
-    z, w = shell_quadrature_nodes(r_min, z_max, shells_per_octave, nodes_per_shell)
+    z, w = shell_quadrature_nodes(r_min, z_max)
     rho_w = w * nu.density(z)
     x = np.asarray(xs, dtype=float)[:, None]
     fx = fn(x)
@@ -412,7 +410,8 @@ class RunGuard:
             raise NumericalFailure(
                 f"stationary profile parks {b:.3e} mass in the boundary band (eps={eps:g}); enlarge the box"
                 if t is None else
-                f"boundary mass {b:.3e} exceeds eps={eps:g} at t={t:g}: the box is too small for this horizon")
+                f"boundary mass {b:.3e} exceeds eps={eps:g} at t={t:g}: the box is too small for this horizon, "
+                f"or dx={dx:g} is too coarse for the data")
         return b
 
     @staticmethod

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 _JUMP_CAP = 8  # compound-Poisson jumps kept per tempered step; excess reported
-# particles per chunk when the caller sets none: a fractional chunk's uniform
+# particles per chunk, for every particle loop: a fractional chunk's uniform
 # block (1 MB) and its temporaries stay in a 2-4 MB L2 cache. A 1e6-particle
 # step on one thread of a 2-vCPU Xeon timed flat from 16k to 128k particles
 # per chunk and 27% slower at 256k.
@@ -135,8 +135,8 @@ class ParticleEnsemble:
         return self.positions.size
 
 
-def ensemble_at(x0: float, n_particles: int, seed: int = 0, t: float = 0.0) -> ParticleEnsemble:
-    return ParticleEnsemble(np.full(n_particles, float(x0)), t, seed)
+def ensemble_at(x0: float, n_particles: int, seed: int = 0) -> ParticleEnsemble:
+    return ParticleEnsemble(np.full(n_particles, float(x0)), 0.0, seed)
 
 
 def ensemble_from_density(m: DensityField, n_particles: int, seed: int = 0) -> ParticleEnsemble:
@@ -162,7 +162,7 @@ def ensemble_from_density(m: DensityField, n_particles: int, seed: int = 0) -> P
         frac = (u - prev) / np.maximum(cdf[idx] - prev, 1e-300)
         positions[i0:i1] = left + frac * g.dx
 
-    _for_chunks(draw, n_particles, None, None)
+    _for_chunks(draw, n_particles, None)
     return ParticleEnsemble(positions, 0.0, seed)
 
 
@@ -288,23 +288,20 @@ class _ParticleStepper:
         return None if self.tempered is None else self.tempered.cap_excess
 
 
-def _chunk_bounds(n: int, chunk_size: int | None):
-    """The fewest equal chunks of at most chunk_size (default _CHUNK)
-    particles, so that threads get even shares."""
-    size = _CHUNK if chunk_size is None else chunk_size
-    if size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    k = -(-n // size)
+def _chunk_bounds(n: int):
+    """The fewest equal chunks of at most _CHUNK particles, so that threads
+    get even shares."""
+    k = -(-n // _CHUNK)
     edges = [n * i // k for i in range(k + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
 @contextmanager
-def _chunk_pool(n: int, chunk_size: int | None):
+def _chunk_pool(n: int):
     """Thread pool for one run's chunks, one thread per core this process may
     run on but no more than there are chunks; None (run inline) when that is
     one thread."""
-    workers = min(len(os.sched_getaffinity(0)), len(_chunk_bounds(n, chunk_size)))
+    workers = min(len(os.sched_getaffinity(0)), len(_chunk_bounds(n)))
     if workers == 1:
         yield None
         return
@@ -312,12 +309,12 @@ def _chunk_pool(n: int, chunk_size: int | None):
         yield pool
 
 
-def _for_chunks(advance, n: int, chunk_size: int | None, pool: ThreadPoolExecutor | None):
+def _for_chunks(advance, n: int, pool: ThreadPoolExecutor | None):
     """advance(i0, i1) for every chunk, on the pool when there is one. Chunks
     write disjoint slices. The first failure in chunk order is raised once
     the chunks already running have finished; chunks not yet started are
     cancelled."""
-    bounds = _chunk_bounds(n, chunk_size)
+    bounds = _chunk_bounds(n)
     if pool is None:
         for i0, i1 in bounds:
             advance(i0, i1)
@@ -334,13 +331,11 @@ def _for_chunks(advance, n: int, chunk_size: int | None, pool: ThreadPoolExecuto
 
 
 def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
-                  chunk_size: int | None = None,
                   _stepper: _ParticleStepper | None = None,
                   _pool: ThreadPoolExecutor | None = None) -> ParticleEnsemble:
-    """Advance every particle one Euler step in chunks of at most chunk_size
-    particles (a cache-sized default when None), and raise NumericalFailure
-    if a position leaves the finite range. The result is bitwise independent
-    of chunk_size and of the pool the chunks run on."""
+    """Advance every particle one Euler step in cache-sized chunks, and raise
+    NumericalFailure if a position leaves the finite range. The result is
+    bitwise independent of the chunk size and of the pool the chunks run on."""
     stepper = _stepper if _stepper is not None else _ParticleStepper(spec, dt)
     stream = ens.step_index + 1
     t_new = ens.t + dt
@@ -351,7 +346,7 @@ def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
         stepper.move(ens.positions[i0:i1], ens.t, u, out=new[i0:i1])
         RunGuard.check_positions(new[i0:i1], t_new)
 
-    _for_chunks(advance, ens.n_particles, chunk_size, _pool)
+    _for_chunks(advance, ens.n_particles, _pool)
     # every chunk has checked its positions: skip the constructor's rescan
     stepped = object.__new__(ParticleEnsemble)
     stepped.__dict__.update(positions=new, t=t_new, seed=ens.seed, step_index=ens.step_index + 1)
@@ -370,14 +365,10 @@ class ParticleRun:
     dt: float
     cap_excess: float | None = None
 
-    def moment_series(self, name: str) -> np.ndarray:
-        return self.moments[name]
-
 
 def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: float,
              record_every: int = 1,
-             moment_weights: dict[str, WeightFunction] | None = None,
-             chunk_size: int | None = None) -> ParticleRun:
+             moment_weights: dict[str, WeightFunction] | None = None) -> ParticleRun:
     """March the ensemble to t_final recording mean weight values (empirical
     weighted moments) every record_every steps. Every step is checked for
     finiteness. The chunks of a step, and the weight evaluations of a record,
@@ -396,13 +387,13 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
             def evaluate(i0: int, i1: int):
                 values[i0:i1] = w(ens.positions[i0:i1])
 
-            _for_chunks(evaluate, ens.n_particles, chunk_size, pool)
+            _for_chunks(evaluate, ens.n_particles, pool)
             moments[name].append(float(np.mean(values)))
 
-    with _chunk_pool(ens.n_particles, chunk_size) as pool:
+    with _chunk_pool(ens.n_particles) as pool:
         record()
         for k in range(1, guard.n_steps + 1):
-            ens = step_ensemble(ens, spec, dt, chunk_size, _stepper=stepper, _pool=pool)
+            ens = step_ensemble(ens, spec, dt, _stepper=stepper, _pool=pool)
             if guard.records(k):
                 record()
 
@@ -466,7 +457,7 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
 
     times, frac = [0.0], [float(np.mean(~coupled))]
     t = 0.0
-    with _chunk_pool(n_pairs, None) as pool:
+    with _chunk_pool(n_pairs) as pool:
         for k in range(1, guard.n_steps + 1):
             x_new, y_new = np.empty_like(x), np.empty_like(y)
             t_new = k * dt
@@ -485,7 +476,7 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
                 guard.check_positions(xs, t_new)
                 guard.check_positions(ys, t_new)
 
-            _for_chunks(advance, n_pairs, None, pool)
+            _for_chunks(advance, n_pairs, pool)
             t = t_new
             x, y = x_new, y_new
             if guard.records(k):

@@ -170,8 +170,8 @@ def fit_stretched(times, values, window=None, transient_frac=0.0, series_source=
     return DecayFit("stretched", params, window, r2, series_source)
 
 
-def window_shift_stability(fitter, times, values, window=None, shift_frac=0.2, **kwargs) -> dict:
-    """Refit with the window start shifted by +-shift_frac of the horizon.
+def window_shift_stability(fitter, times, values, window=None, **kwargs) -> dict:
+    """Refit with the window start shifted by +-0.2 of the horizon.
 
     Returns the base fit, the shifted exponents, and the largest relative
     exponent change; acceptance gates read max_rel_change.
@@ -182,10 +182,10 @@ def window_shift_stability(fitter, times, values, window=None, shift_frac=0.2, *
     horizon = t[-1] - t[0]
     shifted = {}
     for sign in (-1.0, 1.0):
-        lo = t_lo + sign * shift_frac * horizon
+        lo = t_lo + sign * 0.2 * horizon
         lo = min(max(lo, t[0]), t_hi - 0.05 * horizon)
         fit = fitter(times, values, window=(lo, t_hi), **kwargs)
-        shifted[f"{sign * shift_frac:+g}"] = fit.exponent
+        shifted[f"{sign * 0.2:+g}"] = fit.exponent
     ref = max(abs(base.exponent), 1e-12)
     max_rel = max(abs(e - base.exponent) / ref for e in shifted.values())
     return {"fit": base, "shifted_exponents": shifted, "max_rel_change": max_rel}

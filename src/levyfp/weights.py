@@ -72,10 +72,6 @@ class WeightFunction:
             profile_d2=lambda s: (mu * k * (k - 1.0) * s ** (k - 2.0) + (mu * k * s ** (k - 1.0)) ** 2) * val(s),
         )
 
-    @staticmethod
-    def custom(fn, d1=None, d2=None, label: str = "custom") -> "WeightFunction":
-        return WeightFunction(kind="custom", label=label, profile=fn, profile_d1=d1, profile_d2=d2)
-
     def __call__(self, x) -> np.ndarray:
         return self.profile(bracket(x))
 

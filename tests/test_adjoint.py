@@ -16,7 +16,13 @@ from levyfp.adjoint import (
 from levyfp.forward import NumericalFailure, gaussian, solve
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Grid, ScalarField
-from levyfp.operators import divergence_of_flux, face_velocities, levy_integral_field, transport_flux
+from levyfp.operators import (
+    StepSetup,
+    divergence_of_flux,
+    face_velocities,
+    levy_integral_field,
+    transport_flux,
+)
 from levyfp.weights import WeightFunction
 
 GRID = Grid(n=1024, half_width=16.0)
@@ -41,11 +47,6 @@ def test_profiles_live_on_the_grid():
         assert np.all(np.isfinite(xi.values))
 
 
-def test_ramp_rejects_bad_interval():
-    with pytest.raises(ValueError, match="a < b"):
-        ramp_profile(GRID, a=1.0, b=-1.0)
-
-
 def test_tapered_linear_is_x_inside_and_zero_at_seam():
     xi = tapered_linear(GRID)
     inner = np.abs(GRID.nodes) <= 0.65 * GRID.half_width
@@ -58,10 +59,16 @@ def test_tapered_linear_is_x_inside_and_zero_at_seam():
 # backward marching
 
 
-@pytest.mark.parametrize("route", ["spectral", "quadrature"])
-def test_constant_terminal_datum_stays_constant(route):
+@pytest.mark.parametrize("levy, route", [
+    (LevyMeasureSpec.fractional(1.5), "spectral"),
+    (LevyMeasureSpec.tempered(1.5), "quadrature"),
+], ids=["spectral", "quadrature"])
+def test_constant_terminal_datum_stays_constant(levy, route):
+    # runs resolve the route from the measure: the exact symbol when there is one
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), levy, DriftSpec.ou(1.0))
+    assert StepSetup(spec, GRID, 1e-3, "auto").jump_route == route
     xi = ScalarField(grid=GRID, values=np.full(GRID.n, 0.7))
-    run = solve_backward(xi, OU_FRAC, s_final=0.1, dt=1e-3, jump_route=route, record_every=25)
+    run = solve_backward(xi, spec, s_final=0.1, dt=1e-3, record_every=25)
     for p in run.profiles:
         assert np.abs(p.values - 0.7).max() < 1e-12
 

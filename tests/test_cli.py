@@ -205,6 +205,33 @@ def test_run_numerical_failure_exits_3(tmp_path):
     assert (tmp_path / "out" / "config.resolved.json").exists()
 
 
+def test_boundary_failure_names_the_grid_spacing(tmp_path):
+    # at dx = 1 the diffusion stage spreads data of std 1 into the band by
+    # t = 0.05, and a larger box fails sooner: the message names dx as well
+    cfg = write_config(tmp_path, "coarse.json", **{
+        "grid.n": 64, "grid.half_width": 32.0, "output.dir": str(tmp_path / "out")})
+    assert main(["run", str(cfg)]) == 3
+    error = json.loads((tmp_path / "out" / "failure.json").read_text())["error"]
+    assert error.startswith("boundary mass ")
+    assert error.endswith(" exceeds eps=1e-06 at t=0.05: the box is too small for this horizon, "
+                          "or dx=1 is too coarse for the data")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key, value, shown", [
+    ("time.t_final", float("inf"), "inf"),
+    ("time.dt", float("nan"), "nan"),
+    ("sweep.gamma", [float("nan")], "nan"),
+])
+def test_non_finite_number_is_refused_by_key(tmp_path, capsys, command, key, value, shown):
+    # json writes these as Infinity and NaN, which Python's parser accepts
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "nonfinite.json", **{key: value, "output.dir": str(out)})
+    assert main([command, str(cfg)]) == 2
+    assert f"config error: {key}: expected a finite number, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_forward_blow_up_exits_3_with_its_time(tmp_path, monkeypatch):
     # a stepper that turns one value into inf at step 30; with time.stride 25

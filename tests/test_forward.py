@@ -162,7 +162,7 @@ def test_zero_average_run_decays_and_keeps_zero_mass():
         eps_boundary=0.05,
     )
     assert np.abs(fw.mass).max() < 1e-13
-    series = fw.norm_series("m0")
+    series = fw.weighted_norms["m0"]
     late = series[fw.times >= 1.0]
     assert np.all(np.diff(late) <= 1e-12)
     assert series[-1] < 0.05 * series[0]
@@ -227,7 +227,7 @@ def test_norm_series_accessor_matches_direct_norm():
     m0 = gaussian(GRID)
     w = WeightFunction.power(0.5)
     fw = solve(m0, ou_spec(), t_final=0.01, dt=1e-3, record_weights={"mk": w})
-    assert fw.norm_series("mk")[0] == pytest.approx(weighted_tv_norm(m0, w))
+    assert fw.weighted_norms["mk"][0] == pytest.approx(weighted_tv_norm(m0, w))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +408,8 @@ def test_stationary_nonconvergence_raises():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e13])
 def test_stationary_blow_up_is_raised_at_the_first_block_end(monkeypatch, bad):
-    # step 3 writes one bad value; with check_interval 1 and dt 0.01 the first
-    # block ends at step 100, not at max_time (500 steps)
+    # step 3 writes one bad value; with blocks of unit time and dt 0.01 the
+    # first block ends at step 100, not at max_time (500 steps)
     steps = []
     clean = _Stepper.step
 

@@ -223,8 +223,6 @@ def test_rate_ode_trajectory_invariants():
     assert np.all(np.diff(sol.varpi) < 0)  # strictly decreasing
     assert np.all((sol.varpi > 0) & (sol.varpi <= 1.0))
     assert sol.max_implicit_residual < 1e-6
-    # dense evaluator agrees with the recorded samples
-    assert sol(sol.times[57]) == pytest.approx(sol.varpi[57], rel=1e-9)
 
 
 def test_rate_ode_inverse_log_h_gives_stretched_profile():

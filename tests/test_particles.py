@@ -113,14 +113,16 @@ def test_empirical_cf_of_point_mass_is_cosine():
 # determinism
 
 
-def test_chunking_does_not_change_trajectories():
+def test_chunking_does_not_change_trajectories(monkeypatch):
     spec = ou_frac_spec()
     ens = ensemble_from_density(gaussian(GRID, std=1.0), 5000, seed=21)
     whole = ens
-    split = ens
     for _ in range(5):
         whole = step_ensemble(whole, spec, 1e-2)
-        split = step_ensemble(split, spec, 1e-2, chunk_size=999)
+    monkeypatch.setattr(particles, "_CHUNK", 999)
+    split = ens
+    for _ in range(5):
+        split = step_ensemble(split, spec, 1e-2)
     assert np.array_equal(whole.positions, split.positions)
 
 
@@ -142,7 +144,7 @@ def test_moment_series_accessor():
     w = {"flat": WeightFunction.power(0.0)}
     run = simulate(ensemble_at(0.0, 100), ou_brownian_spec(), dt=0.1, t_final=0.3,
                    moment_weights=w)
-    assert np.allclose(run.moment_series("flat"), 1.0)
+    assert np.allclose(run.moments["flat"], 1.0)
     assert run.times[0] == 0.0 and run.times[-1] == pytest.approx(0.3)
 
 
@@ -166,7 +168,7 @@ def test_tempered_run_matches_second_moment_growth():
     rho = lambda z: lev.density(np.array([z]))[0]
     m2_rate = 2.0 * quad(lambda z: z * z * rho(z), 0.0, np.inf)[0]
     spec = GeneratorSpec(LocalDiffusionSpec.constant(0.25), lev, DriftSpec.none())
-    w = {"sq": WeightFunction.custom(lambda r: r * r)}
+    w = {"sq": WeightFunction.power(2.0)}
     run = simulate(ensemble_at(0.0, 50_000, seed=7), spec, dt=5e-3, t_final=0.5,
                    record_every=10**9, moment_weights=w)
     want = 1.0 + 2.0 * 0.25 * 0.5 + 0.5 * m2_rate
@@ -323,6 +325,12 @@ def set_cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
 
 
+def set_chunk(monkeypatch, chunk):
+    """Run the particle steps in chunks of `chunk`; None keeps _CHUNK (32768)."""
+    if chunk is not None:
+        monkeypatch.setattr(particles, "_CHUNK", chunk)
+
+
 def assert_bitwise(a, b):
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
@@ -370,12 +378,13 @@ def test_gaussians_match_oracle_bitwise():
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
 @pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("chunk_size", [None, 999, 10**6])
-def test_simulate_matches_whole_array_oracle(monkeypatch, name, cores, chunk_size):
+@pytest.mark.parametrize("chunk", [None, 999, 10**6])
+def test_simulate_matches_whole_array_oracle(monkeypatch, name, cores, chunk):
     set_cores(monkeypatch, cores)
+    set_chunk(monkeypatch, chunk)
     spec = ORACLE_SPECS[name]
     ens = ensemble_from_density(gaussian(GRID, std=1.0), 70_001, seed=21)
-    run = simulate(ens, spec, dt=1e-2, t_final=0.05, chunk_size=chunk_size)
+    run = simulate(ens, spec, dt=1e-2, t_final=0.05)
     assert_bitwise(run.final.positions, simulate_oracle(ens, spec, 1e-2, 5))
 
 
@@ -414,7 +423,7 @@ def test_coupling_on_more_threads_than_cores_matches_oracle(monkeypatch):
     assert_bitwise(run.coupling_times, t_couple)
 
 
-def test_failed_chunk_cancels_the_chunks_not_yet_started():
+def test_failed_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
     # chunk 1 holds the single thread while the failure of chunk 0 is raised,
     # so chunks 2..49 are still queued and must never run
     ran, gate = set(), threading.Event()
@@ -425,9 +434,10 @@ def test_failed_chunk_cancels_the_chunks_not_yet_started():
         gate.wait(0.1)
         ran.add(i0)
 
+    monkeypatch.setattr(particles, "_CHUNK", 1)
     with ThreadPoolExecutor(max_workers=1) as pool:
         with pytest.raises(NumericalFailure, match="chunk 0"):
-            particles._for_chunks(advance, 50, 1, pool)
+            particles._for_chunks(advance, 50, pool)
     assert ran <= {1}
 
 
@@ -447,18 +457,19 @@ def test_ensemble_from_density_matches_one_block_draw():
 
 
 @pytest.mark.parametrize("cores", [1, 2, 8])
-@pytest.mark.parametrize("chunk_size", [None, 999, 10**6])
-def test_recorded_moments_match_whole_array_mean(monkeypatch, cores, chunk_size):
+@pytest.mark.parametrize("chunk", [None, 999, 10**6])
+def test_recorded_moments_match_whole_array_mean(monkeypatch, cores, chunk):
     # chunks write disjoint slices of one array; with more threads than
     # cores and frequent switches a lost write would change the mean
     set_cores(monkeypatch, cores)
+    set_chunk(monkeypatch, chunk)
     weights = {"pow0.5": WeightFunction.power(0.5), "pow1.2": WeightFunction.power(1.2)}
     ens = ensemble_from_density(gaussian(GRID, std=1.0), 70_001, seed=21)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         run = simulate(ens, ORACLE_SPECS["fractional"], dt=1e-2, t_final=0.05, record_every=5,
-                       moment_weights=weights, chunk_size=chunk_size)
+                       moment_weights=weights)
     finally:
         sys.setswitchinterval(interval)
     for name, w in weights.items():
@@ -478,11 +489,6 @@ def test_steps_skip_the_constructor_rescan(monkeypatch):
     assert len(scans) == 1  # the public constructor still scans
 
 
-def test_chunk_size_is_validated():
-    with pytest.raises(ValueError, match="chunk_size"):
-        simulate(ensemble_at(0.0, 10), ou_brownian_spec(), dt=0.1, t_final=0.2, chunk_size=0)
-
-
 # ---------------------------------------------------------------------------
 # finiteness on every step, whatever the record stride
 
@@ -496,10 +502,11 @@ def test_blow_up_raises_at_first_bad_step_for_any_stride(monkeypatch, cores):
                          DriftSpec.power(1e4, 2.0))
     n_steps = 200
     messages = []
+    monkeypatch.setattr(particles, "_CHUNK", 10_000)
     for record_every in (1, n_steps):
         with pytest.raises(NumericalFailure) as info:
             simulate(ensemble_at(1.0, 40_000, seed=4), spec, dt=1.0, t_final=float(n_steps),
-                     record_every=record_every, chunk_size=10_000)
+                     record_every=record_every)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("particle positions left the finite range at t=")
