@@ -30,15 +30,9 @@ from .config import (
 from .forward import NumericalFailure, solve, stationary_solve
 from .lyapunov import classify_weight, solve_rate_ode, verify_lemma_lyap
 from .particles import ensemble_at, ensemble_from_density, reflection_coupling_run, simulate
-from .rates import fit_exponential, fit_power, fit_stretched, predicted_q, window_shift_stability
+from .rates import FITTERS, predicted_q, window_shift_stability
 
 __all__ = ["main"]
-
-_FITTERS = {
-    "exponential": fit_exponential,
-    "power": fit_power,
-    "stretched": fit_stretched,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +76,7 @@ def _fit_series(cfg: ExperimentConfig, outdir: Path, times, series: dict, prefix
     fits = {}
     for lab, values in series.items():
         try:
-            report = window_shift_stability(_FITTERS[model], times, values, window=window,
+            report = window_shift_stability(FITTERS[model], times, values, window=window,
                                             transient_frac=cfg["fit.transient_frac"],
                                             series_source=prefix + lab)
         except ValueError as exc:
@@ -381,7 +375,7 @@ def _sweep_cell(payload) -> tuple:
             fit["fit"]["r2"],
             "ok",
         )
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return (gamma, sigma, k, kbar, q_pred, None, None, _sanitize(f"validation-error: {exc}"))
 
 
@@ -441,10 +435,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.workers)
         return cmd_validate(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError, or a library argument check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ One JSON object, no nesting, no includes: every key is a dotted path with a
 scalar or list value, so configs diff cleanly and the resolved echo re-parses
 to the identical run.  Validation is total: the grid, the generator, every
 weight, and every cross-field admissibility constraint are checked before any
-compute starts, and violations name the constraint they break.
+compute starts, and violations name the constraint they break.  A rule a
+library function relies on is that library's check, run on the built objects.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from .adjoint import ramp_profile, smoothed_indicator, tanh_profile, tapered_lin
 from .forward import gaussian, gaussian_difference, smooth_bump
 from .generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from .grids import Grid
+from .lyapunov import (
+    H_FORMS,
+    check_lemma_preconditions,
+    check_rate_ode_arguments,
+    check_weight_against_measure,
+    h_model_function,
+)
+from .operators import LIMITERS
+from .rates import FITTERS
 from .weights import WeightFunction
 
 __all__ = [
@@ -108,17 +118,32 @@ _SCHEMA = {
     "sweep.kbar": ("float-list", []),
 }
 
+# initial.kind -> density on the grid
+_INITIAL = {
+    "gaussian": lambda grid, d: gaussian(grid, d["initial.center"], d["initial.std"]),
+    "gaussian-difference": lambda grid, d: gaussian_difference(grid, d["initial.center"], d["initial.std"],
+                                                               d["initial.center2"], d["initial.std2"]),
+    "bump": lambda grid, d: smooth_bump(grid, d["initial.center"], d["initial.std"]),
+}
+# terminal.kind -> terminal profile on the grid
+_TERMINAL = {
+    "tanh": tanh_profile,
+    "ramp": ramp_profile,
+    "indicator": smoothed_indicator,
+    "tapered": tapered_linear,
+}
+
 _CHOICES = {
     "experiment": EXPERIMENTS,
     "diffusion.kind": ("constant", "tanh"),
     "levy.kind": ("none", "fractional", "tempered"),
     "drift.kind": ("none", "ou", "power", "perturbed-power"),
-    "initial.kind": ("gaussian", "gaussian-difference", "bump"),
-    "terminal.kind": ("tanh", "ramp", "indicator", "tapered"),
-    "fit.model": ("none", "exponential", "power", "stretched"),
+    "initial.kind": tuple(_INITIAL),
+    "terminal.kind": tuple(_TERMINAL),
+    "fit.model": ("none", *FITTERS),
     "particles.source": ("initial", "point"),
-    "rate_ode.form": ("constant", "power", "inverse-log"),
-    "solver.limiter": ("mc", "minmod", "fromm", "off"),
+    "rate_ode.form": H_FORMS,
+    "solver.limiter": LIMITERS,
 }
 
 _WEIGHT_POW = re.compile(r"^pow([0-9.eE+-]+)$")
@@ -192,39 +217,13 @@ class ExperimentConfig:
         return self.data["experiment"]
 
     def initial_density(self):
-        kind = self.data["initial.kind"]
-        if kind == "gaussian":
-            return gaussian(self.grid, self.data["initial.center"], self.data["initial.std"])
-        if kind == "gaussian-difference":
-            return gaussian_difference(
-                self.grid,
-                self.data["initial.center"],
-                self.data["initial.std"],
-                self.data["initial.center2"],
-                self.data["initial.std2"],
-            )
-        return smooth_bump(self.grid, self.data["initial.center"], self.data["initial.std"])
+        return _INITIAL[self.data["initial.kind"]](self.grid, self.data)
 
     def terminal_profile(self):
-        kind = self.data["terminal.kind"]
-        if kind == "tanh":
-            return tanh_profile(self.grid)
-        if kind == "ramp":
-            return ramp_profile(self.grid)
-        if kind == "indicator":
-            return smoothed_indicator(self.grid)
-        return tapered_linear(self.grid)
+        return _TERMINAL[self.data["terminal.kind"]](self.grid)
 
     def rate_h(self):
-        form = self.data["rate_ode.form"]
-        c = self.data["rate_ode.c"]
-        if form == "constant":
-            return lambda r: c * np.ones_like(np.asarray(r, dtype=float))
-        if form == "power":
-            p = self.data["rate_ode.p"]
-            return lambda r: c * np.asarray(r, dtype=float) ** (-p)
-        q = self.data["rate_ode.q"]
-        return lambda r: c / np.log(np.asarray(r, dtype=float)) ** q
+        return h_model_function({key: self.data[f"rate_ode.{key}"] for key in ("form", "c", "p", "q")})
 
 
 def _build_generator(data) -> GeneratorSpec:
@@ -255,8 +254,17 @@ def _build_generator(data) -> GeneratorSpec:
     return GeneratorSpec(diffusion, levy, drift)
 
 
-def _check_admissibility(data, grid, weights):
-    for label, w in weights.items():
+def _refuse_as(prefix: str, check, *args) -> None:
+    """Run a library admissibility check; a refusal becomes a ConfigError led by ``prefix``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _check_admissibility(cfg: ExperimentConfig):
+    data, grid = cfg.data, cfg.grid
+    for label, w in cfg.weights.items():
         with np.errstate(over="ignore", invalid="ignore"):
             bad = ~np.isfinite(w(grid.nodes))
         if bad.any():
@@ -264,38 +272,14 @@ def _check_admissibility(data, grid, weights):
                 f"weights: {label} overflows on the grid: not finite at |x| >= "
                 f"{np.abs(grid.nodes[bad]).min():g} (grid.half_width={grid.half_width:g})"
             )
-    jumps = data["levy.kind"] != "none"
-    if jumps:
-        sigma = data["levy.sigma"]
-        for label, w in weights.items():
-            if w.kind == "power" and not 0.0 < w.k < sigma:
-                raise ConfigError(
-                    f"weights: {label} violates the moment constraint k in (0, sigma) "
-                    f"required when a jump part is present: k={w.k:g}, sigma={sigma:g}"
-                )
-            if w.kind == "exponential":
-                raise ConfigError(
-                    f"weights: {label} is not integrable against a jump measure with "
-                    f"polynomial tails; exponential weights need levy.kind=none"
-                )
-        beta = data["lyapunov.beta"]
-        if beta is not None:
-            if beta >= sigma:
-                raise ConfigError(
-                    f"lyapunov.beta: the super-solution inequality needs beta < sigma "
-                    f"with a jump part, got beta={beta:g}, sigma={sigma:g}"
-                )
-            if beta > 1.0 and data["drift.gamma"] <= 1.0:
-                raise ConfigError(
-                    "lyapunov.beta: beta > 1 with a jump part needs drift growth "
-                    "gamma > 1 to dominate the jump transport"
-                )
-    if not 0.0 < data["rate_ode.theta"] < 1.0:
-        raise ConfigError(f"rate_ode.theta: must lie in (0, 1), got {data['rate_ode.theta']:g}")
-    if data["rate_ode.L"] <= 0 or data["rate_ode.c"] <= 0:
-        raise ConfigError("rate_ode.L and rate_ode.c must be positive")
-    if data["rate_ode.t_final"] <= 0 or data["rate_ode.n_points"] < 2:
-        raise ConfigError("rate_ode.t_final must be positive and rate_ode.n_points >= 2")
+        _refuse_as("weights: ", check_weight_against_measure, w, cfg.generator.levy)
+    # the lemma's messages start with the argument they blame, beta or eps;
+    # beta = 0 meets every beta rule, so an unset beta checks eps alone
+    beta = data["lyapunov.beta"]
+    _refuse_as("lyapunov.", check_lemma_preconditions, cfg.generator,
+               0.0 if beta is None else beta, data["lyapunov.eps"])
+    _refuse_as("rate_ode: ", check_rate_ode_arguments, cfg.rate_h(), data["rate_ode.L"],
+               data["rate_ode.theta"], data["rate_ode.t_final"], data["rate_ode.n_points"])
     if data["time.dt"] <= 0 or data["time.t_final"] <= 0:
         raise ConfigError("time.dt and time.t_final must be positive")
     if data["time.stride"] < 1:
@@ -311,8 +295,6 @@ def _check_admissibility(data, grid, weights):
         raise ConfigError("particles.n and coupling.n_pairs must be >= 1")
     if data["coupling.eps"] <= 0:
         raise ConfigError("coupling.eps must be positive")
-    if data["lyapunov.eps"] <= 0:
-        raise ConfigError("lyapunov.eps must be positive")
     eps_b = data["solver.eps_boundary"]
     if eps_b is not None and eps_b <= 0:
         raise ConfigError("solver.eps_boundary must be positive when given")
@@ -354,8 +336,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    _check_admissibility(data, grid, weights)
-    return ExperimentConfig(data=data, grid=grid, generator=generator, weights=weights)
+    cfg = ExperimentConfig(data=data, grid=grid, generator=generator, weights=weights)
+    _check_admissibility(cfg)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -17,12 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSpec
-from .operators import levy_integral_callable
+from .operators import CALLABLE_Z_MAX, levy_integral_callable
 from .weights import WeightFunction, bracket
 
 __all__ = [
+    "H_FORMS",
     "LyapunovReport",
     "RateOdeSolution",
+    "check_weight_against_measure",
+    "check_lemma_preconditions",
+    "check_rate_ode_arguments",
     "generator_on_weight",
     "verify_lemma_lyap",
     "classify_weight",
@@ -30,10 +34,6 @@ __all__ = [
     "solve_rate_ode",
 ]
 
-
-# shell quadrature range of the jump integral on weights: Taylor model below
-# _R_MIN, exact power-law tail beyond _Z_MAX
-_R_MIN, _Z_MAX = 1e-6, 1e12
 # times besides t = 0 at which a time-dependent drift is probed
 _DRIFT_PROBE_TIMES = (0.7, 1.9)
 # sample radii of the super-solution inequality, before midpoint refinement
@@ -44,36 +44,38 @@ _LEMMA_RADII = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 161)])
 # generator action on weights
 
 
+def check_weight_against_measure(w: WeightFunction, nu) -> None:
+    """Refuse a weight the jump measure nu cannot integrate: with jumps a
+    power weight needs k in (0, sigma) and an exponential weight none at all."""
+    if not nu.is_active:
+        return
+    if w.kind == "power" and not 0.0 < w.k < nu.sigma:
+        raise ValueError(f"{w.label} violates the moment constraint k in (0, sigma) required when a "
+                         f"jump part is present: k={w.k:g}, sigma={nu.sigma:g}")
+    if w.kind == "exponential":
+        raise ValueError(f"{w.label} is not integrable against a jump measure with polynomial tails; "
+                         f"exponential weights need a generator without jumps")
+
+
 def generator_on_weight(g: GeneratorSpec, w: WeightFunction, xs: np.ndarray, t: float = 0.0) -> np.ndarray:
     """L^b[w](x) = -(lambda0 + Sigma^2(x)) w'' - I(x, [w]) + b(t, x) w' at xs.
 
     Derivatives are analytic; the jump integral uses shell quadrature plus an
-    exact power-law tail beyond _Z_MAX, so weights with k close to sigma do not
-    lose their slowly converging tail."""
-    if w.profile_d1 is None or w.profile_d2 is None:
-        raise ValueError(f"weight {w.label!r} needs first and second derivative evaluators")
+    exact power-law tail beyond CALLABLE_Z_MAX, so weights with k close to
+    sigma do not lose their slowly converging tail."""
     x = np.asarray(xs, dtype=float)
     out = -(g.diffusion.lambda0 + g.diffusion.sigma_squared(x)) * w.hess(x)
     out = out + np.asarray(g.drift(t, x), dtype=float) * w.grad(x)
     nu = g.levy
     if nu.is_active:
-        if w.kind == "exponential":
-            raise ValueError(
-                "exponential weight grows faster than the jump tail decays; "
-                "the compensated integral only converges for weights with k < sigma"
-            )
-        if w.kind == "power" and w.k >= nu.sigma:
-            raise ValueError(
-                f"jump part requires a weight growing slower than the measure decays: "
-                f"need k < sigma, got k={w.k:g}, sigma={nu.sigma:g}"
-            )
-        jump = levy_integral_callable(w, x, nu, d2fn=w.hess, r_min=_R_MIN, z_max=_Z_MAX)
-        if nu.kind == "fractional" and w.kind == "power" and w.k > 0:
-            # beyond _Z_MAX the compensated difference is 2 z^k - 2 w(x) up to
-            # O(x^2/z^2) relative, and the pure power density integrates exactly
-            s = nu.sigma
+        check_weight_against_measure(w, nu)
+        jump = levy_integral_callable(w, x, nu, d2fn=w.hess)
+        if nu.kind == "fractional" and w.kind == "power":
+            # beyond CALLABLE_Z_MAX the compensated difference is 2 z^k - 2 w(x)
+            # up to O(x^2/z^2) relative, and the pure power density integrates exactly
+            s, z_max = nu.sigma, CALLABLE_Z_MAX
             jump = jump + 2.0 * nu.lower * (
-                _Z_MAX ** (w.k - s) / (s - w.k) - w(x) * _Z_MAX ** (-s) / s
+                z_max ** (w.k - s) / (s - w.k) - w(x) * z_max ** (-s) / s
             )
         out = out - jump
     return out
@@ -96,6 +98,21 @@ def _smallest_K(g: GeneratorSpec, beta: float, eps: float, radii: np.ndarray) ->
     return max(0.0, worst)
 
 
+def check_lemma_preconditions(g: GeneratorSpec, beta: float, eps: float) -> None:
+    """Refuse (beta, eps) outside the lemma's hypotheses for the generator g.
+    Each message starts with the name of the argument it blames."""
+    if beta < 0 or not np.isfinite(beta):
+        raise ValueError(f"beta must be >= 0 and finite, got {beta}")
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if g.levy.is_active and beta >= g.levy.sigma:
+        raise ValueError(f"beta < sigma is needed with a jump part for the super-solution inequality "
+                         f"(<x>^beta against the jump tail): got beta={beta:g}, sigma={g.levy.sigma:g}")
+    if g.levy.is_active and beta > 1.0 and g.drift.gamma <= 1.0:
+        raise ValueError(f"beta > 1 with a jump part needs drift growth gamma > 1 to dominate the jump "
+                         f"transport: got beta={beta:g}, gamma={g.drift.gamma:g}")
+
+
 def verify_lemma_lyap(g: GeneratorSpec, beta: float, eps: float) -> tuple[bool, float]:
     """Smallest additive constant K closing the super-solution inequality
 
@@ -103,21 +120,10 @@ def verify_lemma_lyap(g: GeneratorSpec, beta: float, eps: float) -> tuple[bool, 
 
     on _LEMMA_RADII (both signs), together with a verdict: K must be finite
     and stable under midpoint refinement of the radius set."""
-    if beta < 0 or not np.isfinite(beta):
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if g.levy.is_active and beta >= g.levy.sigma:
-        raise ValueError(
-            f"with a jump part the super-solution inequality needs beta < sigma "
-            f"(integrability of <x>^beta against the jump tail): got beta={beta:g}, "
-            f"sigma={g.levy.sigma:g}"
-        )
-    if g.levy.is_active and beta > 1.0 and g.drift.gamma <= 1.0:
-        raise ValueError(
-            f"with a jump part and beta > 1 the drift growth must dominate the "
-            f"jump transport (gamma > 1): got beta={beta:g}, gamma={g.drift.gamma:g}"
-        )
+    check_lemma_preconditions(g, beta, eps)
+    if beta == 0.0:
+        # <x>^0 = 1 closes it with K = 0; with jumps generator_on_weight refuses k = 0
+        return True, 0.0
     radii = _LEMMA_RADII
     refined = np.unique(np.concatenate([radii, 0.5 * (radii[:-1] + radii[1:])]))
     k_coarse = _smallest_K(g, beta, eps, radii)
@@ -252,17 +258,21 @@ def classify_weight(g: GeneratorSpec, w: WeightFunction) -> LyapunovReport:
     return report("H2", h_model=min(candidates, key=lambda m: m["residual"]))
 
 
+H_FORMS = ("constant", "power", "inverse-log")
+
+
 def h_model_function(model: dict):
-    """Callable h(r) from a fitted or declared model dict."""
+    """Callable h(r) from a fitted or declared model dict; "constant" is the
+    power form with p = 0, so c * r**-0.0 is c bit for bit."""
     form = model.get("form")
-    if form not in ("power", "inverse-log"):
+    if form not in H_FORMS:
         raise ValueError(f"unknown h model form {form!r}")
     c = float(model["c"])
-    if form == "power":
-        p = float(model["p"])
-        return lambda r: c * np.asarray(r, dtype=float) ** (-p)
-    q = float(model["q"])
-    return lambda r: c / np.log(np.asarray(r, dtype=float)) ** q
+    if form == "inverse-log":
+        q = float(model["q"])
+        return lambda r: c / np.log(np.asarray(r, dtype=float)) ** q
+    p = float(model["p"]) if form == "power" else 0.0
+    return lambda r: c * np.asarray(r, dtype=float) ** (-p)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +290,9 @@ class RateOdeSolution:
     max_implicit_residual: float
 
 
-def solve_rate_ode(h, L: float, theta: float, T: float, n_points: int = 201) -> RateOdeSolution:
-    """Integrate varpi' = -varpi h(L varpi^{-1/(1-theta)}) / 2, varpi(0) = 1,
-    by adaptive 4th/5th-order explicit Runge-Kutta, then cross-check the
-    implicit time identity
-
-        int_varpi^1 ds / (s h(L s^{-1/(1-theta)})) = t / 2
-
-    at recorded times; a relative residual above 1e-6 is an error."""
+def check_rate_ode_arguments(h, L: float, theta: float, T: float, n_points: int) -> None:
+    """Refuse what solve_rate_ode cannot integrate; h is probed on L times
+    [1, 1e6] and must be positive and nonincreasing there. Needs no scipy."""
     if L <= 0:
         raise ValueError(f"L must be positive, got {L}")
     if not 0.0 < theta < 1.0:
@@ -296,14 +301,24 @@ def solve_rate_ode(h, L: float, theta: float, T: float, n_points: int = 201) -> 
         raise ValueError(f"T must be positive, got {T}")
     if n_points < 2:
         raise ValueError(f"need at least 2 recorded points, got {n_points}")
+    hp = [float(h(r)) for r in L * np.geomspace(1.0, 1e6, 7)]
+    if not all(math.isfinite(v) and v > 0 for v in hp):
+        raise ValueError("h must be positive, got a nonpositive or non-finite probe value")
+    if any(b - a > 1e-9 * abs(a) for a, b in zip(hp, hp[1:])):
+        raise ValueError("h must be nonincreasing on its whole range")
+
+
+def solve_rate_ode(h, L: float, theta: float, T: float, n_points: int = 201) -> RateOdeSolution:
+    """Integrate varpi' = -varpi h(L varpi^{-1/(1-theta)}) / 2, varpi(0) = 1,
+    by adaptive 4th/5th-order explicit Runge-Kutta, then cross-check the
+    implicit time identity
+
+        int_varpi^1 ds / (s h(L s^{-1/(1-theta)})) = t / 2
+
+    at recorded times; a relative residual above 1e-6 is an error."""
+    check_rate_ode_arguments(h, L, theta, T, n_points)
     from scipy.integrate import quad, solve_ivp
 
-    probe = L * np.geomspace(1.0, 1e6, 7)
-    hp = np.array([float(h(r)) for r in probe])
-    if np.any(~np.isfinite(hp)) or np.any(hp <= 0):
-        raise ValueError("h must be positive, got a nonpositive or non-finite probe value")
-    if np.any(np.diff(hp) > 1e-9 * np.abs(hp[:-1])):
-        raise ValueError("h must be nonincreasing on its whole range")
     inv = 1.0 / (1.0 - theta)
 
     def rhs(t, y):

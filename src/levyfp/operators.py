@@ -38,9 +38,10 @@ __all__ = [
     "face_velocities",
     "StepSetup",
     "RunGuard",
+    "LIMITERS",
 ]
 
-_LIMITERS = ("mc", "minmod", "fromm", "off")
+LIMITERS = ("mc", "minmod", "fromm", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -234,33 +235,31 @@ def _impulse_response(grid: Grid, nu: LevyMeasureSpec) -> np.ndarray:
     return _add_local_terms(acc, impulse, grid, nu, r_min, z_max)
 
 
-def levy_integral_callable(
-    fn,
-    xs: np.ndarray,
-    nu: LevyMeasureSpec,
-    d2fn=None,
-    r_min: float = 1e-6,
-    z_max: float = 1e12,
-) -> np.ndarray:
+# shell range of levy_integral_callable: Taylor model below CALLABLE_R_MIN,
+# nothing beyond CALLABLE_Z_MAX (callers with power-law integrands add the tail)
+CALLABLE_R_MIN, CALLABLE_Z_MAX = 1e-6, 1e12
+
+
+def levy_integral_callable(fn, xs: np.ndarray, nu: LevyMeasureSpec, d2fn=None) -> np.ndarray:
     """Compensated jump integral of a callable u at arbitrary points (d=1).
 
-    No periodicity is involved: shells extend geometrically to z_max, which
-    can be astronomically large at logarithmic cost, covering slowly decaying
+    No periodicity is involved: shells extend geometrically to CALLABLE_Z_MAX,
+    astronomically large at logarithmic cost, covering slowly decaying
     power-law integrands such as weights <x>^beta with beta < sigma.
     """
     if not nu.is_active:
         return np.zeros_like(np.asarray(xs, dtype=float))
-    z, w = shell_quadrature_nodes(r_min, z_max)
+    z, w = shell_quadrature_nodes(CALLABLE_R_MIN, CALLABLE_Z_MAX)
     rho_w = w * nu.density(z)
     x = np.asarray(xs, dtype=float)[:, None]
     fx = fn(x)
     acc = np.sum(rho_w[None, :] * (fn(x + z[None, :]) + fn(x - z[None, :]) - 2.0 * fx), axis=1)
     if d2fn is None:
-        h = max(r_min, 1e-7)
+        h = CALLABLE_R_MIN
         d2 = (fn(x + h) - 2.0 * fx + fn(x - h))[:, 0] / h**2
     else:
         d2 = d2fn(x[:, 0])
-    return acc + 0.5 * d2 * _second_moment_inner(nu, r_min)
+    return acc + 0.5 * d2 * _second_moment_inner(nu, CALLABLE_R_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def _limited_slope(m: np.ndarray, dx: float, limiter: str) -> np.ndarray:
     if limiter == "mc":
         lim = np.minimum(np.abs(central), 2.0 * smaller)
         return np.where(left * right > 0, np.sign(central) * lim, 0.0)
-    raise ValueError(f"unknown limiter {limiter!r}; choose from {_LIMITERS}")
+    raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
 
 
 def transport_flux(m: np.ndarray, w_faces: np.ndarray, dx: float, limiter: str = "mc") -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FITTERS",
     "DecayFit",
     "predicted_q",
     "fit_exponential",
@@ -168,6 +169,14 @@ def fit_stretched(times, values, window=None, transient_frac=0.0, series_source=
     r2 = _r2(logv, slope * x + intercept)
     params = {"beta_s": beta_s, "C": -slope, "K": float(np.exp(intercept))}
     return DecayFit("stretched", params, window, r2, series_source)
+
+
+# decay model name -> fitter
+FITTERS = {
+    "exponential": fit_exponential,
+    "power": fit_power,
+    "stretched": fit_stretched,
+}
 
 
 def window_shift_stability(fitter, times, values, window=None, **kwargs) -> dict:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from levyfp import forward
+from levyfp import cli, config, forward
 from levyfp.cli import main
 from levyfp.config import (
     ConfigError,
@@ -101,6 +101,18 @@ def test_moment_constraint_named_when_jumps_present():
         )
 
 
+# fractional jumps, beta 1.2 > 1: the lemma needs the drift's gamma > 1, and an
+# OU drift has gamma 2 whatever the drift.gamma key says
+OU_LEMMA = {
+    "experiment": "lyapunov-report",
+    "levy.kind": "fractional",
+    "levy.sigma": 1.5,
+    "drift.kind": "ou",
+    "weights": ["pow0.5"],
+    "lyapunov.beta": 1.2,
+}
+
+
 def test_lemma_preconditions_checked_at_parse_time():
     with pytest.raises(ConfigError, match="beta < sigma"):
         parse_config(
@@ -112,6 +124,58 @@ def test_lemma_preconditions_checked_at_parse_time():
                 "lyapunov.beta": 1.6,
             }
         )
+    with pytest.raises(ConfigError, match="gamma > 1"):
+        parse_config({**OU_LEMMA, "drift.kind": "power", "drift.gamma": 1.0})
+
+
+@pytest.mark.parametrize("drift", [{"drift.kind": "ou", "drift.gamma": 0.5}, {"drift.kind": "none"}],
+                         ids=["ou", "none"])
+def test_lemma_gamma_is_read_from_the_built_drift(tmp_path, drift):
+    out = tmp_path / "out"
+    path = tmp_path / "lemma.json"
+    path.write_text(json.dumps({**OU_LEMMA, **drift, "output.dir": str(out)}))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    lemma = json.loads((out / "lyapunov.json").read_text())["lemma"]
+    assert lemma["holds"] is True and lemma["K_eps"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides, message", [
+    ({"experiment": "lyapunov-report", "lyapunov.beta": -0.5},
+     "config error: lyapunov.beta must be >= 0 and finite, got -0.5"),
+    ({"experiment": "rate-ode", "rate_ode.form": "power", "rate_ode.p": -0.5},
+     "config error: rate_ode: h must be nonincreasing on its whole range"),
+    ({"experiment": "rate-ode", "rate_ode.form": "inverse-log", "rate_ode.q": -1.0},
+     "config error: rate_ode: h must be nonincreasing on its whole range"),
+], ids=["beta", "p", "q"])
+def test_library_argument_checks_refuse_at_parse_time(tmp_path, capsys, command, overrides, message):
+    # validate refuses what the run's own argument checks would refuse, and
+    # run stops before it makes output.dir
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "late.json", **{**overrides, "output.dir": str(out)})
+    assert main([command, str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_experiment_name_has_a_runner():
+    # config cannot import cli, so this one name list is stated twice
+    assert tuple(cli._EXPERIMENTS) == config.EXPERIMENTS
+
+
+def test_kind_choices_are_the_builders():
+    # a kind is admissible exactly when something builds it, and each kind
+    # builds its own field rather than falling through to another's
+    for key, build in (("initial.kind", "initial_density"), ("terminal.kind", "terminal_profile")):
+        fields = [getattr(parse_config({"experiment": "forward-decay", "grid.n": 256, key: kind}), build)()
+                  for kind in config._CHOICES[key]]
+        values = {field.values.tobytes() for field in fields}
+        assert len(values) == len(fields) >= 3
+    forms = config._CHOICES["rate_ode.form"]
+    h_at_10 = {float(parse_config({"experiment": "rate-ode", "rate_ode.form": form}).rate_h()(10.0))
+               for form in forms}
+    assert len(h_at_10) == len(forms) == 3
 
 
 def test_weight_label_round_trip():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.lyapunov import (
     classify_weight,
+    generator_on_weight,
     h_model_function,
     solve_rate_ode,
     verify_lemma_lyap,
@@ -48,10 +49,12 @@ def test_lemma_constant_matches_closed_form_ou():
 
 
 def test_lemma_beta_zero_trivial():
-    # phi = 1 is annihilated by every term: 0 >= -K with K = 0
-    holds, K = verify_lemma_lyap(ou_gen(), beta=0.0, eps=0.5)
-    assert holds
-    assert K == 0.0
+    # phi = 1 is annihilated by every term: 0 >= -K with K = 0, with jumps too,
+    # where generator_on_weight refuses the constant weight
+    for g in (ou_gen(), frac_gen(sigma=1.5)):
+        holds, K = verify_lemma_lyap(g, beta=0.0, eps=0.5)
+        assert holds
+        assert K == 0.0
 
 
 def test_lemma_constant_nonincreasing_in_eps():
@@ -94,6 +97,17 @@ def test_lemma_argument_validation():
         verify_lemma_lyap(ou_gen(), beta=-0.5, eps=0.5)
     with pytest.raises(ValueError):
         verify_lemma_lyap(ou_gen(), beta=1.0, eps=0.0)
+
+
+def test_generator_on_weight_applies_the_weight_rule():
+    xs = np.array([0.0, 2.0])
+    for w in (WeightFunction.power(0.0), WeightFunction.power(1.5)):
+        with pytest.raises(ValueError, match=r"k in \(0, sigma\)"):
+            generator_on_weight(frac_gen(sigma=1.5), w, xs)
+    with pytest.raises(ValueError, match="exponential"):
+        generator_on_weight(frac_gen(sigma=1.5), WeightFunction.exponential(0.5, 1.0), xs)
+    # without jumps every weight is admissible
+    assert np.all(np.isfinite(generator_on_weight(ou_gen(), WeightFunction.power(0.0), xs)))
 
 
 @settings(max_examples=15, deadline=None)
@@ -191,6 +205,10 @@ def test_h_model_function_forms():
     np.testing.assert_allclose(power(r), 2.0 * r**-0.5)
     invlog = h_model_function({"form": "inverse-log", "c": 3.0, "q": 2.0})
     np.testing.assert_allclose(invlog(r), 3.0 / np.log(r) ** 2)
+    # constant is c bit for bit, wherever r lies
+    constant = h_model_function({"form": "constant", "c": 0.7})
+    r_any = np.array([1e-300, 1.0, np.e, 1e300, np.inf])
+    assert np.array_equal(constant(r_any), np.full(r_any.shape, 0.7))
     with pytest.raises(ValueError):
         h_model_function({"form": "spline"})
 

@@ -9,7 +9,7 @@ from levyfp.adjoint import _AdjointStepper
 from levyfp.forward import _Stepper
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Grid
-from levyfp.operators import _LIMITERS, divergence_of_flux, transport_flux
+from levyfp.operators import LIMITERS, divergence_of_flux, transport_flux
 
 # ---------------------------------------------------------------------------
 # oracles: the np.roll expressions the slicing code replaced
@@ -81,7 +81,7 @@ SIZES = (4, 8, 256, 1024)
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("limiter", _LIMITERS)
+@pytest.mark.parametrize("limiter", LIMITERS)
 def test_flux_and_divergence_match_roll_oracle(n, limiter):
     rng = np.random.default_rng(1000 + n)
     for dx in (1e-3, 0.0625, 3.0):
@@ -93,7 +93,7 @@ def test_flux_and_divergence_match_roll_oracle(n, limiter):
         assert_bitwise(divergence_of_flux(flux, dx), oracle_divergence(flux, dx))
 
 
-@pytest.mark.parametrize("limiter", _LIMITERS)
+@pytest.mark.parametrize("limiter", LIMITERS)
 def test_flux_matches_oracle_on_signed_zero_fields(limiter):
     # all-zero data of mixed sign: the "off" reconstruction m + 0.0 must
     # turn -0.0 into +0.0 exactly as zero slopes did
@@ -136,7 +136,7 @@ MOVING = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
                        DriftSpec.perturbed_power(1.0, 2.0, 0.5))
 
 
-@pytest.mark.parametrize("limiter", _LIMITERS)
+@pytest.mark.parametrize("limiter", LIMITERS)
 @pytest.mark.parametrize("spec", [FRAC_OU, TEMPERED_OU, MOVING], ids=["spectral", "quadrature", "moving"])
 def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
     g = Grid(n=256, half_width=8.0)
