@@ -1,7 +1,7 @@
 """Backward-clock integration of test functions against the generator.
 
 v(s) = u(t - s) satisfies  d/ds v + b . Dv = lambda0 Lap v + tr(Sigma^2 D^2 v)
-+ I(x,[v]) + f,  marched here with a Lie split: one advection step, then the
++ I(x,[v]), marched here with a Lie split: one advection step, then the
 same diffusion stage the forward solver uses. The advection update is the
 exact matrix transpose of the forward donor flux; its two differences,
 v_i - v_{i+1} and v_{i-1} - v_i, are two views of one periodic difference
@@ -73,16 +73,14 @@ def tapered_linear(grid: Grid) -> ScalarField:
 
 
 class _AdjointStepper:
-    """One Lie step of the backward clock; jump_route as in forward._Stepper."""
+    """One Lie step of the backward clock; jump_route as in forward._Stepper.
+    The step at s reads the drift at forward time horizon - s."""
 
-    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, jump_route: str,
-                 forward_horizon: float | None):
-        if spec.is_time_dependent and forward_horizon is None:
-            raise ValueError("time-dependent drift needs forward_horizon to reverse the clock")
+    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, jump_route: str, horizon: float):
         self.stage = StepSetup(spec, grid, dt, jump_route, substep=1.0, where=" in adjoint advection")
         self.grid = grid
         self.dt = dt
-        self.horizon = forward_horizon or 0.0  # a static drift never reads the time
+        self.horizon = horizon
 
     def _advect(self, v: np.ndarray, s: float) -> np.ndarray:
         # exact transpose of the forward donor update
@@ -94,12 +92,9 @@ class _AdjointStepper:
         e = _periodic_difference(-v)
         return v - rho * (wp * e[1:] + wm_prev * e[:-1])
 
-    def step(self, v: np.ndarray, s: float, source: np.ndarray | None) -> np.ndarray:
+    def step(self, v: np.ndarray, s: float) -> np.ndarray:
         v = self._advect(v, s)
-        v = self.stage.diffuse(v, adjoint=False)
-        if source is not None:
-            v = v + self.dt * source
-        return v
+        return self.stage.diffuse(v, adjoint=False)
 
 
 @dataclass(frozen=True)
@@ -125,26 +120,17 @@ def solve_backward(
     spec: GeneratorSpec,
     s_final: float,
     dt: float,
-    source=None,
-    forward_horizon: float | None = None,
     record_every: int = 1,
 ) -> AdjointRun:
     """March v from v(0) = xi through s_final on the backward clock, keeping
     the profile at every record_every-th step (endpoints always included).
 
-    source may be None, a static array/field, or a callable s -> array.
+    The clock reverses at s_final: a time-dependent drift is read at forward
+    time t = s_final - s.
     """
     grid = xi.grid
-    stepper = _AdjointStepper(spec, grid, dt, "auto", forward_horizon)
+    stepper = _AdjointStepper(spec, grid, dt, "auto", s_final)
     guard = RunGuard(dt, s_final, record_every, clock="s")
-
-    if source is None:
-        src_at = lambda s: None
-    elif callable(source):
-        src_at = lambda s: np.asarray(source(s), dtype=float)
-    else:
-        src_arr = source.values if hasattr(source, "values") else np.asarray(source, dtype=float)
-        src_at = lambda s: src_arr
 
     times, profiles, sup = [], [], []
     v = xi.values.copy()
@@ -157,7 +143,7 @@ def solve_backward(
 
     record()
     for k in range(1, guard.n_steps + 1):
-        v = stepper.step(v, s, src_at(s))
+        v = stepper.step(v, s)
         s = k * dt
         if guard.records(k):
             record()
@@ -182,7 +168,7 @@ def oscillation_trace(run: AdjointRun, weight: WeightFunction) -> np.ndarray:
 @dataclass(frozen=True)
 class DualityReport:
     """Cross-check of the two solvers through the pairing identity
-    <xi, m(t)> + int_0^t <f, m(s)> ds = <v(t), m(0)>."""
+    <xi, m(t)> = <v(t), m(0)>."""
 
     residual: float
     normalized: float
@@ -192,52 +178,25 @@ class DualityReport:
     n_steps: int
 
 
-def duality_residual(
-    fw,
-    xi: ScalarField,
-    source=None,
-) -> DualityReport:
+def duality_residual(fw, xi: ScalarField) -> DualityReport:
     """Measure the pairing gap between a completed forward run and a fresh
-    backward run of the same generator on the same grid and time step.
-
-    When a source f is given the forward run must have recorded the pairings
-    <f, m(s)> (pass pair_with=f to the forward solve); the f term of the
-    identity is then integrated with the trapezoid rule on the recorded
-    times. The residual is normalized by sup|xi| * ||m0||_TV + int |<f, m>|.
-    """
+    backward run of the same generator on the same grid and time step,
+    normalized by sup|xi| * ||m0||_TV."""
     grid = fw.grid
     if xi.grid != grid:
         raise ValueError("xi and the forward run must share one grid")
     t = float(fw.times[-1] - fw.times[0])
-    src_arr = None
-    if source is not None:
-        if callable(source):
-            raise ValueError("duality_residual supports static sources only")
-        src_arr = source.values if hasattr(source, "values") else np.asarray(source, dtype=float)
-        if fw.pairings is None:
-            raise ValueError("forward run lacks recorded <f, m> pairings; "
-                             "re-run solve with pair_with=f")
-
     n_steps = RunGuard(fw.dt, t, clock="s").n_steps
-    adj = solve_backward(
-        xi, fw.spec, s_final=t, dt=fw.dt, source=src_arr,
-        forward_horizon=t if fw.spec.is_time_dependent else None,
-        record_every=max(1, n_steps),
-    )
+    adj = solve_backward(xi, fw.spec, s_final=t, dt=fw.dt, record_every=max(1, n_steps))
     vol = grid.cell_volume
     lhs = float(np.sum(xi.values * fw.final.values) * vol)
     rhs = float(np.sum(adj.final.values * fw.initial.values) * vol)
-    f_term = 0.0
-    denom_f = 0.0
-    if src_arr is not None:
-        f_term = float(np.trapezoid(fw.pairings, fw.times))
-        denom_f = float(np.trapezoid(np.abs(fw.pairings), fw.times))
-    residual = abs(lhs + f_term - rhs)
-    denom = xi.sup_norm * float(np.sum(np.abs(fw.initial.values)) * vol) + denom_f
+    residual = abs(lhs - rhs)
+    denom = xi.sup_norm * float(np.sum(np.abs(fw.initial.values)) * vol)
     return DualityReport(
         residual=residual,
         normalized=residual / max(denom, 1e-300),
-        lhs=lhs + f_term,
+        lhs=lhs,
         rhs=rhs,
         dt=fw.dt,
         n_steps=n_steps,

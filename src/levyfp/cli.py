@@ -104,7 +104,7 @@ def _solver_kwargs(cfg: ExperimentConfig) -> dict:
 
 def _run_forward_decay(cfg: ExperimentConfig, outdir: Path) -> dict:
     run = solve(
-        cfg.initial_density(),
+        cfg.initial,
         cfg.generator,
         cfg["time.t_final"],
         cfg["time.dt"],
@@ -129,7 +129,7 @@ def _run_forward_decay(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 def _run_adjoint_oscillation(cfg: ExperimentConfig, outdir: Path) -> dict:
     run = solve_backward(
-        cfg.terminal_profile(),
+        cfg.terminal,
         cfg.generator,
         cfg["time.t_final"],
         cfg["time.dt"],
@@ -149,14 +149,14 @@ def _run_adjoint_oscillation(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 def _run_duality_check(cfg: ExperimentConfig, outdir: Path) -> dict:
     fw = solve(
-        cfg.initial_density(),
+        cfg.initial,
         cfg.generator,
         cfg["time.t_final"],
         cfg["time.dt"],
         record_every=cfg["time.stride"],
         **_solver_kwargs(cfg),
     )
-    report = duality_residual(fw, cfg.terminal_profile())
+    report = duality_residual(fw, cfg.terminal)
     payload = {
         "residual": report.residual,
         "normalized": report.normalized,
@@ -172,7 +172,7 @@ def _run_duality_check(cfg: ExperimentConfig, outdir: Path) -> dict:
 def _run_particles(cfg: ExperimentConfig, outdir: Path) -> dict:
     n, seed = cfg["particles.n"], cfg["seed"]
     if cfg["particles.source"] == "initial":
-        ens = ensemble_from_density(cfg.initial_density(), n, seed=seed)
+        ens = ensemble_from_density(cfg.initial, n, seed=seed)
     else:
         ens = ensemble_at(cfg["particles.x0"], n, seed=seed)
     run = simulate(
@@ -325,7 +325,7 @@ def _sweep_axes(cfg: ExperimentConfig):
     return axes
 
 
-def _cell_config(base: dict, index: int, n_cells: int, gamma, sigma, k, kbar, out_root: str) -> dict:
+def _cell_config(base: dict, index: int, n_cells: int, gamma, sigma, k, out_root: str) -> dict:
     data = dict(base)
     width = max(4, len(str(n_cells - 1)))
     data.update(
@@ -392,8 +392,8 @@ def cmd_sweep(config_path: str, workers: int) -> int:
 
     cells = list(itertools.product(axes["gamma"], axes["sigma"], axes["k"], axes["kbar"]))
     payloads = [
-        (i, _cell_config(cfg.data, i, len(cells), *cell, out_root), *cell)
-        for i, cell in enumerate(cells)
+        (i, _cell_config(cfg.data, i, len(cells), gamma, sigma, k, out_root), gamma, sigma, k, kbar)
+        for i, (gamma, sigma, k, kbar) in enumerate(cells)
     ]
     if workers <= 1:
         rows = [_sweep_cell(p) for p in payloads]

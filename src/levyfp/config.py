@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import ramp_profile, smoothed_indicator, tanh_profile, tapered_linear
-from .forward import gaussian, gaussian_difference, smooth_bump
+from .forward import check_stationary_spec, gaussian, gaussian_difference, smooth_bump
 from .generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
-from .grids import Grid
+from .grids import DensityField, Grid, ScalarField
 from .lyapunov import (
     H_FORMS,
     check_lemma_preconditions,
@@ -208,6 +208,8 @@ class ExperimentConfig:
     grid: Grid
     generator: GeneratorSpec
     weights: dict
+    initial: DensityField
+    terminal: ScalarField
 
     def __getitem__(self, key):
         return self.data[key]
@@ -215,12 +217,6 @@ class ExperimentConfig:
     @property
     def experiment(self) -> str:
         return self.data["experiment"]
-
-    def initial_density(self):
-        return _INITIAL[self.data["initial.kind"]](self.grid, self.data)
-
-    def terminal_profile(self):
-        return _TERMINAL[self.data["terminal.kind"]](self.grid)
 
     def rate_h(self):
         return h_model_function({key: self.data[f"rate_ode.{key}"] for key in ("form", "c", "p", "q")})
@@ -254,10 +250,11 @@ def _build_generator(data) -> GeneratorSpec:
     return GeneratorSpec(diffusion, levy, drift)
 
 
-def _refuse_as(prefix: str, check, *args) -> None:
-    """Run a library admissibility check; a refusal becomes a ConfigError led by ``prefix``."""
+def _refuse_as(prefix: str, check, *args):
+    """Run a library admissibility check, or a builder that runs one, and return
+    its result; a refusal becomes a ConfigError led by ``prefix``."""
     try:
-        check(*args)
+        return check(*args)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
@@ -280,6 +277,8 @@ def _check_admissibility(cfg: ExperimentConfig):
                0.0 if beta is None else beta, data["lyapunov.eps"])
     _refuse_as("rate_ode: ", check_rate_ode_arguments, cfg.rate_h(), data["rate_ode.L"],
                data["rate_ode.theta"], data["rate_ode.t_final"], data["rate_ode.n_points"])
+    if cfg.experiment == "stationary":
+        _refuse_as("drift.kind: ", check_stationary_spec, cfg.generator)
     if data["time.dt"] <= 0 or data["time.t_final"] <= 0:
         raise ConfigError("time.dt and time.t_final must be positive")
     if data["time.stride"] < 1:
@@ -336,7 +335,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    cfg = ExperimentConfig(data=data, grid=grid, generator=generator, weights=weights)
+    # like the rate ODE's arguments, the initial density is checked for every experiment
+    initial = _refuse_as("initial: ", _INITIAL[data["initial.kind"]], grid, data)
+    cfg = ExperimentConfig(data=data, grid=grid, generator=generator, weights=weights,
+                           initial=initial, terminal=_TERMINAL[data["terminal.kind"]](grid))
     _check_admissibility(cfg)
     return cfg
 

@@ -33,6 +33,7 @@ __all__ = [
     "smooth_bump",
     "ForwardRun",
     "solve",
+    "check_stationary_spec",
     "stationary_solve",
 ]
 
@@ -124,7 +125,6 @@ class ForwardRun:
     min_value: np.ndarray
     boundary_mass: np.ndarray
     weighted_norms: dict = field(default_factory=dict)
-    pairings: np.ndarray | None = None
     final: DensityField | None = None
     snapshots: tuple = ()
 
@@ -138,15 +138,13 @@ def solve(
     eps_boundary: float = 1e-6,
     record_every: int = 1,
     record_weights: dict | None = None,
-    pair_with: np.ndarray | None = None,
     snapshot_times: tuple = (),
 ) -> ForwardRun:
     """Integrate to t_final, recording diagnostics every record_every steps.
 
     record_weights maps names to weight functions phi; each recorded entry is
     the weighted total-variation norm of the current (possibly signed) field.
-    pair_with, when given, records the pairing integral of that array against
-    the field. The run aborts with NumericalFailure once the absolute mass in
+    The run aborts with NumericalFailure once the absolute mass in
     the outer 5% of the cells at each end exceeds eps_boundary: from then on
     the periodic wrap-around is feeding the tails back into the bulk. That
     and blow-up are checked at the recorded steps only (snapshot steps too).
@@ -160,7 +158,6 @@ def solve(
 
     times, mass, minv, bnd = [], [], [], []
     norms: dict = {name: [] for name in record_weights}
-    pair = [] if pair_with is not None else None
     snaps = []
 
     m = m0.values.copy()
@@ -174,8 +171,6 @@ def solve(
         bnd.append(guard.boundary_mass(m, vol, eps_boundary, t))
         for name, phi in record_weights.items():
             norms[name].append(weighted_tv_norm(DensityField(grid, m, t), phi))
-        if pair is not None:
-            pair.append(float(np.sum(pair_with * m) * vol))
         if step_idx in snap_steps:
             snaps.append(DensityField(grid, m, t))
 
@@ -196,10 +191,15 @@ def solve(
         min_value=np.array(minv),
         boundary_mass=np.array(bnd),
         weighted_norms={k: np.array(v) for k, v in norms.items()},
-        pairings=None if pair is None else np.array(pair),
         final=DensityField(grid, m, t),
         snapshots=tuple(snaps),
     )
+
+
+def check_stationary_spec(spec: GeneratorSpec) -> None:
+    """Refuse a generator that stationary_solve cannot march to a fixed point."""
+    if spec.is_time_dependent:
+        raise ValueError("stationary solve needs a time-independent drift")
 
 
 def stationary_solve(
@@ -219,8 +219,7 @@ def stationary_solve(
     attained boundary mass is reported for the caller to judge. Blow-up is
     checked at the end of every block of unit time.
     """
-    if spec.is_time_dependent:
-        raise ValueError("stationary solve needs a time-independent drift")
+    check_stationary_spec(spec)
     stepper = _Stepper(spec, grid, dt, limiter, "auto")
     # one block of steps between convergence checks
     block = RunGuard(dt, max(1, int(round(1.0 / dt))) * dt)

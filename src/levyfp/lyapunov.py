@@ -301,7 +301,9 @@ def check_rate_ode_arguments(h, L: float, theta: float, T: float, n_points: int)
         raise ValueError(f"T must be positive, got {T}")
     if n_points < 2:
         raise ValueError(f"need at least 2 recorded points, got {n_points}")
-    hp = [float(h(r)) for r in L * np.geomspace(1.0, 1e6, 7)]
+    # a probe that divides by log(1) = 0 or overflows is refused below, not warned about
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hp = [float(h(r)) for r in L * np.geomspace(1.0, 1e6, 7)]
     if not all(math.isfinite(v) and v > 0 for v in hp):
         raise ValueError("h must be positive, got a nonpositive or non-finite probe value")
     if any(b - a > 1e-9 * abs(a) for a, b in zip(hp, hp[1:])):

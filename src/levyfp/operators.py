@@ -344,10 +344,10 @@ def _second_difference(p: np.ndarray, dx: float) -> np.ndarray:
     return (q[2:] - 2.0 * p + q[:-2]) / dx**2
 
 
-def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """max(w, 0), min(w, 0) and min(w, 0) shifted one cell on (entry i is min(w_{i-1}, 0))."""
+def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max(w, 0) and min(w, 0) shifted one cell on (entry i is min(w_{i-1}, 0))."""
     wm = np.minimum(w, 0.0)
-    return np.maximum(w, 0.0), wm, np.concatenate((wm[-1:], wm[:-1]))
+    return np.maximum(w, 0.0), np.concatenate((wm[-1:], wm[:-1]))
 
 
 def _resolve_jump_route(nu: LevyMeasureSpec, route: str) -> str | None:
@@ -505,20 +505,12 @@ class StepSetup:
         self._last_faces = (t, w)
         return w
 
-    def _split(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.static_split is not None:
-            return self.static_split
-        return _upwind_split(self.faces(t))
-
-    def upwind_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(max(w, 0), min(w, 0)) at forward time t."""
-        return self._split(t)[:2]
-
     def transpose_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(max(w, 0), min(w, 0) one cell on) at forward time t: entry i of the
         second is min(w_{i-1}, 0), as the backward advection reads it."""
-        wp, _, wm_prev = self._split(t)
-        return wp, wm_prev
+        if self.static_split is not None:
+            return self.static_split
+        return _upwind_split(self.faces(t))
 
     def diffuse(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
         """Diffusion and jumps over dt, then the explicit variable-Sigma term

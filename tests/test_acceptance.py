@@ -353,12 +353,10 @@ def test_ac11_adjoint_oscillation():
     s_final = 20.0
     fits = {}
     mono = True
-    for name, drift, horizon in (("base", DriftSpec.ou(1.0), None),
-                                 ("perturbed", DriftSpec.perturbed_power(1.0, 2.0, 0.3), s_final)):
+    for name, drift in (("base", DriftSpec.ou(1.0)), ("perturbed", DriftSpec.perturbed_power(1.0, 2.0, 0.3))):
         spec = GeneratorSpec(LocalDiffusionSpec.constant(0.0),
                              LevyMeasureSpec.fractional(1.5), drift)
-        run = solve_backward(xi, spec, s_final=s_final, dt=1e-3,
-                             forward_horizon=horizon, record_every=50)
+        run = solve_backward(xi, spec, s_final=s_final, dt=1e-3, record_every=50)
         trace = oscillation_trace(run, W05)
         tail = run.times >= 1.0
         mono = mono and bool(np.all(np.diff(trace[tail]) <= 1e-9 * trace[tail][0]))

@@ -100,12 +100,9 @@ def test_backward_times_and_final_orientation():
     assert np.array_equal(run.profiles[0].values, run.terminal.values)
 
 
-def test_sup_norm_bounded_by_terminal_plus_source():
-    f = ScalarField(grid=GRID, values=0.5 * np.cos(GRID.nodes))
-    run = solve_backward(tanh_profile(GRID), OU_FRAC, s_final=1.0, dt=1e-3,
-                         source=f, record_every=20)
-    bound = np.abs(run.terminal.values).max() + 0.5 * run.times
-    assert np.all(run.sup_norm <= bound + 1e-9)
+def test_sup_norm_bounded_by_terminal():
+    run = solve_backward(tanh_profile(GRID), OU_FRAC, s_final=1.0, dt=1e-3, record_every=20)
+    assert np.all(run.sup_norm <= np.abs(run.terminal.values).max() + 1e-9)
 
 
 def test_comparison_principle_on_spectral_route():
@@ -123,7 +120,7 @@ def test_advection_step_is_exact_transpose_of_forward_flux():
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
     dt = 0.125 * g.dx
     w = face_velocities(g, spec.drift, 0.0)
-    stepper = _AdjointStepper(spec, g, dt, "auto", None)
+    stepper = _AdjointStepper(spec, g, dt, "auto", dt)
     fwd = np.zeros((g.n, g.n))
     adj = np.zeros((g.n, g.n))
     for j in range(g.n):
@@ -142,7 +139,7 @@ def test_quadrature_backward_step_matches_unfused_node_loop():
     )
     dt = 5e-4
     xi = tanh_profile(GRID)
-    ref = _AdjointStepper(spec, GRID, dt, "auto", None)
+    ref = _AdjointStepper(spec, GRID, dt, "auto", dt)
     heat = np.exp(-dt * spec.diffusion.lambda0 * GRID.wavenumber_magnitude**2)
     v = np.real(np.fft.ifft(heat * np.fft.fft(ref._advect(xi.values, 0.0))))
     want = v + dt * levy_integral_field(ScalarField(GRID, v), spec.levy).values
@@ -226,37 +223,11 @@ def test_duality_residual_first_order_in_dt():
     assert reps[0].n_steps == 2000
 
 
-def test_duality_with_static_source():
-    # forward pairings + trapezoid close the identity to first order;
-    # measured 1.05e-4 with exact halving
-    f = ScalarField(grid=GRID, values=0.4 * np.cos(GRID.nodes) * np.exp(-0.1 * GRID.nodes**2))
-    vals = []
-    for dt in (1e-3, 5e-4):
-        fw = solve(gaussian(GRID), OU_FRAC, t_final=1.0, dt=dt, limiter="off",
-                   eps_boundary=0.05, record_every=1, pair_with=f.values)
-        vals.append(duality_residual(fw, tanh_profile(GRID), source=f).normalized)
-    assert vals[0] < 5e-4
-    assert 0.35 < vals[1] / vals[0] < 0.65
-
-
 def test_duality_rejects_grid_mismatch():
     fw = solve(gaussian(GRID), OU, t_final=0.01, dt=1e-3)
     other = tanh_profile(Grid(n=512, half_width=16.0))
     with pytest.raises(ValueError, match="grid"):
         duality_residual(fw, other)
-
-
-def test_duality_requires_recorded_pairings_for_source():
-    f = ScalarField(grid=GRID, values=np.cos(GRID.nodes))
-    fw = solve(gaussian(GRID), OU, t_final=0.01, dt=1e-3)
-    with pytest.raises(ValueError, match="pairings"):
-        duality_residual(fw, tanh_profile(GRID), source=f)
-
-
-def test_duality_rejects_callable_source():
-    fw = solve(gaussian(GRID), OU, t_final=0.01, dt=1e-3, pair_with=np.cos(GRID.nodes))
-    with pytest.raises(ValueError, match="static"):
-        duality_residual(fw, tanh_profile(GRID), source=lambda s: np.cos(GRID.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +255,10 @@ def test_backward_cfl_bound_covers_run_times():
                       fn=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float))
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
     assert 1e-3 * 1.01 * GRID.half_width < 0.95 * GRID.dx < 1e-3 * 2.0 * GRID.half_width
-    run = solve_backward(tanh_profile(GRID), spec, s_final=0.01, dt=1e-3, forward_horizon=0.01)
+    run = solve_backward(tanh_profile(GRID), spec, s_final=0.01, dt=1e-3)
     assert np.all(np.isfinite(run.final.values))
     with pytest.raises(NumericalFailure, match="CFL violation in adjoint advection at t=1:"):
-        solve_backward(tanh_profile(GRID), spec, s_final=1.0, dt=1e-3, forward_horizon=1.0)
+        solve_backward(tanh_profile(GRID), spec, s_final=1.0, dt=1e-3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -300,9 +271,9 @@ def test_backward_blow_up_is_raised_at_the_first_record_after_it(monkeypatch, ba
     steps = []
     clean = _AdjointStepper.step
 
-    def poisoned(self, v, s, source):
+    def poisoned(self, v, s):
         steps.append(s)
-        out = clean(self, v, s, source).copy()
+        out = clean(self, v, s).copy()
         if len(steps) == 3:
             out[40] = bad
         return out
@@ -320,14 +291,30 @@ def test_backward_horizon_must_be_step_multiple():
         solve_backward(tanh_profile(GRID), OU, s_final=0.0015, dt=1e-3)
 
 
-def test_time_dependent_drift_needs_forward_horizon():
+def test_time_dependent_drift_runs_without_a_horizon():
     g = Grid(n=128, half_width=4.0)
     spec = GeneratorSpec(
         LocalDiffusionSpec.constant(1.0),
         LevyMeasureSpec.none(),
         DriftSpec.perturbed_power(1.0, 2.0, 0.5),
     )
-    with pytest.raises(ValueError, match="forward_horizon"):
-        solve_backward(tanh_profile(g), spec, s_final=0.005, dt=1e-3)
-    run = solve_backward(tanh_profile(g), spec, s_final=0.005, dt=1e-3, forward_horizon=0.005)
+    run = solve_backward(tanh_profile(g), spec, s_final=0.005, dt=1e-3)
     assert np.all(np.isfinite(run.final.values))
+
+
+def test_backward_clock_reverses_at_s_final(monkeypatch):
+    # step k (from 0) reads the drift at forward time s_final - k dt
+    read = []
+    clean = StepSetup.faces
+
+    def spy(self, t):
+        read.append(t)
+        return clean(self, t)
+
+    monkeypatch.setattr(StepSetup, "faces", spy)
+    g = Grid(n=128, half_width=4.0)
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
+                         DriftSpec.perturbed_power(1.0, 2.0, 0.5))
+    s_final, dt = 0.007, 1e-3
+    solve_backward(tanh_profile(g), spec, s_final=s_final, dt=dt, record_every=3)
+    assert read == [s_final - k * dt for k in range(7)]

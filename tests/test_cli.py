@@ -159,6 +159,27 @@ def test_library_argument_checks_refuse_at_parse_time(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides, message", [
+    ({"initial.std": -1.0}, "config error: initial: std must be positive, got -1.0"),
+    ({"experiment": "rate-ode", "initial.std": -1.0}, "config error: initial: std must be positive, got -1.0"),
+    ({"initial.kind": "gaussian-difference", "initial.std2": 0.0},
+     "config error: initial: std must be positive, got 0.0"),
+    ({"initial.kind": "bump", "initial.center": 100.0},
+     "config error: initial: bump support does not contain any grid node"),
+    ({"experiment": "stationary", "drift.kind": "perturbed-power"},
+     "config error: drift.kind: stationary solve needs a time-independent drift"),
+], ids=["std", "std-any-experiment", "std2", "bump", "stationary"])
+def test_built_objects_refuse_at_parse_time(tmp_path, capsys, command, overrides, message):
+    # the initial density is built for every experiment, and the stationary
+    # solver's drift rule is its own check, so both refuse before output.dir
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "late.json", **{**overrides, "output.dir": str(out)})
+    assert main([command, str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_experiment_name_has_a_runner():
     # config cannot import cli, so this one name list is stated twice
     assert tuple(cli._EXPERIMENTS) == config.EXPERIMENTS
@@ -167,8 +188,8 @@ def test_every_experiment_name_has_a_runner():
 def test_kind_choices_are_the_builders():
     # a kind is admissible exactly when something builds it, and each kind
     # builds its own field rather than falling through to another's
-    for key, build in (("initial.kind", "initial_density"), ("terminal.kind", "terminal_profile")):
-        fields = [getattr(parse_config({"experiment": "forward-decay", "grid.n": 256, key: kind}), build)()
+    for key, built in (("initial.kind", "initial"), ("terminal.kind", "terminal")):
+        fields = [getattr(parse_config({"experiment": "forward-decay", "grid.n": 256, key: kind}), built)
                   for kind in config._CHOICES[key]]
         values = {field.values.tobytes() for field in fields}
         assert len(values) == len(fields) >= 3
@@ -413,6 +434,18 @@ def test_run_rate_ode_experiment(tmp_path):
     assert len(lines) == 202
 
 
+def test_adjoint_oscillation_runs_with_a_time_dependent_drift(tmp_path):
+    # the backward clock reverses at time.t_final, so a moving drift needs no more keys
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "adj.json", **{"experiment": "adjoint-oscillation",
+                                                "drift.kind": "perturbed-power", "time.t_final": 0.5,
+                                                "fit.model": "none", "output.dir": str(out)})
+    assert main(["run", str(cfg)]) == 0
+    lines = (out / "series.csv").read_text().splitlines()
+    assert lines[0] == "s,sup_norm,osc_pow0.5"
+    assert len(lines) == 12
+
+
 def test_run_lyapunov_report_experiment(tmp_path):
     path = tmp_path / "lyap.json"
     path.write_text(
@@ -652,3 +685,15 @@ def test_deferred_scipy_imports_resolve_in_a_fresh_interpreter(tmp_path):
                        "assert main(['run', sys.argv[2]]) == 0", particles, rate_ode)
     assert {"scipy.integrate", "scipy.special"} <= set(loaded)
     assert (tmp_path / "p" / "summary.json").exists() and (tmp_path / "r" / "summary.json").exists()
+
+
+def test_rate_ode_refusal_prints_no_numpy_warning(tmp_path):
+    # h = c / log(r)^q divides by zero on the probe r = L = 1; the refusal
+    # says so, and numpy stays quiet (a fresh interpreter shows its warnings)
+    cfg = write_config(tmp_path, "rode.json", **{"experiment": "rate-ode", "rate_ode.form": "inverse-log",
+                                                 "rate_ode.L": 1.0})
+    script = f"import sys\nsys.path.insert(0, {SRC!r})\nfrom levyfp.cli import main\nsys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", script, "validate", str(cfg)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: rate_ode: h must be positive, got a nonpositive or non-finite probe value\n"

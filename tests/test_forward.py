@@ -215,14 +215,6 @@ def test_snapshots_match_repeated_single_steps():
     assert np.array_equal(fw.snapshots[0].values, manual)
 
 
-def test_pairings_recorded_against_static_function():
-    m0 = gaussian(GRID)
-    phi = GRID.nodes**2
-    fw = solve(m0, ou_spec(), t_final=0.01, dt=1e-3, pair_with=phi)
-    assert fw.pairings is not None and len(fw.pairings) == len(fw.times)
-    assert fw.pairings[0] == pytest.approx(float(np.sum(phi * m0.values) * GRID.cell_volume))
-
-
 def test_norm_series_accessor_matches_direct_norm():
     m0 = gaussian(GRID)
     w = WeightFunction.power(0.5)

@@ -93,3 +93,43 @@ def test_import_time_check_sees_what_it_should():
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "levyfp").glob("*.py")), ids=lambda p: p.name)
 def test_no_import_time_scipy_or_multiprocessing(path):
     assert import_time_imports(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list:
+    """Parameters of a module-level function or of a method that the body never
+    reads. ``self`` and ``cls`` are exempt, and so are lambdas and functions
+    nested in a function: callbacks such as ``solve_ivp``'s ``rhs(t, y)`` and
+    drift lambdas take the arguments their protocol passes."""
+    found = []
+
+    def check(fn, owner):
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found.extend(f"{owner}{fn.name}({p.arg}) (line {fn.lineno})" for p in params
+                     if p.arg not in ("self", "cls") and p.arg not in read)
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, functions):
+            check(node, "")
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions):
+                    check(item, f"{node.name}.")
+    return found
+
+
+def test_unread_parameter_check_sees_what_it_should():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + args[0] + kw['x']\n"
+              "def g(x, y):\n    def rhs(t, v):\n        return x\n    return rhs, (lambda t, z: y)\n"
+              "class A:\n    def m(self, u):\n        return self\n    @classmethod\n    def n(cls, w=None):\n"
+              "        w = 1\n        return cls\n")
+    assert unread_parameters(source) == [
+        "f(b) (line 1)", "f(c) (line 1)", "A.m(u) (line 8)", "A.n(w) (line 11)"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "levyfp").glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
