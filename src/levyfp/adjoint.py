@@ -19,8 +19,6 @@ from .generators import GeneratorSpec
 from .grids import Grid, ScalarField
 from .norms import weighted_seminorm
 from .operators import RunGuard, StepSetup, _periodic_difference
-# levy_integral_field stays importable here: perfbench/tracing.py traces the quadrature through it
-from .operators import levy_integral_field  # noqa: F401
 from .weights import WeightFunction
 
 __all__ = [
@@ -73,11 +71,11 @@ def tapered_linear(grid: Grid) -> ScalarField:
 
 
 class _AdjointStepper:
-    """One Lie step of the backward clock; jump_route as in forward._Stepper.
-    The step at s reads the drift at forward time horizon - s."""
+    """One Lie step of the backward clock. The step at s reads the drift at
+    forward time horizon - s."""
 
-    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, jump_route: str, horizon: float):
-        self.stage = StepSetup(spec, grid, dt, jump_route, substep=1.0, where=" in adjoint advection")
+    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, horizon: float):
+        self.stage = StepSetup(spec, grid, dt, substep=1.0, where=" in adjoint advection")
         self.grid = grid
         self.dt = dt
         self.horizon = horizon
@@ -129,7 +127,7 @@ def solve_backward(
     time t = s_final - s.
     """
     grid = xi.grid
-    stepper = _AdjointStepper(spec, grid, dt, "auto", s_final)
+    stepper = _AdjointStepper(spec, grid, dt, s_final)
     guard = RunGuard(dt, s_final, record_every, clock="s")
 
     times, profiles, sup = [], [], []

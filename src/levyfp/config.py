@@ -133,11 +133,29 @@ _TERMINAL = {
     "tapered": tapered_linear,
 }
 
+# diffusion.kind, levy.kind, drift.kind -> the generator piece from the data
+_DIFFUSION = {
+    "constant": lambda d: LocalDiffusionSpec.constant(d["diffusion.lambda0"]),
+    "tanh": lambda d: LocalDiffusionSpec.tanh_variable(d["diffusion.lambda0"], d["diffusion.amplitude"]),
+}
+_LEVY = {
+    "none": lambda d: LevyMeasureSpec.none(),
+    "fractional": lambda d: LevyMeasureSpec.fractional(d["levy.sigma"], d["levy.scale"]),
+    "tempered": lambda d: LevyMeasureSpec.tempered(d["levy.sigma"], d["levy.scale"]),
+}
+_DRIFT = {
+    "none": lambda d: DriftSpec.none(),
+    "ou": lambda d: DriftSpec.ou(d["drift.alpha"]),
+    "power": lambda d: DriftSpec.power(d["drift.alpha"], d["drift.gamma"], d["drift.R"]),
+    "perturbed-power": lambda d: DriftSpec.perturbed_power(d["drift.alpha"], d["drift.gamma"],
+                                                           d["drift.amplitude"], d["drift.R"]),
+}
+
 _CHOICES = {
     "experiment": EXPERIMENTS,
-    "diffusion.kind": ("constant", "tanh"),
-    "levy.kind": ("none", "fractional", "tempered"),
-    "drift.kind": ("none", "ou", "power", "perturbed-power"),
+    "diffusion.kind": tuple(_DIFFUSION),
+    "levy.kind": tuple(_LEVY),
+    "drift.kind": tuple(_DRIFT),
     "initial.kind": tuple(_INITIAL),
     "terminal.kind": tuple(_TERMINAL),
     "fit.model": ("none", *FITTERS),
@@ -223,31 +241,8 @@ class ExperimentConfig:
 
 
 def _build_generator(data) -> GeneratorSpec:
-    if data["diffusion.kind"] == "constant":
-        diffusion = LocalDiffusionSpec.constant(data["diffusion.lambda0"])
-    else:
-        diffusion = LocalDiffusionSpec.tanh_variable(data["diffusion.lambda0"], data["diffusion.amplitude"])
-
-    kind = data["levy.kind"]
-    if kind == "none":
-        levy = LevyMeasureSpec.none()
-    elif kind == "fractional":
-        levy = LevyMeasureSpec.fractional(data["levy.sigma"], data["levy.scale"])
-    else:
-        levy = LevyMeasureSpec.tempered(data["levy.sigma"], data["levy.scale"])
-
-    kind = data["drift.kind"]
-    if kind == "none":
-        drift = DriftSpec.none()
-    elif kind == "ou":
-        drift = DriftSpec.ou(data["drift.alpha"])
-    elif kind == "power":
-        drift = DriftSpec.power(data["drift.alpha"], data["drift.gamma"], data["drift.R"])
-    else:
-        drift = DriftSpec.perturbed_power(
-            data["drift.alpha"], data["drift.gamma"], data["drift.amplitude"], data["drift.R"]
-        )
-    return GeneratorSpec(diffusion, levy, drift)
+    return GeneratorSpec(_DIFFUSION[data["diffusion.kind"]](data), _LEVY[data["levy.kind"]](data),
+                         _DRIFT[data["drift.kind"]](data))
 
 
 def _refuse_as(prefix: str, check, *args):

@@ -2,10 +2,9 @@
 
 One step is a Strang composition: half a transport step, a full diffusion
 step, half a transport step. Transport is the conservative upwind flux with
-SSP-RK2 substeps; the constant-coefficient diffusion (lambda0 plus the
-fractional symbol) is applied exactly in Fourier space; an explicit Euler step
-of a shell-quadrature jump term rides in the same multiply as the quadrature's
-discrete symbol, built once per run; variable Sigma is an explicit Euler term.
+SSP-RK2 substeps; the constant-coefficient diffusion and the jump part
+(lambda0 xi^2 plus the measure's exact symbol) are applied exactly in Fourier
+space; variable Sigma is an explicit Euler term.
 Every stage telescopes, so mass is conserved to rounding regardless of step size.
 """
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .operators import (
     RunGuard,
     StepSetup,
     divergence_of_flux,
-    levy_integral_field,  # noqa: F401  perfbench/tracing.py traces the quadrature through this name
     transport_flux,
 )
 
@@ -47,8 +45,13 @@ def gaussian(grid: Grid, center: float = 0.0, std: float = 1.0) -> DensityField:
     discrete integral is exactly 1 even when the tails are truncated."""
     if std <= 0:
         raise ValueError(f"std must be positive, got {std}")
-    vals = np.exp(-0.5 * ((grid.nodes - center) / std) ** 2)
-    vals /= vals.sum() * grid.cell_volume
+    # a std far below dx overflows the exponent to -inf: weight 0, refused below
+    with np.errstate(over="ignore"):
+        vals = np.exp(-0.5 * ((grid.nodes - center) / std) ** 2)
+    total = vals.sum() * grid.cell_volume
+    if not np.isfinite(total) or total <= 0:
+        raise ValueError(f"std {std:g} is too small for the grid: no node gets weight")
+    vals /= total
     return DensityField(grid=grid, values=vals)
 
 
@@ -85,13 +88,11 @@ def smooth_bump(grid: Grid, center: float = 0.0, width: float = 1.0) -> DensityF
 
 
 class _Stepper:
-    """Precomputed pieces of one Strang step for a fixed (spec, grid, dt).
-    Runs pass jump_route "auto", which resolves the route from the measure;
-    tests pass "quadrature" to run a fractional measure on that route."""
+    """Precomputed pieces of one Strang step for a fixed (spec, grid, dt)."""
 
-    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, limiter: str, jump_route: str):
+    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, limiter: str):
         # two RK substeps of dt/2 per transport half
-        self.stage = StepSetup(spec, grid, dt, jump_route, substep=0.5)
+        self.stage = StepSetup(spec, grid, dt, substep=0.5)
         self.grid = grid
         self.dt = dt
         self.limiter = limiter
@@ -150,7 +151,7 @@ def solve(
     and blow-up are checked at the recorded steps only (snapshot steps too).
     """
     grid = m0.grid
-    stepper = _Stepper(spec, grid, dt, limiter, "auto")
+    stepper = _Stepper(spec, grid, dt, limiter)
     snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
     guard = RunGuard(dt, t_final, record_every, extra_records=snap_steps)
     record_weights = record_weights or {}
@@ -220,7 +221,7 @@ def stationary_solve(
     checked at the end of every block of unit time.
     """
     check_stationary_spec(spec)
-    stepper = _Stepper(spec, grid, dt, limiter, "auto")
+    stepper = _Stepper(spec, grid, dt, limiter)
     # one block of steps between convergence checks
     block = RunGuard(dt, max(1, int(round(1.0 / dt))) * dt)
     m = gaussian(grid).values

@@ -28,6 +28,29 @@ __all__ = [
 ]
 
 
+def _tempered_symbol(xi: np.ndarray, sigma: float, c: float) -> np.ndarray:
+    """Fourier symbol of the tempered kernel c * exp(-|z|) / |z|^{1+sigma}:
+    int (1 - cos(xi z)) density(z) dz = c * 2 Gamma(-sigma) (1 - Re (1 + i xi)^sigma)
+    (Koponen, Phys. Rev. E 52, 1995).
+
+    Written without the poles of Gamma(-sigma) at sigma = 1 as
+    -2 Gamma(2 - sigma) / sigma * Re[(1 + i xi) expm1(eps L) / eps] with
+    eps = sigma - 1 and L = log(1 + i xi) = l + i theta, taking L itself at
+    eps = 0. Re expm1(eps L) = expm1(eps l) cos(eps theta) - 2 sin^2(eps theta / 2)
+    keeps the small-xi limit xi^2 Gamma(2 - sigma) free of cancellation.
+    """
+    ell = 0.5 * np.log1p(xi * xi)
+    theta = np.arctan(xi)
+    eps = sigma - 1.0
+    if eps == 0.0:
+        re, im = ell, theta
+    else:
+        re = (np.expm1(eps * ell) * np.cos(eps * theta) - 2.0 * np.sin(0.5 * eps * theta) ** 2) / eps
+        im = np.exp(eps * ell) * np.sin(eps * theta) / eps
+    # Re[(1 + i xi)(re + i im)] = re - xi * im
+    return -2.0 * c * math.gamma(2.0 - sigma) / sigma * (re - xi * im)
+
+
 def stable_normalization(sigma: float) -> float:
     """Constant C(sigma) with (-Lap)^{sigma/2} u = C * PV-integral of
     (u(x) - u(x+z)) / |z|^{1+sigma} dz in d = 1, i.e. the density making the
@@ -44,7 +67,8 @@ def stable_normalization(sigma: float) -> float:
 
 @dataclass(frozen=True)
 class LevyMeasureSpec:
-    """Symmetric jump measure with density ``density(|z|)`` in d=1.
+    """Symmetric jump measure with density ``density(|z|)`` in d=1 and its
+    exact Fourier symbol ``symbol(|xi|)`` = int (1 - cos(xi z)) density(z) dz.
 
     ``lower`` and ``upper`` are the declared multipliers lam, Lam with
     lam/|z|^{1+sigma} <= density(z) <= Lam/|z|^{1+sigma}; for the tempered
@@ -58,6 +82,7 @@ class LevyMeasureSpec:
     lower: float = 0.0
     upper: float = 0.0
     density: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
+    symbol: Callable[[np.ndarray], np.ndarray] = field(default=np.zeros_like, repr=False)
 
     @staticmethod
     def none() -> "LevyMeasureSpec":
@@ -78,12 +103,14 @@ class LevyMeasureSpec:
             lower=c,
             upper=c,
             density=lambda z: c / np.abs(z) ** (1.0 + sigma),
+            symbol=lambda xi: scale * xi**sigma,
         )
 
     @staticmethod
     def tempered(sigma: float, scale: float | None = None) -> "LevyMeasureSpec":
         """density = C * exp(-|z|) / |z|^{1+sigma} with C defaulting to the
-        stable normalization, so it matches the fractional kind near z = 0."""
+        stable normalization, so it matches the fractional kind near z = 0;
+        symbol ``_tempered_symbol``."""
         if not 0.0 < sigma < 2.0:
             raise ValueError(f"tempered measure needs sigma in (0, 2), got {sigma}")
         c = stable_normalization(sigma) if scale is None else float(scale)
@@ -96,15 +123,12 @@ class LevyMeasureSpec:
             lower=c * math.exp(-1.0),
             upper=c,
             density=lambda z: c * np.exp(-np.abs(z)) / np.abs(z) ** (1.0 + sigma),
+            symbol=lambda xi: _tempered_symbol(xi, sigma, c),
         )
 
     @property
     def is_active(self) -> bool:
         return self.kind != "none"
-
-    @property
-    def has_exact_symbol(self) -> bool:
-        return self.kind == "fractional"
 
 
 @dataclass(frozen=True)

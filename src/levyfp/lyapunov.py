@@ -285,8 +285,6 @@ class RateOdeSolution:
 
     times: np.ndarray
     varpi: np.ndarray
-    L: float
-    theta: float
     max_implicit_residual: float
 
 
@@ -353,7 +351,4 @@ def solve_rate_ode(h, L: float, theta: float, T: float, n_points: int = 201) -> 
             f"rate ODE output violates the implicit time identity: relative "
             f"residual {worst:.3e} exceeds 1e-6"
         )
-    return RateOdeSolution(
-        times=times, varpi=varpi, L=float(L), theta=float(theta),
-        max_implicit_residual=float(worst),
-    )
+    return RateOdeSolution(times=times, varpi=varpi, max_implicit_residual=float(worst))

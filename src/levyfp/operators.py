@@ -1,18 +1,13 @@
 """Discretizations of the generator and its formal adjoint.
 
-Two independent routes exist for the jump part and both stay available:
-
-* spectral: on the periodic grid the symmetric stable integral is diagonal
-  in Fourier space with symbol scale*|xi|^sigma (sigma = 2 gives -Lap);
-* quadrature: compensated dyadic-shell integration of the singular kernel,
-  usable for any symmetric density and for off-grid callables. The time
-  steppers apply it as its discrete Fourier symbol, built once per run
-  (StepSetup) from the unit-impulse response, which is assembled from the
-  interpolation taps each node puts on the impulse, equal bit for bit to
-  the per-node loop; the loop stays as the oracle.
-
-The time steppers apply constant-coefficient diffusion and the jump symbol
-in one real FFT pair (rfft/irfft) on the n//2 + 1 half spectrum.
+The jump part: on the periodic grid every builtin symmetric measure is
+diagonal in Fourier space with its exact symbol ``LevyMeasureSpec.symbol``
+(scale*|xi|^sigma for the fractional kind, the truncated-Levy exponent for
+the tempered one). The time steppers apply constant-coefficient diffusion
+and that symbol as one exponential factor in one real FFT pair (rfft/irfft)
+on the n//2 + 1 half spectrum. Off the grid, the compensated dyadic-shell
+quadrature integrates the singular kernel of a callable at arbitrary points
+(``levy_integral_callable``), which the Lyapunov checkers use.
 
 The drift enters the adjoint in divergence form through a conservative
 finite-volume upwind flux (optional second-order limited reconstruction),
@@ -27,11 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from .generators import GeneratorSpec, LevyMeasureSpec
-from .grids import Grid, ScalarField
+from .grids import Grid
 
 __all__ = [
     "shell_quadrature_nodes",
-    "levy_integral_field",
     "levy_integral_callable",
     "transport_flux",
     "divergence_of_flux",
@@ -45,7 +39,7 @@ LIMITERS = ("mc", "minmod", "fromm", "off")
 
 
 # ---------------------------------------------------------------------------
-# quadrature route
+# shell quadrature of callables
 
 _GL_CACHE: dict = {}
 
@@ -101,151 +95,18 @@ def _second_moment_inner(nu: LevyMeasureSpec, r_min: float) -> float:
     return 2.0 * float(np.sum(half * gl_w * g)) / p
 
 
-def _mass_beyond(nu: LevyMeasureSpec, z_max: float) -> float:
-    """integral of density over z > z_max (one sign), geometric ladder."""
-    z, w = shell_quadrature_nodes(z_max, max(1e12, z_max * 1e6), 2, 8)
-    return float(np.sum(w * nu.density(z)))
-
-
-def _lagrange_weights(t):
-    """Weights of the 4-point Lagrange taps j-1, j, j+1, j+2 at offset t in
-    [0, 1) from tap j; t may be a scalar or an array."""
-    return (
-        -t * (t - 1.0) * (t - 2.0) / 6.0,
-        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-        -t * (t + 1.0) * (t - 2.0) / 2.0,
-        t * (t + 1.0) * (t - 1.0) / 6.0,
-    )
-
-
-def _periodic_shift_interp(values: np.ndarray, grid: Grid, z: float) -> np.ndarray:
-    """u(x_i + z) for all i by periodic 4-point Lagrange interpolation.
-
-    Cubic rather than linear: the jump kernel integrates interpolation error
-    against ~1/z^{1+sigma} down to sub-cell radii, and the linear-order error
-    floor dx^2*u'' there is far too coarse for cross-route validation.
-    """
-    s = z / grid.dx
-    j = int(np.floor(s))
-    wm1, w0, w1, w2 = _lagrange_weights(s - j)
-    return (
-        wm1 * np.roll(values, -(j - 1))
-        + w0 * np.roll(values, -j)
-        + w1 * np.roll(values, -(j + 1))
-        + w2 * np.roll(values, -(j + 2))
-    )
-
-
-def _periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
-    """values with ``width`` periodic ghost cells at each end: q[i + width] = values[i mod n]."""
-    return np.concatenate((values[-width:], values, values[:width]))
-
-
-def _fourth_order_d2(values: np.ndarray, dx: float) -> np.ndarray:
-    """4th-order centered periodic second difference."""
-    q = _periodic_pad(values, 2)
-    return (-q[4:] + 16.0 * q[3:-1] - 30.0 * values + 16.0 * q[1:-3] - q[:-4]) / (12.0 * dx**2)
-
-
-def _shell_rule(grid: Grid, nu: LevyMeasureSpec, r_min, z_max, shells_per_octave: int = 1,
-                nodes_per_shell: int = 8):
-    """(r_min, z_max, nodes z, weights w * density(z)) of the quadrature on the
-    grid, r_min defaulting to dx/4 and z_max to 64 L."""
-    if not 0.0 < nu.sigma < 2.0:
-        raise ValueError(f"jump quadrature needs sigma in (0, 2), got {nu.sigma}")
-    r_min = grid.dx / 4.0 if r_min is None else float(r_min)
-    z_max = 64.0 * grid.half_width if z_max is None else float(z_max)
-    if r_min <= 0:
-        raise ValueError(f"r_min must be positive, got {r_min}")
-    z, w = shell_quadrature_nodes(r_min, z_max, shells_per_octave, nodes_per_shell)
-    return r_min, z_max, z, w * nu.density(z)
-
-
-def _add_local_terms(acc: np.ndarray, vals: np.ndarray, grid: Grid, nu: LevyMeasureSpec,
-                     r_min: float, z_max: float) -> np.ndarray:
-    """acc plus the Taylor term below r_min, then the tail beyond z_max, in place."""
-    # 4th-order centered second difference: the m2 weight blows up like
-    # r_min^(2-sigma)/(2-sigma) near sigma = 2, so the dx^2 floor of the
-    # 3-point stencil is not good enough there.
-    acc += 0.5 * _fourth_order_d2(vals, grid.dx) * _second_moment_inner(nu, r_min)
-    acc += 2.0 * (float(np.mean(vals)) - vals) * _mass_beyond(nu, z_max)
-    return acc
-
-
-def levy_integral_field(
-    u: ScalarField,
-    nu: LevyMeasureSpec,
-    r_min: float | None = None,
-    z_max: float | None = None,
-    shells_per_octave: int = 1,
-    nodes_per_shell: int = 8,
-) -> ScalarField:
-    """Compensated jump integral I(x, [u]) on every node of a d=1 grid.
-
-    Uses symmetric pairing u(x+z) + u(x-z) - 2 u(x), which is the compensated
-    form for symmetric measures, over dyadic shells from r_min (default dx/4)
-    to z_max (default 64 L, contributions wrapping through the periodic cell).
-    Below r_min the integrand is replaced by its Taylor model z^2 u''(x) with a
-    centered finite-difference u'', i.e. the term 0.5 * u'' * m2(r_min).
-    Beyond z_max the wrapped samples equidistribute over the cell, so the tail
-    collapses to 2 (mean(u) - u(x)) * nu(z > z_max).
-    """
-    grid = u.grid
-    if not nu.is_active:
-        return u.with_values(np.zeros_like(u.values))
-    r_min, z_max, z, rho_w = _shell_rule(grid, nu, r_min, z_max, shells_per_octave, nodes_per_shell)
-    vals = u.values
-    acc = np.zeros_like(vals)
-    for zk, rw in zip(z, rho_w):
-        acc += rw * (
-            _periodic_shift_interp(vals, grid, zk)
-            + _periodic_shift_interp(vals, grid, -zk)
-            - 2.0 * vals
-        )
-    return u.with_values(_add_local_terms(acc, vals, grid, nu, r_min, z_max))
-
-
-def _impulse_response(grid: Grid, nu: LevyMeasureSpec) -> np.ndarray:
-    """levy_integral_field of the unit impulse at cell 0 (default rule), bit for
-    bit, built from the Lagrange taps without the per-node loop.
-
-    On the impulse each shift +-z_k reaches only its 4 tap cells, where the
-    loop's interpolant is exactly the tap weight. Row k of ``terms`` is what
-    node k adds: the weights of +z_k, those of -z_k summed onto them, minus 2
-    at cell 0, times the node weight. Adding the rows in node order repeats
-    the loop's additions on every cell.
-    """
-    n = grid.n
-    r_min, z_max, z, rho_w = _shell_rule(grid, nu, None, None)
-    terms = np.zeros((z.size, n))
-    rows = np.arange(z.size)[:, None]
-    for shift in (z, -z):
-        s = shift / grid.dx
-        j = np.floor(s)
-        # the impulse sits in tap j + r of cell i where i + j + r = 0 mod n
-        cells = -(j.astype(np.int64)[:, None] + np.arange(-1, 3)) % n
-        terms[rows, cells] += np.stack(_lagrange_weights(s - j), axis=1)
-    terms[:, 0] -= 2.0
-    terms *= rho_w[:, None]
-    acc = np.zeros(n)
-    for row in terms:
-        acc += row
-    impulse = np.zeros(n)
-    impulse[0] = 1.0
-    return _add_local_terms(acc, impulse, grid, nu, r_min, z_max)
-
-
 # shell range of levy_integral_callable: Taylor model below CALLABLE_R_MIN,
 # nothing beyond CALLABLE_Z_MAX (callers with power-law integrands add the tail)
 CALLABLE_R_MIN, CALLABLE_Z_MAX = 1e-6, 1e12
 
 
-def levy_integral_callable(fn, xs: np.ndarray, nu: LevyMeasureSpec, d2fn=None) -> np.ndarray:
+def levy_integral_callable(fn, xs: np.ndarray, nu: LevyMeasureSpec, d2fn) -> np.ndarray:
     """Compensated jump integral of a callable u at arbitrary points (d=1).
 
     No periodicity is involved: shells extend geometrically to CALLABLE_Z_MAX,
     astronomically large at logarithmic cost, covering slowly decaying
-    power-law integrands such as weights <x>^beta with beta < sigma.
+    power-law integrands such as weights <x>^beta with beta < sigma. Below
+    CALLABLE_R_MIN the Taylor model takes u'' from ``d2fn``.
     """
     if not nu.is_active:
         return np.zeros_like(np.asarray(xs, dtype=float))
@@ -254,12 +115,7 @@ def levy_integral_callable(fn, xs: np.ndarray, nu: LevyMeasureSpec, d2fn=None) -
     x = np.asarray(xs, dtype=float)[:, None]
     fx = fn(x)
     acc = np.sum(rho_w[None, :] * (fn(x + z[None, :]) + fn(x - z[None, :]) - 2.0 * fx), axis=1)
-    if d2fn is None:
-        h = CALLABLE_R_MIN
-        d2 = (fn(x + h) - 2.0 * fx + fn(x - h))[:, 0] / h**2
-    else:
-        d2 = d2fn(x[:, 0])
-    return acc + 0.5 * d2 * _second_moment_inner(nu, CALLABLE_R_MIN)
+    return acc + 0.5 * d2fn(x[:, 0]) * _second_moment_inner(nu, CALLABLE_R_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +194,11 @@ def _variable_diffusion_term(values: np.ndarray, grid: Grid, g: GeneratorSpec, a
     return s2 * _second_difference(values, grid.dx)
 
 
+def _periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
+    """values with ``width`` periodic ghost cells at each end: q[i + width] = values[i mod n]."""
+    return np.concatenate((values[-width:], values, values[:width]))
+
+
 def _second_difference(p: np.ndarray, dx: float) -> np.ndarray:
     """3-point centered periodic second difference."""
     q = _periodic_pad(p, 1)
@@ -348,19 +209,6 @@ def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """max(w, 0) and min(w, 0) shifted one cell on (entry i is min(w_{i-1}, 0))."""
     wm = np.minimum(w, 0.0)
     return np.maximum(w, 0.0), np.concatenate((wm[-1:], wm[:-1]))
-
-
-def _resolve_jump_route(nu: LevyMeasureSpec, route: str) -> str | None:
-    """"spectral", "quadrature", or None for an inactive measure."""
-    if route == "auto":
-        route = "spectral" if nu.has_exact_symbol else "quadrature"
-    if route not in ("spectral", "quadrature"):
-        raise ValueError(f"unknown jump route {route!r}")
-    if not nu.is_active:
-        return None
-    if route == "spectral" and not nu.has_exact_symbol:
-        raise ValueError(f"no exact symbol for levy kind {nu.kind!r}")
-    return route
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +272,9 @@ class StepSetup:
     """Operator pieces of one time step of either clock for a fixed (spec, grid, dt).
 
     ``diffuse`` applies constant-coefficient diffusion and the jump part by
-    one real FFT pair (rfft/irfft) with ``diffusion_factor`` on the n//2 + 1
-    half spectrum: an exact symbol sits in the exponent, while the explicit
-    Euler jump step of the quadrature route is the factor (1 + dt*lam), with
-    ``jump_symbol`` lam such that fft(levy_integral_field(u)) = lam * fft(u)
-    on the full spectrum. lam is the FFT of the quadrature's unit-impulse
-    response, built from its Lagrange taps (``_impulse_response``).
+    one real FFT pair (rfft/irfft) with ``diffusion_factor``
+    exp(-dt (lambda0 xi^2 + symbol(xi))) on the n//2 + 1 half spectrum, the
+    exact symbol of every measure in the exponent.
     Faces are in forward time. The explicit pieces are checked at setup, the
     advection against the CFL bound for a step of ``substep * dt``: a static
     drift once, a time-dependent one on every face array ``faces`` builds, so
@@ -437,8 +282,7 @@ class StepSetup:
     the messages.
     """
 
-    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, jump_route: str,
-                 substep: float = 1.0, where: str = ""):
+    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, substep: float = 1.0, where: str = ""):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.spec = spec
@@ -446,28 +290,14 @@ class StepSetup:
         self.dt = dt
         self.substep = substep
         self.where = where
-        self.jump_route = _resolve_jump_route(spec.levy, jump_route)
-        modes = grid.n // 2 + 1  # the half spectrum of rfft
-        xi = grid.wavenumber_magnitude[:modes]
-        sym = spec.diffusion.lambda0 * xi**2
-        if self.jump_route == "spectral":
-            sym = sym + spec.levy.scale * xi**spec.levy.sigma
-        self.diffusion_factor = np.exp(-dt * sym)
-        self.jump_symbol, self.jump_radius = None, 0.0
-        if self.jump_route == "quadrature":
-            # the shell loop on the periodic grid is a symmetric circulant: its
-            # symbol is the real FFT of its unit-impulse response. It kills
-            # constants, so lam[0] is exactly 0, not the impulse sum's residue.
-            lam = np.fft.fft(_impulse_response(grid, spec.levy)).real
-            lam[0] = 0.0
-            self.diffusion_factor = self.diffusion_factor * (1.0 + dt * lam[:modes])
-            self.jump_symbol, self.jump_radius = lam, float(np.abs(lam).max())
+        xi = grid.wavenumber_magnitude[: grid.n // 2 + 1]  # the half spectrum of rfft
+        self.diffusion_factor = np.exp(-dt * (spec.diffusion.lambda0 * xi**2 + spec.levy.symbol(xi)))
         self.static_w = self.static_split = self._last_faces = None
         if not spec.is_time_dependent:
             self.static_w = face_velocities(grid, spec.drift, 0.0)
             self.static_split = _upwind_split(self.static_w)
             self._check_cfl(self.static_w)
-        self._check_explicit_terms()
+        self._check_variable_diffusion()
 
     def _check_cfl(self, w: np.ndarray, t: float | None = None):
         """Raise NumericalFailure if faces w move more than 0.95 dx in one advection step."""
@@ -478,14 +308,8 @@ class StepSetup:
                 f"CFL violation{self.where}{at}: dt={dt:g} exceeds "
                 f"{0.95 * dx / (self.substep * wmax):g} allowed by max|b|={wmax:g} on dx={dx:g}")
 
-    def _check_explicit_terms(self):
+    def _check_variable_diffusion(self):
         dt, dx = self.dt, self.grid.dx
-        # explicit Euler jump step: the spectral radius is max|lam|
-        lam = self.jump_radius
-        if dt * lam > 1.8:
-            raise NumericalFailure(
-                f"explicit jump term unstable: dt={dt:g} * |I|={lam:g} > 1.8; "
-                f"reduce dt below {1.8 / lam:g}")
         if self.spec.diffusion.has_variable_part:
             smax = self.spec.diffusion.sigma_squared(self.grid.nodes).max()
             if dt * smax > 0.45 * dx**2:

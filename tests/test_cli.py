@@ -687,13 +687,27 @@ def test_deferred_scipy_imports_resolve_in_a_fresh_interpreter(tmp_path):
     assert (tmp_path / "p" / "summary.json").exists() and (tmp_path / "r" / "summary.json").exists()
 
 
+def validate_fresh(cfg):
+    """``levyfp validate cfg`` in a new interpreter, which prints numpy's warnings."""
+    script = f"import sys\nsys.path.insert(0, {SRC!r})\nfrom levyfp.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", script, "validate", str(cfg)],
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_rate_ode_refusal_prints_no_numpy_warning(tmp_path):
     # h = c / log(r)^q divides by zero on the probe r = L = 1; the refusal
     # says so, and numpy stays quiet (a fresh interpreter shows its warnings)
     cfg = write_config(tmp_path, "rode.json", **{"experiment": "rate-ode", "rate_ode.form": "inverse-log",
                                                  "rate_ode.L": 1.0})
-    script = f"import sys\nsys.path.insert(0, {SRC!r})\nfrom levyfp.cli import main\nsys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run([sys.executable, "-c", script, "validate", str(cfg)],
-                          capture_output=True, text=True, timeout=120)
+    proc = validate_fresh(cfg)
     assert proc.returncode == 2
     assert proc.stderr == "config error: rate_ode: h must be positive, got a nonpositive or non-finite probe value\n"
+
+
+def test_tiny_std_refusal_prints_no_numpy_warning(tmp_path):
+    # a std far below dx overflows the Gaussian's exponent and leaves no node
+    # any weight; the refusal says so, and numpy stays quiet
+    cfg = write_config(tmp_path, "tiny.json", **{"grid.n": 256, "initial.std": 1e-200, "initial.center": 0.01})
+    proc = validate_fresh(cfg)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: initial: std 1e-200 is too small for the grid: no node gets weight\n"

@@ -1,21 +1,16 @@
 """The diffusion stage against its oracles: the half-spectrum FFT pair against
-the complex pair it replaced, the quadrature symbol's tap-built impulse
-response against the per-node shell loop, and the sliced second differences
-against their np.roll stencils, bit for bit, sign bits of zeros included."""
+the complex pair it replaced, and the sliced second differences against their
+np.roll stencils, bit for bit, sign bits of zeros included. The quadrature
+oracle's tap-built impulse response is held to its per-node shell loop the
+same way."""
 import numpy as np
 import pytest
+import quadrature_oracle
+from quadrature_oracle import fourth_order_d2, impulse_response, levy_integral_field
 
-import levyfp.operators as operators
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Grid, ScalarField
-from levyfp.operators import (
-    StepSetup,
-    _fourth_order_d2,
-    _impulse_response,
-    _variable_diffusion_term,
-    levy_integral_field,
-    shell_quadrature_nodes,
-)
+from levyfp.operators import StepSetup, _variable_diffusion_term, shell_quadrature_nodes
 
 # ---------------------------------------------------------------------------
 # oracles: the complex FFT pair and the np.roll stencils
@@ -23,14 +18,8 @@ from levyfp.operators import (
 
 def oracle_factor(setup: StepSetup) -> np.ndarray:
     """The diffusion factor on the full spectrum, as the complex pair applied it."""
-    spec, g, dt = setup.spec, setup.grid, setup.dt
-    sym = spec.diffusion.lambda0 * g.wavenumber_magnitude**2
-    if setup.jump_route == "spectral":
-        sym = sym + spec.levy.scale * g.wavenumber_magnitude**spec.levy.sigma
-    factor = np.exp(-dt * sym)
-    if setup.jump_route == "quadrature":
-        factor = factor * (1.0 + dt * setup.jump_symbol)
-    return factor
+    spec, xi = setup.spec, setup.grid.wavenumber_magnitude
+    return np.exp(-setup.dt * (spec.diffusion.lambda0 * xi**2 + spec.levy.symbol(xi)))
 
 
 def oracle_variable_term(values, grid, g, adjoint):
@@ -91,11 +80,10 @@ SIZES = (8, 64, 1024)
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
-@pytest.mark.parametrize("kind, route", [("fractional", "spectral"), ("tempered", "quadrature")])
-def test_diffuse_matches_complex_pair(kind, route, variable, n):
+@pytest.mark.parametrize("kind", ["fractional", "tempered"])
+def test_diffuse_matches_complex_pair(kind, variable, n):
     g = Grid(n=n, half_width=16.0)
-    setup = StepSetup(_spec(kind, variable), g, 1e-4, "auto")
-    assert setup.jump_route == route
+    setup = StepSetup(_spec(kind, variable), g, 1e-4)
     # the half factor is the complex pair's factor on the first n//2 + 1 modes
     assert setup.diffusion_factor.shape == (n // 2 + 1,)
     assert np.array_equal(setup.diffusion_factor, oracle_factor(setup)[: n // 2 + 1])
@@ -109,7 +97,7 @@ def test_diffuse_matches_complex_pair(kind, route, variable, n):
 
 
 def test_diffuse_leaves_its_input_alone():
-    setup = StepSetup(_spec("fractional", True), Grid(n=64, half_width=16.0), 1e-4, "auto")
+    setup = StepSetup(_spec("fractional", True), Grid(n=64, half_width=16.0), 1e-4)
     v = np.random.default_rng(5).standard_normal(64)
     keep = v.copy()
     setup.diffuse(v, adjoint=True)
@@ -117,7 +105,7 @@ def test_diffuse_leaves_its_input_alone():
 
 
 # ---------------------------------------------------------------------------
-# the quadrature symbol
+# the quadrature oracle's impulse response
 
 
 @pytest.mark.parametrize("half_width", [16.0, 0.5])
@@ -136,25 +124,7 @@ def test_impulse_response_matches_node_loop(kind, sigma, n, half_width):
     impulse = np.zeros(n)
     impulse[0] = 1.0
     want = levy_integral_field(ScalarField(g, impulse), nu).values
-    assert_bitwise(_impulse_response(g, nu), want)
-
-
-def test_quadrature_setup_never_runs_the_node_loop(monkeypatch):
-    calls = []
-    interp = operators._periodic_shift_interp
-
-    def spy(values, grid, z):
-        calls.append(z)
-        return interp(values, grid, z)
-
-    monkeypatch.setattr(operators, "_periodic_shift_interp", spy)
-    g = Grid(n=256, half_width=16.0)
-    setup = StepSetup(_spec("tempered", False), g, 1e-4, "auto")
-    assert setup.jump_route == "quadrature"
-    assert calls == []
-    # the spy is live: the loop itself goes through it
-    levy_integral_field(ScalarField(g, np.cos(g.nodes)), setup.spec.levy)
-    assert len(calls) > 0
+    assert_bitwise(impulse_response(g, nu), want)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +136,7 @@ def test_fourth_order_d2_matches_roll_oracle(n):
     rng = np.random.default_rng(40 + n)
     for dx in (1e-3, 0.0625, 3.0):
         v = random_field(rng, n)
-        assert_bitwise(_fourth_order_d2(v, dx), oracle_d2(v, dx))
+        assert_bitwise(fourth_order_d2(v, dx), oracle_d2(v, dx))
 
 
 def test_levy_field_matches_roll_stencil(monkeypatch):
@@ -174,7 +144,7 @@ def test_levy_field_matches_roll_stencil(monkeypatch):
     u = ScalarField(g, random_field(np.random.default_rng(41), g.n))
     nu = LevyMeasureSpec.tempered(1.2)
     got = levy_integral_field(u, nu).values
-    monkeypatch.setattr(operators, "_fourth_order_d2", oracle_d2)
+    monkeypatch.setattr(quadrature_oracle, "fourth_order_d2", oracle_d2)
     assert_bitwise(got, levy_integral_field(u, nu).values)
 
 

@@ -1,13 +1,16 @@
-"""Operator discretizations: spectral route, shell quadrature, transport.
+"""Operator discretizations: exact symbols, shell quadrature, transport.
 
 The assembled generator and its adjoint below are test oracles: no stepper
 applies them, and the duality tests pair one against the other. The checks
 of the declared measure and drift constants are test helpers too.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quadrature_oracle import levy_integral_field, quadrature_symbol
 
 from levyfp.generators import (
     DriftSpec,
@@ -19,12 +22,10 @@ from levyfp.generators import (
 from levyfp.grids import Grid, ScalarField
 from levyfp.operators import (
     StepSetup,
-    _resolve_jump_route,
     _variable_diffusion_term,
     divergence_of_flux,
     face_velocities,
     levy_integral_callable,
-    levy_integral_field,
     shell_quadrature_nodes,
     transport_flux,
 )
@@ -59,25 +60,25 @@ def fractional_action(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarra
 
 
 def _jump_term(values: np.ndarray, grid: Grid, g: GeneratorSpec, route: str) -> np.ndarray:
-    """-I(x, [u]) as a value array (equals +(-Lap)^{sigma/2} u for the
-    fractional kind); the adjoint jump term is identical because the builtin
-    measures are symmetric, so reflecting the measure is a no-op."""
+    """-I(x, [u]) as a value array, by the measure's exact symbol ("spectral")
+    or the shell-quadrature oracle ("quadrature"); the adjoint jump term is
+    identical because the builtin measures are symmetric, so reflecting the
+    measure is a no-op."""
     nu = g.levy
-    route = _resolve_jump_route(nu, route)
-    if route is None:
-        return np.zeros_like(values)
-    if route == "spectral":
-        return nu.scale * fractional_action(values, grid, nu.sigma)
-    return -levy_integral_field(ScalarField(grid, values), nu).values
+    if route == "quadrature":
+        return -levy_integral_field(ScalarField(grid, values), nu).values
+    if route != "spectral":
+        raise ValueError(f"unknown jump route {route!r}")
+    return np.real(np.fft.ifft(nu.symbol(grid.wavenumber_magnitude) * np.fft.fft(values)))
 
 
-def apply_generator(u: ScalarField, g: GeneratorSpec, t: float = 0.0, jump_route: str = "auto") -> ScalarField:
+def apply_generator(u: ScalarField, g: GeneratorSpec, t: float = 0.0, jump_route: str = "spectral") -> ScalarField:
     """L^b[u] = -lambda0 Lap u - tr(Sigma Sigma^T D^2 u) - I(x,[u]) + b . Du.
 
     Differential parts use spectral differentiation, so fields sampled from
     non-periodic functions carry seam oscillation; the jump part goes through
-    the spectral symbol for the fractional kind and shell quadrature
-    otherwise (``jump_route`` forces one or the other).
+    the measure's exact symbol, or the shell quadrature with
+    ``jump_route="quadrature"``.
     """
     grid = u.grid
     vals = u.values
@@ -97,7 +98,7 @@ def apply_adjoint_generator(
     g: GeneratorSpec,
     t: float = 0.0,
     limiter: str = "mc",
-    jump_route: str = "auto",
+    jump_route: str = "spectral",
 ) -> ScalarField:
     """L^*[m] - div(b m): the spatial operator of the forward equation
     d/dt m = -(L^*[m] - div(b m)).
@@ -290,10 +291,8 @@ def test_quadrature_symbol_matches_node_loop(kind, sigma, n):
     # the shell loop is a circulant on the periodic grid: its FFT symbol
     # reproduces it to rounding on any field
     g = Grid(n=n, half_width=16.0)
-    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), getattr(LevyMeasureSpec, kind)(sigma),
-                         DriftSpec.ou(1.0))
-    nu = spec.levy
-    lam = StepSetup(spec, g, 1e-4, "quadrature").jump_symbol
+    nu = getattr(LevyMeasureSpec, kind)(sigma)
+    lam = quadrature_symbol(g, nu)
     rng = np.random.default_rng(20)
     for _ in range(20):
         u = rng.standard_normal(n)
@@ -302,40 +301,55 @@ def test_quadrature_symbol_matches_node_loop(kind, sigma, n):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_quadrature_symbol_zero_mode_is_exact():
-    setup = StepSetup(_tempered_spec(), GRID, 5e-4, "auto")
-    assert setup.jump_symbol[0] == 0.0
-    assert setup.diffusion_factor[0] == 1.0
+# ---------------------------------------------------------------------------
+# the exact tempered symbol
 
 
-@pytest.mark.parametrize("n", [64, 1024])
-@pytest.mark.parametrize("kind", ["tempered", "fractional"])
-def test_symbol_radius_equals_nyquist_probe(kind, n):
-    # the stability gate reads max|lam|; on the builtin kernels the largest
-    # modulus sits at the Nyquist mode, where a quadrature pass on the most
-    # oscillatory grid mode measured it
-    g = Grid(n=n, half_width=16.0)
-    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), getattr(LevyMeasureSpec, kind)(1.5),
+@pytest.mark.parametrize("sigma", [0.3, 0.7, 1.0, 1.5, 1.9])
+def test_tempered_symbol_matches_node_loop_on_low_modes(sigma):
+    # I = -symbol, so the quadrature's symbol is -lam; on N=1024, L=16 its
+    # discretization error on |xi| <= 1 measured at most 2.0e-5 relative
+    # (sigma 1.5 and 1.9), and the bound leaves a factor 5
+    nu = LevyMeasureSpec.tempered(sigma)
+    lam = quadrature_symbol(GRID, nu)
+    xi = GRID.wavenumber_magnitude
+    low = (xi > 0) & (xi <= 1.0)
+    psi = nu.symbol(xi[low])
+    assert np.all(np.abs(-lam[low] - psi) <= 1e-4 * psi)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 1.5, 1.99])
+def test_tempered_symbol_small_xi_series(sigma):
+    # symbol = c Gamma(2 - sigma) xi^2 (1 - (2 - sigma)(3 - sigma) xi^2 / 12 + ...),
+    # and the next-term coefficient is at most 1/2
+    nu = LevyMeasureSpec.tempered(sigma)
+    xi = np.array([1e-8, 1e-6, 1e-4, 1e-3, 1e-2])
+    ratio = nu.symbol(xi) / (nu.scale * math.gamma(2.0 - sigma) * xi**2)
+    assert np.all(np.abs(ratio - 1.0) <= 0.5 * xi**2 + 1e-12)
+
+
+def test_tempered_symbol_continuous_across_sigma_one():
+    # the pole-free form has no 0/0 at sigma = 1: one step of 1e-9 moves the
+    # symbol by 1e-9 times d(log symbol)/d(sigma), at most log(1 + xi) < 5
+    # on this grid, and the two sides average to sigma = 1 to rounding
+    xi = GRID.wavenumber_magnitude[: GRID.n // 2 + 1]
+    c = stable_normalization(1.0)
+    at_one = LevyMeasureSpec.tempered(1.0, c).symbol(xi)
+    below, above = (LevyMeasureSpec.tempered(s, c).symbol(xi) for s in (1.0 - 1e-9, 1.0 + 1e-9))
+    assert at_one[0] == 0.0 and np.all(at_one[1:] > 0.0)
+    for side in (below, above):
+        assert np.all(np.abs(side - at_one)[1:] <= 5e-9 * at_one[1:])
+    assert np.abs(0.5 * (below + above) - at_one)[1:].max() <= 1e-14 * at_one[1:].max()
+
+
+@pytest.mark.parametrize("lambda0", [0.0, 1.0])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 1.5])
+def test_tempered_zero_mode_is_exact(sigma, lambda0):
+    # symbol(0) is -0.0, so the zero mode's factor is exactly 1 and mass telescopes
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(lambda0), LevyMeasureSpec.tempered(sigma),
                          DriftSpec.ou(1.0))
-    radius = StepSetup(spec, g, 1e-4, "quadrature").jump_radius
-    probe = ScalarField(g, np.cos(np.pi * np.arange(n)))
-    want = np.abs(levy_integral_field(probe, spec.levy).values).max()
-    assert abs(radius - want) <= 1e-12 * want
-
-
-def test_step_setup_route_resolution():
-    assert StepSetup(_tempered_spec(), GRID, 1e-4, "auto").jump_route == "quadrature"
-    frac = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0))
-    assert StepSetup(frac, GRID, 1e-4, "auto").jump_route == "spectral"
-    assert StepSetup(frac, GRID, 1e-4, "quadrature").jump_route == "quadrature"
-    local = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
-    assert StepSetup(local, GRID, 1e-4, "quadrature").jump_route is None
-    with pytest.raises(ValueError, match="no exact symbol"):
-        StepSetup(_tempered_spec(), GRID, 1e-4, "spectral")
-    with pytest.raises(ValueError, match="unknown jump route"):
-        StepSetup(frac, GRID, 1e-4, "fourier")
-    with pytest.raises(ValueError, match="unknown jump route"):
-        apply_generator(_gaussian(GRID), frac, jump_route="fourier")
+    assert spec.levy.symbol(np.zeros(1))[0] == 0.0
+    assert StepSetup(spec, GRID, 5e-4).diffusion_factor[0] == 1.0
 
 
 def test_levy_field_rejects_sigma_two():
@@ -350,7 +364,8 @@ def test_callable_route_matches_field_route_tempered():
     nu = LevyMeasureSpec.tempered(1.5)
     sub = np.abs(x) <= 4.0
     field_vals = levy_integral_field(u, nu).values[sub]
-    call_vals = levy_integral_callable(lambda y: np.exp(-0.5 * np.minimum(np.abs(y), 50.0)**2), x[sub], nu)
+    call_vals = levy_integral_callable(lambda y: np.exp(-0.5 * np.minimum(np.abs(y), 50.0)**2), x[sub], nu,
+                                       lambda y: (y**2 - 1.0) * np.exp(-0.5 * y**2))
     assert np.abs(field_vals - call_vals).max() < 2e-4
 
 
@@ -360,8 +375,9 @@ def test_callable_route_even_symmetry_and_sign_at_minimum():
     nu = LevyMeasureSpec.fractional(1.5)
     beta = 0.5
     fn = lambda y: (1.0 + y**2) ** (beta / 2.0)
+    d2fn = lambda y: beta * (1.0 + y**2) ** (beta / 2.0 - 2.0) * (1.0 + (beta - 1.0) * y**2)
     xs = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    vals = levy_integral_callable(fn, xs, nu)
+    vals = levy_integral_callable(fn, xs, nu, d2fn)
     assert np.all(np.isfinite(vals))
     assert vals[2] > 0.0
     np.testing.assert_allclose(vals, vals[::-1], rtol=1e-10)

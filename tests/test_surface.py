@@ -27,17 +27,15 @@ def test_all_names_resolve(name):
 
 def unused_imports(source: str) -> list:
     """Names bound by an import and never read, neither as a name nor
-    through ``__all__``. An import on a line marked ``# noqa: F401`` is a
-    deliberate re-export and is skipped."""
+    through ``__all__``. No marker exempts one: a module re-exports a name
+    only through ``__all__``."""
     tree = ast.parse(source)
-    lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
             continue
         for alias in node.names:
-            if "# noqa: F401" not in lines[alias.lineno - 1]:
-                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+            imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
@@ -47,8 +45,8 @@ def unused_imports(source: str) -> list:
 
 def test_unused_import_check_sees_what_it_should():
     source = ("from a import b, c  # noqa: F401\nimport d.e\nfrom f import (\n    g,\n    h,  # noqa: F401\n)\n"
-              "from i import j\n__all__ = ['j']\nprint(d)\n")
-    assert unused_imports(source) == ["g (line 4)"]
+              "from i import j\n__all__ = ['j']\nprint(d, c)\n")
+    assert unused_imports(source) == ["b (line 1)", "g (line 4)", "h (line 5)"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

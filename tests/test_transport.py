@@ -114,7 +114,7 @@ def _advect_stepper(n, rng, time_dependent):
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
     # horizon 1: the moving faces reach 2 max|w|
     dt = 0.2 * g.dx / (2.0 * np.abs(w).max())
-    return _AdjointStepper(spec, g, dt, "auto", 1.0)
+    return _AdjointStepper(spec, g, dt, 1.0)
 
 
 @pytest.mark.parametrize("n", SIZES[1:])  # Grid needs n >= 8
@@ -132,29 +132,28 @@ def test_advect_matches_roll_oracle(n, time_dependent):
 
 
 FRAC_OU = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0))
-TEMPERED_OU = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.tempered(1.5), DriftSpec.ou(1.0))
 MOVING = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
                        DriftSpec.perturbed_power(1.0, 2.0, 0.5))
 
 
 @pytest.mark.parametrize("limiter", LIMITERS)
-@pytest.mark.parametrize("spec", [FRAC_OU, TEMPERED_OU, MOVING], ids=["spectral", "quadrature", "moving"])
+@pytest.mark.parametrize("spec", [FRAC_OU, MOVING], ids=["spectral", "moving"])
 def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
     g = Grid(n=256, half_width=8.0)
     m = random_field(np.random.default_rng(3), g.n)
-    stepper = _Stepper(spec, g, 2e-3, limiter, "auto")
+    stepper = _Stepper(spec, g, 2e-3, limiter)
     got = stepper.step(m, 0.25)
     monkeypatch.setattr(forward, "transport_flux", oracle_flux)
     monkeypatch.setattr(forward, "divergence_of_flux", oracle_divergence)
     assert_bitwise(got, stepper.step(m, 0.25))
 
 
-@pytest.mark.parametrize("spec", [FRAC_OU, TEMPERED_OU, MOVING], ids=["spectral", "quadrature", "moving"])
+@pytest.mark.parametrize("spec", [FRAC_OU, MOVING], ids=["spectral", "moving"])
 def test_backward_step_matches_oracle_step(monkeypatch, spec):
     g = Grid(n=256, half_width=8.0)
     rng = np.random.default_rng(4)
     v = random_field(rng, g.n)
-    stepper = _AdjointStepper(spec, g, 2e-3, "auto", 1.0)
+    stepper = _AdjointStepper(spec, g, 2e-3, 1.0)
     got = stepper.step(v, 0.25)
     monkeypatch.setattr(_AdjointStepper, "_advect", oracle_advect)
     assert_bitwise(got, stepper.step(v, 0.25))
