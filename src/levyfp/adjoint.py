@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSpec
-from .grids import Grid, ScalarField
+from .grids import Field, Grid
 from .norms import weighted_seminorm
 from .operators import RunGuard, StepSetup, _periodic_difference
 from .weights import WeightFunction
@@ -38,23 +38,23 @@ __all__ = [
 # terminal data
 
 
-def tanh_profile(grid: Grid) -> ScalarField:
-    return ScalarField(grid=grid, values=np.tanh(grid.nodes))
+def tanh_profile(grid: Grid) -> Field:
+    return Field(grid=grid, values=np.tanh(grid.nodes))
 
 
-def ramp_profile(grid: Grid) -> ScalarField:
+def ramp_profile(grid: Grid) -> Field:
     """0 left of -1, 1 right of 1, linear in between."""
-    return ScalarField(grid=grid, values=np.clip((grid.nodes + 1.0) / 2.0, 0.0, 1.0))
+    return Field(grid=grid, values=np.clip((grid.nodes + 1.0) / 2.0, 0.0, 1.0))
 
 
-def smoothed_indicator(grid: Grid) -> ScalarField:
+def smoothed_indicator(grid: Grid) -> Field:
     """Smooth profile ~ 1 on [-1, 1], falling to 0 over the scale 0.2."""
     x = grid.nodes
     vals = 0.5 * (np.tanh((x + 1.0) / 0.2) - np.tanh((x - 1.0) / 0.2))
-    return ScalarField(grid=grid, values=vals)
+    return Field(grid=grid, values=vals)
 
 
-def tapered_linear(grid: Grid) -> ScalarField:
+def tapered_linear(grid: Grid) -> Field:
     """x rolled off to zero near the seam: exactly x on |x| <= 0.65 L,
     exactly 0 beyond 0.95 L, cos^2-smooth in between. Keeps spectral stages
     free of a seam jump without distorting the interior."""
@@ -63,7 +63,7 @@ def tapered_linear(grid: Grid) -> ScalarField:
     r1 = 0.95 * grid.half_width
     ramp = np.clip((np.abs(x) - r0) / (r1 - r0), 0.0, 1.0)
     vals = np.where(ramp >= 1.0, 0.0, x * np.cos(0.5 * np.pi * ramp) ** 2)
-    return ScalarField(grid=grid, values=vals)
+    return Field(grid=grid, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +102,19 @@ class AdjointRun:
 
     grid: Grid
     spec: GeneratorSpec
-    terminal: ScalarField
+    terminal: Field
     dt: float
     times: np.ndarray
     profiles: tuple
     sup_norm: np.ndarray
 
     @property
-    def final(self) -> ScalarField:
+    def final(self) -> Field:
         return self.profiles[-1]
 
 
 def solve_backward(
-    xi: ScalarField,
+    xi: Field,
     spec: GeneratorSpec,
     s_final: float,
     dt: float,
@@ -137,7 +137,7 @@ def solve_backward(
     def record():
         sup.append(guard.check_blow_up(v, s))
         times.append(s)
-        profiles.append(ScalarField(grid, v, s))
+        profiles.append(Field(grid, v, s))
 
     record()
     for k in range(1, guard.n_steps + 1):
@@ -176,7 +176,7 @@ class DualityReport:
     n_steps: int
 
 
-def duality_residual(fw, xi: ScalarField) -> DualityReport:
+def duality_residual(fw, xi: Field) -> DualityReport:
     """Measure the pairing gap between a completed forward run and a fresh
     backward run of the same generator on the same grid and time step,
     normalized by sup|xi| * ||m0||_TV."""
@@ -186,11 +186,11 @@ def duality_residual(fw, xi: ScalarField) -> DualityReport:
     t = float(fw.times[-1] - fw.times[0])
     n_steps = RunGuard(fw.dt, t, clock="s").n_steps
     adj = solve_backward(xi, fw.spec, s_final=t, dt=fw.dt, record_every=max(1, n_steps))
-    vol = grid.cell_volume
-    lhs = float(np.sum(xi.values * fw.final.values) * vol)
-    rhs = float(np.sum(adj.final.values * fw.initial.values) * vol)
+    dx = grid.dx
+    lhs = float(np.sum(xi.values * fw.final.values) * dx)
+    rhs = float(np.sum(adj.final.values * fw.initial.values) * dx)
     residual = abs(lhs - rhs)
-    denom = xi.sup_norm * float(np.sum(np.abs(fw.initial.values)) * vol)
+    denom = xi.sup_norm * float(np.sum(np.abs(fw.initial.values)) * dx)
     return DualityReport(
         residual=residual,
         normalized=residual / max(denom, 1e-300),

@@ -10,6 +10,7 @@ header, so reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import os
 import sys
@@ -156,15 +157,7 @@ def _run_duality_check(cfg: ExperimentConfig, outdir: Path) -> dict:
         record_every=cfg["time.stride"],
         **_solver_kwargs(cfg),
     )
-    report = duality_residual(fw, cfg.terminal)
-    payload = {
-        "residual": report.residual,
-        "normalized": report.normalized,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "dt": report.dt,
-        "n_steps": report.n_steps,
-    }
+    payload = dataclasses.asdict(duality_residual(fw, cfg.terminal))
     write_json(outdir / "duality.json", payload)
     return payload
 

@@ -21,7 +21,7 @@ import numpy as np
 from .adjoint import ramp_profile, smoothed_indicator, tanh_profile, tapered_linear
 from .forward import check_stationary_spec, gaussian, gaussian_difference, smooth_bump
 from .generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
-from .grids import DensityField, Grid, ScalarField
+from .grids import Field, Grid
 from .lyapunov import (
     H_FORMS,
     check_lemma_preconditions,
@@ -226,8 +226,8 @@ class ExperimentConfig:
     grid: Grid
     generator: GeneratorSpec
     weights: dict
-    initial: DensityField
-    terminal: ScalarField
+    initial: Field
+    terminal: Field
 
     def __getitem__(self, key):
         return self.data[key]

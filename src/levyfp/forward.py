@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import GeneratorSpec
-from .grids import DensityField, Grid
+from .grids import Field, Grid
 from .norms import weighted_tv_norm
 from .operators import (
     NumericalFailure,
@@ -40,7 +40,7 @@ __all__ = [
 # initial data
 
 
-def gaussian(grid: Grid, center: float = 0.0, std: float = 1.0) -> DensityField:
+def gaussian(grid: Grid, center: float = 0.0, std: float = 1.0) -> Field:
     """Gaussian profile normalized to unit mass on the grid itself, so the
     discrete integral is exactly 1 even when the tails are truncated."""
     if std <= 0:
@@ -48,11 +48,11 @@ def gaussian(grid: Grid, center: float = 0.0, std: float = 1.0) -> DensityField:
     # a std far below dx overflows the exponent to -inf: weight 0, refused below
     with np.errstate(over="ignore"):
         vals = np.exp(-0.5 * ((grid.nodes - center) / std) ** 2)
-    total = vals.sum() * grid.cell_volume
+    total = vals.sum() * grid.dx
     if not np.isfinite(total) or total <= 0:
         raise ValueError(f"std {std:g} is too small for the grid: no node gets weight")
     vals /= total
-    return DensityField(grid=grid, values=vals)
+    return Field(grid=grid, values=vals)
 
 
 def gaussian_difference(
@@ -61,15 +61,15 @@ def gaussian_difference(
     std1: float = 1.0,
     center2: float = 0.0,
     std2: float = 2.0,
-) -> DensityField:
+) -> Field:
     """Difference of two unit-mass Gaussians: signed data with exact zero
     mass, the natural input for decay-rate experiments."""
     a = gaussian(grid, center1, std1)
     b = gaussian(grid, center2, std2)
-    return DensityField(grid=grid, values=a.values - b.values)
+    return Field(grid=grid, values=a.values - b.values)
 
 
-def smooth_bump(grid: Grid, center: float = 0.0, width: float = 1.0) -> DensityField:
+def smooth_bump(grid: Grid, center: float = 0.0, width: float = 1.0) -> Field:
     """Compactly supported C^infinity bump, unit mass on the grid."""
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -77,10 +77,10 @@ def smooth_bump(grid: Grid, center: float = 0.0, width: float = 1.0) -> DensityF
     vals = np.zeros(grid.n)
     inside = np.abs(r) < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    total = vals.sum() * grid.cell_volume
+    total = vals.sum() * grid.dx
     if total <= 0:
         raise ValueError("bump support does not contain any grid node")
-    return DensityField(grid=grid, values=vals / total)
+    return Field(grid=grid, values=vals / total)
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +119,19 @@ class ForwardRun:
 
     grid: Grid
     spec: GeneratorSpec
-    initial: DensityField
+    initial: Field
     dt: float
     times: np.ndarray
     mass: np.ndarray
     min_value: np.ndarray
     boundary_mass: np.ndarray
     weighted_norms: dict = field(default_factory=dict)
-    final: DensityField | None = None
+    final: Field | None = None
     snapshots: tuple = ()
 
 
 def solve(
-    m0: DensityField,
+    m0: Field,
     spec: GeneratorSpec,
     t_final: float,
     dt: float,
@@ -155,7 +155,7 @@ def solve(
     snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
     guard = RunGuard(dt, t_final, record_every, extra_records=snap_steps)
     record_weights = record_weights or {}
-    vol = grid.cell_volume
+    dx = grid.dx
 
     times, mass, minv, bnd = [], [], [], []
     norms: dict = {name: [] for name in record_weights}
@@ -167,13 +167,13 @@ def solve(
     def record(step_idx: int):
         guard.check_blow_up(m, t)
         times.append(t)
-        mass.append(m.sum() * vol)
+        mass.append(m.sum() * dx)
         minv.append(m.min())
-        bnd.append(guard.boundary_mass(m, vol, eps_boundary, t))
+        bnd.append(guard.boundary_mass(m, dx, eps_boundary, t))
         for name, phi in record_weights.items():
-            norms[name].append(weighted_tv_norm(DensityField(grid, m, t), phi))
+            norms[name].append(weighted_tv_norm(Field(grid, m, t), phi))
         if step_idx in snap_steps:
-            snaps.append(DensityField(grid, m, t))
+            snaps.append(Field(grid, m, t))
 
     record(0)
     for k in range(1, guard.n_steps + 1):
@@ -192,7 +192,7 @@ def solve(
         min_value=np.array(minv),
         boundary_mass=np.array(bnd),
         weighted_norms={k: np.array(v) for k, v in norms.items()},
-        final=DensityField(grid, m, t),
+        final=Field(grid, m, t),
         snapshots=tuple(snaps),
     )
 
@@ -203,17 +203,19 @@ def check_stationary_spec(spec: GeneratorSpec) -> None:
         raise ValueError("stationary solve needs a time-independent drift")
 
 
+_STATIONARY_TOL = 1e-8  # TV increment over a unit of time that counts as converged
+_STATIONARY_MAX_TIME = 400.0  # stationary_solve gives up at this time
+
+
 def stationary_solve(
     spec: GeneratorSpec,
     grid: Grid,
     dt: float,
-    tol: float = 1e-8,
-    max_time: float = 400.0,
     eps_boundary: float = 0.05,
     limiter: str = "mc",
-) -> tuple[DensityField, dict]:
+) -> tuple[Field, dict]:
     """March a centered Gaussian forward until successive profiles one unit
-    of time apart differ by less than tol in unweighted TV norm.
+    of time apart differ by less than _STATIONARY_TOL in unweighted TV norm.
 
     Heavy-tailed stationary laws park real mass near the seam, so the
     boundary budget default is far looser than for transient runs; the
@@ -227,20 +229,20 @@ def stationary_solve(
     m = gaussian(grid).values
     k, t = 0, 0.0
     diff = np.inf
-    while t < max_time:
+    while t < _STATIONARY_MAX_TIME:
         prev = m
         for _ in range(block.n_steps):
             m = stepper.step(m, t)
             k += 1
             t = k * dt
         block.check_blow_up(m, t)
-        diff = float(np.sum(np.abs(m - prev)) * grid.cell_volume)
-        if diff < tol:
+        diff = float(np.sum(np.abs(m - prev)) * grid.dx)
+        if diff < _STATIONARY_TOL:
             break
     else:
         raise NumericalFailure(
-            f"no stationary profile within t={max_time:g}: last TV increment {diff:.3e}")
-    m = m / (m.sum() * grid.cell_volume)  # unit mass exactly on the grid
-    out = DensityField(grid, m, t)
-    b = RunGuard.boundary_mass(m, grid.cell_volume, eps_boundary)
+            f"no stationary profile within t={_STATIONARY_MAX_TIME:g}: last TV increment {diff:.3e}")
+    m = m / (m.sum() * grid.dx)  # unit mass exactly on the grid
+    out = Field(grid, m, t)
+    b = RunGuard.boundary_mass(m, grid.dx, eps_boundary)
     return out, {"t_converged": t, "tv_increment": diff, "boundary_mass": b}

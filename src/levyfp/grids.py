@@ -12,11 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "Grid",
-    "ScalarField",
-    "DensityField",
-]
+__all__ = ["Grid", "Field"]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -28,7 +24,7 @@ class Grid:
     """Uniform periodic lattice on [-L, L) in d = 1.
 
     Nodes are x_i = -L + i*dx with dx = 2L/N, so index N wraps back to index 0.
-    Angular wavenumbers are xi_j = pi*j/L in FFT ordering, which makes
+    The angular wavenumber of FFT mode j is xi_j = pi*j/L, which makes
     exp(i*xi_j*x) exactly periodic on the box.
     """
 
@@ -52,27 +48,15 @@ class Grid:
         return -self.half_width + self.dx * np.arange(self.n)
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers xi_j = pi*j/L in numpy FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-    @cached_property
     def wavenumber_magnitude(self) -> np.ndarray:
-        return np.abs(self.wavenumbers)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.dx
-
-    @property
-    def shape(self) -> tuple:
-        return (self.n,)
+        """|xi_j| = pi*|j|/L in numpy FFT ordering."""
+        return np.abs(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
 
 def _as_values(grid: Grid, values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.shape != grid.shape:
-        raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
+    if arr.shape != (grid.n,):
+        raise ValueError(f"values shape {arr.shape} does not match grid shape {(grid.n,)}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("field values must be finite")
     arr = arr.copy()
@@ -81,8 +65,10 @@ def _as_values(grid: Grid, values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Grid sample of a scalar function, tagged with a timestamp."""
+class Field:
+    """Grid sample of a scalar function, tagged with a timestamp: a density m
+    of the forward equation or a test function u of the backward one, the
+    two sides of the pairing <xi, m(t)> = <v(t), m(0)>."""
 
     grid: Grid
     values: np.ndarray
@@ -90,36 +76,18 @@ class ScalarField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_values(self.grid, self.values))
-
-    def with_values(self, values, t: float | None = None) -> "ScalarField":
-        return ScalarField(self.grid, values, self.t if t is None else t)
 
     @property
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-
-@dataclass(frozen=True)
-class DensityField:
-    """Grid sample of a (possibly signed) density, tagged with a timestamp."""
-
-    grid: Grid
-    values: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.grid, self.values))
-
-    def with_values(self, values, t: float | None = None) -> "DensityField":
-        return DensityField(self.grid, values, self.t if t is None else t)
-
     def mass(self) -> float:
-        return float(np.sum(self.values) * self.grid.cell_volume)
+        return float(np.sum(self.values) * self.grid.dx)
 
     def variance(self) -> float:
         m = self.mass()
         if abs(m) < 1e-300:
             raise ValueError("variance undefined for zero-mass density")
         x = self.grid.nodes
-        mean = float(np.sum(x * self.values) * self.grid.cell_volume) / m
-        return float(np.sum((x - mean) ** 2 * self.values) * self.grid.cell_volume) / m
+        mean = float(np.sum(x * self.values) * self.grid.dx) / m
+        return float(np.sum((x - mean) ** 2 * self.values) * self.grid.dx) / m

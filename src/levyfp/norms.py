@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import DensityField, ScalarField
+from .grids import Field
 from .weights import WeightFunction
 
 __all__ = [
@@ -33,7 +33,7 @@ _PAIR_CHUNK = 512
 _EPS = float(np.finfo(float).eps)
 
 
-def _values_and_weights(field: ScalarField, w: WeightFunction):
+def _values_and_weights(field: Field, w: WeightFunction):
     u = np.asarray(field.values, dtype=float)
     phi = np.asarray(w(field.grid.nodes), dtype=float)
     if np.any(phi <= 0):
@@ -92,7 +92,7 @@ def _seminorm(u: np.ndarray, phi: np.ndarray) -> float:
     return _max_pair_ratio(u, phi, rows, cols)
 
 
-def weighted_seminorm(field: ScalarField, w: WeightFunction) -> float:
+def weighted_seminorm(field: Field, w: WeightFunction) -> float:
     """[u]_phi, equal bit for bit to the exhaustive pair scan.
 
     Dinkelbach's iteration starts from M = 0.  Each pass takes
@@ -115,7 +115,7 @@ def weighted_seminorm(field: ScalarField, w: WeightFunction) -> float:
     return _seminorm(*_values_and_weights(field, w))
 
 
-def inf_shift_norm(field: ScalarField, w: WeightFunction) -> float:
+def inf_shift_norm(field: Field, w: WeightFunction) -> float:
     """inf_c ||u + c||_{sup, 1/phi}, computed via the constructive shift."""
     u, phi = _values_and_weights(field, w)
     m = _seminorm(u, phi)
@@ -123,7 +123,7 @@ def inf_shift_norm(field: ScalarField, w: WeightFunction) -> float:
     return float(np.max(np.abs(u + c) / phi))
 
 
-def weighted_tv_norm(m: DensityField, w: WeightFunction) -> float:
+def weighted_tv_norm(m: Field, w: WeightFunction) -> float:
     """Integral of phi d|m| by the midpoint rule on the grid."""
     phi = np.asarray(w(m.grid.nodes), dtype=float)
-    return float(np.sum(phi * np.abs(m.values)) * m.grid.cell_volume)
+    return float(np.sum(phi * np.abs(m.values)) * m.grid.dx)

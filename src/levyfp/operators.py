@@ -35,7 +35,7 @@ __all__ = [
     "LIMITERS",
 ]
 
-LIMITERS = ("mc", "minmod", "fromm", "off")
+LIMITERS = ("mc", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +106,9 @@ def levy_integral_callable(fn, xs: np.ndarray, nu: LevyMeasureSpec, d2fn) -> np.
     No periodicity is involved: shells extend geometrically to CALLABLE_Z_MAX,
     astronomically large at logarithmic cost, covering slowly decaying
     power-law integrands such as weights <x>^beta with beta < sigma. Below
-    CALLABLE_R_MIN the Taylor model takes u'' from ``d2fn``.
+    CALLABLE_R_MIN the Taylor model takes u'' from ``d2fn``. The measure
+    must be active: an inactive one has no density to integrate.
     """
-    if not nu.is_active:
-        return np.zeros_like(np.asarray(xs, dtype=float))
     z, w = shell_quadrature_nodes(CALLABLE_R_MIN, CALLABLE_Z_MAX)
     rho_w = w * nu.density(z)
     x = np.asarray(xs, dtype=float)[:, None]
@@ -140,39 +139,34 @@ def _periodic_difference(m: np.ndarray) -> np.ndarray:
     return d
 
 
-def _limited_slope(m: np.ndarray, dx: float, limiter: str) -> np.ndarray:
-    """Limited cell slopes from one periodic difference array d / dx: the
-    left slopes are its view d[:-1], the right slopes its view d[1:]."""
+def _mc_slope(m: np.ndarray, dx: float) -> np.ndarray:
+    """Monotonized-central cell slopes from one periodic difference array
+    d / dx: the left slopes are its view d[:-1], the right slopes its view d[1:]."""
     d = _periodic_difference(m)
     d /= dx
     left, right = d[:-1], d[1:]
     central = 0.5 * (left + right)
-    if limiter == "fromm":
-        return central
     a = np.abs(d)
-    smaller = np.minimum(a[:-1], a[1:])
-    if limiter == "minmod":
-        return np.where(left * right > 0, np.sign(left) * smaller, 0.0)
-    if limiter == "mc":
-        lim = np.minimum(np.abs(central), 2.0 * smaller)
-        return np.where(left * right > 0, np.sign(central) * lim, 0.0)
-    raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
+    lim = np.minimum(np.abs(central), 2.0 * np.minimum(a[:-1], a[1:]))
+    return np.where(left * right > 0, np.sign(central) * lim, 0.0)
 
 
 def transport_flux(m: np.ndarray, w_faces: np.ndarray, dx: float, limiter: str = "mc") -> np.ndarray:
-    """Upwind flux f[i] = w_{i+1/2} * m_rec at face i+1/2 (donor cell plus
-    optional limited linear reconstruction).
+    """Upwind flux f[i] = w_{i+1/2} * m_rec at face i+1/2: the donor cell,
+    plus with ``limiter="mc"`` the MC-limited linear reconstruction.
 
-    The slopes come from one periodic difference array (``_limited_slope``);
+    The slopes come from one periodic difference array (``_mc_slope``);
     the value reconstructed from the right of face i+1/2 is cell i+1's, taken
     by slicing. ``limiter="off"`` builds no slopes: m + 0.0 and m shifted are
     what zero slopes give, signed zeros included.
     """
     if limiter == "off":
         from_left, from_right = m + 0.0, m
-    else:
-        half = 0.5 * dx * _limited_slope(m, dx, limiter)
+    elif limiter == "mc":
+        half = 0.5 * dx * _mc_slope(m, dx)
         from_left, from_right = m + half, m - half
+    else:
+        raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
     from_right = np.concatenate((from_right[1:], from_right[:1]))
     return w_faces * np.where(w_faces >= 0, from_left, from_right)
 

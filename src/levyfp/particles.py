@@ -7,7 +7,7 @@ particle consumes a fixed number of 64-bit words determined by the generator
 spec alone, rounded up to whole 4-word counter blocks, so a block of
 particles can be advanced to its offset exactly and trajectories are bitwise
 identical no matter how the ensemble is chunked across workers. Stream id 0
-seeds initial positions; step k draws from stream id k + 1.
+seeds initial positions; step k = 1, 2, ... draws from stream id k.
 
 A step runs over fixed chunks of particles, each of which draws its own
 uniform block and writes its own slice of the new positions, so the chunks
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSpec, LevyMeasureSpec
-from .grids import DensityField
+from .grids import Field
 from .operators import RunGuard
 from .weights import WeightFunction
 
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _JUMP_CAP = 8  # compound-Poisson jumps kept per tempered step; excess reported
+_Z_CUT = 0.5  # tempered jumps above this size are compound Poisson, those below a Gaussian proxy
 # particles per chunk, for every particle loop: a fractional chunk's uniform
 # block (1 MB) and its temporaries stay in a 2-4 MB L2 cache. A 1e6-particle
 # step on one thread of a 2-vCPU Xeon timed flat from 16k to 128k particles
@@ -88,10 +89,6 @@ def _stable_cms(sigma: float, u_angle: np.ndarray, u_exp: np.ndarray) -> np.ndar
     sin(sigma th) / cos(th)^(1/sigma) * (cos((1-sigma) th) / w)^((1-sigma)/sigma)
     with th = pi (u_angle - 0.5) and w = max(-log1p(-u_exp), 1e-12), each
     operation done in place in that order."""
-    if sigma == 2.0:
-        g = _gaussians(u_angle, u_exp)
-        g *= math.sqrt(2.0)
-        return g
     theta = np.subtract(u_angle, 0.5)
     theta *= np.pi
     w = np.negative(u_exp)
@@ -117,10 +114,11 @@ def _stable_cms(sigma: float, u_angle: np.ndarray, u_exp: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Positions plus the substream bookkeeping needed to continue the run."""
+    """Positions plus the substream bookkeeping needed to continue the run.
+    Every run starts at t = 0, so after step_index steps of dt the ensemble
+    is at t = step_index * dt: a step count, not a running sum of dt."""
 
     positions: np.ndarray
-    t: float
     seed: int
     step_index: int = 0
 
@@ -136,10 +134,10 @@ class ParticleEnsemble:
 
 
 def ensemble_at(x0: float, n_particles: int, seed: int = 0) -> ParticleEnsemble:
-    return ParticleEnsemble(np.full(n_particles, float(x0)), 0.0, seed)
+    return ParticleEnsemble(np.full(n_particles, float(x0)), seed)
 
 
-def ensemble_from_density(m: DensityField, n_particles: int, seed: int = 0) -> ParticleEnsemble:
+def ensemble_from_density(m: Field, n_particles: int, seed: int = 0) -> ParticleEnsemble:
     """Inverse-CDF sample of the piecewise-constant law the grid density
     defines on its cells. Draws one word block per particle from stream 0,
     chunk by chunk."""
@@ -147,7 +145,7 @@ def ensemble_from_density(m: DensityField, n_particles: int, seed: int = 0) -> P
     if np.any(vals < 0):
         raise ValueError("cannot sample a signed density")
     g = m.grid
-    cell_mass = vals * g.cell_volume
+    cell_mass = vals * g.dx
     total = cell_mass.sum()
     if total <= 0:
         raise ValueError("density has no mass to sample")
@@ -163,7 +161,7 @@ def ensemble_from_density(m: DensityField, n_particles: int, seed: int = 0) -> P
         positions[i0:i1] = left + frac * g.dx
 
     _for_chunks(draw, n_particles, None)
-    return ParticleEnsemble(positions, 0.0, seed)
+    return ParticleEnsemble(positions, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +169,20 @@ def ensemble_from_density(m: DensityField, n_particles: int, seed: int = 0) -> P
 
 
 class _TemperedJumps:
-    """Compound-Poisson representation of a tempered kernel above z_cut plus
+    """Compound-Poisson representation of a tempered kernel above _Z_CUT plus
     a Gaussian proxy for the sub-cutoff activity (variance = small-jump
     second moment). The Poisson count is capped; the neglected probability
     is exposed for the caller to judge."""
 
-    def __init__(self, levy: LevyMeasureSpec, dt: float, z_cut: float = 0.5):
+    def __init__(self, levy: LevyMeasureSpec, dt: float):
         from scipy.integrate import quad
         from scipy.special import pdtrc
 
         rho = lambda z: levy.density(np.array([z]))[0]
-        self.z_cut = z_cut
-        self.rate = 2.0 * quad(rho, z_cut, np.inf)[0]
-        self.small_variance = 2.0 * quad(lambda z: z * z * rho(z), 0.0, z_cut)[0]
+        self.rate = 2.0 * quad(rho, _Z_CUT, np.inf)[0]
+        self.small_variance = 2.0 * quad(lambda z: z * z * rho(z), 0.0, _Z_CUT)[0]
         # one-sided size table: tempering kills the density ~40 e-folds out
-        zs = np.linspace(z_cut, z_cut + 45.0, 4097)
+        zs = np.linspace(_Z_CUT, _Z_CUT + 45.0, 4097)
         dens = levy.density(zs)
         c = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(zs))])
         self._size_cdf = c / c[-1]
@@ -333,23 +330,24 @@ def _for_chunks(advance, n: int, pool: ThreadPoolExecutor | None):
 def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
                   _stepper: _ParticleStepper | None = None,
                   _pool: ThreadPoolExecutor | None = None) -> ParticleEnsemble:
-    """Advance every particle one Euler step in cache-sized chunks, and raise
+    """Advance every particle one Euler step, step k = ens.step_index + 1 from
+    t = (k - 1) * dt to k * dt, in cache-sized chunks, and raise
     NumericalFailure if a position leaves the finite range. The result is
     bitwise independent of the chunk size and of the pool the chunks run on."""
     stepper = _stepper if _stepper is not None else _ParticleStepper(spec, dt)
-    stream = ens.step_index + 1
-    t_new = ens.t + dt
+    k = ens.step_index + 1
+    t, t_new = ens.step_index * dt, k * dt
     new = np.empty_like(ens.positions)
 
     def advance(i0: int, i1: int):
-        u = _uniforms(ens.seed, stream, i0, i1 - i0, stepper.stride)
-        stepper.move(ens.positions[i0:i1], ens.t, u, out=new[i0:i1])
+        u = _uniforms(ens.seed, k, i0, i1 - i0, stepper.stride)
+        stepper.move(ens.positions[i0:i1], t, u, out=new[i0:i1])
         RunGuard.check_positions(new[i0:i1], t_new)
 
     _for_chunks(advance, ens.n_particles, _pool)
     # every chunk has checked its positions: skip the constructor's rescan
     stepped = object.__new__(ParticleEnsemble)
-    stepped.__dict__.update(positions=new, t=t_new, seed=ens.seed, step_index=ens.step_index + 1)
+    stepped.__dict__.update(positions=new, seed=ens.seed, step_index=k)
     return stepped
 
 
@@ -374,7 +372,7 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
     finiteness. The chunks of a step, and the weight evaluations of a record,
     run on a thread pool with one thread per available core; the result does
     not depend on the core count."""
-    guard = RunGuard(dt, t_final, record_every, t0=ens.t)
+    guard = RunGuard(dt, t_final, record_every, t0=ens.step_index * dt)
     stepper = _ParticleStepper(spec, dt)
     moment_weights = moment_weights or {}
 
@@ -382,7 +380,7 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
     values = np.empty(ens.n_particles)
 
     def record():
-        times.append(ens.t)
+        times.append(ens.step_index * dt)
         for name, w in moment_weights.items():
             def evaluate(i0: int, i1: int):
                 values[i0:i1] = w(ens.positions[i0:i1])

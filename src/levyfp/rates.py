@@ -89,9 +89,9 @@ def _resolve_window(t, window, transient_frac):
     return (t_lo, t_hi), mask
 
 
-def _check_positive(v, what="series"):
+def _check_positive(v):
     if np.any(~np.isfinite(v)) or np.any(v <= 0.0):
-        raise ValueError(f"{what} must be positive and finite on the fit window")
+        raise ValueError("series must be positive and finite on the fit window")
 
 
 def _r2(y, y_fit):

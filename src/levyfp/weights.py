@@ -77,16 +77,12 @@ class WeightFunction:
 
     def grad(self, x) -> np.ndarray:
         """d/dx phi."""
-        if self.profile_d1 is None:
-            raise ValueError(f"weight {self.label!r} has no derivative evaluator")
         x = np.asarray(x, dtype=float)
         s = bracket(x)
         return self.profile_d1(s) * x / s
 
     def hess(self, x) -> np.ndarray:
         """d^2/dx^2 phi."""
-        if self.profile_d2 is None:
-            raise ValueError(f"weight {self.label!r} has no second-derivative evaluator")
         x = np.asarray(x, dtype=float)
         s = bracket(x)
         # d/dx [ f'(s) x / s ] with s = <x>: f''(s) x^2/s^2 + f'(s) (1/s - x^2/s^3)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from levyfp.generators import LevyMeasureSpec
-from levyfp.grids import Grid, ScalarField
+from levyfp.grids import Field, Grid
 from levyfp.operators import _periodic_pad, _second_moment_inner, shell_quadrature_nodes
 
 
@@ -83,13 +83,13 @@ def _add_local_terms(acc: np.ndarray, vals: np.ndarray, grid: Grid, nu: LevyMeas
 
 
 def levy_integral_field(
-    u: ScalarField,
+    u: Field,
     nu: LevyMeasureSpec,
     r_min: float | None = None,
     z_max: float | None = None,
     shells_per_octave: int = 1,
     nodes_per_shell: int = 8,
-) -> ScalarField:
+) -> Field:
     """Compensated jump integral I(x, [u]) on every node of a d=1 grid.
 
     Uses symmetric pairing u(x+z) + u(x-z) - 2 u(x), which is the compensated
@@ -102,7 +102,7 @@ def levy_integral_field(
     """
     grid = u.grid
     if not nu.is_active:
-        return u.with_values(np.zeros_like(u.values))
+        return Field(grid, np.zeros_like(u.values), u.t)
     r_min, z_max, z, rho_w = _shell_rule(grid, nu, r_min, z_max, shells_per_octave, nodes_per_shell)
     vals = u.values
     acc = np.zeros_like(vals)
@@ -112,7 +112,7 @@ def levy_integral_field(
             + periodic_shift_interp(vals, grid, -zk)
             - 2.0 * vals
         )
-    return u.with_values(_add_local_terms(acc, vals, grid, nu, r_min, z_max))
+    return Field(grid, _add_local_terms(acc, vals, grid, nu, r_min, z_max), u.t)
 
 
 def impulse_response(grid: Grid, nu: LevyMeasureSpec) -> np.ndarray:

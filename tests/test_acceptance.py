@@ -26,14 +26,14 @@ from levyfp.generators import (
     LevyMeasureSpec,
     LocalDiffusionSpec,
 )
-from levyfp.grids import Grid
+from levyfp.grids import Field, Grid
 from levyfp.lyapunov import (
     classify_weight,
     h_model_function,
     solve_rate_ode,
     verify_lemma_lyap,
 )
-from levyfp.norms import ScalarField, inf_shift_norm, weighted_seminorm
+from levyfp.norms import inf_shift_norm, weighted_seminorm
 from levyfp.particles import (
     empirical_cf,
     ensemble_at,
@@ -101,13 +101,13 @@ def test_ac01_exact_semigroup():
 def test_ac02_local_ou_oracle():
     spec = _local_ou()
     m0 = gaussian(G, std=2.0)
-    v0 = float(np.sum(G.nodes**2 * m0.values) * G.cell_volume)
+    v0 = float(np.sum(G.nodes**2 * m0.values) * G.dx)
     snaps = tuple(0.25 * i for i in range(1, 13))
     run = solve(m0, spec, t_final=3.0, dt=1e-3, record_every=10**9,
                 snapshot_times=snaps)
     var_err = 0.0
     for snap in run.snapshots:
-        var = float(np.sum(G.nodes**2 * snap.values) * G.cell_volume)
+        var = float(np.sum(G.nodes**2 * snap.values) * G.dx)
         pred = 1.0 + (v0 - 1.0) * np.exp(-2.0 * snap.t)
         var_err = max(var_err, abs(var - pred))
 
@@ -135,7 +135,7 @@ def test_ac03_fractional_ou_stationary_law():
     # the transform inherits the truncation error
     g3 = Grid(2048, 32.0)
     rho, _ = stationary_solve(spec, g3, dt=1.5e-3, eps_boundary=0.05)
-    cf = np.array([np.sum(rho.values * np.cos(v * g3.nodes)) * g3.cell_volume for v in xi])
+    cf = np.array([np.sum(rho.values * np.cos(v * g3.nodes)) * g3.dx for v in xi])
     grid_err = float(np.abs(cf - target).max())
 
     ens = ensemble_at(0.0, 1_000_000, seed=11)
@@ -267,7 +267,7 @@ def test_ac07_seminorm_shift_identity():
     for _ in range(100):
         smooth = np.real(np.fft.ifft(
             np.fft.fft(rng.normal(size=g.n)) * np.exp(-0.05 * g.wavenumber_magnitude**2)))
-        u = ScalarField(g, rng.normal(size=g.n) + 3.0 * smooth + 5.0 * rng.normal())
+        u = Field(g, rng.normal(size=g.n) + 3.0 * smooth + 5.0 * rng.normal())
         for w in weights:
             a = weighted_seminorm(u, w)
             b = inf_shift_norm(u, w)

@@ -16,7 +16,7 @@ from levyfp.adjoint import (
 )
 from levyfp.forward import NumericalFailure, gaussian, solve
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
-from levyfp.grids import Grid, ScalarField
+from levyfp.grids import Field, Grid
 from levyfp.operators import StepSetup, divergence_of_flux, face_velocities, transport_flux
 from levyfp.weights import WeightFunction
 
@@ -58,7 +58,7 @@ def test_tapered_linear_is_x_inside_and_zero_at_seam():
                          ids=["fractional", "tempered"])
 def test_constant_terminal_datum_stays_constant(levy):
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), levy, DriftSpec.ou(1.0))
-    xi = ScalarField(grid=GRID, values=np.full(GRID.n, 0.7))
+    xi = Field(grid=GRID, values=np.full(GRID.n, 0.7))
     run = solve_backward(xi, spec, s_final=0.1, dt=1e-3, record_every=25)
     for p in run.profiles:
         assert np.abs(p.values - 0.7).max() < 1e-12
@@ -98,7 +98,7 @@ def test_sup_norm_bounded_by_terminal():
 
 def test_comparison_principle_on_spectral_route():
     xi1 = tanh_profile(GRID)
-    xi2 = ScalarField(grid=GRID, values=xi1.values + 0.05 * (1.0 + np.cos(GRID.nodes)))
+    xi2 = Field(grid=GRID, values=xi1.values + 0.05 * (1.0 + np.cos(GRID.nodes)))
     u1 = solve_backward(xi1, OU_FRAC, s_final=0.5, dt=1e-3, record_every=10**9).final
     u2 = solve_backward(xi2, OU_FRAC, s_final=0.5, dt=1e-3, record_every=10**9).final
     assert np.max(u1.values - u2.values) <= 1e-8
@@ -135,7 +135,7 @@ def test_tempered_backward_step_matches_unfused_node_loop():
     ref = _AdjointStepper(spec, GRID, dt, dt)
     heat = np.exp(-dt * spec.diffusion.lambda0 * GRID.wavenumber_magnitude**2)
     v = np.real(np.fft.ifft(heat * np.fft.fft(ref._advect(xi.values, 0.0))))
-    want = v + dt * levy_integral_field(ScalarField(GRID, v), spec.levy).values
+    want = v + dt * levy_integral_field(Field(GRID, v), spec.levy).values
     got = solve_backward(xi, spec, s_final=dt, dt=dt).final.values
     assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
 
@@ -145,7 +145,7 @@ def test_tempered_backward_step_matches_unfused_node_loop():
 
 
 def test_oscillation_of_constant_is_zero():
-    xi = ScalarField(grid=GRID, values=np.full(GRID.n, 2.0))
+    xi = Field(grid=GRID, values=np.full(GRID.n, 2.0))
     run = solve_backward(xi, OU_FRAC, s_final=0.05, dt=1e-3, record_every=10)
     trace = oscillation_trace(run, WeightFunction.power(0.5))
     assert np.abs(trace).max() < 1e-12
@@ -157,7 +157,7 @@ def test_oscillation_trace_is_shift_invariant():
         LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0)
     )
     xi = tanh_profile(g)
-    shifted = ScalarField(grid=g, values=xi.values + 3.0)
+    shifted = Field(grid=g, values=xi.values + 3.0)
     w = WeightFunction.power(0.5)
     ta = oscillation_trace(solve_backward(xi, spec, s_final=0.5, dt=2e-3, record_every=50), w)
     tb = oscillation_trace(solve_backward(shifted, spec, s_final=0.5, dt=2e-3, record_every=50), w)
@@ -191,7 +191,7 @@ def test_oscillation_eventually_decreasing_under_confinement():
 def test_duality_constant_terminal_is_mass_identity():
     fw = solve(gaussian(GRID), OU_FRAC, t_final=0.5, dt=1e-3, limiter="off",
                eps_boundary=0.05, record_every=10**9)
-    rep = duality_residual(fw, ScalarField(grid=GRID, values=np.ones(GRID.n)))
+    rep = duality_residual(fw, Field(grid=GRID, values=np.ones(GRID.n)))
     assert rep.normalized < 1e-12
 
 

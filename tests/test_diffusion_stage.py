@@ -9,7 +9,7 @@ import quadrature_oracle
 from quadrature_oracle import fourth_order_d2, impulse_response, levy_integral_field
 
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
-from levyfp.grids import Grid, ScalarField
+from levyfp.grids import Field, Grid
 from levyfp.operators import StepSetup, _variable_diffusion_term, shell_quadrature_nodes
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_impulse_response_matches_node_loop(kind, sigma, n, half_width):
     assert np.any(np.abs(j_plus - j_minus) <= 3)
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    want = levy_integral_field(ScalarField(g, impulse), nu).values
+    want = levy_integral_field(Field(g, impulse), nu).values
     assert_bitwise(impulse_response(g, nu), want)
 
 
@@ -141,7 +141,7 @@ def test_fourth_order_d2_matches_roll_oracle(n):
 
 def test_levy_field_matches_roll_stencil(monkeypatch):
     g = Grid(n=64, half_width=4.0)
-    u = ScalarField(g, random_field(np.random.default_rng(41), g.n))
+    u = Field(g, random_field(np.random.default_rng(41), g.n))
     nu = LevyMeasureSpec.tempered(1.2)
     got = levy_integral_field(u, nu).values
     monkeypatch.setattr(quadrature_oracle, "fourth_order_d2", oracle_d2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levyfp.grids import DensityField, Grid, ScalarField
+from levyfp.grids import Field, Grid
 from levyfp.operators import NumericalFailure, RunGuard
 
 
@@ -10,9 +10,9 @@ def test_grid_geometry():
     assert g.dx * g.n == 2 * g.half_width  # exact in binary fp: n is a power of two
     assert g.nodes[0] == -16.0
     assert g.nodes[-1] == pytest.approx(16.0 - g.dx)
-    # xi_j = pi j / L in FFT ordering
-    assert g.wavenumbers[1] == pytest.approx(np.pi / 16.0)
-    assert g.wavenumbers[-1] == pytest.approx(-np.pi / 16.0)
+    # |xi_j| = pi |j| / L in FFT ordering
+    assert g.wavenumber_magnitude[1] == pytest.approx(np.pi / 16.0)
+    assert g.wavenumber_magnitude[-1] == pytest.approx(np.pi / 16.0)
 
 
 def test_grid_validation():
@@ -26,7 +26,7 @@ def test_grid_validation():
 
 def test_plane_wave_is_periodic():
     g = Grid(128, 8.0)
-    xi = g.wavenumbers[3]
+    xi = g.wavenumber_magnitude[3]
     wave = np.exp(1j * xi * g.nodes)
     assert np.exp(1j * xi * (g.nodes[0] + 2 * g.half_width)) == pytest.approx(wave[0])
 
@@ -34,10 +34,10 @@ def test_plane_wave_is_periodic():
 def test_field_shape_and_finiteness_checks():
     g = Grid(64, 8.0)
     with pytest.raises(ValueError):
-        ScalarField(g, np.zeros(65))
+        Field(g, np.zeros(65))
     with pytest.raises(ValueError):
-        ScalarField(g, np.full(64, np.nan))
-    f = ScalarField(g, np.ones(64))
+        Field(g, np.full(64, np.nan))
+    f = Field(g, np.ones(64))
     with pytest.raises(ValueError):
         f.values[0] = 2.0  # immutable buffer
 
@@ -45,7 +45,7 @@ def test_field_shape_and_finiteness_checks():
 def test_density_moments_against_gaussian():
     g = Grid(1024, 16.0)
     x = g.nodes
-    m = DensityField(g, np.exp(-x**2 / 2) / np.sqrt(2 * np.pi))
+    m = Field(g, np.exp(-x**2 / 2) / np.sqrt(2 * np.pi))
     assert m.mass() == pytest.approx(1.0, abs=1e-12)
     assert m.variance() == pytest.approx(1.0, abs=1e-10)
 

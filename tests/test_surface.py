@@ -1,6 +1,6 @@
 """Every name a module lists in ``__all__`` resolves on that module, no
-module imports a name it never uses, and importing levyfp loads neither scipy
-nor multiprocessing."""
+module imports a name it never uses, no two classes declare one field list,
+and importing levyfp loads neither scipy nor multiprocessing."""
 import ast
 import importlib
 import pathlib
@@ -131,3 +131,33 @@ def test_unread_parameter_check_sees_what_it_should():
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "levyfp").glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def shared_field_lists(sources: dict) -> list:
+    """Groups of classes that declare the same annotated fields, names and
+    annotations in the same order: copies of one record type. ``sources``
+    maps a module name to its source text."""
+    owners = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                fields = tuple((s.target.id, ast.unparse(s.annotation)) for s in node.body
+                               if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+                if fields:
+                    owners.setdefault(fields, []).append(f"{module}.{node.name}")
+    return sorted(sorted(names) for names in owners.values() if len(names) > 1)
+
+
+def test_shared_field_list_check_sees_what_it_should():
+    sources = {
+        "a": "class A:\n    x: int\n    y: float = 0.0\n    def f(self):\n        z: int = 1\n"
+             "class C:\n    x: int\nclass D:\n    x: float\n    y: float\n",
+        "b": "class B:\n    x: int\n    y: float\n    def g(self):\n        return 1\n"
+             "class E:\n    y: float\n    x: int\nclass F:\n    pass\nclass G:\n    pass\n",
+    }
+    assert shared_field_lists(sources) == [["a.A", "b.B"]]
+
+
+def test_no_two_classes_share_a_field_list():
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "levyfp").glob("*.py"))}
+    assert shared_field_lists(sources) == []

@@ -21,10 +21,6 @@ def oracle_slope(m, dx, limiter):
     left = (m - np.roll(m, 1)) / dx
     right = (np.roll(m, -1) - m) / dx
     central = 0.5 * (left + right)
-    if limiter == "fromm":
-        return central
-    if limiter == "minmod":
-        return np.where(left * right > 0, np.sign(left) * np.minimum(np.abs(left), np.abs(right)), 0.0)
     lim = np.minimum(np.abs(central), 2.0 * np.minimum(np.abs(left), np.abs(right)))
     return np.where(left * right > 0, np.sign(central) * lim, 0.0)
 

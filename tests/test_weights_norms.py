@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfp.grids import DensityField, Grid, ScalarField
+from levyfp.grids import Field, Grid
 from levyfp.norms import inf_shift_norm, weighted_seminorm, weighted_tv_norm
 from levyfp.weights import WeightFunction, bracket
 
@@ -11,7 +11,7 @@ GRID = Grid(256, 8.0)
 
 
 def field(values):
-    return ScalarField(GRID, values)
+    return Field(GRID, values)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_seminorm_matches_brute_force_oracle():
     phi = w(g.nodes)
     for _ in range(5):
         u = rng.normal(size=64)
-        assert weighted_seminorm(ScalarField(g, u), w) == pytest.approx(
+        assert weighted_seminorm(Field(g, u), w) == pytest.approx(
             brute_force_seminorm(u, phi), rel=1e-14
         )
 
@@ -138,7 +138,7 @@ def pair_scan_seminorm(u, phi, chunk=512):
 
 def assert_matches_pair_scan(g, u, w):
     expected = pair_scan_seminorm(np.asarray(u, dtype=float), w(g.nodes))
-    assert weighted_seminorm(ScalarField(g, u), w) == expected
+    assert weighted_seminorm(Field(g, u), w) == expected
 
 
 def oracle_fields(g, rng):
@@ -183,7 +183,7 @@ def test_seminorm_of_constants_is_exactly_zero(w):
     for n in (8, 1024):
         g = Grid(n, 16.0)
         for c in (0.0, -2.5, 3.7, 1e12):
-            assert weighted_seminorm(ScalarField(g, np.full(n, c)), w) == 0.0
+            assert weighted_seminorm(Field(g, np.full(n, c)), w) == 0.0
 
 
 def test_seminorm_all_tie_field_runs_chunked_final_pass(monkeypatch):
@@ -202,7 +202,7 @@ def test_seminorm_all_tie_field_runs_chunked_final_pass(monkeypatch):
         return original(u, phi, rows, cols)
 
     monkeypatch.setattr(norms, "_max_pair_ratio", spy)
-    assert weighted_seminorm(ScalarField(g, u), w) == pair_scan_seminorm(u, w(g.nodes)) == 1.0
+    assert weighted_seminorm(Field(g, u), w) == pair_scan_seminorm(u, w(g.nodes)) == 1.0
     assert seen == [(g.n // 2, g.n // 2)]
     assert g.n // 2 > norms._PAIR_CHUNK
 
@@ -276,7 +276,7 @@ def test_inf_shift_norm_on_plus_minus_one():
 def test_weighted_tv_gaussian_second_moment():
     g = Grid(1024, 16.0)
     x = g.nodes
-    m = DensityField(g, np.exp(-x**2 / 2) / np.sqrt(2 * np.pi))
+    m = Field(g, np.exp(-x**2 / 2) / np.sqrt(2 * np.pi))
     w = WeightFunction.power(2.0)
     # E<X>^2 = 1 + E X^2 = 2 for a standard Gaussian
     assert weighted_tv_norm(m, w) == pytest.approx(2.0, abs=1e-10)
@@ -286,6 +286,6 @@ def test_weighted_tv_gaussian_second_moment():
 def test_weighted_tv_sign_insensitive():
     g = Grid(256, 8.0)
     x = g.nodes
-    m = DensityField(g, np.exp(-x**2 / 2) / np.sqrt(2 * np.pi))
+    m = Field(g, np.exp(-x**2 / 2) / np.sqrt(2 * np.pi))
     w = WeightFunction.power(1.0)
-    assert weighted_tv_norm(m.with_values(-m.values), w) == pytest.approx(weighted_tv_norm(m, w))
+    assert weighted_tv_norm(Field(g, -m.values), w) == pytest.approx(weighted_tv_norm(m, w))
