@@ -14,10 +14,16 @@ finite-volume upwind flux (optional second-order limited reconstruction),
 so the discrete adjoint output always integrates to zero. Its stencils are
 taken by slicing one periodic difference array d[k] = m[k] - m[k-1],
 k = 0..n with indices mod n: the left slopes are d[:-1], the right slopes
-d[1:], and the divergence is d[:-1] of the flux. The centered second
-differences slice one periodically padded copy of their input.
+d[1:], and the divergence is d[:-1] of the flux. The upwind choice is made
+once per face array, not per flux: ``upwind_faces`` records each face's
+donor cell (i where w_i >= 0, i+1 mod n otherwise) and the signed
+half-width +dx/2 or -(dx/2) from the donor's centre to the face, and the
+flux reconstructs the donor side only. The centered second differences
+slice one periodically padded copy of their input.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +36,8 @@ __all__ = [
     "transport_flux",
     "divergence_of_flux",
     "face_velocities",
+    "UpwindFaces",
+    "upwind_faces",
     "StepSetup",
     "RunGuard",
     "LIMITERS",
@@ -141,34 +149,67 @@ def _periodic_difference(m: np.ndarray) -> np.ndarray:
 
 def _mc_slope(m: np.ndarray, dx: float) -> np.ndarray:
     """Monotonized-central cell slopes from one periodic difference array
-    d / dx: the left slopes are its view d[:-1], the right slopes its view d[1:]."""
+    d / dx: the left slopes are its view d[:-1], the right slopes its view d[1:].
+
+    The slope is sign(central) * min(|central|, 2 min(|left|, |right|)) with
+    central = (left + right) / 2 where left * right > 0, and 0 elsewhere.
+    There the two are nonzero with one sign, and rounding is symmetric, so
+    |central| is exactly (|left| + |right|) / 2, taken from |d|, and
+    sign(central) * lim is copysign(lim, left): central itself is never formed."""
     d = _periodic_difference(m)
     d /= dx
     left, right = d[:-1], d[1:]
-    central = 0.5 * (left + right)
     a = np.abs(d)
-    lim = np.minimum(np.abs(central), 2.0 * np.minimum(a[:-1], a[1:]))
-    return np.where(left * right > 0, np.sign(central) * lim, 0.0)
+    a_left, a_right = a[:-1], a[1:]
+    lim = np.minimum(0.5 * (a_left + a_right), 2.0 * np.minimum(a_left, a_right))
+    return np.where(left * right > 0.0, np.copysign(lim, left), 0.0)
 
 
-def transport_flux(m: np.ndarray, w_faces: np.ndarray, dx: float, limiter: str = "mc") -> np.ndarray:
+@dataclass(frozen=True)
+class UpwindFaces:
+    """Face velocities w with their upwind donors: ``donor[i]`` is the cell
+    whose value crosses face i+1/2, and ``half[i]`` the signed distance from
+    that cell's centre to the face."""
+
+    w: np.ndarray
+    donor: np.ndarray
+    half: np.ndarray
+
+
+_CELL_CYCLE: dict = {}  # n -> cells 0..n with indices mod n
+
+
+def upwind_faces(w: np.ndarray, dx: float) -> UpwindFaces:
+    """The face record of w: donor i where w_i >= 0 and i+1 mod n otherwise
+    (-0.0 counts as >= 0, NaN does not), half +dx/2 or -(dx/2) to match."""
+    n = w.size
+    cells = _CELL_CYCLE.get(n)
+    if cells is None:
+        cells = _CELL_CYCLE[n] = np.append(np.arange(n), 0)
+    ahead = w >= 0
+    return UpwindFaces(w, np.where(ahead, cells[:-1], cells[1:]), np.where(ahead, 0.5 * dx, -(0.5 * dx)))
+
+
+def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = "mc") -> np.ndarray:
     """Upwind flux f[i] = w_{i+1/2} * m_rec at face i+1/2: the donor cell,
     plus with ``limiter="mc"`` the MC-limited linear reconstruction.
 
-    The slopes come from one periodic difference array (``_mc_slope``);
-    the value reconstructed from the right of face i+1/2 is cell i+1's, taken
-    by slicing. ``limiter="off"`` builds no slopes: m + 0.0 and m shifted are
-    what zero slopes give, signed zeros included.
+    Only the donor side is reconstructed, m[donor] + half * slope[donor];
+    with half = -(dx/2) that is bit for bit m - (dx/2) * slope, since IEEE
+    negation is exact. ``limiter="off"`` builds no slopes: half * 0.0 is the
+    zero slope with the sign that m + 0.0 (donor on the left) and m (donor
+    on the right) give, signed zeros included.
     """
     if limiter == "off":
-        from_left, from_right = m + 0.0, m
+        rec = faces.half * 0.0
     elif limiter == "mc":
-        half = 0.5 * dx * _mc_slope(m, dx)
-        from_left, from_right = m + half, m - half
+        rec = _mc_slope(m, dx).take(faces.donor)
+        rec *= faces.half
     else:
         raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
-    from_right = np.concatenate((from_right[1:], from_right[:1]))
-    return w_faces * np.where(w_faces >= 0, from_left, from_right)
+    rec += m.take(faces.donor)
+    rec *= faces.w
+    return rec
 
 
 def divergence_of_flux(flux: np.ndarray, dx: float) -> np.ndarray:
@@ -286,11 +327,12 @@ class StepSetup:
         self.where = where
         xi = grid.wavenumber_magnitude[: grid.n // 2 + 1]  # the half spectrum of rfft
         self.diffusion_factor = np.exp(-dt * (spec.diffusion.lambda0 * xi**2 + spec.levy.symbol(xi)))
-        self.static_w = self.static_split = self._last_faces = None
+        self.static_faces = self.static_split = self._last_faces = None
         if not spec.is_time_dependent:
-            self.static_w = face_velocities(grid, spec.drift, 0.0)
-            self.static_split = _upwind_split(self.static_w)
-            self._check_cfl(self.static_w)
+            w = face_velocities(grid, spec.drift, 0.0)
+            self._check_cfl(w)
+            self.static_faces = upwind_faces(w, grid.dx)
+            self.static_split = _upwind_split(w)
         self._check_variable_diffusion()
 
     def _check_cfl(self, w: np.ndarray, t: float | None = None):
@@ -311,24 +353,32 @@ class StepSetup:
                     f"explicit variable diffusion unstable: need dt <= "
                     f"{0.45 * dx**2 / smax:g}, got {dt:g}")
 
-    def faces(self, t: float) -> np.ndarray:
-        """Face velocities w at forward time t, CFL-checked when they move."""
-        if self.static_w is not None:
-            return self.static_w
+    def faces(self, t: float) -> UpwindFaces:
+        """Face velocities at forward time t with their upwind donors, built
+        once for a static drift and once per face array when they move."""
+        if self.static_faces is not None:
+            return self.static_faces
         # a Strang step asks for t + dt/2 twice in a row: keep the last faces
         if self._last_faces is not None and self._last_faces[0] == t:
             return self._last_faces[1]
+        faces = upwind_faces(self._moving_w(t), self.grid.dx)
+        self._last_faces = (t, faces)
+        return faces
+
+    def _moving_w(self, t: float) -> np.ndarray:
+        """Face velocities of a time-dependent drift at forward time t, CFL-checked."""
         w = face_velocities(self.grid, self.spec.drift, t)
         self._check_cfl(w, t)
-        self._last_faces = (t, w)
         return w
 
     def transpose_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(max(w, 0), min(w, 0) one cell on) at forward time t: entry i of the
-        second is min(w_{i-1}, 0), as the backward advection reads it."""
+        second is min(w_{i-1}, 0), as the backward advection reads it. The
+        backward clock never asks twice for one time and reads no donors, so
+        a moving drift's velocities skip the face record."""
         if self.static_split is not None:
             return self.static_split
-        return _upwind_split(self.faces(t))
+        return _upwind_split(self._moving_w(t))
 
     def diffuse(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
         """Diffusion and jumps over dt, then the explicit variable-Sigma term

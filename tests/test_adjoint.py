@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from quadrature_oracle import levy_integral_field
 
+from levyfp import operators
 from levyfp.adjoint import (
     _AdjointStepper,
     duality_residual,
@@ -17,7 +18,7 @@ from levyfp.adjoint import (
 from levyfp.forward import NumericalFailure, gaussian, solve
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Field, Grid
-from levyfp.operators import StepSetup, divergence_of_flux, face_velocities, transport_flux
+from levyfp.operators import divergence_of_flux, transport_flux
 from levyfp.weights import WeightFunction
 
 GRID = Grid(n=1024, half_width=16.0)
@@ -110,14 +111,14 @@ def test_advection_step_is_exact_transpose_of_forward_flux():
     g = Grid(n=64, half_width=4.0)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
     dt = 0.125 * g.dx
-    w = face_velocities(g, spec.drift, 0.0)
     stepper = _AdjointStepper(spec, g, dt, dt)
+    faces = stepper.stage.faces(0.0)  # the one record both steppers read
     fwd = np.zeros((g.n, g.n))
     adj = np.zeros((g.n, g.n))
     for j in range(g.n):
         e = np.zeros(g.n)
         e[j] = 1.0
-        fwd[:, j] = e - dt * divergence_of_flux(transport_flux(e, w, g.dx, "off"), g.dx)
+        fwd[:, j] = e - dt * divergence_of_flux(transport_flux(e, faces, g.dx, "off"), g.dx)
         adj[:, j] = stepper._advect(e, 0.0)
     assert np.abs(adj - fwd.T).max() == 0.0
 
@@ -289,13 +290,13 @@ def test_time_dependent_drift_runs_without_a_horizon():
 def test_backward_clock_reverses_at_s_final(monkeypatch):
     # step k (from 0) reads the drift at forward time s_final - k dt
     read = []
-    clean = StepSetup.faces
+    evaluate = operators.face_velocities
 
-    def spy(self, t):
+    def spy(grid, drift, t):
         read.append(t)
-        return clean(self, t)
+        return evaluate(grid, drift, t)
 
-    monkeypatch.setattr(StepSetup, "faces", spy)
+    monkeypatch.setattr(operators, "face_velocities", spy)
     g = Grid(n=128, half_width=4.0)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
                          DriftSpec.perturbed_power(1.0, 2.0, 0.5))

@@ -218,6 +218,17 @@ def test_snapshots_match_repeated_single_steps():
     assert np.array_equal(fw.snapshots[0].values, manual)
 
 
+def test_solve_runs_from_the_initial_time_to_t_final():
+    # t_final is an end time, also for data that starts after t = 0
+    g = Grid(n=64, half_width=8.0)
+    m0 = Field(g, gaussian(g).values, 0.5)
+    fw = solve(m0, ou_spec(), t_final=1.0, dt=0.05, record_every=5, eps_boundary=0.05,
+               snapshot_times=(0.75,))
+    np.testing.assert_allclose(fw.times, [0.5, 0.75, 1.0], rtol=0, atol=1e-12)
+    assert fw.final.t == pytest.approx(1.0, abs=1e-12)
+    assert [snap.t for snap in fw.snapshots] == pytest.approx([0.75], abs=1e-12)
+
+
 def test_norm_series_accessor_matches_direct_norm():
     m0 = gaussian(GRID)
     w = WeightFunction.power(0.5)
@@ -271,7 +282,7 @@ def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
     def faces_unmemoized(self, t):
         w = operators.face_velocities(self.grid, self.spec.drift, t)
         self._check_cfl(w, t)
-        return w
+        return operators.upwind_faces(w, self.grid.dx)
 
     calls.clear()
     monkeypatch.setattr(operators.StepSetup, "faces", faces_unmemoized)

@@ -28,6 +28,7 @@ from levyfp.operators import (
     levy_integral_callable,
     shell_quadrature_nodes,
     transport_flux,
+    upwind_faces,
 )
 
 GRID = Grid(n=1024, half_width=16.0)
@@ -115,8 +116,8 @@ def apply_adjoint_generator(
         out += lam0 * fractional_action(vals, grid, 2.0)
     out -= _variable_diffusion_term(vals, grid, g, adjoint=True)
     out += _jump_term(vals, grid, g, jump_route)
-    w = face_velocities(grid, g.drift, t)
-    flux = transport_flux(vals, w, grid.dx, limiter)
+    faces = upwind_faces(face_velocities(grid, g.drift, t), grid.dx)
+    flux = transport_flux(vals, faces, grid.dx, limiter)
     # flux approximates -b*m, so div(b m) = -divergence_of_flux(flux)
     out += divergence_of_flux(flux, grid.dx)
     return Field(grid, out, t)
@@ -410,9 +411,9 @@ def test_face_velocities_positions_and_sign():
 def test_divergence_telescopes_to_zero():
     rng = np.random.default_rng(11)
     m = rng.standard_normal(GRID.n) ** 2
-    w = rng.standard_normal(GRID.n)
+    faces = upwind_faces(rng.standard_normal(GRID.n), GRID.dx)
     for limiter in ("off", "mc"):
-        flux = transport_flux(m, w, GRID.dx, limiter)
+        flux = transport_flux(m, faces, GRID.dx, limiter)
         div = divergence_of_flux(flux, GRID.dx)
         assert abs(div.sum() * GRID.dx) < 1e-10
 
@@ -420,8 +421,11 @@ def test_divergence_telescopes_to_zero():
 def test_transport_flux_donor_upwind():
     m = np.array([1.0, 2.0, 4.0, 0.5])
     w = np.array([1.0, 1.0, -1.0, 2.0])
-    flux = transport_flux(m, w, 1.0, limiter="off")
+    faces = upwind_faces(w, 1.0)
     # positive w takes the left cell, negative w the right cell
+    assert faces.donor.tolist() == [0, 1, 3, 3]
+    assert faces.half.tolist() == [0.5, 0.5, -0.5, 0.5]
+    flux = transport_flux(m, faces, 1.0, limiter="off")
     np.testing.assert_allclose(flux, [1.0, 2.0, -0.5, 1.0])
 
 
@@ -430,17 +434,17 @@ def test_limited_slopes_second_order_on_linear_data():
     # reconstruction is second order there
     g = Grid(n=64, half_width=8.0)
     m = np.sin(np.pi * g.nodes / g.half_width)
-    w = np.full(g.n, 1.0)
-    err_off = np.abs(divergence_of_flux(transport_flux(m, w, g.dx, "off"), g.dx)
+    faces = upwind_faces(np.full(g.n, 1.0), g.dx)
+    err_off = np.abs(divergence_of_flux(transport_flux(m, faces, g.dx, "off"), g.dx)
                      - np.pi / g.half_width * np.cos(np.pi * g.nodes / g.half_width)).max()
-    err_mc = np.abs(divergence_of_flux(transport_flux(m, w, g.dx, "mc"), g.dx)
+    err_mc = np.abs(divergence_of_flux(transport_flux(m, faces, g.dx, "mc"), g.dx)
                     - np.pi / g.half_width * np.cos(np.pi * g.nodes / g.half_width)).max()
     assert err_mc < 0.2 * err_off
 
 
 def test_unknown_limiter_rejected():
     with pytest.raises(ValueError, match="limiter"):
-        transport_flux(np.ones(8), np.ones(8), 0.1, limiter="superbee")
+        transport_flux(np.ones(8), upwind_faces(np.ones(8), 0.1), 0.1, limiter="superbee")
 
 
 # ---------------------------------------------------------------------------
