@@ -100,10 +100,6 @@ class AdjointRun:
     """Backward-clock trajectory; times are s in [0, s_final], so the profile
     at s corresponds to the test function at forward time t = s_final - s."""
 
-    grid: Grid
-    spec: GeneratorSpec
-    terminal: Field
-    dt: float
     times: np.ndarray
     profiles: tuple
     sup_norm: np.ndarray
@@ -146,15 +142,7 @@ def solve_backward(
         if guard.records(k):
             record()
 
-    return AdjointRun(
-        grid=grid,
-        spec=spec,
-        terminal=xi,
-        dt=dt,
-        times=np.array(times),
-        profiles=tuple(profiles),
-        sup_norm=np.array(sup),
-    )
+    return AdjointRun(times=np.array(times), profiles=tuple(profiles), sup_norm=np.array(sup))
 
 
 def oscillation_trace(run: AdjointRun, weight: WeightFunction) -> np.ndarray:

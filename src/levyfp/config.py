@@ -164,8 +164,9 @@ _CHOICES = {
     "solver.limiter": LIMITERS,
 }
 
-_WEIGHT_POW = re.compile(r"^pow([0-9.eE+-]+)$")
-_WEIGHT_EXP = re.compile(r"^exp([0-9.eE+-]+)_([0-9.eE+-]+)$")
+_NUMBER = r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"  # what float() reads
+_WEIGHT_POW = re.compile(rf"pow{_NUMBER}")
+_WEIGHT_EXP = re.compile(rf"exp{_NUMBER}_{_NUMBER}")
 
 
 def _coerce(key, tag, value):
@@ -208,14 +209,15 @@ def _finite(key, value) -> float:
 
 
 def parse_weight(label: str) -> WeightFunction:
-    """Weight descriptor in label form: pow<k> or exp<mu>_<k>."""
-    m = _WEIGHT_POW.match(label)
-    if m:
-        return WeightFunction.power(float(m.group(1)))
-    m = _WEIGHT_EXP.match(label)
-    if m:
-        return WeightFunction.exponential(float(m.group(1)), float(m.group(2)))
-    raise ConfigError(f"weights: cannot parse {label!r}; use pow<k> or exp<mu>_<k>")
+    """Weight descriptor in label form: pow<k> or exp<mu>_<k>, each number
+    finite. A refusal of the weight's constructor is led by ``weights: ``."""
+    # whole-label match: "$" would let a trailing newline into the CSV headers
+    m = _WEIGHT_POW.fullmatch(label) or _WEIGHT_EXP.fullmatch(label)
+    numbers = [float(text) for text in m.groups()] if m else []
+    if not numbers or not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"weights: cannot parse {label!r}; use pow<k> or exp<mu>_<k>")
+    build = WeightFunction.power if len(numbers) == 1 else WeightFunction.exponential
+    return _refuse_as("weights: ", build, *numbers)
 
 
 @dataclass(frozen=True)

@@ -70,17 +70,16 @@ class LevyMeasureSpec:
     """Symmetric jump measure with density ``density(|z|)`` in d=1 and its
     exact Fourier symbol ``symbol(|xi|)`` = int (1 - cos(xi z)) density(z) dz.
 
-    ``lower`` and ``upper`` are the declared multipliers lam, Lam with
-    lam/|z|^{1+sigma} <= density(z) <= Lam/|z|^{1+sigma}; for the tempered
-    kind the lower bound is only claimed on |z| <= 1, which is where the
-    small-jump ellipticity argument uses it.
+    ``lower`` is the declared multiplier lam in the pinching
+    lam/|z|^{1+sigma} <= density(z) <= Lam/|z|^{1+sigma}; each constructor
+    states its Lam. For the tempered kind the lower bound is only claimed on
+    |z| <= 1, which is where the small-jump ellipticity argument uses it.
     """
 
     kind: str
     sigma: float = 0.0
     scale: float = 1.0
     lower: float = 0.0
-    upper: float = 0.0
     density: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
     symbol: Callable[[np.ndarray], np.ndarray] = field(default=np.zeros_like, repr=False)
 
@@ -90,7 +89,8 @@ class LevyMeasureSpec:
 
     @staticmethod
     def fractional(sigma: float, scale: float = 1.0) -> "LevyMeasureSpec":
-        """density = scale * C(1, sigma) / |z|^{1+sigma}; symbol scale*|xi|^sigma."""
+        """density = scale * C(1, sigma) / |z|^{1+sigma}; symbol scale*|xi|^sigma.
+        The pinching is an equality: lam = Lam = scale * C(1, sigma)."""
         if not 0.0 < sigma < 2.0:
             raise ValueError(f"fractional measure needs sigma in (0, 2), got {sigma}")
         if scale <= 0:
@@ -101,7 +101,6 @@ class LevyMeasureSpec:
             sigma=sigma,
             scale=scale,
             lower=c,
-            upper=c,
             density=lambda z: c / np.abs(z) ** (1.0 + sigma),
             symbol=lambda xi: scale * xi**sigma,
         )
@@ -110,7 +109,8 @@ class LevyMeasureSpec:
     def tempered(sigma: float, scale: float | None = None) -> "LevyMeasureSpec":
         """density = C * exp(-|z|) / |z|^{1+sigma} with C defaulting to the
         stable normalization, so it matches the fractional kind near z = 0;
-        symbol ``_tempered_symbol``."""
+        symbol ``_tempered_symbol``. Lam = C bounds it on every z, and
+        lam = C / e bounds it from below on |z| <= 1."""
         if not 0.0 < sigma < 2.0:
             raise ValueError(f"tempered measure needs sigma in (0, 2), got {sigma}")
         c = stable_normalization(sigma) if scale is None else float(scale)
@@ -121,7 +121,6 @@ class LevyMeasureSpec:
             sigma=sigma,
             scale=c,
             lower=c * math.exp(-1.0),
-            upper=c,
             density=lambda z: c * np.exp(-np.abs(z)) / np.abs(z) ** (1.0 + sigma),
             symbol=lambda xi: _tempered_symbol(xi, sigma, c),
         )
@@ -136,7 +135,6 @@ class LocalDiffusionSpec:
     """Constant lambda0 plus a bounded variable coefficient Sigma(x) (d=1)."""
 
     lambda0: float
-    kind: str = "constant"
     sigma0: float = 0.0
     sigma_fn: Callable[[np.ndarray], np.ndarray] = field(default=None, repr=False)
 
@@ -155,7 +153,6 @@ class LocalDiffusionSpec:
             raise ValueError(f"amplitude must be >= 0, got {a}")
         return LocalDiffusionSpec(
             lambda0=lambda0,
-            kind="tanh",
             sigma0=a,
             sigma_fn=lambda x: a * np.tanh(x),
         )
@@ -172,7 +169,9 @@ class LocalDiffusionSpec:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Velocity field b(t, x) with declared confinement and one-sided bounds.
+    """Velocity field b(t, x) with declared confinement and one-sided bounds;
+    it stores the alpha and gamma the Lyapunov checks read, and each
+    constructor states its R and c0.
 
     Confinement:  b(t, x) . x >= alpha * |x|^gamma   for |x| >= R.
     One-sided:    (b(x) - b(y)) . (x - y) >= -c0 * |x - y| * (|x-y| ^ 1 wedge 1)
@@ -181,26 +180,24 @@ class DriftSpec:
                   delta <= sigma.
     """
 
-    kind: str
     alpha: float
     gamma: float
-    R: float = 1.0
-    c0: float = 0.0
     time_dependent: bool = False
     fn: Callable[[float, np.ndarray], np.ndarray] = field(default=None, repr=False)
 
     @staticmethod
     def none() -> "DriftSpec":
-        """b = 0: no transport, no confinement claimed."""
-        return DriftSpec(kind="none", alpha=0.0, gamma=2.0, R=0.0, c0=0.0,
+        """b = 0: no transport, no confinement claimed (alpha = 0), c0 = 0."""
+        return DriftSpec(alpha=0.0, gamma=2.0,
                          fn=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
 
     @staticmethod
     def ou(alpha: float = 1.0) -> "DriftSpec":
-        """b(x) = alpha * x: confinement holds globally with gamma = 2."""
+        """b(x) = alpha * x: confinement holds globally (R = 0) with gamma = 2,
+        and b is monotone, so c0 = 0."""
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        return DriftSpec(kind="ou", alpha=alpha, gamma=2.0, R=0.0, c0=0.0,
+        return DriftSpec(alpha=alpha, gamma=2.0,
                          fn=lambda t, x: alpha * np.asarray(x, dtype=float))
 
     @staticmethod
@@ -209,6 +206,7 @@ class DriftSpec:
 
         b.x = alpha |x|^gamma (|x|/<x>)^{2-gamma}, so the declared confinement
         constant is alpha * (R^2/(1+R^2))^{(2-gamma)/2}, exact for |x| >= R.
+        b is monotone, so c0 = 0.
         """
         if alpha <= 0 or R <= 0:
             raise ValueError("alpha and R must be positive")
@@ -216,7 +214,7 @@ class DriftSpec:
             raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
         alpha_decl = alpha * (R**2 / (1.0 + R**2)) ** ((2.0 - gamma) / 2.0)
         return DriftSpec(
-            kind="power", alpha=alpha_decl, gamma=gamma, R=R, c0=0.0,
+            alpha=alpha_decl, gamma=gamma,
             fn=lambda t, x: alpha * np.asarray(x, dtype=float) * bracket(x) ** (gamma - 2.0),
         )
 
@@ -226,27 +224,25 @@ class DriftSpec:
 
         The perturbation is Lipschitz with constant A and bounded by A, so
         c0 = 2A and the confinement constants absorb an A|x| loss, which
-        needs gamma >= 1.
+        needs gamma >= 1. With a the power drift's declared alpha: at gamma = 1
+        (needs A < a) alpha is a - A on the same R; at gamma > 1 alpha is a/2
+        on |x| >= max(R, (2A/a)^{1/(gamma-1)}); A = 0 keeps a and R.
         """
         if gamma < 1.0:
             raise ValueError("perturbed-power drift needs gamma >= 1 to stay confining")
         if amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {amplitude}")
         base = DriftSpec.power(alpha, gamma, R)
-        a_base, r_base = base.alpha, base.R
-        if amplitude == 0:
-            alpha_decl, r_decl = a_base, r_base
-        elif gamma == 1.0:
-            if amplitude >= a_base:
+        alpha_decl = base.alpha
+        if gamma == 1.0:
+            if amplitude >= alpha_decl:
                 raise ValueError("perturbation amplitude swallows the gamma=1 confinement")
-            alpha_decl, r_decl = a_base - amplitude, r_base
-        else:
-            alpha_decl = a_base / 2.0
-            r_decl = max(r_base, (2.0 * amplitude / a_base) ** (1.0 / (gamma - 1.0)))
+            alpha_decl -= amplitude
+        elif amplitude != 0:
+            alpha_decl /= 2.0
         pfn = base.fn
         return DriftSpec(
-            kind="perturbed-power", alpha=alpha_decl, gamma=gamma, R=r_decl,
-            c0=2.0 * amplitude, time_dependent=True,
+            alpha=alpha_decl, gamma=gamma, time_dependent=True,
             fn=lambda t, x: pfn(t, x) + amplitude * np.sin(np.asarray(x, dtype=float) + t),
         )
 

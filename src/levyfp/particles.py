@@ -26,6 +26,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,6 +151,9 @@ def ensemble_from_density(m: Field, n_particles: int, seed: int = 0) -> Particle
     if total <= 0:
         raise ValueError("density has no mass to sample")
     cdf = np.cumsum(cell_mass) / total
+    # the running sum can end an ulp short of the pairwise total; a top of
+    # exactly 1 keeps every u < 1 inside the last cell that holds mass
+    cdf[cdf == cdf[-1]] = 1.0
     positions = np.empty(n_particles)
 
     def draw(i0: int, i1: int):
@@ -360,7 +364,6 @@ class ParticleRun:
     times: np.ndarray
     moments: dict
     final: ParticleEnsemble
-    dt: float
     cap_excess: float | None = None
 
 
@@ -399,7 +402,6 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
         times=np.array(times),
         moments={k: np.array(v) for k, v in moments.items()},
         final=ens,
-        dt=dt,
         cap_excess=stepper.cap_excess,
     )
 
@@ -425,13 +427,19 @@ class CouplingRun:
     """Survival statistics of the pairwise reflection coupling."""
 
     times: np.ndarray
-    uncoupled_fraction: np.ndarray
     coupling_times: np.ndarray  # +inf where the pair never met
-    eps_couple: float
-    n_pairs: int
     x_final: np.ndarray
     y_final: np.ndarray
     cap_excess: float | None = None  # as in ParticleRun
+
+    @cached_property
+    def uncoupled_fraction(self) -> np.ndarray:
+        """Share of pairs still apart at each recorded time: those whose
+        coupling time lies beyond it. A pair that meets at step k has
+        coupling time k * dt, the same float as the record of step k."""
+        met = np.sort(self.coupling_times)
+        n = met.size
+        return (n - np.searchsorted(met, self.times, side="right")) / n
 
 
 def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float,
@@ -453,7 +461,7 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
     y[coupled] = x[coupled]
     t_couple = np.where(coupled, 0.0, np.inf)
 
-    times, frac = [0.0], [float(np.mean(~coupled))]
+    times = [0.0]
     t = 0.0
     with _chunk_pool(n_pairs) as pool:
         for k in range(1, guard.n_steps + 1):
@@ -479,14 +487,10 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
             x, y = x_new, y_new
             if guard.records(k):
                 times.append(t)
-                frac.append(float(np.mean(~coupled)))
 
     return CouplingRun(
         times=np.array(times),
-        uncoupled_fraction=np.array(frac),
         coupling_times=t_couple,
-        eps_couple=eps_couple,
-        n_pairs=n_pairs,
         x_final=x,
         y_final=y,
         cap_excess=stepper.cap_excess,

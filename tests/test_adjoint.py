@@ -84,17 +84,19 @@ def test_ou_linear_terminal_matches_exact_expectation():
 
 
 def test_backward_times_and_final_orientation():
-    run = solve_backward(tanh_profile(GRID), OU, s_final=0.01, dt=1e-3, record_every=4)
+    xi = tanh_profile(GRID)
+    run = solve_backward(xi, OU, s_final=0.01, dt=1e-3, record_every=4)
     assert run.times[0] == 0.0
     assert run.times[-1] == pytest.approx(0.01)
     assert np.all(np.diff(run.times) > 0)
     assert run.final is run.profiles[-1]
-    assert np.array_equal(run.profiles[0].values, run.terminal.values)
+    assert np.array_equal(run.profiles[0].values, xi.values)
 
 
 def test_sup_norm_bounded_by_terminal():
-    run = solve_backward(tanh_profile(GRID), OU_FRAC, s_final=1.0, dt=1e-3, record_every=20)
-    assert np.all(run.sup_norm <= np.abs(run.terminal.values).max() + 1e-9)
+    xi = tanh_profile(GRID)
+    run = solve_backward(xi, OU_FRAC, s_final=1.0, dt=1e-3, record_every=20)
+    assert np.all(run.sup_norm <= np.abs(xi.values).max() + 1e-9)
 
 
 def test_comparison_principle_on_spectral_route():
@@ -236,7 +238,7 @@ def test_backward_cfl_violation_detected():
 def test_backward_cfl_bound_covers_run_times():
     # |b| = (1 + t)|x| is checked at the forward times the run steps through:
     # within the bound for t <= 0.01, broken once 1 + t > 0.95 / (1e-3 * 16 * 32)
-    drift = DriftSpec(kind="growing-ou", alpha=1.0, gamma=2.0, R=0.0, time_dependent=True,
+    drift = DriftSpec(alpha=1.0, gamma=2.0, time_dependent=True,
                       fn=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float))
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
     assert 1e-3 * 1.01 * GRID.half_width < 0.95 * GRID.dx < 1e-3 * 2.0 * GRID.half_width

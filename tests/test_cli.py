@@ -48,7 +48,9 @@ def test_parse_fills_defaults():
     assert cfg["time.dt"] == 1e-3
     assert cfg["weights"] == ["pow0.5"]
     assert cfg.grid.half_width == 16.0
-    assert cfg.generator.drift.kind == "ou"
+    # the default drift is OU with alpha 1: b(t, x) = x at every t
+    assert cfg.generator.drift(0.7, [-2.0, 0.5, 3.0]).tolist() == [-2.0, 0.5, 3.0]
+    assert not cfg.generator.is_time_dependent
 
 
 def test_parse_rejects_unknown_keys():
@@ -170,10 +172,15 @@ def test_library_argument_checks_refuse_at_parse_time(tmp_path, capsys, command,
      "config error: initial: bump support does not contain any grid node"),
     ({"experiment": "stationary", "drift.kind": "perturbed-power"},
      "config error: drift.kind: stationary solve needs a time-independent drift"),
-], ids=["std", "std-any-experiment", "std2", "bump", "stationary"])
+    *(({"weights": [label]}, f"config error: weights: cannot parse {label!r}; use pow<k> or exp<mu>_<k>")
+      for label in ("pow1e", "pow.", "exp1_-", "pow1e400", "exp0.5_1e400", "pow1\n")),
+    ({"weights": ["pow-1"]}, "config error: weights: power weight needs k >= 0, got -1.0"),
+], ids=["std", "std-any-experiment", "std2", "bump", "stationary",
+        "pow1e", "pow.", "exp1_-", "pow1e400", "exp0.5_1e400", "pow1-newline", "pow-1"])
 def test_built_objects_refuse_at_parse_time(tmp_path, capsys, command, overrides, message):
-    # the initial density is built for every experiment, and the stationary
-    # solver's drift rule is its own check, so both refuse before output.dir
+    # the initial density is built for every experiment, the stationary
+    # solver's drift rule is its own check, and a weight label must hold
+    # finite numbers its constructor accepts, so all refuse before output.dir
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "late.json", **{**overrides, "output.dir": str(out)})
     assert main([command, str(cfg)]) == 2

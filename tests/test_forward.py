@@ -248,7 +248,7 @@ def test_cfl_violation_reports_allowed_dt():
 def test_cfl_bound_covers_times_past_ten():
     # b = (1 + t) x breaks 0.5 dt max|w| <= 0.95 dx only once t > 11.06
     g = Grid(n=64, half_width=4.0)
-    drift = DriftSpec(kind="growing-ou", alpha=1.0, gamma=2.0, R=0.0, time_dependent=True,
+    drift = DriftSpec(alpha=1.0, gamma=2.0, time_dependent=True,
                       fn=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float))
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
     m0 = gaussian(g, std=0.5)

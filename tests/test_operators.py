@@ -127,25 +127,26 @@ def apply_adjoint_generator(
 # declared constants of the measure and drift
 
 
-def check_bounds(nu: LevyMeasureSpec, z_samples: np.ndarray) -> bool:
-    """Verify the declared pinching on sample points (lower bound only
-    where it is claimed, i.e. |z| <= 1 for tempered kernels)."""
+def check_bounds(nu: LevyMeasureSpec, upper: float, z_samples: np.ndarray) -> bool:
+    """Verify the pinching nu.lower <= density * |z|^{1+sigma} <= upper on
+    sample points (lower bound only where it is claimed, i.e. |z| <= 1 for
+    tempered kernels); upper is the Lam the constructor's docstring states."""
     if not nu.is_active:
         return True
     z = np.abs(np.asarray(z_samples, dtype=float))
     z = z[z > 0]
     rho = nu.density(z) * z ** (1.0 + nu.sigma)
-    ok_upper = bool(np.all(rho <= nu.upper * (1.0 + 1e-12)))
+    ok_upper = bool(np.all(rho <= upper * (1.0 + 1e-12)))
     small = z <= 1.0
     ok_lower = bool(np.all(rho[small] >= nu.lower * (1.0 - 1e-12)))
     return ok_upper and ok_lower
 
 
-def check_confinement(drift: DriftSpec, radii: np.ndarray, t_samples=(0.0, 0.7, 1.9),
+def check_confinement(drift: DriftSpec, R: float, radii: np.ndarray, t_samples=(0.0, 0.7, 1.9),
                       slack: float = 1e-9) -> bool:
     """b(t, x).x >= alpha|x|^gamma on sampled |x| >= R (both signs, d=1)."""
     r = np.asarray(radii, dtype=float)
-    r = r[r >= max(drift.R, 1e-12)]
+    r = r[r >= max(R, 1e-12)]
     if r.size == 0:
         return True
     x = np.concatenate([r, -r])
@@ -155,14 +156,14 @@ def check_confinement(drift: DriftSpec, radii: np.ndarray, t_samples=(0.0, 0.7, 
     return True
 
 
-def check_one_sided(drift: DriftSpec, xs: np.ndarray, ys: np.ndarray, t: float = 0.0,
+def check_one_sided(drift: DriftSpec, c0: float, xs: np.ndarray, ys: np.ndarray, t: float = 0.0,
                     slack: float = 1e-9) -> bool:
     """(b(x)-b(y)).(x-y) >= -c0 |x-y| (|x-y| wedge 1) on sample pairs."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     lhs = (drift.fn(t, x) - drift.fn(t, y)) * (x - y)
     r = np.abs(x - y)
-    return bool(np.all(lhs >= -drift.c0 * r * np.minimum(r, 1.0) - slack))
+    return bool(np.all(lhs >= -c0 * r * np.minimum(r, 1.0) - slack))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +171,7 @@ def check_one_sided(drift: DriftSpec, xs: np.ndarray, ys: np.ndarray, t: float =
 
 
 def _zero_drift() -> DriftSpec:
-    return DriftSpec(kind="zero", alpha=0.0, gamma=2.0, R=0.0,
+    return DriftSpec(alpha=0.0, gamma=2.0,
                      fn=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
@@ -385,13 +386,14 @@ def test_callable_route_even_symmetry_and_sign_at_minimum():
 
 
 def test_measure_bound_declarations():
+    # Lam = scale * C(1, sigma) for both kinds at their default scales
     z = np.geomspace(1e-6, 50.0, 200)
-    assert check_bounds(LevyMeasureSpec.fractional(1.2), z)
-    assert check_bounds(LevyMeasureSpec.tempered(1.2), z)
+    assert check_bounds(LevyMeasureSpec.fractional(1.2), stable_normalization(1.2), z)
+    assert check_bounds(LevyMeasureSpec.tempered(1.2), stable_normalization(1.2), z)
     nu = LevyMeasureSpec.tempered(0.8)
     # upper bound is global, lower bound claimed on |z| <= 1 only
     rho = nu.density(z) * z ** (1.0 + nu.sigma)
-    assert np.all(rho <= nu.upper + 1e-15)
+    assert np.all(rho <= stable_normalization(0.8) + 1e-15)
     assert np.all(rho[z <= 1.0] >= nu.lower - 1e-15)
 
 
@@ -526,16 +528,18 @@ def test_generator_rejects_degenerate_operator():
 # drift declarations
 
 
-@pytest.mark.parametrize("drift", [
-    DriftSpec.ou(0.8),
-    DriftSpec.power(1.0, 1.5),
-    DriftSpec.power(2.0, 0.5, R=2.0),
-    DriftSpec.perturbed_power(1.0, 1.0, 0.3),
-    DriftSpec.perturbed_power(1.0, 1.5, 0.8),
-])
-def test_drift_confinement_holds_as_declared(drift):
-    radii = np.geomspace(max(drift.R, 1e-3), 1e3, 60)
-    assert check_confinement(drift, radii)
+# R as each constructor's docstring states it; for the perturbed power drift
+# at gamma 1.5 that is max(R, (2A/a)^{1/(gamma-1)}) with a = alpha 2^{-1/4}
+@pytest.mark.parametrize("drift, R", [
+    (DriftSpec.ou(0.8), 0.0),
+    (DriftSpec.power(1.0, 1.5), 1.0),
+    (DriftSpec.power(2.0, 0.5, R=2.0), 2.0),
+    (DriftSpec.perturbed_power(1.0, 1.0, 0.3), 1.0),
+    (DriftSpec.perturbed_power(1.0, 1.5, 0.8), max(1.0, (2.0 * 0.8 / 2.0**-0.25) ** 2.0)),
+], ids=[f"drift{i}" for i in range(5)])
+def test_drift_confinement_holds_as_declared(drift, R):
+    radii = np.geomspace(max(R, 1e-3), 1e3, 60)
+    assert check_confinement(drift, R, radii)
 
 
 @settings(max_examples=30, deadline=None)
@@ -546,7 +550,8 @@ def test_drift_confinement_holds_as_declared(drift):
 )
 def test_perturbed_drift_one_sided_bound(x, y, t):
     drift = DriftSpec.perturbed_power(1.0, 1.5, 0.6)
-    assert check_one_sided(drift, np.array([x]), np.array([y]), t=t)
+    # c0 = 2A
+    assert check_one_sided(drift, 2.0 * 0.6, np.array([x]), np.array([y]), t=t)
 
 
 def test_perturbed_power_validation():

@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` resolves on that module, no
-module imports a name it never uses, no two classes declare one field list,
-and importing levyfp loads neither scipy nor multiprocessing."""
+module imports a name it never uses, every parameter is read by its body and
+every dataclass field outside the unit tests, no two classes declare one
+field list, and importing levyfp loads neither scipy nor multiprocessing."""
 import ast
 import importlib
 import pathlib
@@ -161,3 +162,71 @@ def test_shared_field_list_check_sees_what_it_should():
 def test_no_two_classes_share_a_field_list():
     sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "levyfp").glob("*.py"))}
     assert shared_field_lists(sources) == []
+
+
+def unread_fields(declaring: dict, reading: list) -> list:
+    """Fields of a dataclass declared in ``declaring`` (module name -> source)
+    whose name no attribute load in any ``reading`` source reads. The match is
+    by name alone: a load of ``.dt`` reads every dataclass field named ``dt``.
+    ``dataclasses.asdict(f(...))`` reads every field of the class that ``f``,
+    a module-level function of a declaring source, is annotated to return."""
+    fields, returns = {}, {}
+    for module, source in declaring.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields.setdefault(node.name, []).extend(
+                    (s.target.id, f"{module}.{node.name}.{s.target.id} (line {s.lineno})") for s in node.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+                returns[node.name] = ast.unparse(node.returns).strip("'\"")
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func) in ("asdict", "dataclasses.asdict")
+                  and node.args and isinstance(node.args[0], ast.Call)):
+                callee = node.args[0].func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+                read |= {f for f, _ in fields.get(returns.get(name), [])}
+    return sorted(where for entries in fields.values() for f, where in entries if f not in read)
+
+
+def test_unread_field_check_sees_what_it_should():
+    declaring = {
+        "a": "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass A:\n    x: int\n    y: float = 0.0\n"
+             "    def f(self):\n        return self.x\nclass Plain:\n    z: int\n",
+        "b": "import dataclasses\n@dataclasses.dataclass\nclass R:\n    p: float\n    q: float\n"
+             "def report() -> R:\n    return R(1.0, 2.0)\n@dataclasses.dataclass\nclass S:\n    u: int\n"
+             "def other() -> 'S':\n    return S(1)\n",
+    }
+    assert unread_fields({"c": "def f(x):\n    return x.y\n"}, []) == []
+    assert unread_fields(declaring, []) == [
+        "a.A.x (line 4)", "a.A.y (line 5)", "b.R.p (line 4)", "b.R.q (line 5)", "b.S.u (line 10)"]
+    readers = ["import dataclasses\nprint(dataclasses.asdict(report()))\nA(x=1, y=2).y = 3\n",
+               "from dataclasses import asdict\nasdict(b.other())\n"]
+    # a method's self.x is a read; a store is not; asdict of an annotated call reads the whole class
+    assert unread_fields(declaring, declaring.values()) == [
+        "a.A.y (line 5)", "b.R.p (line 4)", "b.R.q (line 5)", "b.S.u (line 10)"]
+    assert unread_fields(declaring, readers) == ["a.A.x (line 4)", "a.A.y (line 5)"]
+
+
+# stored values that only the unit tests read, each with the reason it stays
+FIELDS_READ_BY_TESTS_ONLY = {
+    "particles.CouplingRun.x_final": "the oracle tests pin the reflected Y moves bit for bit through it",
+    "particles.CouplingRun.y_final": "the oracle tests pin the reflected Y moves bit for bit through it",
+}
+
+
+def test_no_unread_fields():
+    # a reader outside the unit tests: the package, the benchmark, or an acceptance item
+    declaring = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "levyfp").glob("*.py"))}
+    reading = [*declaring.values(), *(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))),
+               (ROOT / "tests" / "test_acceptance.py").read_text()]
+    assert len(reading) > len(declaring) > 10
+    found = {entry.split(" (line")[0]: entry for entry in unread_fields(declaring, reading)}
+    unread = [entry for name, entry in found.items() if name not in FIELDS_READ_BY_TESTS_ONLY]
+    assert unread == [], "no reader outside the unit tests: " + ", ".join(unread)
+    # an exemption whose field has gained a reader, or is gone, goes too
+    assert sorted(found) == sorted(FIELDS_READ_BY_TESTS_ONLY)

@@ -124,10 +124,10 @@ def _advect_stepper(n, rng, time_dependent):
     g = Grid(n=n, half_width=4.0)
     w = random_velocity(rng, n)
     if time_dependent:
-        drift = DriftSpec(kind="random", alpha=0.0, gamma=2.0, R=0.0, time_dependent=True,
+        drift = DriftSpec(alpha=0.0, gamma=2.0, time_dependent=True,
                           fn=lambda t, x: -(1.0 + t) * w)
     else:
-        drift = DriftSpec(kind="random", alpha=0.0, gamma=2.0, R=0.0, fn=lambda t, x: -w)
+        drift = DriftSpec(alpha=0.0, gamma=2.0, fn=lambda t, x: -w)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
     # horizon 1: the moving faces reach 2 max|w|
     dt = 0.2 * g.dx / (2.0 * np.abs(w).max())
