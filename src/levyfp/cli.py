@@ -28,7 +28,7 @@ from .config import (
     load_config,
     parse_config,
 )
-from .forward import NumericalFailure, solve, stationary_solve
+from .forward import NumericalFailure, solve, solve_stack, stationary_solve
 from .lyapunov import classify_weight, solve_rate_ode, verify_lemma_lyap
 from .particles import ensemble_at, ensemble_from_density, reflection_coupling_run, simulate
 from .rates import FITTERS, predicted_q, window_shift_stability
@@ -113,6 +113,11 @@ def _run_forward_decay(cfg: ExperimentConfig, outdir: Path) -> dict:
         record_weights=cfg.weights,
         **_solver_kwargs(cfg),
     )
+    return _forward_decay_outputs(cfg, outdir, run)
+
+
+def _forward_decay_outputs(cfg: ExperimentConfig, outdir: Path, run) -> dict:
+    """series.csv, fit.json and the summary of a forward-decay run."""
     labels = list(cfg.weights)
     header = ["t", "mass", "min_value", "boundary_mass"] + [f"norm_{lab}" for lab in labels]
     cols = [run.times, run.mass, run.min_value, run.boundary_mass]
@@ -276,15 +281,17 @@ _EXPERIMENTS = {
 # commands
 
 
-def _execute(cfg: ExperimentConfig, outdir: Path) -> tuple:
+def _execute(cfg: ExperimentConfig, outdir: Path, experiment=None) -> tuple:
     """Echo the resolved config, run the experiment, write the summary.
+    ``experiment(cfg, outdir)`` stands in for the config's experiment when
+    given: a sweep cell writes the outputs of its row of a stack.
 
     Returns (exit code, summary-or-failure payload)."""
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "config.resolved.json", cfg.data)
     digest = config_hash(cfg)
     try:
-        summary = _EXPERIMENTS[cfg.experiment](cfg, outdir)
+        summary = (experiment or _EXPERIMENTS[cfg.experiment])(cfg, outdir)
     except NumericalFailure as exc:
         failure = {
             "kind": "numerical-failure",
@@ -341,35 +348,62 @@ def _cell_config(base: dict, index: int, n_cells: int, gamma, sigma, k, out_root
     return data
 
 
-def _sweep_cell(payload) -> tuple:
-    """One sweep cell; returns the sweep.csv row. Runs in a worker process."""
-    index, data, gamma, sigma, k, kbar = payload
-    try:
-        q_pred = predicted_q(k, kbar, gamma)
-    except ValueError:
-        q_pred = None
-    try:
-        cfg = parse_config(data)
-        code, summary = _execute(cfg, Path(cfg["output.dir"]))
-        if code != 0:
-            reason = _sanitize(f"numerical-failure: {summary['error']}")
-            return (gamma, sigma, k, kbar, q_pred, None, None, reason)
-        fit = summary["fits"][cfg.data["weights"][0]]
-        if fit is None or "error" in fit:
-            reason = (fit or {}).get("error", "fit.model is none")
-            return (gamma, sigma, k, kbar, q_pred, None, None, _sanitize(f"fit-error: {reason}"))
-        return (
-            gamma,
-            sigma,
-            k,
-            kbar,
-            q_pred,
-            fit["fit"]["params"]["q"],
-            fit["fit"]["r2"],
-            "ok",
+def _sweep_group(payloads) -> list:
+    """A contiguous group of sweep cells, its forward runs marched as one
+    stack; returns their sweep.csv rows in order. Runs in a worker process.
+
+    Every cell is built from one base config and changes only drift, jump
+    part, weight and fit, so the cells share grid, data, clock and solver
+    settings, and the first cell's settings serve the stack. Each cell writes
+    the files its own ``levyfp run`` would, failure.json included."""
+    cells, rows = [], {}
+    for index, data, gamma, sigma, k, kbar in payloads:
+        try:
+            q_pred = predicted_q(k, kbar, gamma)
+        except ValueError:
+            q_pred = None
+        try:
+            cfg = parse_config(data)
+        except ValueError as exc:
+            rows[index] = (gamma, sigma, k, kbar, q_pred, None, None, _sanitize(f"validation-error: {exc}"))
+            continue
+        cells.append((index, cfg, (gamma, sigma, k, kbar, q_pred)))
+    if cells:
+        first = cells[0][1]
+        runs = solve_stack(
+            first.initial,
+            [cfg.generator for _, cfg, _ in cells],
+            first["time.t_final"],
+            first["time.dt"],
+            record_every=first["time.stride"],
+            record_weights=[cfg.weights for _, cfg, _ in cells],
+            **_solver_kwargs(first),
         )
+        for (index, cfg, head), run in zip(cells, runs):
+            rows[index] = head + _sweep_cell(cfg, run)
+    return [rows[payload[0]] for payload in payloads]
+
+
+def _sweep_cell(cfg: ExperimentConfig, run) -> tuple:
+    """Write one cell's files from its row of the stack (a ForwardRun, or the
+    exception that ended it); returns the (fitted_exponent, r2, status) of its row."""
+
+    def outputs(cfg, outdir):
+        if isinstance(run, Exception):
+            raise run
+        return _forward_decay_outputs(cfg, outdir, run)
+
+    try:
+        code, summary = _execute(cfg, Path(cfg["output.dir"]), outputs)
     except ValueError as exc:
-        return (gamma, sigma, k, kbar, q_pred, None, None, _sanitize(f"validation-error: {exc}"))
+        return (None, None, _sanitize(f"validation-error: {exc}"))
+    if code != 0:
+        return (None, None, _sanitize(f"numerical-failure: {summary['error']}"))
+    fit = summary["fits"][cfg.data["weights"][0]]
+    if fit is None or "error" in fit:
+        reason = (fit or {}).get("error", "fit.model is none")
+        return (None, None, _sanitize(f"fit-error: {reason}"))
+    return (fit["fit"]["params"]["q"], fit["fit"]["r2"], "ok")
 
 
 def _sanitize(text: str) -> str:
@@ -388,13 +422,17 @@ def cmd_sweep(config_path: str, workers: int) -> int:
         (i, _cell_config(cfg.data, i, len(cells), gamma, sigma, k, out_root), gamma, sigma, k, kbar)
         for i, (gamma, sigma, k, kbar) in enumerate(cells)
     ]
-    if workers <= 1:
-        rows = [_sweep_cell(p) for p in payloads]
+    # --workers N: N contiguous groups of cells, each marched as one stack
+    n_groups = max(1, min(workers, len(payloads)))
+    bounds = [len(payloads) * g // n_groups for g in range(n_groups + 1)]
+    groups = [payloads[a:b] for a, b in zip(bounds, bounds[1:])]
+    if n_groups == 1:
+        rows = _sweep_group(payloads)
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(workers, len(payloads))) as pool:
-            rows = pool.map(_sweep_cell, payloads)
+        with multiprocessing.get_context("spawn").Pool(processes=n_groups) as pool:
+            rows = [row for group in pool.map(_sweep_group, groups) for row in group]
 
     write_csv(
         Path(out_root) / "sweep.csv",

@@ -9,6 +9,14 @@ face. The constant-coefficient diffusion and the jump part
 (lambda0 xi^2 plus the measure's exact symbol) are applied exactly in Fourier
 space; variable Sigma is an explicit Euler term.
 Every stage telescopes, so mass is conserved to rounding regardless of step size.
+
+One marching loop, ``solve_stack``, advances runs that share grid, initial
+data, clock, limiter and boundary budget but not their generator specs or
+record weights (the cells of a sweep) as one (rows, n) stack: the kernels act
+along the rows, so each step costs one numpy call per stage for all rows,
+and each row keeps the bits of its own run. Guards and records stay per
+row; a run that fails leaves the stack and the others go on. ``solve`` is
+its one-row case, which marches an (n,) array.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ from .operators import (
     NumericalFailure,
     RunGuard,
     StepSetup,
+    StepStack,
     divergence_of_flux,
     transport_flux,
 )
@@ -34,6 +43,7 @@ __all__ = [
     "smooth_bump",
     "ForwardRun",
     "solve",
+    "solve_stack",
     "check_stationary_spec",
     "stationary_solve",
 ]
@@ -89,15 +99,19 @@ def smooth_bump(grid: Grid, center: float = 0.0, width: float = 1.0) -> Field:
 # ---------------------------------------------------------------------------
 # stepping machinery
 
+_SUBSTEP = 0.5  # two RK substeps of dt/2 per transport half
+
 
 class _Stepper:
-    """Precomputed pieces of one Strang step for a fixed (spec, grid, dt)."""
+    """Precomputed pieces of one Strang step for runs that share grid, dt and
+    limiter: a lone run's StepSetup, which steps an (n,) array, or the
+    StepStack of several, which steps a (rows, n) stack row by row."""
 
-    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, limiter: str):
-        # two RK substeps of dt/2 per transport half
-        self.stage = StepSetup(spec, grid, dt, substep=0.5)
-        self.grid = grid
-        self.dt = dt
+    def __init__(self, stages: list, limiter: str):
+        self.stages = stages
+        self.stage = stages[0] if len(stages) == 1 else StepStack(stages)
+        self.grid = self.stage.grid
+        self.dt = self.stage.dt
         self.limiter = limiter
 
     def _transport_half(self, m: np.ndarray, t: float) -> np.ndarray:
@@ -124,6 +138,11 @@ class _Stepper:
         return self._transport_half(m, t + 0.5 * self.dt)
 
 
+def _run_stepper(spec: GeneratorSpec, grid: Grid, dt: float, limiter: str) -> _Stepper:
+    """The stepper of a lone run."""
+    return _Stepper([StepSetup(spec, grid, dt, substep=_SUBSTEP)], limiter)
+
+
 @dataclass(frozen=True)
 class ForwardRun:
     """Recorded time series of a forward integration."""
@@ -139,6 +158,44 @@ class ForwardRun:
     weighted_norms: dict = field(default_factory=dict)
     final: Field | None = None
     snapshots: tuple = ()
+
+
+class _Series:
+    """The records of one run of a stack, taken from its row of the state."""
+
+    def __init__(self, m0: Field, spec: GeneratorSpec, dt: float, weights: dict, guard: RunGuard,
+                 eps_boundary: float):
+        self.m0, self.spec, self.dt, self.weights = m0, spec, dt, weights
+        self.guard, self.eps_boundary = guard, eps_boundary
+        self.times, self.mass, self.minv, self.bnd, self.snaps = [], [], [], [], []
+        self.norms: dict = {name: [] for name in weights}
+
+    def record(self, m: np.ndarray, t: float, snapshot: bool):
+        grid = self.m0.grid
+        self.guard.check_blow_up(m, t)
+        self.times.append(t)
+        self.mass.append(m.sum() * grid.dx)
+        self.minv.append(m.min())
+        self.bnd.append(self.guard.boundary_mass(m, grid.dx, self.eps_boundary, t))
+        for name, phi in self.weights.items():
+            self.norms[name].append(weighted_tv_norm(Field(grid, m, t), phi))
+        if snapshot:
+            self.snaps.append(Field(grid, m, t))
+
+    def run(self, m: np.ndarray, t: float) -> ForwardRun:
+        return ForwardRun(
+            grid=self.m0.grid,
+            spec=self.spec,
+            initial=self.m0,
+            dt=self.dt,
+            times=np.array(self.times),
+            mass=np.array(self.mass),
+            min_value=np.array(self.minv),
+            boundary_mass=np.array(self.bnd),
+            weighted_norms={k: np.array(v) for k, v in self.norms.items()},
+            final=Field(self.m0.grid, m, t),
+            snapshots=tuple(self.snaps),
+        )
 
 
 def solve(
@@ -161,52 +218,100 @@ def solve(
     the outer 5% of the cells at each end exceeds eps_boundary: from then on
     the periodic wrap-around is feeding the tails back into the bulk. That
     and blow-up are checked at the recorded steps only (snapshot steps too).
+    This is the one-row case of ``solve_stack``.
     """
-    grid = m0.grid
-    stepper = _Stepper(spec, grid, dt, limiter)
+    (run,) = solve_stack(m0, [spec], t_final, dt, limiter, eps_boundary, record_every,
+                         [record_weights or {}], snapshot_times)
+    if isinstance(run, Exception):
+        raise run
+    return run
+
+
+def solve_stack(
+    m0: Field,
+    specs: list,
+    t_final: float,
+    dt: float,
+    limiter: str = "mc",
+    eps_boundary: float = 1e-6,
+    record_every: int = 1,
+    record_weights: list | None = None,
+    snapshot_times: tuple = (),
+) -> list:
+    """``solve`` for several generator specs at once, each with its own
+    record weights (a list of dicts, one per spec): every run starts from m0
+    and shares the clock, the limiter and the boundary budget.
+
+    The runs march as one (rows, n) stack, a lone run as an (n,) array, and
+    each row's every step, record and failure is bit for bit that of its
+    own ``solve``. Returns one entry per spec: its ForwardRun, or the
+    exception that ended it, which ``solve`` raises. A NumericalFailure ends
+    a run at setup (CFL, variable diffusion), at a record (blow-up, boundary
+    band) or, for a moving drift, at the face array that broke CFL; the run
+    leaves the stack and the others go on. A t_final that is no whole number
+    of steps from m0.t is a ValueError for every run that got past setup.
+    """
+    grid, n = m0.grid, m0.grid.n
+    results: list = [None] * len(specs)
+    live, stages = [], []  # the runs set up, in row order, and their setups
+    for i, spec in enumerate(specs):
+        try:
+            stages.append(StepSetup(spec, grid, dt, substep=_SUBSTEP))
+        except NumericalFailure as exc:
+            results[i] = exc
+        else:
+            live.append(i)
     snap_steps = {int(round((ts - m0.t) / dt)) for ts in snapshot_times}
-    guard = RunGuard(dt, t_final, record_every, t0=m0.t, extra_records=snap_steps)
-    record_weights = record_weights or {}
-    dx = grid.dx
-
-    times, mass, minv, bnd = [], [], [], []
-    norms: dict = {name: [] for name in record_weights}
-    snaps = []
-
-    m = m0.values.copy()
+    try:
+        guard = RunGuard(dt, t_final, record_every, t0=m0.t, extra_records=snap_steps)
+    except ValueError as exc:  # a horizon of no whole number of steps ends every run set up
+        return [exc if r is None else r for r in results]
+    weights = record_weights or [{}] * len(specs)
+    series = {i: _Series(m0, specs[i], dt, weights[i], guard, eps_boundary) for i in live}
+    m = np.repeat(m0.values[None, :], len(live), axis=0)
     t = m0.t
 
-    def record(step_idx: int):
-        guard.check_blow_up(m, t)
-        times.append(t)
-        mass.append(m.sum() * dx)
-        minv.append(m.min())
-        bnd.append(guard.boundary_mass(m, dx, eps_boundary, t))
-        for name, phi in record_weights.items():
-            norms[name].append(weighted_tv_norm(Field(grid, m, t), phi))
-        if step_idx in snap_steps:
-            snaps.append(Field(grid, m, t))
+    def restack(failed: dict, stages: list):
+        # the rows in failed (row -> NumericalFailure) leave; the stepper and
+        # the state of the rest, a lone row marching as its (n,) array
+        nonlocal live, m, stepper
+        keep = [r for r in range(len(live)) if r not in failed]
+        for r, exc in failed.items():
+            results[live[r]] = exc
+        m = m.reshape(len(live), n)[keep]
+        live = [live[r] for r in keep]
+        stepper = _Stepper([stages[r] for r in keep], limiter) if live else None
+        if len(live) == 1:
+            m = m[0]
 
+    def record(k: int):
+        failed = {}
+        for r, row in enumerate(m.reshape(len(live), n)):
+            try:
+                series[live[r]].record(row, t, k in snap_steps)
+            except NumericalFailure as exc:
+                failed[r] = exc
+        if failed:
+            restack(failed, stepper.stages)
+
+    stepper = None
+    restack({}, stages)
     record(0)
-    for k in range(1, guard.n_steps + 1):
-        m = stepper.step(m, t)
+    k = 0
+    while live and k < guard.n_steps:
+        try:
+            stepped = stepper.step(m, t)
+        except NumericalFailure as exc:
+            restack({exc.row: exc}, stepper.stages)  # the others take the step again
+            continue
+        m, k = stepped, k + 1
         t = m0.t + k * dt
         if guard.records(k):
             record(k)
 
-    return ForwardRun(
-        grid=grid,
-        spec=spec,
-        initial=m0,
-        dt=dt,
-        times=np.array(times),
-        mass=np.array(mass),
-        min_value=np.array(minv),
-        boundary_mass=np.array(bnd),
-        weighted_norms={k: np.array(v) for k, v in norms.items()},
-        final=Field(grid, m, t),
-        snapshots=tuple(snaps),
-    )
+    for r, i in enumerate(live):
+        results[i] = series[i].run(m.reshape(len(live), n)[r], t)
+    return results
 
 
 def check_stationary_spec(spec: GeneratorSpec) -> None:
@@ -235,7 +340,7 @@ def stationary_solve(
     checked at the end of every block of unit time.
     """
     check_stationary_spec(spec)
-    stepper = _Stepper(spec, grid, dt, limiter)
+    stepper = _run_stepper(spec, grid, dt, limiter)
     # one block of steps between convergence checks
     block = RunGuard(dt, max(1, int(round(1.0 / dt))) * dt)
     m = gaussian(grid).values

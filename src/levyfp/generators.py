@@ -178,12 +178,18 @@ class DriftSpec:
                   for the builtin drifts (monotone core plus a Lipschitz
                   perturbation), which implies the sigma <= 1 modulus for any
                   delta <= sigma.
+
+    A moving drift may split as fn(t, x) = steady(x) + wave(t, x), so that a
+    caller evaluating it at fixed points many times evaluates ``steady``
+    there once; ``steady`` and ``wave`` are None for a drift without a split.
     """
 
     alpha: float
     gamma: float
     time_dependent: bool = False
     fn: Callable[[float, np.ndarray], np.ndarray] = field(default=None, repr=False)
+    steady: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    wave: Callable[[float, np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     @staticmethod
     def none() -> "DriftSpec":
@@ -241,9 +247,11 @@ class DriftSpec:
         elif amplitude != 0:
             alpha_decl /= 2.0
         pfn = base.fn
+        steady = lambda x: pfn(0.0, x)  # the power drift does not read t
+        wave = lambda t, x: amplitude * np.sin(np.asarray(x, dtype=float) + t)
         return DriftSpec(
             alpha=alpha_decl, gamma=gamma, time_dependent=True,
-            fn=lambda t, x: pfn(t, x) + amplitude * np.sin(np.asarray(x, dtype=float) + t),
+            fn=lambda t, x: steady(x) + wave(t, x), steady=steady, wave=wave,
         )
 
     def __call__(self, t: float, x) -> np.ndarray:

@@ -38,7 +38,9 @@ __all__ = [
     "face_velocities",
     "UpwindFaces",
     "upwind_faces",
+    "stack_faces",
     "StepSetup",
+    "StepStack",
     "RunGuard",
     "LIMITERS",
 ]
@@ -129,27 +131,45 @@ def levy_integral_callable(fn, xs: np.ndarray, nu: LevyMeasureSpec, d2fn) -> np.
 # conservative transport pieces
 
 
-def face_velocities(grid: Grid, drift, t: float) -> np.ndarray:
-    """Transport velocity w = -b at interfaces x_{i+1/2} = x_i + dx/2.
+def _face_points(grid: Grid) -> np.ndarray:
+    """Interfaces x_{i+1/2} = x_i + dx/2. The last face, at L - dx/2,
+    separates the last cell from the first; mass crossing it wraps around
+    the periodic seam."""
+    return grid.nodes + 0.5 * grid.dx
 
-    The last face, at L - dx/2, separates the last cell from the first;
-    mass crossing it wraps around the periodic seam.
+
+def face_velocities(grid: Grid, drift, t: float, steady: np.ndarray | None = None) -> np.ndarray:
+    """Transport velocity w = -b at the interfaces ``_face_points``.
+
+    ``steady`` is ``drift.steady`` at the faces, evaluated once by the
+    caller: then only ``drift.wave`` is evaluated and added to it, as
+    ``drift(t, x)`` adds the two, so w keeps every bit.
     """
-    faces = grid.nodes + 0.5 * grid.dx
-    return -np.asarray(drift(t, faces), dtype=float)
+    x = _face_points(grid)
+    if steady is None:
+        return -np.asarray(drift(t, x), dtype=float)
+    return -(steady + drift.wave(t, x))
 
 
 def _periodic_difference(m: np.ndarray) -> np.ndarray:
-    """d[k] = m[k] - m[k-1] for k = 0..n, indices mod n, so d[0] = d[n]."""
-    d = np.empty(m.size + 1)
-    np.subtract(m[1:], m[:-1], out=d[1:-1])
-    d[0] = d[-1] = m[0] - m[-1]
+    """d[k] = m[k] - m[k-1] for k = 0..n, indices mod n, so d[0] = d[n]; along
+    the rows of a (rows, n) stack. A lone row wraps by scalar indexing, which
+    costs less than the column slices of a stack."""
+    if m.ndim == 1:
+        d = np.empty(m.size + 1)
+        np.subtract(m[1:], m[:-1], out=d[1:-1])
+        d[0] = d[-1] = m[0] - m[-1]
+        return d
+    d = np.empty((m.shape[0], m.shape[1] + 1))
+    np.subtract(m[:, 1:], m[:, :-1], out=d[:, 1:-1])
+    d[:, 0] = d[:, -1] = m[:, 0] - m[:, -1]
     return d
 
 
 def _mc_slope(m: np.ndarray, dx: float) -> np.ndarray:
-    """Monotonized-central cell slopes from one periodic difference array
-    d / dx: the left slopes are its view d[:-1], the right slopes its view d[1:].
+    """Monotonized-central cell slopes along the last axis from one periodic
+    difference array d / dx: the left slopes are its view d[..., :-1], the
+    right slopes its view d[..., 1:].
 
     The slope is sign(central) * min(|central|, 2 min(|left|, |right|)) with
     central = (left + right) / 2 where left * right > 0, and 0 elsewhere.
@@ -158,9 +178,9 @@ def _mc_slope(m: np.ndarray, dx: float) -> np.ndarray:
     sign(central) * lim is copysign(lim, left): central itself is never formed."""
     d = _periodic_difference(m)
     d /= dx
-    left, right = d[:-1], d[1:]
+    left, right = d[..., :-1], d[..., 1:]
     a = np.abs(d)
-    a_left, a_right = a[:-1], a[1:]
+    a_left, a_right = a[..., :-1], a[..., 1:]
     lim = np.minimum(0.5 * (a_left + a_right), 2.0 * np.minimum(a_left, a_right))
     return np.where(left * right > 0.0, np.copysign(lim, left), 0.0)
 
@@ -169,7 +189,8 @@ def _mc_slope(m: np.ndarray, dx: float) -> np.ndarray:
 class UpwindFaces:
     """Face velocities w with their upwind donors: ``donor[i]`` is the cell
     whose value crosses face i+1/2, and ``half[i]`` the signed distance from
-    that cell's centre to the face."""
+    that cell's centre to the face. A stack's record (``stack_faces``) holds
+    one row of each per run, its donors indexing the flattened stack."""
 
     w: np.ndarray
     donor: np.ndarray
@@ -190,6 +211,17 @@ def upwind_faces(w: np.ndarray, dx: float) -> UpwindFaces:
     return UpwindFaces(w, np.where(ahead, cells[:-1], cells[1:]), np.where(ahead, 0.5 * dx, -(0.5 * dx)))
 
 
+def stack_faces(records: list) -> UpwindFaces:
+    """One face record for a (rows, n) stack: row r holds records[r].w and
+    .half, and donor r * n + records[r].donor, so that ``m.take(donor)``
+    picks row r's donors from row r of the stack."""
+    n = records[0].w.size
+    offsets = np.arange(0, n * len(records), n)[:, None]
+    return UpwindFaces(np.stack([r.w for r in records]),
+                       np.stack([r.donor for r in records]) + offsets,
+                       np.stack([r.half for r in records]))
+
+
 def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = "mc") -> np.ndarray:
     """Upwind flux f[i] = w_{i+1/2} * m_rec at face i+1/2: the donor cell,
     plus with ``limiter="mc"`` the MC-limited linear reconstruction.
@@ -198,7 +230,9 @@ def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = 
     with half = -(dx/2) that is bit for bit m - (dx/2) * slope, since IEEE
     negation is exact. ``limiter="off"`` builds no slopes: half * 0.0 is the
     zero slope with the sign that m + 0.0 (donor on the left) and m (donor
-    on the right) give, signed zeros included.
+    on the right) give, signed zeros included. On a (rows, n) stack m the
+    slopes act along the rows and the stacked record's flat donors pick
+    within each row.
     """
     if limiter == "off":
         rec = faces.half * 0.0
@@ -213,31 +247,31 @@ def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = 
 
 
 def divergence_of_flux(flux: np.ndarray, dx: float) -> np.ndarray:
-    """(f_{i+1/2} - f_{i-1/2}) / dx; telescopes to zero over the period."""
-    out = _periodic_difference(flux)[:-1]
+    """(f_{i+1/2} - f_{i-1/2}) / dx along the last axis; telescopes to zero
+    over the period."""
+    out = _periodic_difference(flux)[..., :-1]
     out /= dx
     return out
 
 
-def _variable_diffusion_term(values: np.ndarray, grid: Grid, g: GeneratorSpec, adjoint: bool) -> np.ndarray:
-    """tr(Sigma Sigma^T D^2 u) or its adjoint (Sigma^2 m)'' by centered FD."""
-    if not g.diffusion.has_variable_part:
-        return np.zeros_like(values)
-    s2 = g.diffusion.sigma_squared(grid.nodes)
+def _variable_diffusion_term(values: np.ndarray, s2: np.ndarray, dx: float, adjoint: bool) -> np.ndarray:
+    """tr(Sigma Sigma^T D^2 u) or its adjoint (Sigma^2 m)'' by centered FD,
+    with s2 = Sigma^2 at the nodes (row by row on a stack)."""
     if adjoint:
-        return _second_difference(s2 * values, grid.dx)
-    return s2 * _second_difference(values, grid.dx)
+        return _second_difference(s2 * values, dx)
+    return s2 * _second_difference(values, dx)
 
 
 def _periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
-    """values with ``width`` periodic ghost cells at each end: q[i + width] = values[i mod n]."""
-    return np.concatenate((values[-width:], values, values[:width]))
+    """values with ``width`` periodic ghost cells at each end of the last
+    axis: q[..., i + width] = values[..., i mod n]."""
+    return np.concatenate((values[..., -width:], values, values[..., :width]), axis=-1)
 
 
 def _second_difference(p: np.ndarray, dx: float) -> np.ndarray:
-    """3-point centered periodic second difference."""
+    """3-point centered periodic second difference along the last axis."""
     q = _periodic_pad(p, 1)
-    return (q[2:] - 2.0 * p + q[:-2]) / dx**2
+    return (q[..., 2:] - 2.0 * p + q[..., :-2]) / dx**2
 
 
 def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +285,11 @@ def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class NumericalFailure(RuntimeError):
-    """A run left its validity envelope (CFL, stability, boundary mass)."""
+    """A run left its validity envelope (CFL, stability, boundary mass).
+
+    ``row`` is the row of a ``StepStack`` whose faces raised it; a lone run is row 0."""
+
+    row = 0
 
 
 class RunGuard:
@@ -314,7 +352,8 @@ class StepSetup:
     advection against the CFL bound for a step of ``substep * dt``: a static
     drift once, a time-dependent one on every face array ``faces`` builds, so
     over exactly the times a run steps through. ``where`` names the clock in
-    the messages.
+    the messages. A drift with a ``steady`` part has it evaluated at the
+    faces once here; each moving face array then adds only its wave.
     """
 
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, substep: float = 1.0, where: str = ""):
@@ -325,14 +364,19 @@ class StepSetup:
         self.dt = dt
         self.substep = substep
         self.where = where
+        diffusion = spec.diffusion
         xi = grid.wavenumber_magnitude[: grid.n // 2 + 1]  # the half spectrum of rfft
-        self.diffusion_factor = np.exp(-dt * (spec.diffusion.lambda0 * xi**2 + spec.levy.symbol(xi)))
-        self.static_faces = self.static_split = self._last_faces = None
+        self.diffusion_factor = np.exp(-dt * (diffusion.lambda0 * xi**2 + spec.levy.symbol(xi)))
+        self.sigma_squared = diffusion.sigma_squared(grid.nodes) if diffusion.has_variable_part else None
+        self.variable_rows = ...  # the rows diffuse gives the variable term: all of a lone run
+        self.static_faces = self.static_split = self._last_faces = self._steady = None
         if not spec.is_time_dependent:
             w = face_velocities(grid, spec.drift, 0.0)
             self._check_cfl(w)
             self.static_faces = upwind_faces(w, grid.dx)
             self.static_split = _upwind_split(w)
+        elif spec.drift.steady is not None:
+            self._steady = spec.drift.steady(_face_points(grid))
         self._check_variable_diffusion()
 
     def _check_cfl(self, w: np.ndarray, t: float | None = None):
@@ -346,8 +390,8 @@ class StepSetup:
 
     def _check_variable_diffusion(self):
         dt, dx = self.dt, self.grid.dx
-        if self.spec.diffusion.has_variable_part:
-            smax = self.spec.diffusion.sigma_squared(self.grid.nodes).max()
+        if self.sigma_squared is not None:
+            smax = self.sigma_squared.max()
             if dt * smax > 0.45 * dx**2:
                 raise NumericalFailure(
                     f"explicit variable diffusion unstable: need dt <= "
@@ -367,7 +411,7 @@ class StepSetup:
 
     def _moving_w(self, t: float) -> np.ndarray:
         """Face velocities of a time-dependent drift at forward time t, CFL-checked."""
-        w = face_velocities(self.grid, self.spec.drift, t)
+        w = face_velocities(self.grid, self.spec.drift, t, self._steady)
         self._check_cfl(w, t)
         return w
 
@@ -382,10 +426,51 @@ class StepSetup:
 
     def diffuse(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
         """Diffusion and jumps over dt, then the explicit variable-Sigma term
-        (adjoint=True: its Fokker-Planck form, for the forward clock)."""
+        (adjoint=True: its Fokker-Planck form, for the forward clock) on
+        ``variable_rows``. Both transforms run along the last axis, so a
+        StepStack's (rows, n) stack takes this same body."""
         spectrum = np.fft.rfft(values)
         spectrum *= self.diffusion_factor
         out = np.fft.irfft(spectrum, self.grid.n)
-        if self.spec.diffusion.has_variable_part:
-            out = out + self.dt * _variable_diffusion_term(out, self.grid, self.spec, adjoint)
+        if self.sigma_squared is not None:
+            rows = self.variable_rows
+            term = _variable_diffusion_term(out[rows], self.sigma_squared, self.grid.dx, adjoint)
+            out[rows] += self.dt * term
         return out
+
+
+class StepStack:
+    """The StepSetups of runs on one grid with one dt and substep, as one
+    stack for the forward clock: row r of each array is ``rows[r]``'s.
+
+    ``diffusion_factor`` stacks the rows' factors, and ``sigma_squared`` the
+    Sigma^2 of the rows in ``variable_rows``, so that the other rows keep
+    their bits (adding a zero term would turn -0.0 into 0.0). Face records
+    stack by ``stack_faces``, once when every row's drift is static.
+    """
+
+    def __init__(self, rows: list):
+        self.rows = rows
+        self.grid, self.dt = rows[0].grid, rows[0].dt
+        self.diffusion_factor = np.stack([r.diffusion_factor for r in rows])
+        self.variable_rows = [i for i, r in enumerate(rows) if r.sigma_squared is not None]
+        self.sigma_squared = (np.stack([rows[i].sigma_squared for i in self.variable_rows])
+                              if self.variable_rows else None)
+        static = [r.static_faces for r in rows]
+        self.static_faces = None if any(f is None for f in static) else stack_faces(static)
+
+    def faces(self, t: float) -> UpwindFaces:
+        """The rows' face records at forward time t, stacked. When a row's
+        faces raise NumericalFailure, its ``row`` names that row."""
+        if self.static_faces is not None:
+            return self.static_faces
+        records = []
+        for row, setup in enumerate(self.rows):
+            try:
+                records.append(setup.faces(t))
+            except NumericalFailure as exc:
+                exc.row = row
+                raise
+        return stack_faces(records)
+
+    diffuse = StepSetup.diffuse

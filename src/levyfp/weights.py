@@ -59,8 +59,8 @@ class WeightFunction:
 
     @staticmethod
     def exponential(mu: float, k: float) -> "WeightFunction":
-        if mu <= 0 or k <= 0:
-            raise ValueError(f"exponential weight needs mu > 0 and k > 0, got mu={mu}, k={k}")
+        if not (0 < mu < np.inf and 0 < k < np.inf):
+            raise ValueError(f"exponential weight needs finite mu > 0 and k > 0, got mu={mu}, k={k}")
         val = lambda s: np.exp(mu * s**k)
         return WeightFunction(
             kind="exponential",

@@ -294,9 +294,9 @@ def test_backward_clock_reverses_at_s_final(monkeypatch):
     read = []
     evaluate = operators.face_velocities
 
-    def spy(grid, drift, t):
+    def spy(grid, drift, t, *steady):
         read.append(t)
-        return evaluate(grid, drift, t)
+        return evaluate(grid, drift, t, *steady)
 
     monkeypatch.setattr(operators, "face_velocities", spy)
     g = Grid(n=128, half_width=4.0)

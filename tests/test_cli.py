@@ -1,9 +1,11 @@
 import hashlib
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from levyfp import cli, config, forward
@@ -336,7 +338,7 @@ def test_forward_blow_up_exits_3_with_its_time(tmp_path, monkeypatch):
         steps.append(t)
         out = clean(self, m, t).copy()
         if len(steps) == 30:
-            out[100] = float("inf")
+            out[..., 100] = float("inf")
         return out
 
     monkeypatch.setattr(forward._Stepper, "step", poisoned)
@@ -359,7 +361,7 @@ def test_stationary_blow_up_exits_3_at_the_first_block_end(tmp_path, monkeypatch
         steps.append(t)
         out = clean(self, m, t).copy()
         if len(steps) == 3:
-            out[40] = float("nan")
+            out[..., 40] = float("nan")
         return out
 
     monkeypatch.setattr(forward._Stepper, "step", poisoned)
@@ -591,20 +593,96 @@ def test_sweep_rejects_empty_axes(tmp_path):
     assert main(["sweep", str(cfg)]) == 2
 
 
-def test_sweep_workers_byte_identical(tmp_path):
-    one = write_sweep(
-        tmp_path,
-        "one.json",
-        **{"sweep.gamma": [1.2, 1.8], "time.t_final": 1.0, "output.dir": str(tmp_path / "sw1")},
-    )
-    two = write_sweep(
-        tmp_path,
-        "two.json",
-        **{"sweep.gamma": [1.2, 1.8], "time.t_final": 1.0, "output.dir": str(tmp_path / "sw2")},
-    )
-    assert main(["sweep", str(one), "--workers", "1"]) == 0
-    assert main(["sweep", str(two), "--workers", "2"]) == 0
-    assert (tmp_path / "sw1" / "sweep.csv").read_bytes() == (tmp_path / "sw2" / "sweep.csv").read_bytes()
+def tree_digest(root) -> dict:
+    """sha256 of every file under root, by path relative to root."""
+    root = pathlib.Path(root)
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_sweep_workers_byte_identical(tmp_path, monkeypatch):
+    # every file of every cell, and sweep.csv, whatever the contiguous groups
+    # the cells march in; a relative output.dir keeps the echoed configs equal
+    digests = []
+    for workers in (1, 2, 3):
+        run_dir = tmp_path / f"workers{workers}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        cfg = write_sweep(run_dir, "sweep.json", **{
+            "sweep.gamma": [1.2, 1.8], "sweep.sigma": [2.0, 1.5], "time.t_final": 1.0, "output.dir": "sw"})
+        assert main(["sweep", str(cfg), "--workers", str(workers)]) == 0
+        digests.append(tree_digest(run_dir / "sw"))
+    assert len(digests[0]) == 2 + 4 * 4  # sweep.csv and its config; 4 files in each of 4 cells
+    assert digests[0] == digests[1] == digests[2]
+
+
+def _solo_runs_match_cells(tmp_path, cells_root) -> list:
+    """Rerun each cell by `levyfp run` of its config.resolved.json into its own
+    directory; assert the same files, and return the exit codes."""
+    codes = []
+    for cell in sorted(pathlib.Path(cells_root).iterdir()):
+        swept = tree_digest(cell)
+        solo_cfg = tmp_path / f"{cell.name}.json"
+        solo_cfg.write_bytes((cell / "config.resolved.json").read_bytes())
+        shutil.rmtree(cell)
+        codes.append(main(["run", str(solo_cfg)]))
+        assert tree_digest(cell) == swept
+    return codes
+
+
+def test_sweep_cells_match_solo_runs(tmp_path, monkeypatch):
+    # sigma 0.8 breaks the band at t = 0.15 and leaves the stack; the other
+    # cells march on, and each cell writes what its own run writes
+    monkeypatch.chdir(tmp_path)
+    cfg = write_sweep(tmp_path, "sweep.json", **{
+        "sweep.sigma": [2.0, 0.8, 1.5], "solver.eps_boundary": 1e-4, "time.t_final": 1.0,
+        "output.dir": "sw"})
+    assert main(["sweep", str(cfg)]) == 0
+    _, rows = read_rows(tmp_path / "sw" / "sweep.csv")
+    assert [row[-1].split(":")[0] for row in rows] == ["ok", "numerical-failure", "ok"]
+    assert rows[1][-1].startswith("numerical-failure: boundary mass ")
+    assert sorted(tree_digest(tmp_path / "sw" / "cells" / "cell_0001")) == ["config.resolved.json",
+                                                                            "failure.json"]
+    assert _solo_runs_match_cells(tmp_path, tmp_path / "sw" / "cells") == [0, 3, 0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_poisoned_row_fails_alone(tmp_path, monkeypatch):
+    # the gamma 1.5 row turns inf at step 30 (from t = 29 dt) and fails at
+    # the record of step 50; it writes the failure.json of its own poisoned
+    # run, and the other rows keep the bytes of a clean sweep
+    monkeypatch.chdir(tmp_path)
+    cfg = write_sweep(tmp_path, "sweep.json", **{
+        "sweep.gamma": [1.2, 1.5, 1.8], "time.t_final": 1.0, "output.dir": "sw"})
+    assert main(["sweep", str(cfg)]) == 0
+    clean = tree_digest(tmp_path / "sw")
+    shutil.rmtree(tmp_path / "sw")
+
+    steps = []
+    clean_step = forward._Stepper.step
+
+    def poisoned(self, m, t):
+        steps.append(t)
+        out = clean_step(self, m, t).copy()
+        if t == 29 * 0.002:
+            rows = out.reshape(-1, out.shape[-1])
+            for r, stage in enumerate(self.stages):
+                if stage.spec.drift.gamma == 1.5:
+                    rows[r, 100] = np.inf
+        return out
+
+    monkeypatch.setattr(forward._Stepper, "step", poisoned)
+    assert main(["sweep", str(cfg)]) == 0
+    assert len(steps) == 500
+    _, rows = read_rows(tmp_path / "sw" / "sweep.csv")
+    assert [row[-1] for row in rows] == ["ok", "numerical-failure: forward run blew up at t=0.1", "ok"]
+    swept = tree_digest(tmp_path / "sw")
+    changed = {path for path in clean.keys() | swept.keys() if clean.get(path) != swept.get(path)}
+    assert {path.split("/")[-1] for path in changed if path.startswith("cells/cell_0001/")} == {
+        "failure.json", "fit.json", "series.csv", "summary.json"}
+    assert changed - {path for path in changed if path.startswith("cells/cell_0001/")} == {"sweep.csv"}
+
+    assert _solo_runs_match_cells(tmp_path, tmp_path / "sw" / "cells") == [0, 3, 0]
 
 
 def test_csv_floats_carry_17_significant_digits(tmp_path):

@@ -3,15 +3,17 @@ import numpy as np
 import pytest
 from quadrature_oracle import levy_integral_field
 
-from levyfp import forward, operators
+from levyfp import forward, generators, operators
 from levyfp.adjoint import solve_backward, tanh_profile
 from levyfp.forward import (
     NumericalFailure,
+    _run_stepper,
     _Stepper,
     gaussian,
     gaussian_difference,
     smooth_bump,
     solve,
+    solve_stack,
     stationary_solve,
 )
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
@@ -89,7 +91,7 @@ def test_single_step_is_exact_fractional_semigroup():
     # b = 0, lambda0 = 0: the whole Strang step collapses to the Fourier
     # multiplier, so one step must reproduce it to rounding
     m0 = gaussian(GRID)
-    out = _Stepper(drift_free(1.5), GRID, 0.1, "mc").step(m0.values, 0.0)
+    out = _run_stepper(drift_free(1.5), GRID, 0.1, "mc").step(m0.values, 0.0)
     want = np.real(
         np.fft.ifft(np.exp(-0.1 * GRID.wavenumber_magnitude**1.5) * np.fft.fft(m0.values))
     )
@@ -98,7 +100,7 @@ def test_single_step_is_exact_fractional_semigroup():
 
 @pytest.mark.parametrize("spec", [ou_frac_spec(), tempered_ou_spec()], ids=["fractional", "tempered"])
 def test_step_conserves_mass(spec):
-    stepper = _Stepper(spec, GRID, 1e-3, "mc")
+    stepper = _run_stepper(spec, GRID, 1e-3, "mc")
     m = gaussian(GRID).values
     prev = m.sum() * GRID.dx
     for k in range(5):
@@ -123,7 +125,7 @@ def test_tempered_strang_step_matches_unfused_node_loop():
     spec = tempered_ou_spec()
     dt = 5e-4
     m0 = gaussian_difference(GRID, -1.0, 1.0, 1.0, 1.0)
-    ref = _Stepper(spec, GRID, dt, "mc")
+    ref = _run_stepper(spec, GRID, dt, "mc")
     heat = np.exp(-dt * spec.diffusion.lambda0 * GRID.wavenumber_magnitude**2)
 
     def unfused_stage(m):
@@ -213,7 +215,7 @@ def test_snapshots_match_repeated_single_steps():
     fw = solve(m0, ou_frac_spec(), t_final=0.004, dt=1e-3, record_every=10**9,
                eps_boundary=0.05, snapshot_times=(0.002,))
     assert len(fw.snapshots) == 1
-    stepper = _Stepper(ou_frac_spec(), GRID, 1e-3, "mc")
+    stepper = _run_stepper(ou_frac_spec(), GRID, 1e-3, "mc")
     manual = stepper.step(stepper.step(m0.values, 0.0), 1e-3)
     assert np.array_equal(fw.snapshots[0].values, manual)
 
@@ -234,6 +236,73 @@ def test_norm_series_accessor_matches_direct_norm():
     w = WeightFunction.power(0.5)
     fw = solve(m0, ou_spec(), t_final=0.01, dt=1e-3, record_weights={"mk": w})
     assert fw.weighted_norms["mk"][0] == pytest.approx(weighted_tv_norm(m0, w))
+
+
+# ---------------------------------------------------------------------------
+# stacks of runs
+
+
+def _stack_specs() -> dict:
+    def spec(levy, drift, diffusion=LocalDiffusionSpec.constant(1.0)):
+        return GeneratorSpec(diffusion, levy, drift)
+
+    # with eps_boundary 1e-4 on Grid(256, 12) at dt 4e-3: "band" breaks the
+    # band at t = 0.2, "cfl_setup" fails at setup (max|b| 59.8 > 44.5) and
+    # "cfl_moving" at its face array of t = 0.274
+    return {
+        "power": spec(LevyMeasureSpec.none(), DriftSpec.power(1.0, 1.5)),
+        "band": spec(LevyMeasureSpec.fractional(0.8), DriftSpec.power(1.0, 1.5)),
+        "cfl_setup": spec(LevyMeasureSpec.fractional(1.5), DriftSpec.ou(5.0)),
+        "cfl_moving": spec(LevyMeasureSpec.none(), DriftSpec(
+            alpha=1.0, gamma=2.0, time_dependent=True,
+            fn=lambda t, x: (1.0 + 10.0 * t) * np.asarray(x, dtype=float))),
+        "moving": spec(LevyMeasureSpec.fractional(1.5), DriftSpec.perturbed_power(1.0, 1.5, 0.3)),
+        "variable": spec(LevyMeasureSpec.tempered(1.5), DriftSpec.ou(1.0),
+                         LocalDiffusionSpec.tanh_variable(0.5, 0.5)),
+    }
+
+
+def test_stack_rows_match_their_own_solves():
+    # each row of a stack records, snapshots, ends and fails bit for bit as
+    # its own solve; the failing rows leave and the others go on
+    g = Grid(256, 12.0)
+    m0 = gaussian_difference(g, -0.3, 1.0, 0.2, 2.0)
+    specs = _stack_specs()
+    weights = [{"pow0.5": WeightFunction.power(0.5)}, {}, {"pow1": WeightFunction.power(1.0)},
+               {"pow0.2": WeightFunction.power(0.2)}, {"pow0.5": WeightFunction.power(0.5)},
+               {"pow0.5": WeightFunction.power(0.5), "pow1": WeightFunction.power(1.0)}]
+    kw = dict(t_final=1.0, dt=4e-3, record_every=25, eps_boundary=1e-4, snapshot_times=(0.3, 0.5))
+    runs = solve_stack(m0, list(specs.values()), record_weights=weights, **kw)
+    failed = {}
+    for name, spec, w, run in zip(specs, specs.values(), weights, runs):
+        try:
+            solo = solve(m0, spec, record_weights=w, **kw)
+        except NumericalFailure as exc:
+            assert type(run) is NumericalFailure and str(run) == str(exc)
+            failed[name] = str(exc)
+            continue
+        for key in ("times", "mass", "min_value", "boundary_mass"):
+            assert np.array_equal(getattr(run, key), getattr(solo, key))
+        assert run.weighted_norms.keys() == solo.weighted_norms.keys()
+        for key in w:
+            assert np.array_equal(run.weighted_norms[key], solo.weighted_norms[key])
+        assert run.spec is spec and run.final.t == solo.final.t
+        assert np.array_equal(run.final.values, solo.final.values)
+        assert [snap.t for snap in run.snapshots] == [snap.t for snap in solo.snapshots]
+        for got, want in zip(run.snapshots, solo.snapshots):
+            assert np.array_equal(got.values, want.values)
+    assert sorted(failed) == ["band", "cfl_moving", "cfl_setup"]
+    assert failed["band"].startswith("boundary mass 1.359e-04 exceeds eps=0.0001 at t=0.2:")
+    assert failed["cfl_moving"].startswith("CFL violation at t=0.274:")
+
+
+def test_stack_horizon_error_ends_the_runs_past_setup():
+    # as in a lone solve, a failed setup comes before the horizon check
+    g = Grid(256, 12.0)
+    specs = _stack_specs()
+    runs = solve_stack(gaussian(g), [specs["power"], specs["cfl_setup"]], t_final=1.001, dt=4e-3)
+    assert type(runs[0]) is ValueError and "integer number of steps" in str(runs[0])
+    assert type(runs[1]) is NumericalFailure and str(runs[1]).startswith("CFL violation: ")
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +338,9 @@ def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
     calls = []
     evaluate = operators.face_velocities
 
-    def spy(grid, drift, t):
+    def spy(grid, drift, t, *steady):
         calls.append(t)
-        return evaluate(grid, drift, t)
+        return evaluate(grid, drift, t, *steady)
 
     monkeypatch.setattr(operators, "face_velocities", spy)
     run = solve(m0, spec, t_final=0.1, dt=1e-2, record_weights=weights, eps_boundary=0.05)
@@ -291,6 +360,27 @@ def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
     assert set(calls) == set(memo_calls)
     assert np.array_equal(run.final.values, oracle.final.values)
     assert np.array_equal(run.weighted_norms["pow0.5"], oracle.weighted_norms["pow0.5"])
+
+
+def test_steady_drift_part_evaluated_once_per_setup(monkeypatch):
+    # perturbed_power's power part alpha x <x>^(gamma-2) does not move: each
+    # StepSetup evaluates it at the faces once, and every face array adds
+    # only amplitude * sin(x + t)
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5),
+                         DriftSpec.perturbed_power(1.0, 1.5, 0.3))
+    calls = []
+    bracket = generators.bracket
+
+    def spy(x):
+        calls.append(1)
+        return bracket(x)
+
+    monkeypatch.setattr(generators, "bracket", spy)
+    solve(gaussian(GRID), spec, t_final=0.1, dt=1e-2, eps_boundary=0.05)
+    assert len(calls) == 1
+    calls.clear()
+    solve_backward(tanh_profile(GRID), spec, s_final=0.05, dt=5e-3)
+    assert len(calls) == 1
 
 
 def test_tempered_jumps_take_any_step_on_both_clocks():
@@ -346,7 +436,7 @@ def test_blow_up_is_raised_at_the_first_record_after_it(monkeypatch, bad, record
         steps.append(t)
         out = clean(self, m, t).copy()
         if len(steps) == 3:
-            out[40] = bad
+            out[..., 40] = bad
         return out
 
     monkeypatch.setattr(_Stepper, "step", poisoned)
@@ -430,7 +520,7 @@ def test_stationary_blow_up_is_raised_at_the_first_block_end(monkeypatch, bad):
         steps.append(t)
         out = clean(self, m, t).copy()
         if len(steps) == 3:
-            out[40] = bad
+            out[..., 40] = bad
         return out
 
     monkeypatch.setattr(_Stepper, "step", poisoned)

@@ -87,7 +87,8 @@ def apply_generator(u: Field, g: GeneratorSpec, t: float = 0.0, jump_route: str 
     lam0 = g.diffusion.lambda0
     if lam0 > 0:
         out += lam0 * fractional_action(vals, grid, 2.0)  # -lambda0 Lap u
-    out -= _variable_diffusion_term(vals, grid, g, adjoint=False)
+    if g.diffusion.has_variable_part:
+        out -= _variable_diffusion_term(vals, g.diffusion.sigma_squared(grid.nodes), grid.dx, adjoint=False)
     out += _jump_term(vals, grid, g, jump_route)
     b = np.asarray(g.drift(t, grid.nodes), dtype=float)
     out += b * spectral_derivative(vals, grid, 1)
@@ -114,7 +115,8 @@ def apply_adjoint_generator(
     lam0 = g.diffusion.lambda0
     if lam0 > 0:
         out += lam0 * fractional_action(vals, grid, 2.0)
-    out -= _variable_diffusion_term(vals, grid, g, adjoint=True)
+    if g.diffusion.has_variable_part:
+        out -= _variable_diffusion_term(vals, g.diffusion.sigma_squared(grid.nodes), grid.dx, adjoint=True)
     out += _jump_term(vals, grid, g, jump_route)
     faces = upwind_faces(face_velocities(grid, g.drift, t), grid.dx)
     flux = transport_flux(vals, faces, grid.dx, limiter)

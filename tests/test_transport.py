@@ -1,15 +1,23 @@
 """Transport layer against its np.roll oracles: the limited upwind flux, its
 divergence and the backward advection must agree bit for bit, sign bits of
-zeros included, and so must whole forward and backward steps."""
+zeros included, and so must whole forward and backward steps. A (rows, n)
+stack must give each row the bits of that row alone."""
 import numpy as np
 import pytest
 
 import levyfp.forward as forward
 from levyfp.adjoint import _AdjointStepper
-from levyfp.forward import _Stepper
+from levyfp.forward import _run_stepper, _Stepper
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Grid
-from levyfp.operators import LIMITERS, divergence_of_flux, transport_flux, upwind_faces
+from levyfp.operators import (
+    LIMITERS,
+    StepSetup,
+    divergence_of_flux,
+    stack_faces,
+    transport_flux,
+    upwind_faces,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: the np.roll expressions the slicing code replaced
@@ -158,7 +166,7 @@ MOVING = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
 def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
     g = Grid(n=256, half_width=8.0)
     m = random_field(np.random.default_rng(3), g.n)
-    stepper = _Stepper(spec, g, 2e-3, limiter)
+    stepper = _run_stepper(spec, g, 2e-3, limiter)
     got = stepper.step(m, 0.25)
     # the stepper must reach the oracles through forward's module names (the
     # names perfbench's spans wrap): 2 RK substeps x 2 transport halves
@@ -177,7 +185,7 @@ def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
 
 
 def test_static_faces_are_one_record_at_every_time():
-    stage = _Stepper(FRAC_OU, Grid(n=64, half_width=8.0), 2e-3, "mc").stage
+    stage = _run_stepper(FRAC_OU, Grid(n=64, half_width=8.0), 2e-3, "mc").stage
     faces = stage.faces(0.0)
     assert all(stage.faces(t) is faces for t in (1e-3, 0.25, 7.5, -1.0))
 
@@ -191,3 +199,71 @@ def test_backward_step_matches_oracle_step(monkeypatch, spec):
     got = stepper.step(v, 0.25)
     monkeypatch.setattr(_AdjointStepper, "_advect", oracle_advect)
     assert_bitwise(got, stepper.step(v, 0.25))
+
+
+# ---------------------------------------------------------------------------
+# stacks: every kernel acts row by row
+
+
+def assert_complex_bitwise(got, want):
+    assert_bitwise(got.real, want.real)
+    assert_bitwise(got.imag, want.imag)
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024, 2048])
+def test_real_fft_pair_over_a_stack_matches_each_row(n):
+    # the diffusion stage transforms a (rows, n) stack along its rows; numpy
+    # must give every row the bits of its own 1-D transform
+    rng = np.random.default_rng(6000 + n)
+    for rows in range(1, 9):
+        stack = np.array([random_field(rng, n) for _ in range(rows)])
+        spectra = np.fft.rfft(stack)
+        spectra_in = spectra * np.exp(-rng.uniform(0.0, 3.0, spectra.shape))
+        back = np.fft.irfft(spectra_in, n)
+        for r in range(rows):
+            assert_complex_bitwise(spectra[r], np.fft.rfft(stack[r]))
+            assert_bitwise(back[r], np.fft.irfft(spectra_in[r], n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_flux_and_divergence_of_a_stack_match_each_row(n, limiter):
+    rng = np.random.default_rng(7000 + n)
+    for dx in (1e-3, 0.0625, 3.0):
+        m = np.array([random_field(rng, n) for _ in range(5)])
+        records = [upwind_faces(random_velocity(rng, n), dx) for _ in range(5)]
+        flux = transport_flux(m, stack_faces(records), dx, limiter)
+        div = divergence_of_flux(flux, dx)
+        for r, faces in enumerate(records):
+            assert_bitwise(flux[r], transport_flux(m[r], faces, dx, limiter))
+            assert_bitwise(div[r], divergence_of_flux(flux[r], dx))
+
+
+VARIABLE = GeneratorSpec(LocalDiffusionSpec.tanh_variable(0.5, 0.5), LevyMeasureSpec.fractional(1.5),
+                         DriftSpec.ou(1.0))
+TEMPERED_POWER = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.tempered(1.2),
+                               DriftSpec.power(1.0, 1.5))
+
+
+DRIFT_FREE = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5),
+                           DriftSpec.none())
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("specs, zero_rows", [
+    ([FRAC_OU, TEMPERED_POWER, FRAC_OU], ()),
+    ([MOVING, FRAC_OU, VARIABLE, TEMPERED_POWER, MOVING, VARIABLE], ()),
+    ([VARIABLE, DRIFT_FREE], (1,)),
+], ids=["static", "mixed", "signed-zero"])
+def test_forward_step_of_a_stack_matches_each_row(limiter, specs, zero_rows):
+    # "mixed" stacks moving faces with static ones, and variable Sigma with
+    # constant diffusion. In "signed-zero" a row of -0.0 keeps its sign bits
+    # next to a variable-Sigma row: the stack adds it no zero term
+    g = Grid(n=256, half_width=8.0)
+    rng = np.random.default_rng(8)
+    m = np.array([random_field(rng, g.n) for _ in specs])
+    m[list(zero_rows)] = -0.0
+    stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], limiter)
+    got = stepper.step(m, 0.25)
+    for r, spec in enumerate(specs):
+        assert_bitwise(got[r], _run_stepper(spec, g, 2e-3, limiter).step(m[r], 0.25))

@@ -48,6 +48,11 @@ def test_weight_validation():
         WeightFunction.exponential(0.0, 1.0)
     with pytest.raises(ValueError):
         WeightFunction.exponential(0.5, -2.0)
+    # non-finite numbers, as power refuses them
+    for bad in (np.inf, -np.inf, np.nan):
+        for mu, k in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="exponential weight needs finite mu > 0 and k > 0"):
+                WeightFunction.exponential(mu, k)
 
 
 # ---------------------------------------------------------------------------
