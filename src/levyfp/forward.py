@@ -115,19 +115,19 @@ class _Stepper:
         self.limiter = limiter
 
     def _transport_half(self, m: np.ndarray, t: float) -> np.ndarray:
-        # SSP-RK2 over dt/2 for d/dt m + div(w m) = 0; a static drift's faces
-        # serve both substeps
+        # SSP-RK2 over dt/2 for d/dt m + div(w m) = 0, each stage written
+        # over its divergence; a static drift's faces serve both substeps
         tau = 0.5 * self.dt
         dx = self.grid.dx
         faces = self.stage.faces(t)
         div = divergence_of_flux(transport_flux(m, faces, dx, self.limiter), dx)
         div *= tau
-        m1 = m - div
+        m1 = np.subtract(m, div, out=div)
         if self.stage.static_faces is None:
             faces = self.stage.faces(t + tau)
         div = divergence_of_flux(transport_flux(m1, faces, dx, self.limiter), dx)
         div *= tau
-        m2 = m1 - div
+        m2 = np.subtract(m1, div, out=div)
         m2 += m
         m2 *= 0.5
         return m2

@@ -11,15 +11,22 @@ quadrature integrates the singular kernel of a callable at arbitrary points
 
 The drift enters the adjoint in divergence form through a conservative
 finite-volume upwind flux (optional second-order limited reconstruction),
-so the discrete adjoint output always integrates to zero. Its stencils are
-taken by slicing one periodic difference array d[k] = m[k] - m[k-1],
-k = 0..n with indices mod n: the left slopes are d[:-1], the right slopes
-d[1:], and the divergence is d[:-1] of the flux. The upwind choice is made
-once per face array, not per flux: ``upwind_faces`` records each face's
-donor cell (i where w_i >= 0, i+1 mod n otherwise) and the signed
-half-width +dx/2 or -(dx/2) from the donor's centre to the face, and the
-flux reconstructs the donor side only. The centered second differences
-slice one periodically padded copy of their input.
+so the discrete adjoint output always integrates to zero. Its stencils
+act on one ring copy of the data: each row of an (n,) array or (rows, n)
+stack becomes its cells n-1, 0, ..., n-1, 0 (``_ring``), all rows end to
+end in one flat array, so every elementwise call of the flux is a single
+contiguous pass. The differences d = e[1:] - e[:-1] of that copy hold
+m[k] - m[k-1] at offset k = 0..n of each row; the left slopes are d[:-1],
+the right slopes d[1:], and the two entries at each row seam are junk that
+no index reads. Faces come in padded order, n + 1 per row: entry j is face
+j - 1/2, so entry 0 is face -1/2, the periodic wrap of face n - 1/2. The
+upwind choice is made once per face array, not per flux: ``upwind_faces``
+records each face's donor cell (i where w_i >= 0, i+1 mod n otherwise) as
+an offset into the ring copy, and the signed half-width +dx/2 or -(dx/2)
+from the donor's centre to the face; the flux reconstructs the donor side
+only, and the divergence subtracts adjacent entries of the padded flux.
+The centered second differences slice one periodically padded copy of
+their input.
 """
 from __future__ import annotations
 
@@ -152,104 +159,119 @@ def face_velocities(grid: Grid, drift, t: float, steady: np.ndarray | None = Non
 
 
 def _periodic_difference(m: np.ndarray) -> np.ndarray:
-    """d[k] = m[k] - m[k-1] for k = 0..n, indices mod n, so d[0] = d[n]; along
-    the rows of a (rows, n) stack. A lone row wraps by scalar indexing, which
-    costs less than the column slices of a stack."""
-    if m.ndim == 1:
-        d = np.empty(m.size + 1)
-        np.subtract(m[1:], m[:-1], out=d[1:-1])
-        d[0] = d[-1] = m[0] - m[-1]
-        return d
-    d = np.empty((m.shape[0], m.shape[1] + 1))
-    np.subtract(m[:, 1:], m[:, :-1], out=d[:, 1:-1])
-    d[:, 0] = d[:, -1] = m[:, 0] - m[:, -1]
+    """d[k] = m[k] - m[k-1] for k = 0..n of an (n,) array, indices mod n,
+    so d[0] = d[n]."""
+    d = np.empty(m.size + 1)
+    np.subtract(m[1:], m[:-1], out=d[1:-1])
+    d[0] = d[-1] = m[0] - m[-1]
     return d
 
 
-def _mc_slope(m: np.ndarray, dx: float) -> np.ndarray:
-    """Monotonized-central cell slopes along the last axis from one periodic
-    difference array d / dx: the left slopes are its view d[..., :-1], the
-    right slopes its view d[..., 1:].
+_RINGS: dict = {}  # (rows, n) -> ring indices
+
+
+def _ring(rows: int, n: int) -> np.ndarray:
+    """Flat indices into a (rows, n) stack that list each row's cells
+    n-1, 0, ..., n-1, 0, the rows end to end: rows * (n + 2) entries, and an
+    (n,) array is the rows = 1 case. Entry j of a row's first n + 1 is the
+    cell left of face j - 1/2, and entry j + 1 the cell right of it."""
+    ring = _RINGS.get((rows, n))
+    if ring is None:
+        cells = np.concatenate(([n - 1], np.arange(n), [0]))
+        ring = _RINGS[rows, n] = (np.arange(0, rows * n, n)[:, None] + cells).ravel()
+    return ring
+
+
+def _mc_slope(e: np.ndarray, dx: float) -> np.ndarray:
+    """Monotonized-central cell slopes of a ring copy e (``_ring``): the slope
+    of row r's cell i at offset r * (n + 2) + i, the two offsets between
+    rows junk. All of it is formed on one flat difference array
+    d = (e[1:] - e[:-1]) / dx: the left slopes are its view d[:-1], the
+    right slopes its view d[1:].
 
     The slope is sign(central) * min(|central|, 2 min(|left|, |right|)) with
     central = (left + right) / 2 where left * right > 0, and 0 elsewhere.
     There the two are nonzero with one sign, and rounding is symmetric, so
     |central| is exactly (|left| + |right|) / 2, taken from |d|, and
     sign(central) * lim is copysign(lim, left): central itself is never formed."""
-    d = _periodic_difference(m)
+    d = e[1:] - e[:-1]
     d /= dx
-    left, right = d[..., :-1], d[..., 1:]
+    left, right = d[:-1], d[1:]
     a = np.abs(d)
-    a_left, a_right = a[..., :-1], a[..., 1:]
+    a_left, a_right = a[:-1], a[1:]
     lim = np.minimum(0.5 * (a_left + a_right), 2.0 * np.minimum(a_left, a_right))
     return np.where(left * right > 0.0, np.copysign(lim, left), 0.0)
 
 
 @dataclass(frozen=True)
 class UpwindFaces:
-    """Face velocities w with their upwind donors: ``donor[i]`` is the cell
-    whose value crosses face i+1/2, and ``half[i]`` the signed distance from
-    that cell's centre to the face. A stack's record (``stack_faces``) holds
-    one row of each per run, its donors indexing the flattened stack."""
+    """Face velocities w with their upwind donors, in padded face order:
+    entry j of a row is face j - 1/2 (n + 1 entries, entry 0 the periodic
+    wrap of face n - 1/2). ``donor[j]`` indexes the cell whose value crosses
+    that face within the flat ring copy of the data (``_ring``): offset
+    r * (n + 2) + i for cell i of row r. ``half[j]`` is the signed distance
+    from that cell's centre to the face. A stack's record (``stack_faces``)
+    holds one row of each per run."""
 
     w: np.ndarray
     donor: np.ndarray
     half: np.ndarray
 
 
-_CELL_CYCLE: dict = {}  # n -> cells 0..n with indices mod n
-
-
 def upwind_faces(w: np.ndarray, dx: float) -> UpwindFaces:
-    """The face record of w: donor i where w_i >= 0 and i+1 mod n otherwise
+    """The face record of the velocities w at faces i + 1/2, i = 0..n-1, in
+    padded face order: donor i where w_i >= 0 and i+1 mod n otherwise
     (-0.0 counts as >= 0, NaN does not), half +dx/2 or -(dx/2) to match."""
-    n = w.size
-    cells = _CELL_CYCLE.get(n)
-    if cells is None:
-        cells = _CELL_CYCLE[n] = np.append(np.arange(n), 0)
+    ring = _ring(1, w.size)
+    left, right = ring[:-1], ring[1:]
+    w = w.take(left)
     ahead = w >= 0
-    return UpwindFaces(w, np.where(ahead, cells[:-1], cells[1:]), np.where(ahead, 0.5 * dx, -(0.5 * dx)))
+    return UpwindFaces(w, np.where(ahead, left, right), np.where(ahead, 0.5 * dx, -(0.5 * dx)))
 
 
 def stack_faces(records: list) -> UpwindFaces:
     """One face record for a (rows, n) stack: row r holds records[r].w and
-    .half, and donor r * n + records[r].donor, so that ``m.take(donor)``
-    picks row r's donors from row r of the stack."""
-    n = records[0].w.size
-    offsets = np.arange(0, n * len(records), n)[:, None]
+    .half, and donor r * (n + 2) + records[r].donor, so that the donors of
+    row r pick from row r of the stack's ring copy."""
+    width = records[0].w.size + 1  # n + 2
+    offsets = np.arange(0, width * len(records), width)[:, None]
     return UpwindFaces(np.stack([r.w for r in records]),
                        np.stack([r.donor for r in records]) + offsets,
                        np.stack([r.half for r in records]))
 
 
 def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = "mc") -> np.ndarray:
-    """Upwind flux f[i] = w_{i+1/2} * m_rec at face i+1/2: the donor cell,
-    plus with ``limiter="mc"`` the MC-limited linear reconstruction.
+    """Upwind flux f[j] = w_{j-1/2} * m_rec at face j - 1/2, in padded face
+    order: an (n,) array m gets n + 1 entries, a (rows, n) stack (rows, n + 1),
+    and entry 0 of a row equals entry n bit for bit. m_rec is the donor
+    cell, plus with ``limiter="mc"`` the MC-limited linear reconstruction.
 
-    Only the donor side is reconstructed, m[donor] + half * slope[donor];
-    with half = -(dx/2) that is bit for bit m - (dx/2) * slope, since IEEE
-    negation is exact. ``limiter="off"`` builds no slopes: half * 0.0 is the
-    zero slope with the sign that m + 0.0 (donor on the left) and m (donor
-    on the right) give, signed zeros included. On a (rows, n) stack m the
-    slopes act along the rows and the stacked record's flat donors pick
-    within each row.
+    One ring copy e of m (``_ring``) feeds both: only the donor side is
+    reconstructed, e[1:][donor] + half * slope[donor]; with half = -(dx/2)
+    that is bit for bit m - (dx/2) * slope, since IEEE negation is exact.
+    ``limiter="off"`` builds no slopes: half * 0.0 is the zero slope with the
+    sign that m + 0.0 (donor on the left) and m (donor on the right) give,
+    signed zeros included.
     """
+    n = m.shape[-1]
+    e = m.take(_ring(m.size // n, n))
     if limiter == "off":
         rec = faces.half * 0.0
     elif limiter == "mc":
-        rec = _mc_slope(m, dx).take(faces.donor)
+        rec = _mc_slope(e, dx).take(faces.donor)
         rec *= faces.half
     else:
         raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
-    rec += m.take(faces.donor)
+    rec += e[1:].take(faces.donor)
     rec *= faces.w
     return rec
 
 
 def divergence_of_flux(flux: np.ndarray, dx: float) -> np.ndarray:
-    """(f_{i+1/2} - f_{i-1/2}) / dx along the last axis; telescopes to zero
-    over the period."""
-    out = _periodic_difference(flux)[..., :-1]
+    """(f_{i+1/2} - f_{i-1/2}) / dx along the last axis of a padded flux
+    (``transport_flux``): one subtraction of adjacent entries, n per row;
+    telescopes to zero over the period."""
+    out = flux[..., 1:] - flux[..., :-1]
     out /= dx
     return out
 

@@ -426,11 +426,12 @@ def test_transport_flux_donor_upwind():
     m = np.array([1.0, 2.0, 4.0, 0.5])
     w = np.array([1.0, 1.0, -1.0, 2.0])
     faces = upwind_faces(w, 1.0)
-    # positive w takes the left cell, negative w the right cell
-    assert faces.donor.tolist() == [0, 1, 3, 3]
-    assert faces.half.tolist() == [0.5, 0.5, -0.5, 0.5]
+    # positive w takes the left cell, negative w the right cell; entry 0 is
+    # face -1/2, the wrap of the last face
+    assert faces.donor.tolist() == [3, 0, 1, 3, 3]
+    assert faces.half.tolist() == [0.5, 0.5, 0.5, -0.5, 0.5]
     flux = transport_flux(m, faces, 1.0, limiter="off")
-    np.testing.assert_allclose(flux, [1.0, 2.0, -0.5, 1.0])
+    np.testing.assert_allclose(flux, [1.0, 1.0, 2.0, -0.5, 1.0])
 
 
 def test_limited_slopes_second_order_on_linear_data():

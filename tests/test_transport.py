@@ -1,7 +1,8 @@
 """Transport layer against its np.roll oracles: the limited upwind flux, its
 divergence and the backward advection must agree bit for bit, sign bits of
 zeros included, and so must whole forward and backward steps. A (rows, n)
-stack must give each row the bits of that row alone."""
+stack must give each row the bits of that row alone, whatever its
+neighbours hold."""
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from levyfp.grids import Grid
 from levyfp.operators import (
     LIMITERS,
     StepSetup,
+    StepStack,
     divergence_of_flux,
     stack_faces,
     transport_flux,
@@ -34,8 +36,9 @@ def oracle_slope(m, dx, limiter):
 
 
 def oracle_flux(m, faces, dx, limiter="mc"):
-    # both reconstructions, then the upwind pick per face: reads only faces.w
-    w = faces.w
+    # both reconstructions, then the upwind pick per face: reads only faces.w,
+    # faces 1/2 .. n - 1/2 of the padded record
+    w = faces.w[1:]
     s = oracle_slope(m, dx, limiter)
     from_left = m + 0.5 * dx * s
     from_right = np.roll(m - 0.5 * dx * s, -1)
@@ -47,7 +50,7 @@ def oracle_divergence(flux, dx):
 
 
 def oracle_advect(stepper, v, s):
-    w = stepper.stage.faces(stepper.horizon - s).w
+    w = stepper.stage.faces(stepper.horizon - s).w[1:]
     wp, wm = np.maximum(w, 0.0), np.minimum(w, 0.0)
     rho = stepper.dt / stepper.grid.dx
     return v - rho * (wp * (v - np.roll(v, -1)) + np.roll(wm, 1) * (np.roll(v, 1) - v))
@@ -97,8 +100,10 @@ def test_flux_and_divergence_match_roll_oracle(n, limiter):
         assert np.any(w > 0) and np.any(w < 0) and np.any(w == 0)
         faces = upwind_faces(w, dx)
         flux = transport_flux(m, faces, dx, limiter)
-        assert_bitwise(flux, oracle_flux(m, faces, dx, limiter))
-        assert_bitwise(divergence_of_flux(flux, dx), oracle_divergence(flux, dx))
+        # padded face order: entry 0 is face -1/2, the wrap of face n - 1/2
+        assert_bitwise(flux[:1], flux[n:])
+        assert_bitwise(flux[1:], oracle_flux(m, faces, dx, limiter))
+        assert_bitwise(divergence_of_flux(flux, dx), oracle_divergence(flux[1:], dx))
 
 
 @pytest.mark.parametrize("limiter", LIMITERS)
@@ -108,7 +113,7 @@ def test_flux_matches_oracle_on_signed_zero_fields(limiter):
     m = np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0])
     w = np.array([1.0, -1.0, 0.0, -0.0, 2.0, -2.0, -0.0, 1.0])
     faces = upwind_faces(w, 0.5)
-    assert_bitwise(transport_flux(m, faces, 0.5, limiter), oracle_flux(m, faces, 0.5, limiter))
+    assert_bitwise(transport_flux(m, faces, 0.5, limiter)[1:], oracle_flux(m, faces, 0.5, limiter))
 
 
 @pytest.mark.parametrize("scale", [1e-318, 1e303])
@@ -121,7 +126,7 @@ def test_flux_matches_oracle_at_the_ends_of_the_float_range(scale):
         m = random_field(rng, 64) * scale
         faces = upwind_faces(random_velocity(rng, 64), 0.0625)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            got, want = transport_flux(m, faces, 0.0625, "mc"), oracle_flux(m, faces, 0.0625, "mc")
+            got, want = transport_flux(m, faces, 0.0625, "mc")[1:], oracle_flux(m, faces, 0.0625, "mc")
         # inf * 0 leaves NaN in both; the other entries agree with their sign bits
         assert np.array_equal(np.isnan(got), np.isnan(want))
         number = ~np.isnan(want)
@@ -233,6 +238,7 @@ def test_flux_and_divergence_of_a_stack_match_each_row(n, limiter):
         m = np.array([random_field(rng, n) for _ in range(5)])
         records = [upwind_faces(random_velocity(rng, n), dx) for _ in range(5)]
         flux = transport_flux(m, stack_faces(records), dx, limiter)
+        assert_bitwise(flux[:, 0], flux[:, n])
         div = divergence_of_flux(flux, dx)
         for r, faces in enumerate(records):
             assert_bitwise(flux[r], transport_flux(m[r], faces, dx, limiter))
@@ -267,3 +273,60 @@ def test_forward_step_of_a_stack_matches_each_row(limiter, specs, zero_rows):
     got = stepper.step(m, 0.25)
     for r, spec in enumerate(specs):
         assert_bitwise(got[r], _run_stepper(spec, g, 2e-3, limiter).step(m[r], 0.25))
+
+
+def assert_donors_inside_their_rows(faces, n):
+    # a donor is offset r * (n + 2) + cell of the ring copy: its row is its
+    # record row, and it never lands on the two junk slots of a row seam
+    rows = faces.donor.shape[0]
+    assert faces.donor.shape == faces.w.shape == faces.half.shape == (rows, n + 1)
+    assert np.all(faces.donor % (n + 2) < n)
+    assert np.all(faces.donor // (n + 2) == np.arange(rows)[:, None])
+
+
+@pytest.mark.parametrize("n", SIZES[1:])  # Grid needs n >= 8
+def test_stacked_donors_stay_inside_their_rows(n):
+    rng = np.random.default_rng(7700 + n)
+    records = [upwind_faces(random_velocity(rng, n), 0.0625) for _ in range(5)]
+    assert_donors_inside_their_rows(stack_faces(records), n)
+    # the setups' records: static faces stacked once, moving ones per time
+    g = Grid(n=n, half_width=8.0)
+    for specs in ([FRAC_OU, TEMPERED_POWER], [MOVING, FRAC_OU, MOVING]):
+        stage = StepStack([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs])
+        for t in (0.0, 0.25):
+            assert_donors_inside_their_rows(stage.faces(t), n)
+
+
+JUNK = {
+    "nan": lambda rng, n: np.full(n, np.nan),
+    "inf": lambda rng, n: np.full(n, np.inf),
+    "-inf": lambda rng, n: np.full(n, -np.inf),
+    "mixed-inf": lambda rng, n: np.where(rng.random(n) < 0.5, np.inf, -np.inf),
+    "huge": lambda rng, n: random_field(rng, n) * 1e303,
+    "+0": lambda rng, n: np.zeros(n),
+    "-0": lambda rng, n: np.full(n, -0.0),
+}
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("junk", sorted(JUNK))
+def test_junk_rows_do_not_leak_into_their_neighbours(limiter, junk):
+    # junk rows between and around ordinary ones: the seams of the ring copy
+    # mix neighbouring rows, so the ordinary rows' flux, divergence and whole
+    # Strang step must still be those of their lone runs, bit for bit
+    g = Grid(n=256, half_width=8.0)
+    rng = np.random.default_rng(9000)
+    specs = [FRAC_OU, MOVING, FRAC_OU, TEMPERED_POWER, MOVING]
+    m = np.array([JUNK[junk](rng, g.n) if r % 2 == 0 else random_field(rng, g.n) for r in range(len(specs))])
+    stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], limiter)
+    faces = stepper.stage.faces(0.25)
+    with np.errstate(all="ignore"):
+        flux = transport_flux(m, faces, g.dx, limiter)
+        div = divergence_of_flux(flux, g.dx)
+        step = stepper.step(m, 0.25)
+    for r in (1, 3):
+        lone = _run_stepper(specs[r], g, 2e-3, limiter)
+        lone_flux = transport_flux(m[r], lone.stage.faces(0.25), g.dx, limiter)
+        assert_bitwise(flux[r], lone_flux)
+        assert_bitwise(div[r], divergence_of_flux(lone_flux, g.dx))
+        assert_bitwise(step[r], lone.step(m[r], 0.25))
