@@ -114,9 +114,10 @@ class _Stepper:
         self.dt = self.stage.dt
         self.limiter = limiter
 
-    def _transport_half(self, m: np.ndarray, t: float) -> np.ndarray:
-        # SSP-RK2 over dt/2 for d/dt m + div(w m) = 0, each stage written
-        # over its divergence; a static drift's faces serve both substeps
+    def _transport_half(self, m: np.ndarray, t: float, t_end: float) -> np.ndarray:
+        # SSP-RK2 over dt/2, from t to t_end, for d/dt m + div(w m) = 0, each
+        # stage written over its divergence; a static drift's faces serve
+        # both substeps
         tau = 0.5 * self.dt
         dx = self.grid.dx
         faces = self.stage.faces(t)
@@ -124,7 +125,7 @@ class _Stepper:
         div *= tau
         m1 = np.subtract(m, div, out=div)
         if self.stage.static_faces is None:
-            faces = self.stage.faces(t + tau)
+            faces = self.stage.faces(t_end)
         div = divergence_of_flux(transport_flux(m1, faces, dx, self.limiter), dx)
         div *= tau
         m2 = np.subtract(m1, div, out=div)
@@ -132,10 +133,14 @@ class _Stepper:
         m2 *= 0.5
         return m2
 
-    def step(self, m: np.ndarray, t: float) -> np.ndarray:
-        m = self._transport_half(m, t)
+    def step(self, m: np.ndarray, t: float, t_end: float) -> np.ndarray:
+        """One Strang step from t to t_end, both on the run's step grid, so
+        that a moving drift's faces at the end of this step are those at the
+        start of the next."""
+        mid = t + 0.5 * self.dt
+        m = self._transport_half(m, t, mid)
         m = self.stage.diffuse(m, adjoint=True)
-        return self._transport_half(m, t + 0.5 * self.dt)
+        return self._transport_half(m, mid, t_end)
 
 
 def _run_stepper(spec: GeneratorSpec, grid: Grid, dt: float, limiter: str) -> _Stepper:
@@ -299,13 +304,13 @@ def solve_stack(
     record(0)
     k = 0
     while live and k < guard.n_steps:
+        t_next = m0.t + (k + 1) * dt
         try:
-            stepped = stepper.step(m, t)
+            stepped = stepper.step(m, t, t_next)
         except NumericalFailure as exc:
             restack({exc.row: exc}, stepper.stages)  # the others take the step again
             continue
-        m, k = stepped, k + 1
-        t = m0.t + k * dt
+        m, k, t = stepped, k + 1, t_next
         if guard.records(k):
             record(k)
 
@@ -349,8 +354,8 @@ def stationary_solve(
     while t < _STATIONARY_MAX_TIME:
         prev = m
         for _ in range(block.n_steps):
-            m = stepper.step(m, t)
             k += 1
+            m = stepper.step(m, t, k * dt)
             t = k * dt
         block.check_blow_up(m, t)
         diff = float(np.sum(np.abs(m - prev)) * grid.dx)

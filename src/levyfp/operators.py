@@ -424,7 +424,8 @@ class StepSetup:
         once for a static drift and once per face array when they move."""
         if self.static_faces is not None:
             return self.static_faces
-        # a Strang step asks for t + dt/2 twice in a row: keep the last faces
+        # a Strang step asks for t + dt/2 twice in a row, and the next step
+        # starts at the time this one ended: keep the last faces
         if self._last_faces is not None and self._last_faces[0] == t:
             return self._last_faces[1]
         faces = upwind_faces(self._moving_w(t), self.grid.dx)
@@ -480,12 +481,16 @@ class StepStack:
                               if self.variable_rows else None)
         static = [r.static_faces for r in rows]
         self.static_faces = None if any(f is None for f in static) else stack_faces(static)
+        self._last_faces = None
 
     def faces(self, t: float) -> UpwindFaces:
-        """The rows' face records at forward time t, stacked. When a row's
+        """The rows' face records at forward time t, stacked, and kept for a
+        second call at the same t as in ``StepSetup.faces``. When a row's
         faces raise NumericalFailure, its ``row`` names that row."""
         if self.static_faces is not None:
             return self.static_faces
+        if self._last_faces is not None and self._last_faces[0] == t:
+            return self._last_faces[1]
         records = []
         for row, setup in enumerate(self.rows):
             try:
@@ -493,6 +498,8 @@ class StepStack:
             except NumericalFailure as exc:
                 exc.row = row
                 raise
-        return stack_faces(records)
+        faces = stack_faces(records)
+        self._last_faces = (t, faces)
+        return faces
 
     diffuse = StepSetup.diffuse

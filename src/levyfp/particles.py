@@ -2,17 +2,19 @@
 ensembles sampled from grid densities, the empirical characteristic function,
 and reflection coupling.
 
-Randomness comes from counter-based Philox substreams. Every step of every
-particle consumes a fixed number of 64-bit words determined by the generator
-spec alone, rounded up to whole 4-word counter blocks, so a block of
-particles can be advanced to its offset exactly and trajectories are bitwise
-identical no matter how the ensemble is chunked across workers. Stream id 0
-seeds initial positions; step k = 1, 2, ... draws from stream id k.
+Randomness comes from PCG64DXSM streams, one per step: step k = 1, 2, ...
+draws from the stream seeded by SeedSequence([seed, k]), and stream 0 seeds
+initial positions. Every particle of a step reads exactly the number of
+64-bit words its generator spec uses, c, so particle i reads words
+[c i, c (i + 1)) of its step's stream. A block of particles starting at i
+jumps its stream ahead by c i words with PCG's exact ``advance``, and
+trajectories are bitwise identical no matter how the ensemble is chunked
+across workers.
 
 A step runs over fixed chunks of particles, each of which draws its own
 uniform block and writes its own slice of the new positions, so the chunks
 can be mapped over a thread pool: numpy releases the interpreter lock in the
-Philox fill and in the ufuncs, and the bytes do not depend on the worker
+PCG fill and in the ufuncs, and the bytes do not depend on the worker
 count.
 
 Only a tempered kernel needs scipy, for the compound-Poisson rate and its
@@ -50,7 +52,7 @@ __all__ = [
 _JUMP_CAP = 8  # compound-Poisson jumps kept per tempered step; excess reported
 _Z_CUT = 0.5  # tempered jumps above this size are compound Poisson, those below a Gaussian proxy
 # particles per chunk, for every particle loop: a fractional chunk's uniform
-# block (1 MB) and its temporaries stay in a 2-4 MB L2 cache. A 1e6-particle
+# block (512 KB) and its temporaries stay in a 2-4 MB L2 cache. A 1e6-particle
 # step on one thread of a 2-vCPU Xeon timed flat from 16k to 128k particles
 # per chunk and 27% slower at 256k.
 _CHUNK = 32768
@@ -61,12 +63,11 @@ _CHUNK = 32768
 
 
 def _uniforms(seed: int, stream: int, start: int, count: int, stride: int) -> np.ndarray:
-    """(count, stride) uniforms on [0, 1) for particles [start, start+count),
-    independent of how the index range is split across calls."""
-    if stride % 4 != 0:
-        raise ValueError(f"stride must be a whole number of counter blocks, got {stride}")
-    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance((stride // 4) * start)
+    """(count, stride) uniforms on [0, 1) for particles [start, start+count):
+    words [stride start, stride (start+count)) of the stream, independent of
+    how the index range is split across calls."""
+    bg = np.random.PCG64DXSM(np.random.SeedSequence([seed, stream]))
+    bg.advance(stride * start)
     # random() maps each raw word to (word >> 11) * 2**-53, one word per double
     return np.random.Generator(bg).random(count * stride).reshape(count, stride)
 
@@ -140,8 +141,8 @@ def ensemble_at(x0: float, n_particles: int, seed: int = 0) -> ParticleEnsemble:
 
 def ensemble_from_density(m: Field, n_particles: int, seed: int = 0) -> ParticleEnsemble:
     """Inverse-CDF sample of the piecewise-constant law the grid density
-    defines on its cells. Draws one word block per particle from stream 0,
-    chunk by chunk."""
+    defines on its cells. Draws one word per particle from stream 0, chunk
+    by chunk."""
     vals = m.values
     if np.any(vals < 0):
         raise ValueError("cannot sample a signed density")
@@ -157,7 +158,7 @@ def ensemble_from_density(m: Field, n_particles: int, seed: int = 0) -> Particle
     positions = np.empty(n_particles)
 
     def draw(i0: int, i1: int):
-        u = _uniforms(seed, 0, i0, i1 - i0, 4)[:, 0]
+        u = _uniforms(seed, 0, i0, i1 - i0, 1)[:, 0]
         idx = np.searchsorted(cdf, u, side="right")
         left = g.nodes[idx] - 0.5 * g.dx
         prev = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
@@ -209,7 +210,9 @@ class _TemperedJumps:
 
 
 class _ParticleStepper:
-    """Column layout and increment arithmetic for one (spec, dt) pair."""
+    """Column layout and increment arithmetic for one (spec, dt) pair.
+    ``stride`` is the number of uniform columns the spec reads per particle
+    and step: 0 for a drift-only spec."""
 
     def __init__(self, spec: GeneratorSpec, dt: float):
         if dt <= 0:
@@ -237,7 +240,7 @@ class _ParticleStepper:
             cols["sizes"] = c
             c += 2 * _JUMP_CAP
         self.columns = cols
-        self.stride = 4 * max(1, math.ceil(c / 4))
+        self.stride = c
 
     def move(self, x: np.ndarray, t: float, u: np.ndarray, out: np.ndarray,
              gauss_flip: np.ndarray | None = None,

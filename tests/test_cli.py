@@ -334,9 +334,9 @@ def test_forward_blow_up_exits_3_with_its_time(tmp_path, monkeypatch):
     steps = []
     clean = forward._Stepper.step
 
-    def poisoned(self, m, t):
+    def poisoned(self, m, t, t_end):
         steps.append(t)
-        out = clean(self, m, t).copy()
+        out = clean(self, m, t, t_end).copy()
         if len(steps) == 30:
             out[..., 100] = float("inf")
         return out
@@ -357,9 +357,9 @@ def test_stationary_blow_up_exits_3_at_the_first_block_end(tmp_path, monkeypatch
     steps = []
     clean = forward._Stepper.step
 
-    def poisoned(self, m, t):
+    def poisoned(self, m, t, t_end):
         steps.append(t)
-        out = clean(self, m, t).copy()
+        out = clean(self, m, t, t_end).copy()
         if len(steps) == 3:
             out[..., 40] = float("nan")
         return out
@@ -661,9 +661,9 @@ def test_sweep_poisoned_row_fails_alone(tmp_path, monkeypatch):
     steps = []
     clean_step = forward._Stepper.step
 
-    def poisoned(self, m, t):
+    def poisoned(self, m, t, t_end):
         steps.append(t)
-        out = clean_step(self, m, t).copy()
+        out = clean_step(self, m, t, t_end).copy()
         if t == 29 * 0.002:
             rows = out.reshape(-1, out.shape[-1])
             for r, stage in enumerate(self.stages):
@@ -745,6 +745,27 @@ def test_particle_blow_up_exits_3_with_its_time(tmp_path):
     assert main(["run", str(path)]) == 3
     failure = json.loads((tmp_path / "out" / "failure.json").read_text())
     assert failure["error"] == "particle positions left the finite range at t=78"
+
+
+@pytest.mark.parametrize("experiment", ["particles", "coupling"])
+def test_seeds_beyond_64_bits_run(tmp_path, experiment):
+    # a seed is any nonnegative int: the particle streams take it whole
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "experiment": experiment,
+        "levy.kind": "fractional",
+        "particles.source": "point",
+        "particles.n": 500,
+        "coupling.n_pairs": 500,
+        "time.dt": 0.01,
+        "time.t_final": 0.05,
+        "fit.model": "none",
+        "seed": 2**64,
+        "output.dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", str(path)]) == 0
+    resolved = json.loads((tmp_path / "out" / "config.resolved.json").read_text())
+    assert resolved["seed"] == 2**64
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_single_step_is_exact_fractional_semigroup():
     # b = 0, lambda0 = 0: the whole Strang step collapses to the Fourier
     # multiplier, so one step must reproduce it to rounding
     m0 = gaussian(GRID)
-    out = _run_stepper(drift_free(1.5), GRID, 0.1, "mc").step(m0.values, 0.0)
+    out = _run_stepper(drift_free(1.5), GRID, 0.1, "mc").step(m0.values, 0.0, 0.1)
     want = np.real(
         np.fft.ifft(np.exp(-0.1 * GRID.wavenumber_magnitude**1.5) * np.fft.fft(m0.values))
     )
@@ -104,7 +104,7 @@ def test_step_conserves_mass(spec):
     m = gaussian(GRID).values
     prev = m.sum() * GRID.dx
     for k in range(5):
-        m = stepper.step(m, k * 1e-3)
+        m = stepper.step(m, k * 1e-3, (k + 1) * 1e-3)
         mass = m.sum() * GRID.dx
         assert abs(mass - prev) < 1e-12
         prev = mass
@@ -132,8 +132,9 @@ def test_tempered_strang_step_matches_unfused_node_loop():
         out = np.real(np.fft.ifft(heat * np.fft.fft(m)))
         return out + dt * levy_integral_field(Field(GRID, out), spec.levy).values
 
-    want = ref._transport_half(unfused_stage(ref._transport_half(m0.values, 0.0)), 0.5 * dt)
-    got = ref.step(m0.values, 0.0)
+    want = ref._transport_half(unfused_stage(ref._transport_half(m0.values, 0.0, 0.5 * dt)),
+                           0.5 * dt, dt)
+    got = ref.step(m0.values, 0.0, dt)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
@@ -216,7 +217,7 @@ def test_snapshots_match_repeated_single_steps():
                eps_boundary=0.05, snapshot_times=(0.002,))
     assert len(fw.snapshots) == 1
     stepper = _run_stepper(ou_frac_spec(), GRID, 1e-3, "mc")
-    manual = stepper.step(stepper.step(m0.values, 0.0), 1e-3)
+    manual = stepper.step(stepper.step(m0.values, 0.0, 1e-3), 1e-3, 2e-3)
     assert np.array_equal(fw.snapshots[0].values, manual)
 
 
@@ -432,9 +433,9 @@ def test_blow_up_is_raised_at_the_first_record_after_it(monkeypatch, bad, record
     steps = []
     clean = _Stepper.step
 
-    def poisoned(self, m, t):
+    def poisoned(self, m, t, t_end):
         steps.append(t)
-        out = clean(self, m, t).copy()
+        out = clean(self, m, t, t_end).copy()
         if len(steps) == 3:
             out[..., 40] = bad
         return out
@@ -516,9 +517,9 @@ def test_stationary_blow_up_is_raised_at_the_first_block_end(monkeypatch, bad):
     steps = []
     clean = _Stepper.step
 
-    def poisoned(self, m, t):
+    def poisoned(self, m, t, t_end):
         steps.append(t)
-        out = clean(self, m, t).copy()
+        out = clean(self, m, t, t_end).copy()
         if len(steps) == 3:
             out[..., 40] = bad
         return out
@@ -537,9 +538,9 @@ def test_stationary_clock_is_a_step_count(monkeypatch):
     steps = []
     clean = _Stepper.step
 
-    def counted(self, m, t):
+    def counted(self, m, t, t_end):
         steps.append(t)
-        return clean(self, m, t)
+        return clean(self, m, t, t_end)
 
     monkeypatch.setattr(_Stepper, "step", counted)
     monkeypatch.setattr(forward, "_STATIONARY_TOL", 0.0)

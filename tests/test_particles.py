@@ -227,8 +227,8 @@ def test_coupling_requires_integer_step_count():
 
 
 def uniforms_oracle(seed, stream, start, count, stride):
-    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance((stride // 4) * start)
+    bg = np.random.PCG64DXSM(np.random.SeedSequence([seed, stream]))
+    bg.advance(stride * start)
     raw = bg.random_raw(count * stride)
     return ((raw >> np.uint64(11)) * 2.0**-53).reshape(count, stride)
 
@@ -340,15 +340,78 @@ ORACLE_SPECS = {
 }
 
 
-@pytest.mark.parametrize("start, count, stride", [(0, 1, 4), (7, 1000, 4), (12345, 999, 20)])
+# the later starts begin inside a block of words: c = 2, 19 and 1 are no
+# multiples of the 4-word blocks of a counter-based generator
+@pytest.mark.parametrize("start, count, stride", [(0, 1, 4), (7, 1000, 4), (12345, 999, 20),
+                                                  (7, 1000, 2), (3, 999, 19), (5, 10, 1)])
 def test_uniforms_match_raw_word_oracle(start, count, stride):
     assert_bitwise(_uniforms(11, 3, start, count, stride),
                    uniforms_oracle(11, 3, start, count, stride))
 
 
+def degenerate_spec(diffusion, levy, drift) -> GeneratorSpec:
+    """A spec past the lambda0 + lam > 0 check, which the grid solvers need
+    and the particle stepper does not."""
+    spec = object.__new__(GeneratorSpec)
+    spec.__dict__.update(diffusion=diffusion, levy=levy, drift=drift)
+    return spec
+
+
+# spec -> uniform columns per particle and step
+STRIDE_SPECS = {
+    "drift-only": (degenerate_spec(LocalDiffusionSpec.constant(0.0), LevyMeasureSpec.none(),
+                                   DriftSpec.ou(1.0)), 0),
+    "local": (ou_brownian_spec(), 2),
+    "variable-only": (degenerate_spec(LocalDiffusionSpec.tanh_variable(0.0, 0.4),
+                                      LevyMeasureSpec.none(), DriftSpec.ou(1.0)), 2),
+    "fractional": (ou_frac_spec(), 2),
+    "tempered": (GeneratorSpec(LocalDiffusionSpec.constant(0.0), LevyMeasureSpec.tempered(0.7),
+                               DriftSpec.ou(1.0)), 19),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRIDE_SPECS))
+def test_stride_is_the_columns_a_spec_reads(name):
+    spec, columns = STRIDE_SPECS[name]
+    assert _ParticleStepper(spec, 1e-2).stride == columns
+
+
+def test_drift_only_spec_draws_no_words(monkeypatch):
+    spec, _ = STRIDE_SPECS["drift-only"]
+    shapes = []
+
+    def spy(seed, stream, start, count, stride):
+        u = _uniforms(seed, stream, start, count, stride)
+        shapes.append(u.shape)
+        return u
+
+    monkeypatch.setattr(particles, "_uniforms", spy)
+    ens = ensemble_at(0.5, 1000, seed=2)
+    run = simulate(ens, spec, dt=0.1, t_final=0.3)
+    assert shapes == [(1000, 0)] * 3
+    x = ens.positions
+    for k in range(3):
+        x = x - spec.drift(k * 0.1, x) * 0.1
+    assert_bitwise(run.final.positions, x)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_stride_19_chunks_match_whole_array_oracle(monkeypatch, cores):
+    # 999-particle chunks of a jump-only tempered spec start their streams
+    # at words that are no multiple of 4; stride 2 at _CHUNK 999 is
+    # test_simulate_matches_whole_array_oracle's fractional case
+    set_cores(monkeypatch, cores)
+    monkeypatch.setattr(particles, "_CHUNK", 999)
+    spec, columns = STRIDE_SPECS["tempered"]
+    assert columns == 19
+    ens = ensemble_from_density(gaussian(GRID, std=1.0), 20_001, seed=13)
+    run = simulate(ens, spec, dt=1e-2, t_final=0.03)
+    assert_bitwise(run.final.positions, simulate_oracle(ens, spec, 1e-2, 3))
+
+
 def kernel_inputs():
-    """Uniforms from Philox plus the edge values 0, 0.5 and 1 - 2**-53 in
-    every pairing."""
+    """Uniforms from the particle stream plus the edge values 0, 0.5 and
+    1 - 2**-53 in every pairing."""
     u = uniforms_oracle(5, 1, 0, 20_000, 4)
     edges = np.array([0.0, 0.5, 1.0 - 2.0**-53])
     ea, eb = np.meshgrid(edges, edges)
@@ -444,7 +507,7 @@ def test_ensemble_from_density_matches_one_block_draw():
     ens = ensemble_from_density(m, n, seed=9)
     cell_mass = m.values * GRID.dx
     cdf = np.cumsum(cell_mass) / cell_mass.sum()
-    u = uniforms_oracle(9, 0, 0, n, 4)[:, 0]
+    u = uniforms_oracle(9, 0, 0, n, 1)[:, 0]
     idx = np.searchsorted(cdf, u, side="right")
     prev = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
     frac = (u - prev) / np.maximum(cdf[idx] - prev, 1e-300)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import levyfp.forward as forward
+import levyfp.operators as operators
 from levyfp.adjoint import _AdjointStepper
 from levyfp.forward import _run_stepper, _Stepper
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
@@ -172,7 +173,7 @@ def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
     g = Grid(n=256, half_width=8.0)
     m = random_field(np.random.default_rng(3), g.n)
     stepper = _run_stepper(spec, g, 2e-3, limiter)
-    got = stepper.step(m, 0.25)
+    got = stepper.step(m, 0.25, 0.252)
     # the stepper must reach the oracles through forward's module names (the
     # names perfbench's spans wrap): 2 RK substeps x 2 transport halves
     calls = []
@@ -185,7 +186,7 @@ def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
 
     monkeypatch.setattr(forward, "transport_flux", counted("flux", oracle_flux))
     monkeypatch.setattr(forward, "divergence_of_flux", counted("div", oracle_divergence))
-    assert_bitwise(got, stepper.step(m, 0.25))
+    assert_bitwise(got, stepper.step(m, 0.25, 0.252))
     assert calls == ["flux", "div"] * 4
 
 
@@ -270,9 +271,9 @@ def test_forward_step_of_a_stack_matches_each_row(limiter, specs, zero_rows):
     m = np.array([random_field(rng, g.n) for _ in specs])
     m[list(zero_rows)] = -0.0
     stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], limiter)
-    got = stepper.step(m, 0.25)
+    got = stepper.step(m, 0.25, 0.252)
     for r, spec in enumerate(specs):
-        assert_bitwise(got[r], _run_stepper(spec, g, 2e-3, limiter).step(m[r], 0.25))
+        assert_bitwise(got[r], _run_stepper(spec, g, 2e-3, limiter).step(m[r], 0.25, 0.252))
 
 
 def assert_donors_inside_their_rows(faces, n):
@@ -323,10 +324,63 @@ def test_junk_rows_do_not_leak_into_their_neighbours(limiter, junk):
     with np.errstate(all="ignore"):
         flux = transport_flux(m, faces, g.dx, limiter)
         div = divergence_of_flux(flux, g.dx)
-        step = stepper.step(m, 0.25)
+        step = stepper.step(m, 0.25, 0.252)
     for r in (1, 3):
         lone = _run_stepper(specs[r], g, 2e-3, limiter)
         lone_flux = transport_flux(m[r], lone.stage.faces(0.25), g.dx, limiter)
         assert_bitwise(flux[r], lone_flux)
         assert_bitwise(div[r], divergence_of_flux(lone_flux, g.dx))
-        assert_bitwise(step[r], lone.step(m[r], 0.25))
+        assert_bitwise(step[r], lone.step(m[r], 0.25, 0.252))
+
+
+# ---------------------------------------------------------------------------
+# moving faces: one face array per distinct time of the step grid
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments of every call of operators.<name>."""
+    calls = []
+    fn = getattr(operators, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(operators, name, spy)
+    return calls
+
+
+PERTURBED = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5),
+                          DriftSpec.perturbed_power(1.0, 1.5, 0.3))
+
+
+def step_grid_times(n_steps, dt):
+    # each step's start, k dt, and its midpoint, k dt + dt/2, the end of one
+    # step being the start of the next
+    return sorted([k * dt for k in range(n_steps + 1)] + [k * dt + 0.5 * dt for k in range(n_steps)])
+
+
+def test_moving_faces_are_built_once_per_step_grid_time(monkeypatch):
+    # at (t + dt/2) + dt/2 the end of a step missed k dt, where the next one
+    # starts, on 5 of these 10 steps: 26 face arrays, not 21
+    calls = spy_on(monkeypatch, "face_velocities")
+    g = Grid(n=64, half_width=4.0)
+    forward.solve(forward.gaussian(g), PERTURBED, t_final=0.1, dt=1e-2, eps_boundary=1.0)
+    assert sorted(args[2] for args in calls) == step_grid_times(10, 1e-2)
+
+
+def test_a_stack_stacks_each_face_time_once(monkeypatch):
+    # each row's setup keeps its last faces, and so does the stack: two
+    # moving rows stack once per step grid time, and keep their lone bits
+    g = Grid(n=64, half_width=4.0)
+    m0 = forward.gaussian(g)
+    specs = [PERTURBED, GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
+                                      DriftSpec.perturbed_power(1.0, 2.0, 0.5))]
+    lone = [forward.solve(m0, spec, t_final=0.1, dt=1e-2, eps_boundary=1.0) for spec in specs]
+    stacked = spy_on(monkeypatch, "stack_faces")
+    velocities = spy_on(monkeypatch, "face_velocities")
+    runs = forward.solve_stack(m0, specs, t_final=0.1, dt=1e-2, eps_boundary=1.0)
+    assert len(stacked) == len(step_grid_times(10, 1e-2)) == 21
+    assert len(velocities) == 2 * 21
+    for run, want in zip(runs, lone):
+        assert_bitwise(run.final.values, want.final.values)
