@@ -3,20 +3,21 @@
 One step is a Strang composition: half a transport step, a full diffusion
 step, half a transport step. Transport is the conservative upwind flux with
 SSP-RK2 substeps. Each face array carries its upwind donors
-(``StepSetup.faces``), picked once for a static drift and once per face
-array for a moving one, so a flux reconstructs only the donor side of each
-face. The constant-coefficient diffusion and the jump part
+(``operators.upwind_faces``), picked once for a static drift and once per
+face array for a moving one, so a flux reconstructs only the donor side of
+each face. The constant-coefficient diffusion and the jump part
 (lambda0 xi^2 plus the measure's exact symbol) are applied exactly in Fourier
 space; variable Sigma is an explicit Euler term.
 Every stage telescopes, so mass is conserved to rounding regardless of step size.
 
-One marching loop, ``solve_stack``, advances runs that share grid, initial
-data, clock, limiter and boundary budget but not their generator specs or
-record weights (the cells of a sweep) as one (rows, n) stack: the kernels act
-along the rows, so each step costs one numpy call per stage for all rows,
-and each row keeps the bits of its own run. Guards and records stay per
-row; a run that fails leaves the stack and the others go on. ``solve`` is
-its one-row case, which marches an (n,) array.
+The forward state has one shape, a (rows, n) stack. One marching loop,
+``solve_stack``, advances runs that share grid, initial data, clock,
+limiter and boundary budget but not their generator specs or record weights
+(the cells of a sweep) as one stack: the kernels act along the rows, so
+each step costs one numpy call per stage for all rows, and each row keeps
+the bits of its own run. Guards and records stay per row; a run that fails
+leaves the stack and the others go on. ``solve`` and ``stationary_solve``
+march a one-row stack.
 """
 from __future__ import annotations
 
@@ -31,9 +32,10 @@ from .operators import (
     NumericalFailure,
     RunGuard,
     StepSetup,
-    StepStack,
+    UpwindFaces,
     divergence_of_flux,
     transport_flux,
+    upwind_faces,
 )
 
 __all__ = [
@@ -103,16 +105,47 @@ _SUBSTEP = 0.5  # two RK substeps of dt/2 per transport half
 
 
 class _Stepper:
-    """Precomputed pieces of one Strang step for runs that share grid, dt and
-    limiter: a lone run's StepSetup, which steps an (n,) array, or the
-    StepStack of several, which steps a (rows, n) stack row by row."""
+    """One Strang step of a (rows, n) stack of runs that share grid, dt and
+    limiter, row r that of the StepSetup ``stages[r]``.
+
+    ``diffusion_factor`` stacks the rows' factors, and ``sigma_squared`` the
+    Sigma^2 of the rows in ``variable_rows`` only, so that the other rows
+    keep their bits (adding a zero term would turn -0.0 into 0.0). The
+    stack's face record is one ``upwind_faces`` call over a (rows, n)
+    velocity array: once when every drift is static, else once per face
+    time, after the ``moving`` rows write their velocities into it.
+    """
 
     def __init__(self, stages: list, limiter: str):
         self.stages = stages
-        self.stage = stages[0] if len(stages) == 1 else StepStack(stages)
-        self.grid = self.stage.grid
-        self.dt = self.stage.dt
+        self.grid, self.dt = stages[0].grid, stages[0].dt
         self.limiter = limiter
+        self.diffusion_factor = np.stack([s.diffusion_factor for s in stages])
+        self.variable_rows = [r for r, s in enumerate(stages) if s.sigma_squared is not None]
+        self.sigma_squared = (np.stack([stages[r].sigma_squared for r in self.variable_rows])
+                              if self.variable_rows else None)
+        self.moving = [r for r, s in enumerate(stages) if s.static_w is None]
+        self._w = np.array([s.static_w if s.static_w is not None else np.zeros(self.grid.n) for s in stages])
+        self._faces = None if self.moving else upwind_faces(self._w, self.grid.dx)
+        self._faces_t = None
+
+    def faces(self, t: float) -> UpwindFaces:
+        """The stack's face record at forward time t. A Strang step asks for
+        t + dt/2 twice in a row, and the next step starts at the time this
+        one ended, so moving faces keep their last record. When a row's
+        faces raise NumericalFailure, its ``row`` names that row."""
+        if not self.moving or self._faces_t == t:
+            return self._faces
+        for r in self.moving:
+            try:
+                self._w[r] = self.stages[r].moving_w(t)
+            except NumericalFailure as exc:
+                exc.row = r
+                raise
+        self._faces, self._faces_t = upwind_faces(self._w, self.grid.dx), t
+        return self._faces
+
+    diffuse = StepSetup.diffuse
 
     def _transport_half(self, m: np.ndarray, t: float, t_end: float) -> np.ndarray:
         # SSP-RK2 over dt/2, from t to t_end, for d/dt m + div(w m) = 0, each
@@ -120,12 +153,11 @@ class _Stepper:
         # both substeps
         tau = 0.5 * self.dt
         dx = self.grid.dx
-        faces = self.stage.faces(t)
+        faces = self.faces(t)
         div = divergence_of_flux(transport_flux(m, faces, dx, self.limiter), dx)
         div *= tau
         m1 = np.subtract(m, div, out=div)
-        if self.stage.static_faces is None:
-            faces = self.stage.faces(t_end)
+        faces = self.faces(t_end)
         div = divergence_of_flux(transport_flux(m1, faces, dx, self.limiter), dx)
         div *= tau
         m2 = np.subtract(m1, div, out=div)
@@ -139,7 +171,7 @@ class _Stepper:
         start of the next."""
         mid = t + 0.5 * self.dt
         m = self._transport_half(m, t, mid)
-        m = self.stage.diffuse(m, adjoint=True)
+        m = self.diffuse(m, adjoint=True)
         return self._transport_half(m, mid, t_end)
 
 
@@ -182,10 +214,12 @@ class _Series:
         self.mass.append(m.sum() * grid.dx)
         self.minv.append(m.min())
         self.bnd.append(self.guard.boundary_mass(m, grid.dx, self.eps_boundary, t))
-        for name, phi in self.weights.items():
-            self.norms[name].append(weighted_tv_norm(Field(grid, m, t), phi))
-        if snapshot:
-            self.snaps.append(Field(grid, m, t))
+        if self.weights or snapshot:
+            sample = Field(grid, m, t)  # one copy and finiteness scan for every weight and the snapshot
+            for name, phi in self.weights.items():
+                self.norms[name].append(weighted_tv_norm(sample, phi))
+            if snapshot:
+                self.snaps.append(sample)
 
     def run(self, m: np.ndarray, t: float) -> ForwardRun:
         return ForwardRun(
@@ -223,7 +257,7 @@ def solve(
     the outer 5% of the cells at each end exceeds eps_boundary: from then on
     the periodic wrap-around is feeding the tails back into the bulk. That
     and blow-up are checked at the recorded steps only (snapshot steps too).
-    This is the one-row case of ``solve_stack``.
+    This is the one-row case of ``solve_stack``: it marches a (1, n) stack.
     """
     (run,) = solve_stack(m0, [spec], t_final, dt, limiter, eps_boundary, record_every,
                          [record_weights or {}], snapshot_times)
@@ -247,16 +281,16 @@ def solve_stack(
     record weights (a list of dicts, one per spec): every run starts from m0
     and shares the clock, the limiter and the boundary budget.
 
-    The runs march as one (rows, n) stack, a lone run as an (n,) array, and
-    each row's every step, record and failure is bit for bit that of its
-    own ``solve``. Returns one entry per spec: its ForwardRun, or the
-    exception that ended it, which ``solve`` raises. A NumericalFailure ends
-    a run at setup (CFL, variable diffusion), at a record (blow-up, boundary
-    band) or, for a moving drift, at the face array that broke CFL; the run
+    The runs march as one (rows, n) stack, and each row's every step,
+    record and failure is bit for bit that of its own ``solve``, a one-row
+    stack. Returns one entry per spec: its ForwardRun, or the exception that
+    ended it, which ``solve`` raises. A NumericalFailure ends a run at setup
+    (CFL, variable diffusion), at a record (blow-up, boundary band) or, for
+    a moving drift, at the face array that broke CFL (its ``row``); the run
     leaves the stack and the others go on. A t_final that is no whole number
     of steps from m0.t is a ValueError for every run that got past setup.
     """
-    grid, n = m0.grid, m0.grid.n
+    grid = m0.grid
     results: list = [None] * len(specs)
     live, stages = [], []  # the runs set up, in row order, and their setups
     for i, spec in enumerate(specs):
@@ -278,20 +312,18 @@ def solve_stack(
 
     def restack(failed: dict, stages: list):
         # the rows in failed (row -> NumericalFailure) leave; the stepper and
-        # the state of the rest, a lone row marching as its (n,) array
+        # the state of the rest
         nonlocal live, m, stepper
         keep = [r for r in range(len(live)) if r not in failed]
         for r, exc in failed.items():
             results[live[r]] = exc
-        m = m.reshape(len(live), n)[keep]
+        m = m[keep]
         live = [live[r] for r in keep]
         stepper = _Stepper([stages[r] for r in keep], limiter) if live else None
-        if len(live) == 1:
-            m = m[0]
 
     def record(k: int):
         failed = {}
-        for r, row in enumerate(m.reshape(len(live), n)):
+        for r, row in enumerate(m):
             try:
                 series[live[r]].record(row, t, k in snap_steps)
             except NumericalFailure as exc:
@@ -315,7 +347,7 @@ def solve_stack(
             record(k)
 
     for r, i in enumerate(live):
-        results[i] = series[i].run(m.reshape(len(live), n)[r], t)
+        results[i] = series[i].run(m[r], t)
     return results
 
 
@@ -348,7 +380,7 @@ def stationary_solve(
     stepper = _run_stepper(spec, grid, dt, limiter)
     # one block of steps between convergence checks
     block = RunGuard(dt, max(1, int(round(1.0 / dt))) * dt)
-    m = gaussian(grid).values
+    m = gaussian(grid).values[None, :]
     k, t = 0, 0.0
     diff = np.inf
     while t < _STATIONARY_MAX_TIME:
@@ -364,7 +396,7 @@ def stationary_solve(
     else:
         raise NumericalFailure(
             f"no stationary profile within t={_STATIONARY_MAX_TIME:g}: last TV increment {diff:.3e}")
-    m = m / (m.sum() * grid.dx)  # unit mass exactly on the grid
+    m = m[0] / (m.sum() * grid.dx)  # unit mass exactly on the grid
     out = Field(grid, m, t)
     b = RunGuard.boundary_mass(m, grid.dx, eps_boundary)
     return out, {"t_converged": t, "tv_increment": diff, "boundary_mass": b}

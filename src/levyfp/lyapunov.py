@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorSpec
-from .operators import CALLABLE_Z_MAX, levy_integral_callable
+from .generators import GeneratorSpec, LevyMeasureSpec
 from .weights import WeightFunction, bracket
 
 __all__ = [
@@ -32,12 +31,93 @@ __all__ = [
     "classify_weight",
     "h_model_function",
     "solve_rate_ode",
+    "shell_quadrature_nodes",
+    "levy_integral_callable",
 ]
 
 # times besides t = 0 at which a time-dependent drift is probed
 _DRIFT_PROBE_TIMES = (0.7, 1.9)
 # sample radii of the super-solution inequality, before midpoint refinement
 _LEMMA_RADII = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 161)])
+
+
+# ---------------------------------------------------------------------------
+# shell quadrature of callables
+
+_GL_CACHE: dict = {}
+
+
+def _gauss_legendre(n: int):
+    if n not in _GL_CACHE:
+        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+    return _GL_CACHE[n]
+
+
+def shell_quadrature_nodes(
+    r_min: float,
+    z_max: float,
+    shells_per_octave: int = 1,
+    nodes_per_shell: int = 8,
+):
+    """Positive quadrature nodes/weights on [r_min, z_max] in dyadic shells.
+
+    Shells are geometric with ratio 2**(1/shells_per_octave) and carry a
+    Gauss-Legendre rule each, so power-law tails cost log(z_max/r_min) work.
+    """
+    if r_min <= 0 or z_max <= r_min:
+        raise ValueError(f"need 0 < r_min < z_max, got r_min={r_min}, z_max={z_max}")
+    ratio = 2.0 ** (1.0 / shells_per_octave)
+    edges = [r_min]
+    while edges[-1] < z_max:
+        edges.append(min(edges[-1] * ratio, z_max))
+    gl_x, gl_w = _gauss_legendre(nodes_per_shell)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(mid + half * gl_x)
+        weights.append(half * gl_w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _second_moment_inner(nu: LevyMeasureSpec, r_min: float) -> float:
+    """integral of z^2 * density(z) over |z| < r_min (both signs).
+
+    Substituting w = z^(2-sigma) turns the z^(1-sigma)-singular integrand into
+    the bounded g(z) = z^(1+sigma) * density(z), so one Gauss-Legendre panel
+    converges uniformly in sigma. A truncated geometric ladder instead loses a
+    z^(2-sigma) fraction of the moment, which near sigma = 2 is not small.
+    """
+    p = 2.0 - nu.sigma
+    gl_x, gl_w = _gauss_legendre(32)
+    half = 0.5 * r_min**p
+    w = half * (gl_x + 1.0)
+    # w^(1/p) underflows for sigma near 2; 1e-60 keeps density * z^(1+sigma)
+    # inside double range while g there is already g(0+) to full precision.
+    z = np.maximum(w ** (1.0 / p), 1e-60)
+    g = nu.density(z) * z ** (1.0 + nu.sigma)
+    return 2.0 * float(np.sum(half * gl_w * g)) / p
+
+
+# shell range of levy_integral_callable: Taylor model below CALLABLE_R_MIN,
+# nothing beyond CALLABLE_Z_MAX (callers with power-law integrands add the tail)
+CALLABLE_R_MIN, CALLABLE_Z_MAX = 1e-6, 1e12
+
+
+def levy_integral_callable(fn, xs: np.ndarray, nu: LevyMeasureSpec, d2fn) -> np.ndarray:
+    """Compensated jump integral of a callable u at arbitrary points (d=1).
+
+    No periodicity is involved: shells extend geometrically to CALLABLE_Z_MAX,
+    astronomically large at logarithmic cost, covering slowly decaying
+    power-law integrands such as weights <x>^beta with beta < sigma. Below
+    CALLABLE_R_MIN the Taylor model takes u'' from ``d2fn``. The measure
+    must be active: an inactive one has no density to integrate.
+    """
+    z, w = shell_quadrature_nodes(CALLABLE_R_MIN, CALLABLE_Z_MAX)
+    rho_w = w * nu.density(z)
+    x = np.asarray(xs, dtype=float)[:, None]
+    fx = fn(x)
+    acc = np.sum(rho_w[None, :] * (fn(x + z[None, :]) + fn(x - z[None, :]) - 2.0 * fx), axis=1)
+    return acc + 0.5 * d2fn(x[:, 0]) * _second_moment_inner(nu, CALLABLE_R_MIN)
 
 
 # ---------------------------------------------------------------------------

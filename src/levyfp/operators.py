@@ -1,32 +1,30 @@
-"""Discretizations of the generator and its formal adjoint.
+"""Grid discretizations of the generator and its formal adjoint, and the
+validity envelope of the runs that march them.
 
 The jump part: on the periodic grid every builtin symmetric measure is
 diagonal in Fourier space with its exact symbol ``LevyMeasureSpec.symbol``
 (scale*|xi|^sigma for the fractional kind, the truncated-Levy exponent for
 the tempered one). The time steppers apply constant-coefficient diffusion
 and that symbol as one exponential factor in one real FFT pair (rfft/irfft)
-on the n//2 + 1 half spectrum. Off the grid, the compensated dyadic-shell
-quadrature integrates the singular kernel of a callable at arbitrary points
-(``levy_integral_callable``), which the Lyapunov checkers use.
+on the n//2 + 1 half spectrum.
 
 The drift enters the adjoint in divergence form through a conservative
 finite-volume upwind flux (optional second-order limited reconstruction),
 so the discrete adjoint output always integrates to zero. Its stencils
-act on one ring copy of the data: each row of an (n,) array or (rows, n)
-stack becomes its cells n-1, 0, ..., n-1, 0 (``_ring``), all rows end to
-end in one flat array, so every elementwise call of the flux is a single
-contiguous pass. The differences d = e[1:] - e[:-1] of that copy hold
-m[k] - m[k-1] at offset k = 0..n of each row; the left slopes are d[:-1],
-the right slopes d[1:], and the two entries at each row seam are junk that
-no index reads. Faces come in padded order, n + 1 per row: entry j is face
-j - 1/2, so entry 0 is face -1/2, the periodic wrap of face n - 1/2. The
-upwind choice is made once per face array, not per flux: ``upwind_faces``
-records each face's donor cell (i where w_i >= 0, i+1 mod n otherwise) as
-an offset into the ring copy, and the signed half-width +dx/2 or -(dx/2)
-from the donor's centre to the face; the flux reconstructs the donor side
-only, and the divergence subtracts adjacent entries of the padded flux.
-The centered second differences slice one periodically padded copy of
-their input.
+act on one ring copy of the data: each row of a (rows, n) stack becomes its
+cells n-1, 0, ..., n-1, 0 (``_ring``), all rows end to end in one flat
+array, so every elementwise call of the flux is a single contiguous pass.
+The differences d = e[1:] - e[:-1] of that copy hold m[k] - m[k-1] at
+offset k = 0..n of each row; the left slopes are d[:-1], the right slopes
+d[1:], and the two entries at each row seam are junk that no index reads.
+Faces come in padded order, n + 1 per row: entry j is face j - 1/2, so
+entry 0 is face -1/2, the periodic wrap of face n - 1/2. The upwind choice
+is made once per face array, not per flux: ``upwind_faces`` records each
+face's donor cell (i where w_i >= 0, i+1 mod n otherwise) as an offset into
+the ring copy, and the signed half-width +dx/2 or -(dx/2) from the donor's
+centre to the face; the flux reconstructs the donor side only, and the
+divergence subtracts adjacent entries of the padded flux. The centered
+second differences slice one periodically padded copy of their input.
 """
 from __future__ import annotations
 
@@ -34,104 +32,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorSpec, LevyMeasureSpec
+from .generators import GeneratorSpec
 from .grids import Grid
 
 __all__ = [
-    "shell_quadrature_nodes",
-    "levy_integral_callable",
     "transport_flux",
     "divergence_of_flux",
     "face_velocities",
     "UpwindFaces",
     "upwind_faces",
-    "stack_faces",
     "StepSetup",
-    "StepStack",
     "RunGuard",
     "LIMITERS",
 ]
 
 LIMITERS = ("mc", "off")
-
-
-# ---------------------------------------------------------------------------
-# shell quadrature of callables
-
-_GL_CACHE: dict = {}
-
-
-def _gauss_legendre(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def shell_quadrature_nodes(
-    r_min: float,
-    z_max: float,
-    shells_per_octave: int = 1,
-    nodes_per_shell: int = 8,
-):
-    """Positive quadrature nodes/weights on [r_min, z_max] in dyadic shells.
-
-    Shells are geometric with ratio 2**(1/shells_per_octave) and carry a
-    Gauss-Legendre rule each, so power-law tails cost log(z_max/r_min) work.
-    """
-    if r_min <= 0 or z_max <= r_min:
-        raise ValueError(f"need 0 < r_min < z_max, got r_min={r_min}, z_max={z_max}")
-    ratio = 2.0 ** (1.0 / shells_per_octave)
-    edges = [r_min]
-    while edges[-1] < z_max:
-        edges.append(min(edges[-1] * ratio, z_max))
-    gl_x, gl_w = _gauss_legendre(nodes_per_shell)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * gl_x)
-        weights.append(half * gl_w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _second_moment_inner(nu: LevyMeasureSpec, r_min: float) -> float:
-    """integral of z^2 * density(z) over |z| < r_min (both signs).
-
-    Substituting w = z^(2-sigma) turns the z^(1-sigma)-singular integrand into
-    the bounded g(z) = z^(1+sigma) * density(z), so one Gauss-Legendre panel
-    converges uniformly in sigma. A truncated geometric ladder instead loses a
-    z^(2-sigma) fraction of the moment, which near sigma = 2 is not small.
-    """
-    p = 2.0 - nu.sigma
-    gl_x, gl_w = _gauss_legendre(32)
-    half = 0.5 * r_min**p
-    w = half * (gl_x + 1.0)
-    # w^(1/p) underflows for sigma near 2; 1e-60 keeps density * z^(1+sigma)
-    # inside double range while g there is already g(0+) to full precision.
-    z = np.maximum(w ** (1.0 / p), 1e-60)
-    g = nu.density(z) * z ** (1.0 + nu.sigma)
-    return 2.0 * float(np.sum(half * gl_w * g)) / p
-
-
-# shell range of levy_integral_callable: Taylor model below CALLABLE_R_MIN,
-# nothing beyond CALLABLE_Z_MAX (callers with power-law integrands add the tail)
-CALLABLE_R_MIN, CALLABLE_Z_MAX = 1e-6, 1e12
-
-
-def levy_integral_callable(fn, xs: np.ndarray, nu: LevyMeasureSpec, d2fn) -> np.ndarray:
-    """Compensated jump integral of a callable u at arbitrary points (d=1).
-
-    No periodicity is involved: shells extend geometrically to CALLABLE_Z_MAX,
-    astronomically large at logarithmic cost, covering slowly decaying
-    power-law integrands such as weights <x>^beta with beta < sigma. Below
-    CALLABLE_R_MIN the Taylor model takes u'' from ``d2fn``. The measure
-    must be active: an inactive one has no density to integrate.
-    """
-    z, w = shell_quadrature_nodes(CALLABLE_R_MIN, CALLABLE_Z_MAX)
-    rho_w = w * nu.density(z)
-    x = np.asarray(xs, dtype=float)[:, None]
-    fx = fn(x)
-    acc = np.sum(rho_w[None, :] * (fn(x + z[None, :]) + fn(x - z[None, :]) - 2.0 * fx), axis=1)
-    return acc + 0.5 * d2fn(x[:, 0]) * _second_moment_inner(nu, CALLABLE_R_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -210,41 +125,51 @@ class UpwindFaces:
     wrap of face n - 1/2). ``donor[j]`` indexes the cell whose value crosses
     that face within the flat ring copy of the data (``_ring``): offset
     r * (n + 2) + i for cell i of row r. ``half[j]`` is the signed distance
-    from that cell's centre to the face. A stack's record (``stack_faces``)
-    holds one row of each per run."""
+    from that cell's centre to the face."""
 
     w: np.ndarray
     donor: np.ndarray
     half: np.ndarray
 
 
+_FACE_CELLS: dict = {}  # velocity shape -> face indices
+
+
+def _face_cells(shape: tuple) -> tuple:
+    """For each face of a velocity stack of ``shape`` in padded order (row r,
+    entry j: face j - 1/2): the flat index of its velocity, that of
+    w[r, j - 1 mod n], and the ring offsets r * (n + 2) + i of the cells i
+    left and right of it."""
+    cells = _FACE_CELLS.get(shape)
+    if cells is None:
+        n = shape[-1]
+        ring = np.concatenate(([n - 1], np.arange(n), [0]))  # a row of ``_ring``
+        row = np.arange(int(np.prod(shape[:-1])))[:, None]
+        at, left, right = row * n + ring[:-1], row * (n + 2) + ring[:-1], row * (n + 2) + ring[1:]
+        cells = _FACE_CELLS[shape] = tuple(a.reshape(shape[:-1] + (n + 1,)) for a in (at, left, right))
+    return cells
+
+
 def upwind_faces(w: np.ndarray, dx: float) -> UpwindFaces:
-    """The face record of the velocities w at faces i + 1/2, i = 0..n-1, in
-    padded face order: donor i where w_i >= 0 and i+1 mod n otherwise
-    (-0.0 counts as >= 0, NaN does not), half +dx/2 or -(dx/2) to match."""
-    ring = _ring(1, w.size)
-    left, right = ring[:-1], ring[1:]
-    w = w.take(left)
+    """The face record of a (rows, n) velocity stack in one call, row r
+    holding the velocities at faces i + 1/2, i = 0..n-1, of row r of the
+    data. In padded face order, the donor is cell i where w[r, i] >= 0 and
+    i+1 mod n otherwise (-0.0 counts as >= 0, NaN does not), at ring offset
+    r * (n + 2) + cell, and half +dx/2 or -(dx/2) to match. An (n,) array
+    gets the one-row record without its row axis."""
+    at, left, right = _face_cells(w.shape)
+    w = w.take(at)
     ahead = w >= 0
     return UpwindFaces(w, np.where(ahead, left, right), np.where(ahead, 0.5 * dx, -(0.5 * dx)))
 
 
-def stack_faces(records: list) -> UpwindFaces:
-    """One face record for a (rows, n) stack: row r holds records[r].w and
-    .half, and donor r * (n + 2) + records[r].donor, so that the donors of
-    row r pick from row r of the stack's ring copy."""
-    width = records[0].w.size + 1  # n + 2
-    offsets = np.arange(0, width * len(records), width)[:, None]
-    return UpwindFaces(np.stack([r.w for r in records]),
-                       np.stack([r.donor for r in records]) + offsets,
-                       np.stack([r.half for r in records]))
-
-
 def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = "mc") -> np.ndarray:
     """Upwind flux f[j] = w_{j-1/2} * m_rec at face j - 1/2, in padded face
-    order: an (n,) array m gets n + 1 entries, a (rows, n) stack (rows, n + 1),
-    and entry 0 of a row equals entry n bit for bit. m_rec is the donor
-    cell, plus with ``limiter="mc"`` the MC-limited linear reconstruction.
+    order, for a (rows, n) stack m and the record of its rows' faces
+    (``upwind_faces``): (rows, n + 1) entries, entry 0 of a row equal to
+    entry n bit for bit; an (n,) array and its record give n + 1. m_rec is
+    the donor cell, plus with ``limiter="mc"`` the MC-limited linear
+    reconstruction.
 
     One ring copy e of m (``_ring``) feeds both: only the donor side is
     reconstructed, e[1:][donor] + half * slope[donor]; with half = -(dx/2)
@@ -309,7 +234,8 @@ def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NumericalFailure(RuntimeError):
     """A run left its validity envelope (CFL, stability, boundary mass).
 
-    ``row`` is the row of a ``StepStack`` whose faces raised it; a lone run is row 0."""
+    ``row`` is the row of the forward stepper's stack whose moving faces
+    raised it; every other failure, and a lone run's, is row 0."""
 
     row = 0
 
@@ -372,10 +298,11 @@ class StepSetup:
     exact symbol of every measure in the exponent.
     Faces are in forward time. The explicit pieces are checked at setup, the
     advection against the CFL bound for a step of ``substep * dt``: a static
-    drift once, a time-dependent one on every face array ``faces`` builds, so
-    over exactly the times a run steps through. ``where`` names the clock in
-    the messages. A drift with a ``steady`` part has it evaluated at the
-    faces once here; each moving face array then adds only its wave.
+    drift's velocities ``static_w`` once, a time-dependent one's on every
+    face array ``moving_w`` builds, so over exactly the times a run steps
+    through. ``where`` names the clock in the messages. A drift with a
+    ``steady`` part has it evaluated at the faces once here; each moving
+    face array then adds only its wave.
     """
 
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, substep: float = 1.0, where: str = ""):
@@ -390,12 +317,12 @@ class StepSetup:
         xi = grid.wavenumber_magnitude[: grid.n // 2 + 1]  # the half spectrum of rfft
         self.diffusion_factor = np.exp(-dt * (diffusion.lambda0 * xi**2 + spec.levy.symbol(xi)))
         self.sigma_squared = diffusion.sigma_squared(grid.nodes) if diffusion.has_variable_part else None
-        self.variable_rows = ...  # the rows diffuse gives the variable term: all of a lone run
-        self.static_faces = self.static_split = self._last_faces = self._steady = None
+        self.variable_rows = ...  # the rows diffuse gives the variable term: all of a lone array
+        self.static_w = self.static_split = self._steady = None
         if not spec.is_time_dependent:
             w = face_velocities(grid, spec.drift, 0.0)
             self._check_cfl(w)
-            self.static_faces = upwind_faces(w, grid.dx)
+            self.static_w = w
             self.static_split = _upwind_split(w)
         elif spec.drift.steady is not None:
             self._steady = spec.drift.steady(_face_points(grid))
@@ -419,20 +346,7 @@ class StepSetup:
                     f"explicit variable diffusion unstable: need dt <= "
                     f"{0.45 * dx**2 / smax:g}, got {dt:g}")
 
-    def faces(self, t: float) -> UpwindFaces:
-        """Face velocities at forward time t with their upwind donors, built
-        once for a static drift and once per face array when they move."""
-        if self.static_faces is not None:
-            return self.static_faces
-        # a Strang step asks for t + dt/2 twice in a row, and the next step
-        # starts at the time this one ended: keep the last faces
-        if self._last_faces is not None and self._last_faces[0] == t:
-            return self._last_faces[1]
-        faces = upwind_faces(self._moving_w(t), self.grid.dx)
-        self._last_faces = (t, faces)
-        return faces
-
-    def _moving_w(self, t: float) -> np.ndarray:
+    def moving_w(self, t: float) -> np.ndarray:
         """Face velocities of a time-dependent drift at forward time t, CFL-checked."""
         w = face_velocities(self.grid, self.spec.drift, t, self._steady)
         self._check_cfl(w, t)
@@ -445,13 +359,14 @@ class StepSetup:
         a moving drift's velocities skip the face record."""
         if self.static_split is not None:
             return self.static_split
-        return _upwind_split(self._moving_w(t))
+        return _upwind_split(self.moving_w(t))
 
     def diffuse(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
         """Diffusion and jumps over dt, then the explicit variable-Sigma term
         (adjoint=True: its Fokker-Planck form, for the forward clock) on
-        ``variable_rows``. Both transforms run along the last axis, so a
-        StepStack's (rows, n) stack takes this same body."""
+        ``variable_rows``. Both transforms run along the last axis, so the
+        forward stepper's (rows, n) stack, with its stacked factors, takes
+        this same body."""
         spectrum = np.fft.rfft(values)
         spectrum *= self.diffusion_factor
         out = np.fft.irfft(spectrum, self.grid.n)
@@ -460,46 +375,3 @@ class StepSetup:
             term = _variable_diffusion_term(out[rows], self.sigma_squared, self.grid.dx, adjoint)
             out[rows] += self.dt * term
         return out
-
-
-class StepStack:
-    """The StepSetups of runs on one grid with one dt and substep, as one
-    stack for the forward clock: row r of each array is ``rows[r]``'s.
-
-    ``diffusion_factor`` stacks the rows' factors, and ``sigma_squared`` the
-    Sigma^2 of the rows in ``variable_rows``, so that the other rows keep
-    their bits (adding a zero term would turn -0.0 into 0.0). Face records
-    stack by ``stack_faces``, once when every row's drift is static.
-    """
-
-    def __init__(self, rows: list):
-        self.rows = rows
-        self.grid, self.dt = rows[0].grid, rows[0].dt
-        self.diffusion_factor = np.stack([r.diffusion_factor for r in rows])
-        self.variable_rows = [i for i, r in enumerate(rows) if r.sigma_squared is not None]
-        self.sigma_squared = (np.stack([rows[i].sigma_squared for i in self.variable_rows])
-                              if self.variable_rows else None)
-        static = [r.static_faces for r in rows]
-        self.static_faces = None if any(f is None for f in static) else stack_faces(static)
-        self._last_faces = None
-
-    def faces(self, t: float) -> UpwindFaces:
-        """The rows' face records at forward time t, stacked, and kept for a
-        second call at the same t as in ``StepSetup.faces``. When a row's
-        faces raise NumericalFailure, its ``row`` names that row."""
-        if self.static_faces is not None:
-            return self.static_faces
-        if self._last_faces is not None and self._last_faces[0] == t:
-            return self._last_faces[1]
-        records = []
-        for row, setup in enumerate(self.rows):
-            try:
-                records.append(setup.faces(t))
-            except NumericalFailure as exc:
-                exc.row = row
-                raise
-        faces = stack_faces(records)
-        self._last_faces = (t, faces)
-        return faces
-
-    diffuse = StepSetup.diffuse

@@ -110,6 +110,13 @@ def _stable_cms(sigma: float, u_angle: np.ndarray, u_exp: np.ndarray) -> np.ndar
     return a
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed SeedSequence would refuse at the first draw: it takes
+    any nonnegative int, Python's or numpy's, of any size."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -125,6 +132,7 @@ class ParticleEnsemble:
     step_index: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.positions.ndim != 1 or self.positions.size < 1:
             raise ValueError("need at least one particle in a flat position array")
         if not np.all(np.isfinite(self.positions)):
@@ -143,6 +151,7 @@ def ensemble_from_density(m: Field, n_particles: int, seed: int = 0) -> Particle
     """Inverse-CDF sample of the piecewise-constant law the grid density
     defines on its cells. Draws one word per particle from stream 0, chunk
     by chunk."""
+    _check_seed(seed)
     vals = m.values
     if np.any(vals < 0):
         raise ValueError("cannot sample a signed density")
@@ -455,6 +464,7 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
     synchronized above, and a pair couples once |X - Y| < eps_couple, after
     which it moves as one. Pairs are stepped in chunks on a thread pool as in
     simulate: each chunk draws one uniform block that moves both X and Y."""
+    _check_seed(seed)
     stepper = _ParticleStepper(spec, dt)
     guard = RunGuard(dt, t_final, record_every)
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from levyfp.generators import LevyMeasureSpec
 from levyfp.grids import Field, Grid
-from levyfp.operators import _periodic_pad, _second_moment_inner, shell_quadrature_nodes
+from levyfp.lyapunov import _second_moment_inner, shell_quadrature_nodes
+from levyfp.operators import _periodic_pad
 
 
 def _mass_beyond(nu: LevyMeasureSpec, z_max: float) -> float:

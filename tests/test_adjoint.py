@@ -15,7 +15,7 @@ from levyfp.adjoint import (
     tanh_profile,
     tapered_linear,
 )
-from levyfp.forward import NumericalFailure, gaussian, solve
+from levyfp.forward import NumericalFailure, _run_stepper, gaussian, solve
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Field, Grid
 from levyfp.operators import divergence_of_flux, transport_flux
@@ -114,14 +114,14 @@ def test_advection_step_is_exact_transpose_of_forward_flux():
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
     dt = 0.125 * g.dx
     stepper = _AdjointStepper(spec, g, dt, dt)
-    faces = stepper.stage.faces(0.0)  # the one record both steppers read
+    faces = _run_stepper(spec, g, dt, "off").faces(0.0)  # the forward stepper's one-row record
     fwd = np.zeros((g.n, g.n))
     adj = np.zeros((g.n, g.n))
     for j in range(g.n):
-        e = np.zeros(g.n)
-        e[j] = 1.0
-        fwd[:, j] = e - dt * divergence_of_flux(transport_flux(e, faces, g.dx, "off"), g.dx)
-        adj[:, j] = stepper._advect(e, 0.0)
+        e = np.zeros((1, g.n))
+        e[0, j] = 1.0
+        (fwd[:, j],) = e - dt * divergence_of_flux(transport_flux(e, faces, g.dx, "off"), g.dx)
+        adj[:, j] = stepper._advect(e[0], 0.0)
     assert np.abs(adj - fwd.T).max() == 0.0
 
 

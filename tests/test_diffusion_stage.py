@@ -10,7 +10,8 @@ from quadrature_oracle import fourth_order_d2, impulse_response, levy_integral_f
 
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Field, Grid
-from levyfp.operators import StepSetup, _variable_diffusion_term, shell_quadrature_nodes
+from levyfp.lyapunov import shell_quadrature_nodes
+from levyfp.operators import StepSetup, _variable_diffusion_term
 
 # ---------------------------------------------------------------------------
 # oracles: the complex FFT pair and the np.roll stencils

@@ -91,7 +91,7 @@ def test_single_step_is_exact_fractional_semigroup():
     # b = 0, lambda0 = 0: the whole Strang step collapses to the Fourier
     # multiplier, so one step must reproduce it to rounding
     m0 = gaussian(GRID)
-    out = _run_stepper(drift_free(1.5), GRID, 0.1, "mc").step(m0.values, 0.0, 0.1)
+    (out,) = _run_stepper(drift_free(1.5), GRID, 0.1, "mc").step(m0.values[None, :], 0.0, 0.1)
     want = np.real(
         np.fft.ifft(np.exp(-0.1 * GRID.wavenumber_magnitude**1.5) * np.fft.fft(m0.values))
     )
@@ -101,7 +101,7 @@ def test_single_step_is_exact_fractional_semigroup():
 @pytest.mark.parametrize("spec", [ou_frac_spec(), tempered_ou_spec()], ids=["fractional", "tempered"])
 def test_step_conserves_mass(spec):
     stepper = _run_stepper(spec, GRID, 1e-3, "mc")
-    m = gaussian(GRID).values
+    m = gaussian(GRID).values[None, :]
     prev = m.sum() * GRID.dx
     for k in range(5):
         m = stepper.step(m, k * 1e-3, (k + 1) * 1e-3)
@@ -129,12 +129,12 @@ def test_tempered_strang_step_matches_unfused_node_loop():
     heat = np.exp(-dt * spec.diffusion.lambda0 * GRID.wavenumber_magnitude**2)
 
     def unfused_stage(m):
-        out = np.real(np.fft.ifft(heat * np.fft.fft(m)))
-        return out + dt * levy_integral_field(Field(GRID, out), spec.levy).values
+        (out,) = np.real(np.fft.ifft(heat * np.fft.fft(m)))
+        return (out + dt * levy_integral_field(Field(GRID, out), spec.levy).values)[None, :]
 
-    want = ref._transport_half(unfused_stage(ref._transport_half(m0.values, 0.0, 0.5 * dt)),
-                           0.5 * dt, dt)
-    got = ref.step(m0.values, 0.0, dt)
+    m = m0.values[None, :]
+    want = ref._transport_half(unfused_stage(ref._transport_half(m, 0.0, 0.5 * dt)), 0.5 * dt, dt)
+    got = ref.step(m, 0.0, dt)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
@@ -217,7 +217,7 @@ def test_snapshots_match_repeated_single_steps():
                eps_boundary=0.05, snapshot_times=(0.002,))
     assert len(fw.snapshots) == 1
     stepper = _run_stepper(ou_frac_spec(), GRID, 1e-3, "mc")
-    manual = stepper.step(stepper.step(m0.values, 0.0, 1e-3), 1e-3, 2e-3)
+    (manual,) = stepper.step(stepper.step(m0.values[None, :], 0.0, 1e-3), 1e-3, 2e-3)
     assert np.array_equal(fw.snapshots[0].values, manual)
 
 
@@ -350,12 +350,14 @@ def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
     assert len(memo_calls) == len(set(memo_calls))
 
     def faces_unmemoized(self, t):
-        w = operators.face_velocities(self.grid, self.spec.drift, t)
-        self._check_cfl(w, t)
-        return operators.upwind_faces(w, self.grid.dx)
+        for r in self.moving:
+            stage = self.stages[r]
+            self._w[r] = operators.face_velocities(stage.grid, stage.spec.drift, t)
+            stage._check_cfl(self._w[r], t)
+        return operators.upwind_faces(self._w, self.grid.dx)
 
     calls.clear()
-    monkeypatch.setattr(operators.StepSetup, "faces", faces_unmemoized)
+    monkeypatch.setattr(_Stepper, "faces", faces_unmemoized)
     oracle = solve(m0, spec, t_final=0.1, dt=1e-2, record_weights=weights, eps_boundary=0.05)
     assert len(calls) == 4 * 10
     assert set(calls) == set(memo_calls)

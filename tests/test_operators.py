@@ -20,13 +20,12 @@ from levyfp.generators import (
     stable_normalization,
 )
 from levyfp.grids import Field, Grid
+from levyfp.lyapunov import levy_integral_callable, shell_quadrature_nodes
 from levyfp.operators import (
     StepSetup,
     _variable_diffusion_term,
     divergence_of_flux,
     face_velocities,
-    levy_integral_callable,
-    shell_quadrature_nodes,
     transport_flux,
     upwind_faces,
 )

@@ -216,6 +216,25 @@ def test_coupling_survives_jump_part():
     assert run.coupling_times.size == 2000
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_bad_seeds_are_refused_before_any_draw(seed):
+    # SeedSequence refuses them only at the first step's draw; a negative
+    # one passed ensemble_at, and 1.5 reached it as numpy's TypeError
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        ensemble_at(0.0, 10, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        ensemble_from_density(gaussian(GRID, std=1.0), 10, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        reflection_coupling_run(ou_brownian_spec(), 1.0, -1.0, dt=0.1, t_final=0.2, n_pairs=10, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1), 2**64, 2**70])
+def test_numpy_and_wide_seeds_are_accepted(seed):
+    run = simulate(ensemble_at(0.0, 10, seed=seed), ou_brownian_spec(), dt=0.1, t_final=0.2)
+    assert np.isfinite(run.final.positions).all()
+    reflection_coupling_run(ou_brownian_spec(), 1.0, -1.0, dt=0.1, t_final=0.2, n_pairs=10, seed=seed)
+
+
 def test_coupling_requires_integer_step_count():
     with pytest.raises(ValueError, match="integer number of steps"):
         reflection_coupling_run(ou_brownian_spec(), 1.0, -1.0, dt=0.3, t_final=1.0,

@@ -15,9 +15,9 @@ from levyfp.grids import Grid
 from levyfp.operators import (
     LIMITERS,
     StepSetup,
-    StepStack,
+    UpwindFaces,
     divergence_of_flux,
-    stack_faces,
+    face_velocities,
     transport_flux,
     upwind_faces,
 )
@@ -29,29 +29,29 @@ from levyfp.operators import (
 def oracle_slope(m, dx, limiter):
     if limiter == "off":
         return np.zeros_like(m)
-    left = (m - np.roll(m, 1)) / dx
-    right = (np.roll(m, -1) - m) / dx
+    left = (m - np.roll(m, 1, axis=-1)) / dx
+    right = (np.roll(m, -1, axis=-1) - m) / dx
     central = 0.5 * (left + right)
     lim = np.minimum(np.abs(central), 2.0 * np.minimum(np.abs(left), np.abs(right)))
     return np.where(left * right > 0, np.sign(central) * lim, 0.0)
 
 
 def oracle_flux(m, faces, dx, limiter="mc"):
-    # both reconstructions, then the upwind pick per face: reads only faces.w,
-    # faces 1/2 .. n - 1/2 of the padded record
-    w = faces.w[1:]
+    # both reconstructions, then the upwind pick per face, row by row: reads
+    # only faces.w, faces 1/2 .. n - 1/2 of the padded record
+    w = faces.w[..., 1:]
     s = oracle_slope(m, dx, limiter)
     from_left = m + 0.5 * dx * s
-    from_right = np.roll(m - 0.5 * dx * s, -1)
+    from_right = np.roll(m - 0.5 * dx * s, -1, axis=-1)
     return np.where(w >= 0, w * from_left, w * from_right)
 
 
 def oracle_divergence(flux, dx):
-    return (flux - np.roll(flux, 1)) / dx
+    return (flux - np.roll(flux, 1, axis=-1)) / dx
 
 
 def oracle_advect(stepper, v, s):
-    w = stepper.stage.faces(stepper.horizon - s).w[1:]
+    w = face_velocities(stepper.grid, stepper.stage.spec.drift, stepper.horizon - s)
     wp, wm = np.maximum(w, 0.0), np.minimum(w, 0.0)
     rho = stepper.dt / stepper.grid.dx
     return v - rho * (wp * (v - np.roll(v, -1)) + np.roll(wm, 1) * (np.roll(v, 1) - v))
@@ -171,7 +171,7 @@ MOVING = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
 @pytest.mark.parametrize("spec", [FRAC_OU, MOVING], ids=["spectral", "moving"])
 def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
     g = Grid(n=256, half_width=8.0)
-    m = random_field(np.random.default_rng(3), g.n)
+    m = random_field(np.random.default_rng(3), g.n)[None, :]
     stepper = _run_stepper(spec, g, 2e-3, limiter)
     got = stepper.step(m, 0.25, 0.252)
     # the stepper must reach the oracles through forward's module names (the
@@ -191,9 +191,9 @@ def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
 
 
 def test_static_faces_are_one_record_at_every_time():
-    stage = _run_stepper(FRAC_OU, Grid(n=64, half_width=8.0), 2e-3, "mc").stage
-    faces = stage.faces(0.0)
-    assert all(stage.faces(t) is faces for t in (1e-3, 0.25, 7.5, -1.0))
+    stepper = _run_stepper(FRAC_OU, Grid(n=64, half_width=8.0), 2e-3, "mc")
+    faces = stepper.faces(0.0)
+    assert all(stepper.faces(t) is faces for t in (1e-3, 0.25, 7.5, -1.0))
 
 
 @pytest.mark.parametrize("spec", [FRAC_OU, MOVING], ids=["spectral", "moving"])
@@ -237,12 +237,12 @@ def test_flux_and_divergence_of_a_stack_match_each_row(n, limiter):
     rng = np.random.default_rng(7000 + n)
     for dx in (1e-3, 0.0625, 3.0):
         m = np.array([random_field(rng, n) for _ in range(5)])
-        records = [upwind_faces(random_velocity(rng, n), dx) for _ in range(5)]
-        flux = transport_flux(m, stack_faces(records), dx, limiter)
+        w = np.array([random_velocity(rng, n) for _ in range(5)])
+        flux = transport_flux(m, upwind_faces(w, dx), dx, limiter)
         assert_bitwise(flux[:, 0], flux[:, n])
         div = divergence_of_flux(flux, dx)
-        for r, faces in enumerate(records):
-            assert_bitwise(flux[r], transport_flux(m[r], faces, dx, limiter))
+        for r in range(5):
+            assert_bitwise(flux[r], transport_flux(m[r], upwind_faces(w[r], dx), dx, limiter))
             assert_bitwise(div[r], divergence_of_flux(flux[r], dx))
 
 
@@ -273,7 +273,57 @@ def test_forward_step_of_a_stack_matches_each_row(limiter, specs, zero_rows):
     stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], limiter)
     got = stepper.step(m, 0.25, 0.252)
     for r, spec in enumerate(specs):
-        assert_bitwise(got[r], _run_stepper(spec, g, 2e-3, limiter).step(m[r], 0.25, 0.252))
+        assert_bitwise(got[r], _run_stepper(spec, g, 2e-3, limiter).step(m[r:r + 1], 0.25, 0.252)[0])
+
+
+def oracle_stacked_faces(w, dx):
+    # the retired path: each row's one-row record (donor i where w_i >= 0,
+    # i + 1 mod n otherwise, as an offset into its own ring copy), then the
+    # rows stacked with donor offsets r * (n + 2)
+    rows, n = w.shape
+    left = np.concatenate(([n - 1], np.arange(n)))
+    right = np.concatenate((np.arange(n), [0]))
+    records = []
+    for row in w:
+        padded = row.take(left)
+        ahead = padded >= 0
+        records.append((padded, np.where(ahead, left, right), np.where(ahead, 0.5 * dx, -(0.5 * dx))))
+    offsets = np.arange(0, (n + 2) * rows, n + 2)[:, None]
+    return UpwindFaces(np.stack([r[0] for r in records]), np.stack([r[1] for r in records]) + offsets,
+                       np.stack([r[2] for r in records]))
+
+
+def special_velocity(rng, n):
+    # mixed signs with signed zeros, NaN and both infinities, each on n/16 faces
+    w = rng.standard_normal(n)
+    p = rng.permutation(n)
+    k = max(1, n // 16)
+    for j, value in enumerate((0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0)):
+        w[p[j * k:(j + 1) * k]] = value
+    return w
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024])
+@pytest.mark.parametrize("rows", range(1, 9))
+def test_one_call_record_matches_stacked_rows(n, rows):
+    # one upwind_faces call over a (rows, n) stack against the retired
+    # per-row records stacked by hand: the same w, donors and half-widths,
+    # bit for bit, NaN and the sign bits of zeros included
+    rng = np.random.default_rng(7800 + 10 * n + rows)
+    for dx in (1e-3, 0.0625, 3.0):
+        w = np.array([special_velocity(rng, n) for _ in range(rows)])
+        got, want = upwind_faces(w, dx), oracle_stacked_faces(w, dx)
+        for name in ("w", "donor", "half"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        # an (n,) array gets the one-row record without its row axis
+        lone = upwind_faces(w[0], dx)
+        for name in ("w", "donor", "half"):
+            assert_same_bits(getattr(lone, name), getattr(oracle_stacked_faces(w[:1], dx), name)[0])
 
 
 def assert_donors_inside_their_rows(faces, n):
@@ -288,14 +338,14 @@ def assert_donors_inside_their_rows(faces, n):
 @pytest.mark.parametrize("n", SIZES[1:])  # Grid needs n >= 8
 def test_stacked_donors_stay_inside_their_rows(n):
     rng = np.random.default_rng(7700 + n)
-    records = [upwind_faces(random_velocity(rng, n), 0.0625) for _ in range(5)]
-    assert_donors_inside_their_rows(stack_faces(records), n)
-    # the setups' records: static faces stacked once, moving ones per time
+    w = np.array([random_velocity(rng, n) for _ in range(5)])
+    assert_donors_inside_their_rows(upwind_faces(w, 0.0625), n)
+    # the steppers' records: static faces built once, moving ones per time
     g = Grid(n=n, half_width=8.0)
     for specs in ([FRAC_OU, TEMPERED_POWER], [MOVING, FRAC_OU, MOVING]):
-        stage = StepStack([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs])
+        stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], "mc")
         for t in (0.0, 0.25):
-            assert_donors_inside_their_rows(stage.faces(t), n)
+            assert_donors_inside_their_rows(stepper.faces(t), n)
 
 
 JUNK = {
@@ -320,33 +370,33 @@ def test_junk_rows_do_not_leak_into_their_neighbours(limiter, junk):
     specs = [FRAC_OU, MOVING, FRAC_OU, TEMPERED_POWER, MOVING]
     m = np.array([JUNK[junk](rng, g.n) if r % 2 == 0 else random_field(rng, g.n) for r in range(len(specs))])
     stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], limiter)
-    faces = stepper.stage.faces(0.25)
+    faces = stepper.faces(0.25)
     with np.errstate(all="ignore"):
         flux = transport_flux(m, faces, g.dx, limiter)
         div = divergence_of_flux(flux, g.dx)
         step = stepper.step(m, 0.25, 0.252)
     for r in (1, 3):
         lone = _run_stepper(specs[r], g, 2e-3, limiter)
-        lone_flux = transport_flux(m[r], lone.stage.faces(0.25), g.dx, limiter)
+        (lone_flux,) = transport_flux(m[r:r + 1], lone.faces(0.25), g.dx, limiter)
         assert_bitwise(flux[r], lone_flux)
         assert_bitwise(div[r], divergence_of_flux(lone_flux, g.dx))
-        assert_bitwise(step[r], lone.step(m[r], 0.25, 0.252))
+        assert_bitwise(step[r], lone.step(m[r:r + 1], 0.25, 0.252)[0])
 
 
 # ---------------------------------------------------------------------------
 # moving faces: one face array per distinct time of the step grid
 
 
-def spy_on(monkeypatch, name):
-    """Record the arguments of every call of operators.<name>."""
+def spy_on(monkeypatch, name, module=operators):
+    """Record the arguments of every call of <module>.<name>."""
     calls = []
-    fn = getattr(operators, name)
+    fn = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(operators, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -370,17 +420,18 @@ def test_moving_faces_are_built_once_per_step_grid_time(monkeypatch):
 
 
 def test_a_stack_stacks_each_face_time_once(monkeypatch):
-    # each row's setup keeps its last faces, and so does the stack: two
-    # moving rows stack once per step grid time, and keep their lone bits
+    # the stepper keeps its last record: two moving rows get one record of
+    # the stack per step grid time, and keep their lone bits
     g = Grid(n=64, half_width=4.0)
     m0 = forward.gaussian(g)
     specs = [PERTURBED, GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
                                       DriftSpec.perturbed_power(1.0, 2.0, 0.5))]
     lone = [forward.solve(m0, spec, t_final=0.1, dt=1e-2, eps_boundary=1.0) for spec in specs]
-    stacked = spy_on(monkeypatch, "stack_faces")
+    stacked = spy_on(monkeypatch, "upwind_faces", forward)
     velocities = spy_on(monkeypatch, "face_velocities")
     runs = forward.solve_stack(m0, specs, t_final=0.1, dt=1e-2, eps_boundary=1.0)
     assert len(stacked) == len(step_grid_times(10, 1e-2)) == 21
+    assert all(args[0].shape == (2, g.n) for args in stacked)
     assert len(velocities) == 2 * 21
     for run, want in zip(runs, lone):
         assert_bitwise(run.final.values, want.final.values)
