@@ -2,12 +2,14 @@
 
 v(s) = u(t - s) satisfies  d/ds v + b . Dv = lambda0 Lap v + tr(Sigma^2 D^2 v)
 + I(x,[v]), marched here with a Lie split: one advection step, then the
-same diffusion stage the forward solver uses. The advection update is the
-exact matrix transpose of the forward donor flux; its two differences,
-v_i - v_{i+1} and v_{i-1} - v_i, are two views of one periodic difference
-array. The only duality mismatch between the two solvers is the
-splitting-order difference, which is O(dt^2) per step and Theta(dt)
-accumulated; it cannot hide a sign or stencil inconsistency.
+diffusion stage the forward solver uses, on a one-row stack of the stepper
+machinery both clocks share (``operators.StackStepper``). The advection
+update is the exact matrix transpose of the forward donor flux; its two
+differences, v_i - v_{i+1} and v_{i-1} - v_i, are read off the ring copy of
+-v that the forward flux also takes (``operators._ring``). The only duality
+mismatch between the two solvers is the splitting-order difference, which
+is O(dt^2) per step and Theta(dt) accumulated; it cannot hide a sign or
+stencil inconsistency.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from .generators import GeneratorSpec
 from .grids import Field, Grid
 from .norms import weighted_seminorm
-from .operators import RunGuard, StepSetup, _periodic_difference
+from .operators import RunGuard, StackStepper, StepSetup, _ring
 from .weights import WeightFunction
 
 __all__ = [
@@ -70,29 +72,33 @@ def tapered_linear(grid: Grid) -> Field:
 # stepping
 
 
-class _AdjointStepper:
-    """One Lie step of the backward clock. The step at s reads the drift at
-    forward time horizon - s."""
+class _BackwardStepper(StackStepper):
+    """One Lie step of the backward clock on a (rows, n) stack, its drift
+    read at forward time t. Its face record is the split max(w_i, 0),
+    min(w_{i-1}, 0): it reads no donors."""
 
-    def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, horizon: float):
-        self.stage = StepSetup(spec, grid, dt, substep=1.0, where=" in adjoint advection")
-        self.grid = grid
-        self.dt = dt
-        self.horizon = horizon
+    def _record(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the ring copy (``_ring``) of each row of w is w_{n-1}, w_0, ..., w_{n-1}, w_0
+        ring = w.take(_ring(*w.shape)).reshape(len(w), -1)
+        return np.maximum(ring[:, 1:-1], 0.0), np.minimum(ring[:, :-2], 0.0)
 
-    def _advect(self, v: np.ndarray, s: float) -> np.ndarray:
+    def _advect(self, v: np.ndarray, t: float) -> np.ndarray:
         # exact transpose of the forward donor update
         #   m_i <- m_i - rho (wp_i m_i + wm_i m_{i+1} - wp_{i-1} m_{i-1} - wm_{i-1} m_i)
-        # with e[k] = v[k-1] - v[k] (one periodic difference array, of -v),
-        # v_i - v_{i+1} is e[1:] and v_{i-1} - v_i is e[:-1]
-        wp, wm_prev = self.stage.transpose_split(self.horizon - s)
-        rho = self.dt / self.grid.dx
-        e = _periodic_difference(-v)
-        return v - rho * (wp * e[1:] + wm_prev * e[:-1])
+        # with e the ring copy of -v, d[k] = e[k+1] - e[k] = v[k-1] - v[k], k = 0..n:
+        # v - rho * (wp * d[1:] + wm_prev * d[:-1]), formed in place
+        wp, wm_prev = self.faces(t)
+        e = v.take(_ring(*v.shape)).reshape(len(v), -1)
+        np.negative(e, out=e)
+        d = e[:, 1:] - e[:, :-1]
+        du = wp * d[:, 1:]
+        du += wm_prev * d[:, :-1]
+        du *= self.dt / self.grid.dx
+        return np.subtract(v, du, out=du)
 
-    def step(self, v: np.ndarray, s: float) -> np.ndarray:
-        v = self._advect(v, s)
-        return self.stage.diffuse(v, adjoint=False)
+    def step(self, v: np.ndarray, t: float) -> np.ndarray:
+        v = self._advect(v, t)
+        return self.diffuse(v, adjoint=False)
 
 
 @dataclass(frozen=True)
@@ -123,21 +129,21 @@ def solve_backward(
     time t = s_final - s.
     """
     grid = xi.grid
-    stepper = _AdjointStepper(spec, grid, dt, s_final)
+    stepper = _BackwardStepper([StepSetup(spec, grid, dt, where=" in adjoint advection")])
     guard = RunGuard(dt, s_final, record_every, clock="s")
 
     times, profiles, sup = [], [], []
-    v = xi.values.copy()
+    v = xi.values[None, :]  # a one-row stack
     s = 0.0
 
     def record():
         sup.append(guard.check_blow_up(v, s))
         times.append(s)
-        profiles.append(Field(grid, v, s))
+        profiles.append(Field(grid, v[0], s))
 
     record()
     for k in range(1, guard.n_steps + 1):
-        v = stepper.step(v, s)
+        v = stepper.step(v, s_final - s)
         s = k * dt
         if guard.records(k):
             record()

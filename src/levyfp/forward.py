@@ -31,11 +31,10 @@ from .norms import weighted_tv_norm
 from .operators import (
     NumericalFailure,
     RunGuard,
+    StackStepper,
     StepSetup,
-    UpwindFaces,
     divergence_of_flux,
     transport_flux,
-    upwind_faces,
 )
 
 __all__ = [
@@ -104,48 +103,14 @@ def smooth_bump(grid: Grid, center: float = 0.0, width: float = 1.0) -> Field:
 _SUBSTEP = 0.5  # two RK substeps of dt/2 per transport half
 
 
-class _Stepper:
+class _Stepper(StackStepper):
     """One Strang step of a (rows, n) stack of runs that share grid, dt and
-    limiter, row r that of the StepSetup ``stages[r]``.
-
-    ``diffusion_factor`` stacks the rows' factors, and ``sigma_squared`` the
-    Sigma^2 of the rows in ``variable_rows`` only, so that the other rows
-    keep their bits (adding a zero term would turn -0.0 into 0.0). The
-    stack's face record is one ``upwind_faces`` call over a (rows, n)
-    velocity array: once when every drift is static, else once per face
-    time, after the ``moving`` rows write their velocities into it.
-    """
+    limiter. It asks for faces at t + dt/2 twice in a row, and the next step
+    starts where this one ended, so the memo builds each face time once."""
 
     def __init__(self, stages: list, limiter: str):
-        self.stages = stages
-        self.grid, self.dt = stages[0].grid, stages[0].dt
+        super().__init__(stages)
         self.limiter = limiter
-        self.diffusion_factor = np.stack([s.diffusion_factor for s in stages])
-        self.variable_rows = [r for r, s in enumerate(stages) if s.sigma_squared is not None]
-        self.sigma_squared = (np.stack([stages[r].sigma_squared for r in self.variable_rows])
-                              if self.variable_rows else None)
-        self.moving = [r for r, s in enumerate(stages) if s.static_w is None]
-        self._w = np.array([s.static_w if s.static_w is not None else np.zeros(self.grid.n) for s in stages])
-        self._faces = None if self.moving else upwind_faces(self._w, self.grid.dx)
-        self._faces_t = None
-
-    def faces(self, t: float) -> UpwindFaces:
-        """The stack's face record at forward time t. A Strang step asks for
-        t + dt/2 twice in a row, and the next step starts at the time this
-        one ended, so moving faces keep their last record. When a row's
-        faces raise NumericalFailure, its ``row`` names that row."""
-        if not self.moving or self._faces_t == t:
-            return self._faces
-        for r in self.moving:
-            try:
-                self._w[r] = self.stages[r].moving_w(t)
-            except NumericalFailure as exc:
-                exc.row = r
-                raise
-        self._faces, self._faces_t = upwind_faces(self._w, self.grid.dx), t
-        return self._faces
-
-    diffuse = StepSetup.diffuse
 
     def _transport_half(self, m: np.ndarray, t: float, t_end: float) -> np.ndarray:
         # SSP-RK2 over dt/2, from t to t_end, for d/dt m + div(w m) = 0, each
@@ -310,16 +275,17 @@ def solve_stack(
     m = np.repeat(m0.values[None, :], len(live), axis=0)
     t = m0.t
 
-    def restack(failed: dict, stages: list):
-        # the rows in failed (row -> NumericalFailure) leave; the stepper and
-        # the state of the rest
-        nonlocal live, m, stepper
+    def restack(failed: dict):
+        # the rows in failed (row -> NumericalFailure) leave the state and
+        # the stepper, which keeps the face memo of the rest
+        nonlocal live, m
         keep = [r for r in range(len(live)) if r not in failed]
         for r, exc in failed.items():
             results[live[r]] = exc
         m = m[keep]
         live = [live[r] for r in keep]
-        stepper = _Stepper([stages[r] for r in keep], limiter) if live else None
+        if live:
+            stepper.keep(keep)
 
     def record(k: int):
         failed = {}
@@ -329,10 +295,9 @@ def solve_stack(
             except NumericalFailure as exc:
                 failed[r] = exc
         if failed:
-            restack(failed, stepper.stages)
+            restack(failed)
 
-    stepper = None
-    restack({}, stages)
+    stepper = _Stepper(stages, limiter) if live else None
     record(0)
     k = 0
     while live and k < guard.n_steps:
@@ -340,7 +305,7 @@ def solve_stack(
         try:
             stepped = stepper.step(m, t, t_next)
         except NumericalFailure as exc:
-            restack({exc.row: exc}, stepper.stages)  # the others take the step again
+            restack({exc.row: exc})  # the others take the step again
             continue
         m, k, t = stepped, k + 1, t_next
         if guard.records(k):

@@ -42,6 +42,7 @@ __all__ = [
     "UpwindFaces",
     "upwind_faces",
     "StepSetup",
+    "StackStepper",
     "RunGuard",
     "LIMITERS",
 ]
@@ -71,15 +72,6 @@ def face_velocities(grid: Grid, drift, t: float, steady: np.ndarray | None = Non
     if steady is None:
         return -np.asarray(drift(t, x), dtype=float)
     return -(steady + drift.wave(t, x))
-
-
-def _periodic_difference(m: np.ndarray) -> np.ndarray:
-    """d[k] = m[k] - m[k-1] for k = 0..n of an (n,) array, indices mod n,
-    so d[0] = d[n]."""
-    d = np.empty(m.size + 1)
-    np.subtract(m[1:], m[:-1], out=d[1:-1])
-    d[0] = d[-1] = m[0] - m[-1]
-    return d
 
 
 _RINGS: dict = {}  # (rows, n) -> ring indices
@@ -221,12 +213,6 @@ def _second_difference(p: np.ndarray, dx: float) -> np.ndarray:
     return (q[..., 2:] - 2.0 * p + q[..., :-2]) / dx**2
 
 
-def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max(w, 0) and min(w, 0) shifted one cell on (entry i is min(w_{i-1}, 0))."""
-    wm = np.minimum(w, 0.0)
-    return np.maximum(w, 0.0), np.concatenate((wm[-1:], wm[:-1]))
-
-
 # ---------------------------------------------------------------------------
 # setup shared by the forward and backward time steppers
 
@@ -234,7 +220,7 @@ def _upwind_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NumericalFailure(RuntimeError):
     """A run left its validity envelope (CFL, stability, boundary mass).
 
-    ``row`` is the row of the forward stepper's stack whose moving faces
+    ``row`` is the row of a ``StackStepper``'s stack whose moving faces
     raised it; every other failure, and a lone run's, is row 0."""
 
     row = 0
@@ -290,20 +276,16 @@ class RunGuard:
 
 
 class StepSetup:
-    """Operator pieces of one time step of either clock for a fixed (spec, grid, dt).
-
-    ``diffuse`` applies constant-coefficient diffusion and the jump part by
-    one real FFT pair (rfft/irfft) with ``diffusion_factor``
-    exp(-dt (lambda0 xi^2 + symbol(xi))) on the n//2 + 1 half spectrum, the
-    exact symbol of every measure in the exponent.
-    Faces are in forward time. The explicit pieces are checked at setup, the
-    advection against the CFL bound for a step of ``substep * dt``: a static
-    drift's velocities ``static_w`` once, a time-dependent one's on every
-    face array ``moving_w`` builds, so over exactly the times a run steps
-    through. ``where`` names the clock in the messages. A drift with a
-    ``steady`` part has it evaluated at the faces once here; each moving
-    face array then adds only its wave.
-    """
+    """The per-spec pieces of a time step of either clock for a fixed (spec,
+    grid, dt): ``diffusion_factor`` exp(-dt (lambda0 xi^2 + symbol(xi))) on
+    the n//2 + 1 half spectrum of rfft, the exact symbol of every measure in
+    the exponent; Sigma^2; a static drift's velocities ``static_w``, or a
+    moving drift's steady part at the faces, so that each face array
+    ``moving_w`` builds adds only its wave; and the two gates. Faces are in
+    forward time. The advection is checked against the CFL bound for a step
+    of ``substep * dt`` on every face array, so over exactly the times a run
+    steps through; the variable diffusion once. ``where`` names the clock in
+    the messages."""
 
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, substep: float = 1.0, where: str = ""):
         if dt <= 0:
@@ -317,13 +299,11 @@ class StepSetup:
         xi = grid.wavenumber_magnitude[: grid.n // 2 + 1]  # the half spectrum of rfft
         self.diffusion_factor = np.exp(-dt * (diffusion.lambda0 * xi**2 + spec.levy.symbol(xi)))
         self.sigma_squared = diffusion.sigma_squared(grid.nodes) if diffusion.has_variable_part else None
-        self.variable_rows = ...  # the rows diffuse gives the variable term: all of a lone array
-        self.static_w = self.static_split = self._steady = None
+        self.static_w = self._steady = None
         if not spec.is_time_dependent:
             w = face_velocities(grid, spec.drift, 0.0)
             self._check_cfl(w)
             self.static_w = w
-            self.static_split = _upwind_split(w)
         elif spec.drift.steady is not None:
             self._steady = spec.drift.steady(_face_points(grid))
         self._check_variable_diffusion()
@@ -352,21 +332,62 @@ class StepSetup:
         self._check_cfl(w, t)
         return w
 
-    def transpose_split(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(max(w, 0), min(w, 0) one cell on) at forward time t: entry i of the
-        second is min(w_{i-1}, 0), as the backward advection reads it. The
-        backward clock never asks twice for one time and reads no donors, so
-        a moving drift's velocities skip the face record."""
-        if self.static_split is not None:
-            return self.static_split
-        return _upwind_split(self.moving_w(t))
+
+class StackStepper:
+    """What a step of either clock shares on a (rows, n) stack of runs with
+    one grid and dt, row r that of the StepSetup ``stages[r]``: the diffusion
+    stage and the face memo. ``diffusion_factor`` stacks the rows' factors,
+    and ``sigma_squared`` the Sigma^2 of the ``variable_rows`` only, so that
+    the other rows keep their bits (adding a zero term would turn -0.0 into
+    0.0). The face record, ``_record`` of the (rows, n) velocity stack, is
+    built once when every drift is static, else once per face time, after
+    the ``moving`` rows write their velocities into it."""
+
+    def __init__(self, stages: list):
+        self.stages = stages
+        self.grid, self.dt = stages[0].grid, stages[0].dt
+        self.diffusion_factor = np.stack([s.diffusion_factor for s in stages])
+        self.variable_rows = [r for r, s in enumerate(stages) if s.sigma_squared is not None]
+        self.sigma_squared = (np.stack([stages[r].sigma_squared for r in self.variable_rows])
+                              if self.variable_rows else None)
+        self.moving = [r for r, s in enumerate(stages) if s.static_w is None]
+        self._w = np.array([s.static_w if s.static_w is not None else np.zeros(self.grid.n) for s in stages])
+        self._faces = None if self.moving else self._record(self._w)
+        self._faces_t = None
+
+    def _record(self, w: np.ndarray) -> UpwindFaces:  # the forward clock's: the upwind donors
+        return upwind_faces(w, self.grid.dx)
+
+    def faces(self, t: float):
+        """The stack's face record at forward time t. Moving faces keep their
+        last record, for a clock that asks for one time twice in a row. When
+        a row's faces raise NumericalFailure, its ``row`` names that row, and
+        the memo, half rewritten, is dropped."""
+        if not self.moving or self._faces_t == t:
+            return self._faces
+        for r in self.moving:
+            try:
+                self._w[r] = self.stages[r].moving_w(t)
+            except NumericalFailure as exc:
+                exc.row, self._faces_t = r, None
+                raise
+        self._faces, self._faces_t = self._record(self._w), t
+        return self._faces
+
+    def keep(self, rows: list):
+        """Drop every row but ``rows``, which keep their order, face velocities
+        and memo time: the record is rebuilt from them, with no new face
+        array and no new CFL check."""
+        w, faces_t = self._w[rows], self._faces_t
+        StackStepper.__init__(self, [self.stages[r] for r in rows])
+        if self.moving and faces_t is not None:
+            self._w, self._faces, self._faces_t = w, self._record(w), faces_t
 
     def diffuse(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
-        """Diffusion and jumps over dt, then the explicit variable-Sigma term
+        """Diffusion and jumps over dt on a (rows, n) stack, by one real FFT
+        pair with the stacked factors, then the explicit variable-Sigma term
         (adjoint=True: its Fokker-Planck form, for the forward clock) on
-        ``variable_rows``. Both transforms run along the last axis, so the
-        forward stepper's (rows, n) stack, with its stacked factors, takes
-        this same body."""
+        ``variable_rows``."""
         spectrum = np.fft.rfft(values)
         spectrum *= self.diffusion_factor
         out = np.fft.irfft(spectrum, self.grid.n)

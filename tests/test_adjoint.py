@@ -6,7 +6,7 @@ from quadrature_oracle import levy_integral_field
 
 from levyfp import operators
 from levyfp.adjoint import (
-    _AdjointStepper,
+    _BackwardStepper,
     duality_residual,
     oscillation_trace,
     ramp_profile,
@@ -18,7 +18,7 @@ from levyfp.adjoint import (
 from levyfp.forward import NumericalFailure, _run_stepper, gaussian, solve
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Field, Grid
-from levyfp.operators import divergence_of_flux, transport_flux
+from levyfp.operators import StepSetup, divergence_of_flux, transport_flux
 from levyfp.weights import WeightFunction
 
 GRID = Grid(n=1024, half_width=16.0)
@@ -113,7 +113,7 @@ def test_advection_step_is_exact_transpose_of_forward_flux():
     g = Grid(n=64, half_width=4.0)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
     dt = 0.125 * g.dx
-    stepper = _AdjointStepper(spec, g, dt, dt)
+    stepper = _BackwardStepper([StepSetup(spec, g, dt)])
     faces = _run_stepper(spec, g, dt, "off").faces(0.0)  # the forward stepper's one-row record
     fwd = np.zeros((g.n, g.n))
     adj = np.zeros((g.n, g.n))
@@ -121,7 +121,7 @@ def test_advection_step_is_exact_transpose_of_forward_flux():
         e = np.zeros((1, g.n))
         e[0, j] = 1.0
         (fwd[:, j],) = e - dt * divergence_of_flux(transport_flux(e, faces, g.dx, "off"), g.dx)
-        adj[:, j] = stepper._advect(e[0], 0.0)
+        (adj[:, j],) = stepper._advect(e, dt)  # the backward step's advection of a one-row stack
     assert np.abs(adj - fwd.T).max() == 0.0
 
 
@@ -135,9 +135,9 @@ def test_tempered_backward_step_matches_unfused_node_loop():
     )
     dt = 5e-4
     xi = tapered_linear(GRID)
-    ref = _AdjointStepper(spec, GRID, dt, dt)
+    ref = _BackwardStepper([StepSetup(spec, GRID, dt)])
     heat = np.exp(-dt * spec.diffusion.lambda0 * GRID.wavenumber_magnitude**2)
-    v = np.real(np.fft.ifft(heat * np.fft.fft(ref._advect(xi.values, 0.0))))
+    v = np.real(np.fft.ifft(heat * np.fft.fft(ref._advect(xi.values[None, :], dt)[0])))
     want = v + dt * levy_integral_field(Field(GRID, v), spec.levy).values
     got = solve_backward(xi, spec, s_final=dt, dt=dt).final.values
     assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
@@ -256,16 +256,16 @@ def test_backward_blow_up_is_raised_at_the_first_record_after_it(monkeypatch, ba
                                                                  raised_after):
     # as on the forward clock: checked at records, so raised at step 3 or 4
     steps = []
-    clean = _AdjointStepper.step
+    clean = _BackwardStepper.step
 
-    def poisoned(self, v, s):
-        steps.append(s)
-        out = clean(self, v, s).copy()
+    def poisoned(self, v, t):
+        steps.append(t)
+        out = clean(self, v, t).copy()
         if len(steps) == 3:
-            out[40] = bad
+            out[0, 40] = bad
         return out
 
-    monkeypatch.setattr(_AdjointStepper, "step", poisoned)
+    monkeypatch.setattr(_BackwardStepper, "step", poisoned)
     g = Grid(128, 8.0)
     with pytest.raises(NumericalFailure) as info:
         solve_backward(tanh_profile(g), OU, s_final=0.1, dt=0.01, record_every=record_every)

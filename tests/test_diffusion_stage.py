@@ -11,7 +11,7 @@ from quadrature_oracle import fourth_order_d2, impulse_response, levy_integral_f
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Field, Grid
 from levyfp.lyapunov import shell_quadrature_nodes
-from levyfp.operators import StepSetup, _variable_diffusion_term
+from levyfp.operators import StackStepper, StepSetup, _variable_diffusion_term
 
 # ---------------------------------------------------------------------------
 # oracles: the complex FFT pair and the np.roll stencils
@@ -88,20 +88,21 @@ def test_diffuse_matches_complex_pair(kind, variable, n):
     # the half factor is the complex pair's factor on the first n//2 + 1 modes
     assert setup.diffusion_factor.shape == (n // 2 + 1,)
     assert np.array_equal(setup.diffusion_factor, oracle_factor(setup)[: n // 2 + 1])
+    stepper = StackStepper([setup])  # both clocks diffuse a one-row stack through it
     rng = np.random.default_rng(30 + n)
     for adjoint in (True, False):
         for _ in range(5):
             v = rng.standard_normal(n)
             want = oracle_diffuse(setup, v, adjoint)
-            got = setup.diffuse(v, adjoint)
+            (got,) = stepper.diffuse(v[None, :], adjoint)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_diffuse_leaves_its_input_alone():
     setup = StepSetup(_spec("fractional", True), Grid(n=64, half_width=16.0), 1e-4)
-    v = np.random.default_rng(5).standard_normal(64)
+    v = np.random.default_rng(5).standard_normal((1, 64))
     keep = v.copy()
-    setup.diffuse(v, adjoint=True)
+    StackStepper([setup]).diffuse(v, adjoint=True)
     assert np.array_equal(v, keep)
 
 

@@ -1,8 +1,10 @@
 """Every name a module lists in ``__all__`` resolves on that module, no
 module imports a name it never uses, every parameter is read by its body and
-every dataclass field outside the unit tests, no two classes declare one
+every dataclass field outside the unit tests, every function, class and
+method is named by other code of the package, no two classes declare one
 field list, and importing levyfp loads neither scipy nor multiprocessing."""
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -230,3 +232,49 @@ def test_no_unread_fields():
     assert unread == [], "no reader outside the unit tests: " + ", ".join(unread)
     # an exemption whose field has gained a reader, or is gone, goes too
     assert sorted(found) == sorted(FIELDS_READ_BY_TESTS_ONLY)
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """Functions, classes and methods defined in ``sources`` (module name ->
+    source text), nested ones included, whose name no code outside their own
+    definition names: as a loaded name, as a loaded attribute, or as a string
+    constant (``__all__`` entries, ``getattr`` names). The match is by name
+    alone, across all the sources. Dunder methods, which Python calls, are
+    exempt."""
+    def named(node) -> collections.Counter:
+        return collections.Counter(
+            n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.value
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((named(tree) for tree in trees.values()), collections.Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and everywhere[node.name] == named(node)[node.name]):
+                found.append(f"{module}.{node.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_unreferenced_definition_check_sees_what_it_should():
+    sources = {
+        "a": "__all__ = ['f']\ndef f():\n    return g()\ndef g():\n    return 1\n"
+             "def h(n):\n    return h(n - 1)\nclass A:\n    def __init__(self):\n        self.m()\n"
+             "    def m(self):\n        def inner():\n            pass\n        return 'by_name'\n"
+             "    def by_name(self):\n        pass\n    def unused(self):\n        pass\n",
+        "b": "from a import A\nclass B(A):\n    def m(self):\n        pass\ndef k():\n    pass\nk = 1\n",
+    }
+    # a definition named only by itself (h), stored over (k) or never named is
+    # flagged; a method named through one class (m) is named for every class
+    assert unreferenced_definitions(sources) == [
+        "a.h (line 6)", "a.inner (line 12)", "a.unused (line 17)", "b.B (line 2)", "b.k (line 5)"]
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "levyfp").glob("*.py"))}
+    assert len(sources) > 10
+    assert unreferenced_definitions(sources) == []

@@ -1,14 +1,15 @@
 """Transport layer against its np.roll oracles: the limited upwind flux, its
 divergence and the backward advection must agree bit for bit, sign bits of
-zeros included, and so must whole forward and backward steps. A (rows, n)
-stack must give each row the bits of that row alone, whatever its
-neighbours hold."""
+zeros included, and so must whole forward and backward steps. The backward
+advection is also held to the retired one-dimensional code it replaced,
+NaN payloads included. A (rows, n) stack must give each row the bits of
+that row alone, whatever its neighbours hold."""
 import numpy as np
 import pytest
 
 import levyfp.forward as forward
 import levyfp.operators as operators
-from levyfp.adjoint import _AdjointStepper
+from levyfp.adjoint import _BackwardStepper
 from levyfp.forward import _run_stepper, _Stepper
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Grid
@@ -50,11 +51,26 @@ def oracle_divergence(flux, dx):
     return (flux - np.roll(flux, 1, axis=-1)) / dx
 
 
-def oracle_advect(stepper, v, s):
-    w = face_velocities(stepper.grid, stepper.stage.spec.drift, stepper.horizon - s)
+def oracle_advect(stepper, v, t):
+    w = face_velocities(stepper.grid, stepper.stages[0].spec.drift, t)
     wp, wm = np.maximum(w, 0.0), np.minimum(w, 0.0)
     rho = stepper.dt / stepper.grid.dx
-    return v - rho * (wp * (v - np.roll(v, -1)) + np.roll(wm, 1) * (np.roll(v, 1) - v))
+    return v - rho * (wp * (v - np.roll(v, -1, axis=-1)) + np.roll(wm, 1) * (np.roll(v, 1, axis=-1) - v))
+
+
+def retired_advect(stepper, v, t):
+    # the backward advection of an (n,) array before it read the ring copy:
+    # one periodic difference array e[k] = v[k-1] - v[k], k = 0..n, taken
+    # of -v, and max(w, 0) with min(w, 0) shifted one cell on
+    w = face_velocities(stepper.grid, stepper.stages[0].spec.drift, t)
+    wm = np.minimum(w, 0.0)
+    wp, wm_prev = np.maximum(w, 0.0), np.concatenate((wm[-1:], wm[:-1]))
+    m = -v
+    e = np.empty(m.size + 1)
+    np.subtract(m[1:], m[:-1], out=e[1:-1])
+    e[0] = e[-1] = m[0] - m[-1]
+    rho = stepper.dt / stepper.grid.dx
+    return v - rho * (wp * e[1:] + wm_prev * e[:-1])
 
 
 def assert_bitwise(got, want):
@@ -143,9 +159,19 @@ def _advect_stepper(n, rng, time_dependent):
     else:
         drift = DriftSpec(alpha=0.0, gamma=2.0, fn=lambda t, x: -w)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
-    # horizon 1: the moving faces reach 2 max|w|
+    # up to t = 1 the moving faces reach 2 max|w|
     dt = 0.2 * g.dx / (2.0 * np.abs(w).max())
-    return _AdjointStepper(spec, g, dt, 1.0)
+    return _BackwardStepper([StepSetup(spec, g, dt)])
+
+
+def extreme_field(rng, n):
+    # scales 1e-300 to 1e300, signed zeros, NaN and both infinities, each on n/16 cells
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    p = rng.permutation(n)
+    k = max(1, n // 16)
+    for j, value in enumerate((0.0, -0.0, np.nan, np.inf, -np.inf)):
+        x[p[j * k:(j + 1) * k]] = value
+    return x
 
 
 @pytest.mark.parametrize("n", SIZES[1:])  # Grid needs n >= 8
@@ -153,9 +179,17 @@ def _advect_stepper(n, rng, time_dependent):
 def test_advect_matches_roll_oracle(n, time_dependent):
     rng = np.random.default_rng(2000 + n)
     stepper = _advect_stepper(n, rng, time_dependent)
-    for s in (0.0, 0.25, 0.5):
+    for t in (1.0, 0.75, 0.5):
         v = random_field(rng, n)
-        assert_bitwise(stepper._advect(v, s), oracle_advect(stepper, v, s))
+        (got,) = stepper._advect(v[None, :], t)
+        assert_bitwise(got, oracle_advect(stepper, v, t))
+        # the retired code, bit for bit on ordinary fields and on fields of
+        # NaN, infinities and extreme scales, NaN payloads and sign bits included
+        assert_same_bits(got, retired_advect(stepper, v, t))
+        v = extreme_field(rng, n)
+        with np.errstate(all="ignore"):
+            (got,) = stepper._advect(v[None, :], t)
+            assert_same_bits(got, retired_advect(stepper, v, t))
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +234,11 @@ def test_static_faces_are_one_record_at_every_time():
 def test_backward_step_matches_oracle_step(monkeypatch, spec):
     g = Grid(n=256, half_width=8.0)
     rng = np.random.default_rng(4)
-    v = random_field(rng, g.n)
-    stepper = _AdjointStepper(spec, g, 2e-3, 1.0)
-    got = stepper.step(v, 0.25)
-    monkeypatch.setattr(_AdjointStepper, "_advect", oracle_advect)
-    assert_bitwise(got, stepper.step(v, 0.25))
+    v = random_field(rng, g.n)[None, :]
+    stepper = _BackwardStepper([StepSetup(spec, g, 2e-3)])
+    got = stepper.step(v, 0.75)
+    monkeypatch.setattr(_BackwardStepper, "_advect", oracle_advect)
+    assert_bitwise(got, stepper.step(v, 0.75))
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +421,16 @@ def test_junk_rows_do_not_leak_into_their_neighbours(limiter, junk):
 # moving faces: one face array per distinct time of the step grid
 
 
-def spy_on(monkeypatch, name, module=operators):
-    """Record the arguments of every call of <module>.<name>."""
+def spy_on(monkeypatch, name):
+    """Record the arguments of every call of operators.<name>."""
     calls = []
-    fn = getattr(module, name)
+    fn = getattr(operators, name)
 
     def spy(*args):
         calls.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(operators, name, spy)
     return calls
 
 
@@ -427,7 +461,7 @@ def test_a_stack_stacks_each_face_time_once(monkeypatch):
     specs = [PERTURBED, GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
                                       DriftSpec.perturbed_power(1.0, 2.0, 0.5))]
     lone = [forward.solve(m0, spec, t_final=0.1, dt=1e-2, eps_boundary=1.0) for spec in specs]
-    stacked = spy_on(monkeypatch, "upwind_faces", forward)
+    stacked = spy_on(monkeypatch, "upwind_faces")
     velocities = spy_on(monkeypatch, "face_velocities")
     runs = forward.solve_stack(m0, specs, t_final=0.1, dt=1e-2, eps_boundary=1.0)
     assert len(stacked) == len(step_grid_times(10, 1e-2)) == 21
@@ -435,3 +469,25 @@ def test_a_stack_stacks_each_face_time_once(monkeypatch):
     assert len(velocities) == 2 * 21
     for run, want in zip(runs, lone):
         assert_bitwise(run.final.values, want.final.values)
+
+
+def test_a_restack_keeps_the_face_memo(monkeypatch):
+    # the static row 0 fails the band at t=0.02 and leaves the stack; the
+    # moving row marches on with the face velocities and memo time it had,
+    # so it builds exactly the face arrays of its lone run and keeps its bits
+    g = Grid(n=256, half_width=8.0)
+    m0 = forward.gaussian(g)
+    moving = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.9),
+                           DriftSpec.perturbed_power(1.0, 1.5, 0.3))
+    heavy = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.1), DriftSpec.ou(1.0))
+    clock = dict(t_final=0.06, dt=4e-3, eps_boundary=3e-4)
+    calls = spy_on(monkeypatch, "face_velocities")
+    lone = forward.solve(m0, moving, **clock)
+    assert sorted(args[2] for args in calls) == step_grid_times(15, 4e-3)
+    alone = len(calls)
+    calls.clear()
+    failed, run = forward.solve_stack(m0, [heavy, moving], **clock)
+    assert isinstance(failed, forward.NumericalFailure) and "at t=0.02:" in str(failed)
+    assert len([args for args in calls if args[1] is moving.drift]) == alone == 31
+    assert_bitwise(run.final.values, lone.final.values)
+    assert_bitwise(run.boundary_mass, lone.boundary_mass)
