@@ -360,18 +360,22 @@ class StackStepper:
 
     def faces(self, t: float):
         """The stack's face record at forward time t. Moving faces keep their
-        last record, for a clock that asks for one time twice in a row. When
+        last record, for a clock that asks for one time twice in a row. The
+        moving rows write their velocities into a scratch copy, which
+        replaces the memo only once every row has passed the CFL check. When
         a row's faces raise NumericalFailure, its ``row`` names that row, and
-        the memo, half rewritten, is dropped."""
+        the memo still holds the last time it was built for, from which the
+        rows that stay retake the step."""
         if not self.moving or self._faces_t == t:
             return self._faces
+        w = self._w.copy()
         for r in self.moving:
             try:
-                self._w[r] = self.stages[r].moving_w(t)
+                w[r] = self.stages[r].moving_w(t)
             except NumericalFailure as exc:
-                exc.row, self._faces_t = r, None
+                exc.row = r
                 raise
-        self._faces, self._faces_t = self._record(self._w), t
+        self._w, self._faces, self._faces_t = w, self._record(w), t
         return self._faces
 
     def keep(self, rows: list):

@@ -17,6 +17,13 @@ can be mapped over a thread pool: numpy releases the interpreter lock in the
 PCG fill and in the ufuncs, and the bytes do not depend on the worker
 count.
 
+The Gaussian and stable samplers make no sin or cos call: every angle
+comes from the tangent of its half, by the half-angle identities. On x86-64
+with AVX-512, numpy runs float64 tan through a vector loop but sin and cos
+through scalar libm, which costs them 4-5 times as much per element.
+The half-angle forms keep the exact offsets u - 1/2 and 1/2 - |u - 1/2| of a
+stream word, which also keeps the stable draw accurate next to u = 0 and 1.
+
 Only a tempered kernel needs scipy, for the compound-Poisson rate and its
 Poisson tail; it is imported when such a kernel's jumps are set up, so
 fractional and jump-free runs load numpy alone.
@@ -72,16 +79,28 @@ def _uniforms(seed: int, stream: int, start: int, count: int, stride: int) -> np
     return np.random.Generator(bg).random(count * stride).reshape(count, stride)
 
 
+# cos(theta) at u_angle = 0, where the half-angle form gives 0: the value
+# cos(pi (0 - 1/2)) takes in floating point, so that word's draw stays finite
+_COS_EDGE = math.cos(-0.5 * math.pi)
+
+
 def _gaussians(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """sqrt(-2 log1p(-u1)) * cos(2 pi u2), evaluated in place in that order.
-    Box-Muller: fixed two-word consumption, unlike the ziggurat."""
+    """sqrt(-2 log1p(-u1)) * cos(2 pi u2), Box-Muller: fixed two-word
+    consumption, unlike the ziggurat. The cosine comes from the half-angle
+    tangent t = tan(pi (u2 - 1/2)) as (t^2 - 1) / (t^2 + 1), with no sin or
+    cos call (see the module docstring). Evaluated in place in that order."""
     r = np.negative(u1)
     np.log1p(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    c = np.multiply(u2, 2.0 * np.pi)
-    np.cos(c, out=c)
-    r *= c
+    t = np.subtract(u2, 0.5)
+    t *= np.pi
+    np.tan(t, out=t)
+    s = np.multiply(t, t)
+    np.subtract(s, 1.0, out=t)
+    s += 1.0
+    t /= s
+    r *= t
     return r
 
 
@@ -89,24 +108,48 @@ def _stable_cms(sigma: float, u_angle: np.ndarray, u_exp: np.ndarray) -> np.ndar
     """Symmetric sigma-stable variate with characteristic function
     e^{-|xi|^sigma}, by the Chambers-Mallows-Stuck construction:
     sin(sigma th) / cos(th)^(1/sigma) * (cos((1-sigma) th) / w)^((1-sigma)/sigma)
-    with th = pi (u_angle - 0.5) and w = max(-log1p(-u_exp), 1e-12), each
-    operation done in place in that order."""
-    theta = np.subtract(u_angle, 0.5)
-    theta *= np.pi
-    w = np.negative(u_exp)
-    np.log1p(w, out=w)
-    np.negative(w, out=w)
-    np.maximum(w, 1e-12, out=w)
-    a = np.multiply(theta, sigma)
-    np.sin(a, out=a)
-    c = np.cos(theta)
-    c **= 1.0 / sigma
-    a /= c
-    theta *= 1.0 - sigma
-    np.cos(theta, out=theta)
-    theta /= w
-    theta **= (1.0 - sigma) / sigma
-    a *= theta
+    with th = pi h, h = u_angle - 1/2, and w = max(-log1p(-u_exp), 1e-12).
+
+    The three angles come from half-angle tangents, with no sin or cos call:
+    sin(sigma th) = 2a / (1 + a^2) with a = tan(sigma pi h / 2),
+    cos((1-sigma) th) = (1 - c^2) / (1 + c^2) with c = tan((1-sigma) pi h / 2),
+    and cos(th) = sin(pi m) = 2b / (1 + b^2) with b = tan(pi m / 2),
+    m = 1/2 - |h|. h and m are exact for stream words k 2^-53, so near
+    u_angle = 0 and 1 cos(th) keeps its relative accuracy instead of
+    inheriting the rounding of pi/2. At u_angle = 0, where cos(th) is 0,
+    it is clamped to _COS_EDGE. Every operation is done in place in the
+    order written, on at most four chunk-length temporaries."""
+    h = np.subtract(u_angle, 0.5)
+    b = np.abs(h)
+    np.subtract(0.5, b, out=b)
+    b *= 0.5 * np.pi
+    np.tan(b, out=b)
+    d = np.multiply(b, b)
+    d += 1.0
+    b += b
+    b /= d
+    np.maximum(b, _COS_EDGE, out=b)
+    b **= 1.0 / sigma  # cos(th)^(1/sigma)
+    a = np.multiply(h, 0.5 * sigma * np.pi)
+    np.tan(a, out=a)
+    np.multiply(a, a, out=d)
+    d += 1.0
+    a += a
+    a /= d
+    a /= b  # sin(sigma th) / cos(th)^(1/sigma)
+    h *= 0.5 * (1.0 - sigma) * np.pi
+    np.tan(h, out=h)
+    np.multiply(h, h, out=b)
+    np.subtract(1.0, b, out=h)
+    b += 1.0
+    h /= b  # cos((1-sigma) th)
+    np.negative(u_exp, out=d)
+    np.log1p(d, out=d)
+    np.negative(d, out=d)
+    np.maximum(d, 1e-12, out=d)
+    h /= d
+    h **= (1.0 - sigma) / sigma
+    a *= h
     return a
 
 
@@ -251,49 +294,65 @@ class _ParticleStepper:
         self.columns = cols
         self.stride = c
 
-    def move(self, x: np.ndarray, t: float, u: np.ndarray, out: np.ndarray,
-             gauss_flip: np.ndarray | None = None,
-             jump_threshold: np.ndarray | None = None) -> None:
-        """One Euler increment from the uniform block u, written to out.
-        gauss_flip negates the lambda0 Brownian (and small-jump proxy) rows
-        where set; jump_threshold reflects jump increments below min(1, r/2)
-        row-wise. Both default to the plain synchronous move."""
-        spec, dt = self.spec, self.dt
-        np.subtract(x, spec.drift(t, x) * dt, out=out)
-        cols = self.columns
+    def increments(self, u: np.ndarray) -> list:
+        """The random increments of one step, drawn once from the uniform
+        block u, in the order ``move`` adds them: (kind, values) pairs with
+        kind "gauss" (a scaled Brownian or small-jump proxy term), "variable"
+        (a unit Gaussian, which move scales by sqrt(2 dt Sigma^2(x))), "jump"
+        (a scaled stable increment) or "jumps" (the (n, _JUMP_CAP) signed
+        tempered jumps, inactive slots zero)."""
+        spec, dt, cols = self.spec, self.dt, self.columns
+        terms = []
         if "brownian" in cols:
             j = cols["brownian"]
             g = _gaussians(u[:, j], u[:, j + 1])
-            if gauss_flip is not None:
-                g = np.where(gauss_flip, -g, g)
             g *= math.sqrt(2.0 * spec.diffusion.lambda0 * dt)
-            out += g
+            terms.append(("gauss", g))
         if "variable" in cols:
             j = cols["variable"]
-            g = _gaussians(u[:, j], u[:, j + 1])
-            s = np.sqrt(spec.diffusion.sigma_squared(x))
-            s *= math.sqrt(2.0 * dt)
-            s *= g
-            out += s
+            terms.append(("variable", _gaussians(u[:, j], u[:, j + 1])))
         if "stable" in cols:
             j = cols["stable"]
             inc = _stable_cms(spec.levy.sigma, u[:, j], u[:, j + 1])
             inc *= (spec.levy.scale * dt) ** (1.0 / spec.levy.sigma)
-            if jump_threshold is not None:
-                inc = np.where(np.abs(inc) < jump_threshold, -inc, inc)
-            out += inc
+            terms.append(("jump", inc))
         if self.tempered is not None:
             j = cols["small"]
             g = _gaussians(u[:, j], u[:, j + 1])
-            if gauss_flip is not None:
-                g = np.where(gauss_flip, -g, g)
             g *= math.sqrt(self.tempered.small_variance * dt)
-            out += g
-            jumps = self.tempered.draw(u[:, cols["count"]],
-                                       u[:, cols["sizes"]:cols["sizes"] + 2 * _JUMP_CAP])
-            if jump_threshold is not None:
-                jumps = np.where(np.abs(jumps) < jump_threshold[:, None], -jumps, jumps)
-            out += jumps.sum(axis=1)
+            terms.append(("gauss", g))
+            terms.append(("jumps", self.tempered.draw(
+                u[:, cols["count"]], u[:, cols["sizes"]:cols["sizes"] + 2 * _JUMP_CAP])))
+        return terms
+
+    def move(self, x: np.ndarray, t: float, terms: list, out: np.ndarray,
+             reflect_below: np.ndarray | None = None) -> None:
+        """x minus drift(t, x) dt plus the increments ``terms`` (from
+        ``increments``, left unchanged), written to out. With reflect_below,
+        the reflected move of a coupled pair's Y: the "gauss" terms are
+        negated, and each jump increment below reflect_below in size, row by
+        row. Negation is exact, so both moves of a pair read one draw and
+        give the bits of two separate draws."""
+        np.subtract(x, self.spec.drift(t, x) * self.dt, out=out)
+        for kind, v in terms:
+            if kind == "gauss":
+                if reflect_below is None:
+                    out += v
+                else:
+                    out -= v
+            elif kind == "variable":
+                s = np.sqrt(self.spec.diffusion.sigma_squared(x))
+                s *= math.sqrt(2.0 * self.dt)
+                s *= v
+                out += s
+            elif kind == "jump":
+                if reflect_below is not None:
+                    v = np.where(np.abs(v) < reflect_below, -v, v)
+                out += v
+            else:  # "jumps"
+                if reflect_below is not None:
+                    v = np.where(np.abs(v) < reflect_below[:, None], -v, v)
+                out += v.sum(axis=1)
 
     @property
     def cap_excess(self) -> float | None:
@@ -357,7 +416,7 @@ def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
 
     def advance(i0: int, i1: int):
         u = _uniforms(ens.seed, k, i0, i1 - i0, stepper.stride)
-        stepper.move(ens.positions[i0:i1], t, u, out=new[i0:i1])
+        stepper.move(ens.positions[i0:i1], t, stepper.increments(u), out=new[i0:i1])
         RunGuard.check_positions(new[i0:i1], t_new)
 
     _for_chunks(advance, ens.n_particles, _pool)
@@ -463,7 +522,9 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
     pair is apart, jump increments are reflected only below min(1, r/2) and
     synchronized above, and a pair couples once |X - Y| < eps_couple, after
     which it moves as one. Pairs are stepped in chunks on a thread pool as in
-    simulate: each chunk draws one uniform block that moves both X and Y."""
+    simulate: each chunk draws one uniform block and turns it into increments
+    once; X moves by them, a coupled Y copies X's new position, and only the
+    pairs still apart move Y by the reflected increments."""
     _check_seed(seed)
     stepper = _ParticleStepper(spec, dt)
     guard = RunGuard(dt, t_final, record_every)
@@ -483,17 +544,23 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
 
             def advance(i0: int, i1: int):
                 u = _uniforms(seed, k, i0, i1 - i0, stepper.stride)
-                c = coupled[i0:i1]
+                terms = stepper.increments(u)
                 xs, ys = x_new[i0:i1], y_new[i0:i1]
-                thr = np.where(c, 0.0, np.minimum(1.0, 0.5 * np.abs(x[i0:i1] - y[i0:i1])))
-                stepper.move(x[i0:i1], t, u, out=xs)
-                stepper.move(y[i0:i1], t, u, out=ys, gauss_flip=~c, jump_threshold=thr)
-                meet = ~c & (np.abs(xs - ys) < eps_couple)
-                ys[meet] = xs[meet]
-                t_couple[i0:i1][meet] = t_new
-                c |= meet
+                stepper.move(x[i0:i1], t, terms, out=xs)
                 guard.check_positions(xs, t_new)
-                guard.check_positions(ys, t_new)
+                ys[:] = xs  # a coupled pair moves as one
+                apart = np.flatnonzero(~coupled[i0:i1])
+                ya = y[i0:i1][apart]
+                reflect_below = np.minimum(1.0, 0.5 * np.abs(x[i0:i1][apart] - ya))
+                ya_new = np.empty_like(ya)
+                stepper.move(ya, t, [(kind, v[apart]) for kind, v in terms], out=ya_new,
+                             reflect_below=reflect_below)
+                guard.check_positions(ya_new, t_new)
+                meet = np.abs(xs[apart] - ya_new) < eps_couple
+                ys[apart[~meet]] = ya_new[~meet]
+                met = apart[meet]
+                t_couple[i0:i1][met] = t_new
+                coupled[i0:i1][met] = True
 
             _for_chunks(advance, n_pairs, pool)
             t = t_new

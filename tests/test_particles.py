@@ -11,6 +11,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+try:
+    import mpmath
+except ImportError:  # the 50-digit reference tests need it; nothing else does
+    mpmath = None
+
 from levyfp.forward import gaussian
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Grid
@@ -253,10 +258,30 @@ def uniforms_oracle(seed, stream, start, count, stride):
 
 
 def gaussians_oracle(u1, u2):
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    t = np.tan(np.pi * (u2 - 0.5))
+    return np.sqrt(-2.0 * np.log1p(-u1)) * ((t * t - 1.0) / (t * t + 1.0))
 
 
 def stable_cms_oracle(sigma, u_angle, u_exp):
+    h = u_angle - 0.5
+    b = np.tan(0.5 * np.pi * (0.5 - np.abs(h)))
+    cos_theta = np.maximum((b + b) / (b * b + 1.0), particles._COS_EDGE)
+    a = np.tan(0.5 * sigma * np.pi * h)
+    c = np.tan(0.5 * (1.0 - sigma) * np.pi * h)
+    w = np.maximum(-np.log1p(-u_exp), 1e-12)
+    return ((a + a) / (a * a + 1.0) / cos_theta ** (1.0 / sigma)
+            * ((1.0 - c * c) / (c * c + 1.0) / w) ** ((1.0 - sigma) / sigma))
+
+
+# the direct trigonometric forms the half-angle kernels replaced: oracles
+# for the law, close in value away from the edge words, not in bits
+
+
+def gaussians_retired(u1, u2):
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def stable_cms_retired(sigma, u_angle, u_exp):
     theta = np.pi * (u_angle - 0.5)
     w = np.maximum(-np.log1p(-u_exp), 1e-12)
     a = np.sin(sigma * theta) / np.cos(theta) ** (1.0 / sigma)
@@ -437,7 +462,10 @@ def kernel_inputs():
     return (np.concatenate([u[:, 0], ea.ravel()]), np.concatenate([u[:, 1], eb.ravel()]))
 
 
-@pytest.mark.parametrize("sigma", [0.3, 0.5, 2.0 / 3.0, 0.7, 1.0, 1.5, 1.9, 1.99])
+CMS_SIGMAS = [0.3, 0.5, 2.0 / 3.0, 0.7, 1.0, 1.5, 1.9, 1.99]
+
+
+@pytest.mark.parametrize("sigma", CMS_SIGMAS)
 def test_stable_cms_matches_oracle_bitwise(sigma):
     u1, u2 = kernel_inputs()
     assert_bitwise(_stable_cms(sigma, u1, u2), stable_cms_oracle(sigma, u1, u2))
@@ -449,6 +477,99 @@ def test_stable_cms_matches_oracle_bitwise(sigma):
 def test_gaussians_match_oracle_bitwise():
     u1, u2 = kernel_inputs()
     assert_bitwise(_gaussians(u1, u2), gaussians_oracle(u1, u2))
+
+
+@pytest.mark.parametrize("sigma", CMS_SIGMAS)
+def test_stable_cms_is_finite_at_the_edge_words(sigma):
+    # u_angle = 0 puts cos(theta) at 0, which the kernel clamps to the value
+    # the direct form gave there; 1 - 2**-53 is the other end of the stream
+    edges = np.array([0.0, 1.0 - 2.0**-53])
+    for u_exp in (0.0, 0.5, 1.0 - 2.0**-53):
+        assert np.isfinite(_stable_cms(sigma, edges, np.full(2, u_exp))).all()
+    assert particles._COS_EDGE == np.cos(np.pi * (0.0 - 0.5))
+
+
+# words where the direct forms lose digits: next to u_angle = 0 and 1, and
+# at u2 = 1/4, where cos(2 pi u2) is 0
+ACCURACY_WORDS = [2.0**-53, 3 * 2.0**-53, 2.0**-40, 0.25, 0.5 + 2.0**-53, 1 - 2.0**-40, 1 - 2.0**-53]
+
+
+def mp_stable_cms(sigma, u_angle, u_exp):
+    """The CMS variate of the exact float inputs, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        s, theta = mpmath.mpf(sigma), mpmath.pi * (mpmath.mpf(u_angle) - 0.5)
+        w = max(-mpmath.log1p(-mpmath.mpf(u_exp)), mpmath.mpf(1e-12))
+        return float(mpmath.sin(s * theta) / mpmath.cos(theta) ** (1 / s)
+                     * (mpmath.cos((1 - s) * theta) / w) ** ((1 - s) / s))
+
+
+def accuracy_inputs():
+    ua, ue = np.meshgrid(ACCURACY_WORDS, ACCURACY_WORDS)
+    return ua.ravel(), ue.ravel()
+
+
+needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+
+
+@needs_mpmath
+@pytest.mark.parametrize("sigma", CMS_SIGMAS)
+def test_stable_cms_matches_50_digit_reference(sigma):
+    # at sigma 1.99 the sine's tangent argument is 0.995 pi/2 next to the
+    # edge words, where tan magnifies the rounding of sigma pi h / 2 about
+    # 200-fold: 1.3e-14 measured. The direct form was off by 17% to 71% there.
+    ua, ue = accuracy_inputs()
+    ref = np.array([mp_stable_cms(sigma, a, b) for a, b in zip(ua, ue)])
+    err = np.abs(_stable_cms(sigma, ua, ue) - ref) / np.abs(ref)
+    assert err.max() <= (3e-14 if sigma == 1.99 else 1e-14)
+
+
+@needs_mpmath
+def test_gaussians_match_50_digit_reference():
+    # the error is taken relative to the radius, the draw's size: at
+    # u2 = 1/4 the exact cosine is 0
+    u1, u2 = accuracy_inputs()
+    with mpmath.workdps(50):
+        ref = np.array([float(mpmath.sqrt(-2 * mpmath.log1p(-mpmath.mpf(a)))
+                              * mpmath.cos(2 * mpmath.pi * mpmath.mpf(b))) for a, b in zip(u1, u2)])
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    assert (np.abs(_gaussians(u1, u2) - ref) <= 1e-14 * radius).all()
+
+
+@pytest.mark.parametrize("sigma", CMS_SIGMAS)
+def test_stable_cms_keeps_the_retired_law(sigma):
+    # away from u_angle = 0 and 1, where the direct form's cos(theta) carries
+    # the 6e-17 rounding of pi/2, the two forms differ by rounding only
+    u = uniforms_oracle(5, 1, 0, 20_000, 4)
+    ua, ue = u[:, 0], u[:, 1]
+    away = np.minimum(ua, 1.0 - ua) >= 2.0**-10
+    new, old = _stable_cms(sigma, ua, ue), stable_cms_retired(sigma, ua, ue)
+    assert away.sum() > 19_900
+    assert (np.abs(new - old)[away] <= 1e-11 * np.abs(old)[away]).all()
+
+
+def test_gaussians_keep_the_retired_law():
+    # away from the zeros of cos(2 pi u2) at u2 = 1/4 and 3/4
+    u = uniforms_oracle(5, 1, 0, 20_000, 4)
+    u1, u2 = u[:, 0], u[:, 1]
+    away = np.minimum(np.abs(u2 - 0.25), np.abs(u2 - 0.75)) >= 2.0**-10
+    new, old = _gaussians(u1, u2), gaussians_retired(u1, u2)
+    assert away.sum() > 19_900
+    assert (np.abs(new - old)[away] <= 1e-11 * np.abs(old)[away]).all()
+
+
+def test_kernels_are_lane_invariant():
+    # numpy's vector tan loop runs full lanes and a remainder; the same word
+    # must give the same bits at every offset of every short array
+    u1, u2 = kernel_inputs()
+    words = np.r_[0:200, -9:0]  # 200 stream pairs and the 9 edge pairs
+    u1, u2 = u1[words], u2[words]
+    kernels = [_gaussians] + [lambda a, b, s=s: _stable_cms(s, a, b) for s in (0.3, 1.5, 1.99)]
+    for kernel in kernels:
+        want = kernel(u1, u2)
+        for n in range(1, 18):
+            for shift in range(words.size):
+                at = (np.arange(n) + shift) % words.size
+                assert_bitwise(kernel(u1[at], u2[at]), want[at])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))

@@ -491,3 +491,28 @@ def test_a_restack_keeps_the_face_memo(monkeypatch):
     assert len([args for args in calls if args[1] is moving.drift]) == alone == 31
     assert_bitwise(run.final.values, lone.final.values)
     assert_bitwise(run.boundary_mass, lone.boundary_mass)
+
+
+@pytest.mark.parametrize("failing_first, built", [(True, 51), (False, 52)])
+def test_a_cfl_failure_keeps_the_face_memo(monkeypatch, failing_first, built):
+    # the amplitude-26.89453125 row fails CFL at t=0.03, mid-step; the memo
+    # still holds that step's start, so the moving row that stays builds its
+    # lone run's 51 face arrays, plus the failing time once when it was
+    # built before the failing row's
+    g = Grid(n=256, half_width=8.0)
+    m0 = forward.gaussian(g)
+    moving = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.9),
+                           DriftSpec.perturbed_power(1.0, 1.5, 0.3))
+    fast = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.9),
+                         DriftSpec.perturbed_power(1.0, 1.5, 26.89453125))
+    clock = dict(t_final=0.1, dt=4e-3, eps_boundary=1.0)
+    calls = spy_on(monkeypatch, "face_velocities")
+    lone = forward.solve(m0, moving, **clock)
+    assert sorted(args[2] for args in calls) == step_grid_times(25, 4e-3)
+    calls.clear()
+    runs = forward.solve_stack(m0, [fast, moving] if failing_first else [moving, fast], **clock)
+    failed, run = runs if failing_first else runs[::-1]
+    assert isinstance(failed, forward.NumericalFailure) and "CFL violation at t=0.03:" in str(failed)
+    assert len([args for args in calls if args[1] is moving.drift]) == built
+    assert_bitwise(run.final.values, lone.final.values)
+    assert_bitwise(run.boundary_mass, lone.boundary_mass)
