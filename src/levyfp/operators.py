@@ -14,17 +14,23 @@ so the discrete adjoint output always integrates to zero. Its stencils
 act on one ring copy of the data: each row of a (rows, n) stack becomes its
 cells n-1, 0, ..., n-1, 0 (``_ring``), all rows end to end in one flat
 array, so every elementwise call of the flux is a single contiguous pass.
-The differences d = e[1:] - e[:-1] of that copy hold m[k] - m[k-1] at
-offset k = 0..n of each row; the left slopes are d[:-1], the right slopes
-d[1:], and the two entries at each row seam are junk that no index reads.
+The undivided differences d = e[1:] - e[:-1] of that copy hold
+m[k] - m[k-1] at offset k = 0..n of each row; the left differences are
+d[:-1], the right ones d[1:], and the two entries at each row seam are junk
+that no index reads. The limited slope is formed on them undivided, as
+4 dx times the MC slope (``_mc_slope``), so no pass divides by dx.
 Faces come in padded order, n + 1 per row: entry j is face j - 1/2, so
 entry 0 is face -1/2, the periodic wrap of face n - 1/2. The upwind choice
 is made once per face array, not per flux: ``upwind_faces`` records each
 face's donor cell (i where w_i >= 0, i+1 mod n otherwise) as an offset into
-the ring copy, and the signed half-width +dx/2 or -(dx/2) from the donor's
-centre to the face; the flux reconstructs the donor side only, and the
-divergence subtracts adjacent entries of the padded flux. The centered
-second differences slice one periodically padded copy of their input.
+the ring copy, and the signed offset half = +1/8 or -1/8 that, times the
+slope 4 dx s, moves the donor's value +-(dx/2) s to the face; the flux
+reconstructs the donor side only, and ``divergence_of_flux`` subtracts
+adjacent entries of the padded flux. None of the three reads dx: the flux
+carries the units of the velocities it is given. The forward stepper hands
+them Courant numbers w dt / (2 dx) of a stage of dt/2, so that a stage is
+m minus that difference, with no pass by dx or dt. The centered second
+differences slice one periodically padded copy of their input.
 """
 from __future__ import annotations
 
@@ -89,25 +95,30 @@ def _ring(rows: int, n: int) -> np.ndarray:
     return ring
 
 
-def _mc_slope(e: np.ndarray, dx: float) -> np.ndarray:
-    """Monotonized-central cell slopes of a ring copy e (``_ring``): the slope
-    of row r's cell i at offset r * (n + 2) + i, the two offsets between
-    rows junk. All of it is formed on one flat difference array
-    d = (e[1:] - e[:-1]) / dx: the left slopes are its view d[:-1], the
-    right slopes its view d[1:].
+def _mc_slope(e: np.ndarray) -> np.ndarray:
+    """4 dx times the monotonized-central cell slopes of a ring copy e
+    (``_ring``): the slope of row r's cell i at offset r * (n + 2) + i, the
+    two offsets between rows junk. All of it is formed on one flat array of
+    undivided differences d = e[1:] - e[:-1]: the left ones are its view
+    d[:-1], the right ones its view d[1:].
 
-    The slope is sign(central) * min(|central|, 2 min(|left|, |right|)) with
-    central = (left + right) / 2 where left * right > 0, and 0 elsewhere.
-    There the two are nonzero with one sign, and rounding is symmetric, so
-    |central| is exactly (|left| + |right|) / 2, taken from |d|, and
-    sign(central) * lim is copysign(lim, left): central itself is never formed."""
+    The MC slope is sign(central) * min(|central|, 2 min(|left|, |right|))
+    with central = (left + right) / 2 where left * right > 0, and 0
+    elsewhere. Four dx times it is
+    min(|dl| + |dr|, 4 min(|dl|, |dr|)) * (sign dl + sign dr): the sign sum
+    is +-2 where the two share a sign, 0 at an extremum, and where one is 0
+    the minimum is 0, so flat and extremum cells get +-0. Nine numpy calls,
+    with no select and no copysign; a NaN difference spreads through its
+    sign to both cells it borders."""
     d = e[1:] - e[:-1]
-    d /= dx
-    left, right = d[:-1], d[1:]
-    a = np.abs(d)
+    s = np.sign(d)
+    a = np.abs(d, out=d)
     a_left, a_right = a[:-1], a[1:]
-    lim = np.minimum(0.5 * (a_left + a_right), 2.0 * np.minimum(a_left, a_right))
-    return np.where(left * right > 0.0, np.copysign(lim, left), 0.0)
+    lim = np.minimum(a_left, a_right)
+    lim *= 4.0
+    np.minimum(a_left + a_right, lim, out=lim)
+    lim *= s[:-1] + s[1:]
+    return lim
 
 
 @dataclass(frozen=True)
@@ -116,8 +127,9 @@ class UpwindFaces:
     entry j of a row is face j - 1/2 (n + 1 entries, entry 0 the periodic
     wrap of face n - 1/2). ``donor[j]`` indexes the cell whose value crosses
     that face within the flat ring copy of the data (``_ring``): offset
-    r * (n + 2) + i for cell i of row r. ``half[j]`` is the signed distance
-    from that cell's centre to the face."""
+    r * (n + 2) + i for cell i of row r. ``half[j]`` is +1/8 where the face
+    lies right of that cell's centre and -1/8 where it lies left: times the
+    slope 4 dx s of ``_mc_slope`` it is the move +-(dx/2) s to the face."""
 
     w: np.ndarray
     donor: np.ndarray
@@ -142,30 +154,32 @@ def _face_cells(shape: tuple) -> tuple:
     return cells
 
 
-def upwind_faces(w: np.ndarray, dx: float) -> UpwindFaces:
+def upwind_faces(w: np.ndarray) -> UpwindFaces:
     """The face record of a (rows, n) velocity stack in one call, row r
     holding the velocities at faces i + 1/2, i = 0..n-1, of row r of the
     data. In padded face order, the donor is cell i where w[r, i] >= 0 and
     i+1 mod n otherwise (-0.0 counts as >= 0, NaN does not), at ring offset
-    r * (n + 2) + cell, and half +dx/2 or -(dx/2) to match. An (n,) array
+    r * (n + 2) + cell, and half +1/8 or -1/8 to match. An (n,) array
     gets the one-row record without its row axis."""
     at, left, right = _face_cells(w.shape)
     w = w.take(at)
     ahead = w >= 0
-    return UpwindFaces(w, np.where(ahead, left, right), np.where(ahead, 0.5 * dx, -(0.5 * dx)))
+    return UpwindFaces(w, np.where(ahead, left, right), np.where(ahead, 0.125, -0.125))
 
 
-def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = "mc") -> np.ndarray:
+def transport_flux(m: np.ndarray, faces: UpwindFaces, limiter: str = "mc") -> np.ndarray:
     """Upwind flux f[j] = w_{j-1/2} * m_rec at face j - 1/2, in padded face
     order, for a (rows, n) stack m and the record of its rows' faces
     (``upwind_faces``): (rows, n + 1) entries, entry 0 of a row equal to
     entry n bit for bit; an (n,) array and its record give n + 1. m_rec is
     the donor cell, plus with ``limiter="mc"`` the MC-limited linear
-    reconstruction.
+    reconstruction. f is in the units of w times m: a physical flux for
+    velocities, the mass a stage moves across each face for Courant numbers.
 
     One ring copy e of m (``_ring``) feeds both: only the donor side is
-    reconstructed, e[1:][donor] + half * slope[donor]; with half = -(dx/2)
-    that is bit for bit m - (dx/2) * slope, since IEEE negation is exact.
+    reconstructed, e[1:][donor] + half * slope[donor], with half = +-1/8 and
+    the slope 4 dx s (``_mc_slope``); with half = -1/8 that is bit for bit
+    m - (1/8) * slope, since IEEE negation is exact.
     ``limiter="off"`` builds no slopes: half * 0.0 is the zero slope with the
     sign that m + 0.0 (donor on the left) and m (donor on the right) give,
     signed zeros included.
@@ -175,7 +189,7 @@ def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = 
     if limiter == "off":
         rec = faces.half * 0.0
     elif limiter == "mc":
-        rec = _mc_slope(e, dx).take(faces.donor)
+        rec = _mc_slope(e).take(faces.donor)
         rec *= faces.half
     else:
         raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
@@ -184,13 +198,12 @@ def transport_flux(m: np.ndarray, faces: UpwindFaces, dx: float, limiter: str = 
     return rec
 
 
-def divergence_of_flux(flux: np.ndarray, dx: float) -> np.ndarray:
-    """(f_{i+1/2} - f_{i-1/2}) / dx along the last axis of a padded flux
+def divergence_of_flux(flux: np.ndarray) -> np.ndarray:
+    """f_{i+1/2} - f_{i-1/2} along the last axis of a padded flux
     (``transport_flux``): one subtraction of adjacent entries, n per row;
-    telescopes to zero over the period."""
-    out = flux[..., 1:] - flux[..., :-1]
-    out /= dx
-    return out
+    telescopes to zero over the period. Divided by dx it is the divergence
+    of a physical flux; of a Courant flux it is what a stage takes off."""
+    return flux[..., 1:] - flux[..., :-1]
 
 
 def _variable_diffusion_term(values: np.ndarray, s2: np.ndarray, dx: float, adjoint: bool) -> np.ndarray:
@@ -341,7 +354,10 @@ class StackStepper:
     the other rows keep their bits (adding a zero term would turn -0.0 into
     0.0). The face record, ``_record`` of the (rows, n) velocity stack, is
     built once when every drift is static, else once per face time, after
-    the ``moving`` rows write their velocities into it."""
+    the ``moving`` rows write their velocities into a copy of ``_w``, which
+    holds the static rows' velocities."""
+
+    MEMO = 2  # moving face times the memo keeps, the last ones built
 
     def __init__(self, stages: list):
         self.stages = stages
@@ -353,21 +369,26 @@ class StackStepper:
         self.moving = [r for r, s in enumerate(stages) if s.static_w is None]
         self._w = np.array([s.static_w if s.static_w is not None else np.zeros(self.grid.n) for s in stages])
         self._faces = None if self.moving else self._record(self._w)
-        self._faces_t = None
+        self._memo: dict = {}  # face time -> (velocities, record), oldest first
 
-    def _record(self, w: np.ndarray) -> UpwindFaces:  # the forward clock's: the upwind donors
-        return upwind_faces(w, self.grid.dx)
+    def _record(self, w: np.ndarray) -> UpwindFaces:
+        # the forward clock's: the upwind donors of the Courant numbers w dt / (2 dx)
+        # of a stage of dt/2, scaled once per face array
+        return upwind_faces(w * (0.5 * self.dt / self.grid.dx))
 
     def faces(self, t: float):
-        """The stack's face record at forward time t. Moving faces keep their
-        last record, for a clock that asks for one time twice in a row. The
-        moving rows write their velocities into a scratch copy, which
-        replaces the memo only once every row has passed the CFL check. When
-        a row's faces raise NumericalFailure, its ``row`` names that row, and
-        the memo still holds the last time it was built for, from which the
-        rows that stay retake the step."""
-        if not self.moving or self._faces_t == t:
+        """The stack's face record at forward time t. Moving faces keep the
+        records of the last ``MEMO`` times built, for a clock that comes back
+        to a time it has asked for. The moving rows write their velocities
+        into a scratch copy, which joins the memo only once every row has
+        passed the CFL check. When a row's faces raise NumericalFailure, its
+        ``row`` names that row, and the memo still holds the times it held,
+        from which the rows that stay retake the step."""
+        if not self.moving:
             return self._faces
+        hit = self._memo.get(t)
+        if hit is not None:
+            return hit[1]
         w = self._w.copy()
         for r in self.moving:
             try:
@@ -375,17 +396,19 @@ class StackStepper:
             except NumericalFailure as exc:
                 exc.row = r
                 raise
-        self._w, self._faces, self._faces_t = w, self._record(w), t
-        return self._faces
+        if len(self._memo) == self.MEMO:
+            del self._memo[next(iter(self._memo))]
+        self._memo[t] = w, self._record(w)
+        return self._memo[t][1]
 
     def keep(self, rows: list):
         """Drop every row but ``rows``, which keep their order, face velocities
-        and memo time: the record is rebuilt from them, with no new face
+        and memo times: the records are rebuilt from them, with no new face
         array and no new CFL check."""
-        w, faces_t = self._w[rows], self._faces_t
+        kept = {t: w[rows] for t, (w, _) in self._memo.items()}
         StackStepper.__init__(self, [self.stages[r] for r in rows])
-        if self.moving and faces_t is not None:
-            self._w, self._faces, self._faces_t = w, self._record(w), faces_t
+        if self.moving:
+            self._memo = {t: (w, self._record(w)) for t, w in kept.items()}
 
     def diffuse(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
         """Diffusion and jumps over dt on a (rows, n) stack, by one real FFT

@@ -109,7 +109,9 @@ def test_comparison_principle_on_spectral_route():
 
 def test_advection_step_is_exact_transpose_of_forward_flux():
     # the forward donor update and the backward advection are assembled from
-    # the same face velocities; their matrices must be transposes bitwise
+    # the same face velocities; their matrices must be transposes bitwise.
+    # The forward record holds Courant numbers of a stage of dt/2, so a
+    # forward-Euler step of dt takes twice the difference of its flux
     g = Grid(n=64, half_width=4.0)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
     dt = 0.125 * g.dx
@@ -120,7 +122,7 @@ def test_advection_step_is_exact_transpose_of_forward_flux():
     for j in range(g.n):
         e = np.zeros((1, g.n))
         e[0, j] = 1.0
-        (fwd[:, j],) = e - dt * divergence_of_flux(transport_flux(e, faces, g.dx, "off"), g.dx)
+        (fwd[:, j],) = e - 2.0 * divergence_of_flux(transport_flux(e, faces, "off"))
         (adj[:, j],) = stepper._advect(e, dt)  # the backward step's advection of a one-row stack
     assert np.abs(adj - fwd.T).max() == 0.0
 

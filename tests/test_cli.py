@@ -329,26 +329,33 @@ def test_non_finite_number_is_refused_by_key(tmp_path, capsys, command, key, val
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_forward_blow_up_exits_3_with_its_time(tmp_path, monkeypatch):
-    # a stepper that turns one value into inf at step 30; with time.stride 25
-    # the run notices at the record of step 50, t = 0.1
+    # a stepper that turns one value into inf, or NaN, at step 30; with
+    # time.stride 25 the run notices at the record of step 50, t = 0.1. A
+    # NaN spreads through the slopes' signs to its neighbours, and the
+    # verdict stays that of inf
     steps = []
     clean = forward._Stepper.step
+    bad = []
 
     def poisoned(self, m, t, t_end):
         steps.append(t)
         out = clean(self, m, t, t_end).copy()
         if len(steps) == 30:
-            out[..., 100] = float("inf")
+            out[..., 100] = bad[0]
         return out
 
     monkeypatch.setattr(forward._Stepper, "step", poisoned)
-    cfg = write_config(tmp_path, "blow.json", **{"output.dir": str(tmp_path / "out")})
-    assert main(["run", str(cfg)]) == 3
-    assert len(steps) == 50
-    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
-    assert failure["kind"] == "numerical-failure"
-    assert failure["error"] == "forward run blew up at t=0.1"
-    assert not (tmp_path / "out" / "summary.json").exists()
+    for value in (float("inf"), float("nan")):
+        steps.clear()
+        bad[:] = [value]
+        out = tmp_path / f"out_{value}"
+        cfg = write_config(tmp_path, "blow.json", **{"output.dir": str(out)})
+        assert main(["run", str(cfg)]) == 3
+        assert len(steps) == 50
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["kind"] == "numerical-failure"
+        assert failure["error"] == "forward run blew up at t=0.1"
+        assert not (out / "summary.json").exists()
 
 
 def test_stationary_blow_up_exits_3_at_the_first_block_end(tmp_path, monkeypatch):
@@ -459,7 +466,7 @@ def test_adjoint_oscillation_runs_with_a_time_dependent_drift(tmp_path):
 def test_duality_check_residual_halves_with_dt(tmp_path):
     # AC-6 through the CLI: without a limiter the pairing residual is Theta(dt),
     # so halving dt halves it (measured ratio 0.494). With the default mc
-    # limiter the same pair measured 1.547.
+    # limiter the same pair measured 1.532.
     normalized = []
     for dt in (1e-3, 5e-4):
         out = tmp_path / f"dt{dt:g}"

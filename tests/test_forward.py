@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from quadrature_oracle import levy_integral_field
+from strang_oracle import strang_step_retired
 
 from levyfp import forward, generators, operators
 from levyfp.adjoint import solve_backward, tanh_profile
@@ -88,10 +89,11 @@ def test_bump_rejects_empty_support():
 
 
 def test_single_step_is_exact_fractional_semigroup():
-    # b = 0, lambda0 = 0: the whole Strang step collapses to the Fourier
-    # multiplier, so one step must reproduce it to rounding
+    # b = 0, lambda0 = 0: the whole Strang step, opened and closed, collapses
+    # to the Fourier multiplier, so one step must reproduce it to rounding
     m0 = gaussian(GRID)
-    (out,) = _run_stepper(drift_free(1.5), GRID, 0.1, "mc").step(m0.values[None, :], 0.0, 0.1)
+    stepper = _run_stepper(drift_free(1.5), GRID, 0.1, "mc")
+    (out,) = stepper.close(stepper.step(m0.values[None, :], 0.0, 0.1), 0.1)
     want = np.real(
         np.fft.ifft(np.exp(-0.1 * GRID.wavenumber_magnitude**1.5) * np.fft.fft(m0.values))
     )
@@ -134,8 +136,46 @@ def test_tempered_strang_step_matches_unfused_node_loop():
 
     m = m0.values[None, :]
     want = ref._transport_half(unfused_stage(ref._transport_half(m, 0.0, 0.5 * dt)), 0.5 * dt, dt)
-    got = ref.step(m, 0.0, dt)
+    got = ref.close(ref.step(m, 0.0, dt), dt)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_merged_march_keeps_the_law_of_whole_strang_steps():
+    # the merged halves T(dt/2) D T(dt) D ... T(dt/2) against the retired
+    # loop of whole steps T(dt/2) D T(dt/2), on AC-5's sweep stack (power
+    # drifts, local and fractional jumps) over 25 steps of 4e-3: the two
+    # differ only in how the middle transport is split. Measured worst L1
+    # gap 3.2e-7 (mc) and 2.7e-7 (off)
+    g = Grid(256, 12.0)
+    specs = [GeneratorSpec(LocalDiffusionSpec.constant(1.0),
+                           LevyMeasureSpec.none() if sigma == 2.0 else LevyMeasureSpec.fractional(sigma),
+                           DriftSpec.power(1.0, gamma))
+             for gamma in (1.2, 1.5, 1.8) for sigma in (2.0, 1.5)]
+    m0 = gaussian_difference(g, 0.0, 1.0, 0.0, 2.0)
+    for limiter in ("mc", "off"):
+        runs = solve_stack(m0, specs, 0.1, 4e-3, limiter, eps_boundary=1.0, record_every=25)
+        retired = _Stepper([operators.StepSetup(spec, g, 4e-3, substep=0.5) for spec in specs], limiter)
+        m = np.repeat(m0.values[None, :], len(specs), axis=0)
+        for k in range(25):
+            m = strang_step_retired(retired, m, k * 4e-3, (k + 1) * 4e-3)
+        for run, want in zip(runs, m):
+            assert np.sum(np.abs(run.final.values - want)) * g.dx <= 1e-6
+
+
+def test_forward_rung_is_second_order():
+    # the forward rung of the verification ladder: local OU from a std-2
+    # Gaussian, whose law stays Gaussian with variance 1 + 3 e^{-2t}, to t=1
+    # on [-12, 12), refining (N, dt) together. Measured L1 errors 1.756e-3,
+    # 4.353e-4, 1.086e-4 and 2.712e-5: orders 2.01, 2.00, 2.00
+    var = 1.0 + 3.0 * np.exp(-2.0)
+    errors = []
+    for n, dt in ((128, 8e-3), (256, 4e-3), (512, 2e-3), (1024, 1e-3)):
+        g = Grid(n, 12.0)
+        fw = solve(gaussian(g, std=2.0), ou_spec(), t_final=1.0, dt=dt, record_every=10**9)
+        exact = np.exp(-0.5 * g.nodes**2 / var) / np.sqrt(2.0 * np.pi * var)
+        errors.append(np.sum(np.abs(fw.final.values - exact)) * g.dx)
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders[-2:] >= 1.8), orders
 
 
 def test_ou_variance_matches_closed_form():
@@ -217,7 +257,7 @@ def test_snapshots_match_repeated_single_steps():
                eps_boundary=0.05, snapshot_times=(0.002,))
     assert len(fw.snapshots) == 1
     stepper = _run_stepper(ou_frac_spec(), GRID, 1e-3, "mc")
-    (manual,) = stepper.step(stepper.step(m0.values[None, :], 0.0, 1e-3), 1e-3, 2e-3)
+    (manual,) = stepper.close(stepper.step(stepper.step(m0.values[None, :], 0.0, 1e-3), 1e-3, 2e-3), 2e-3)
     assert np.array_equal(fw.snapshots[0].values, manual)
 
 
@@ -230,6 +270,41 @@ def test_solve_runs_from_the_initial_time_to_t_final():
     np.testing.assert_allclose(fw.times, [0.5, 0.75, 1.0], rtol=0, atol=1e-12)
     assert fw.final.t == pytest.approx(1.0, abs=1e-12)
     assert [snap.t for snap in fw.snapshots] == pytest.approx([0.75], abs=1e-12)
+
+
+@pytest.mark.parametrize("limiter", ["mc", "off"])
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "perturbed-power"])
+def test_records_do_not_depend_on_the_stride(monkeypatch, limiter, moving):
+    # a record closes the split on a copy and the march goes on from the
+    # open state, so every record step shared by two strides reads the same
+    # bits. A moving drift builds 2 face arrays per step and the end time's
+    # at every stride: the two-time memo serves each close and the step after it
+    g = Grid(128, 8.0)
+    drift = DriftSpec.perturbed_power(1.0, 1.5, 0.3) if moving else DriftSpec.power(1.0, 1.5)
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5), drift)
+    n_steps = 30
+    kw = dict(t_final=n_steps * 1e-2, dt=1e-2, limiter=limiter, eps_boundary=0.05,
+              record_weights={"pow0.5": WeightFunction.power(0.5)})
+    builds = []
+    evaluate = operators.face_velocities
+
+    def spy(*args):
+        builds.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(operators, "face_velocities", spy)
+    every = solve(gaussian_difference(g, -0.3, 1.0, 0.2, 2.0), spec, record_every=1, **kw)
+    counts = [len(builds)]
+    for stride in (10, n_steps):
+        builds.clear()
+        run = solve(gaussian_difference(g, -0.3, 1.0, 0.2, 2.0), spec, record_every=stride, **kw)
+        counts.append(len(builds))
+        shared = np.arange(0, n_steps + 1, stride)
+        for key in ("times", "mass", "min_value", "boundary_mass"):
+            assert np.array_equal(getattr(run, key), getattr(every, key)[shared])
+        assert np.array_equal(run.weighted_norms["pow0.5"], every.weighted_norms["pow0.5"][shared])
+        assert np.array_equal(run.final.values, every.final.values)
+    assert counts == [2 * n_steps + 1 if moving else 1] * 3  # a static drift's one array, at setup
 
 
 def test_norm_series_accessor_matches_direct_norm():
@@ -329,9 +404,11 @@ def test_cfl_bound_covers_times_past_ten():
 
 
 def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
-    # a Strang step asks for faces at t, t + dt/2, t + dt/2 and t + dt; the
-    # second t + dt/2 is served from the last faces, so at most 3 of the 4
-    # evaluations per step remain, and the trajectory does not move
+    # the march asks for faces at t - dt/2, t and t + dt/2 on each step (t
+    # and t + dt/2 on the first), and a record closes at t - dt/2 and t:
+    # every record, here every step, asks twice for t - dt/2 and twice for
+    # t. The memo of the last two face times builds each once, 2 per step
+    # and the end time, and the trajectory does not move
     spec = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5),
                          DriftSpec.perturbed_power(1.0, 1.5, 0.3))
     m0 = gaussian(GRID, std=1.0)
@@ -346,20 +423,21 @@ def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
     monkeypatch.setattr(operators, "face_velocities", spy)
     run = solve(m0, spec, t_final=0.1, dt=1e-2, record_weights=weights, eps_boundary=0.05)
     memo_calls = list(calls)
-    assert len(memo_calls) <= 3 * 10
+    assert len(memo_calls) == 2 * 10 + 1
     assert len(memo_calls) == len(set(memo_calls))
 
     def faces_unmemoized(self, t):
+        w = self._w.copy()
         for r in self.moving:
             stage = self.stages[r]
-            self._w[r] = operators.face_velocities(stage.grid, stage.spec.drift, t)
-            stage._check_cfl(self._w[r], t)
-        return operators.upwind_faces(self._w, self.grid.dx)
+            w[r] = operators.face_velocities(stage.grid, stage.spec.drift, t)
+            stage._check_cfl(w[r], t)
+        return self._record(w)
 
     calls.clear()
     monkeypatch.setattr(_Stepper, "faces", faces_unmemoized)
     oracle = solve(m0, spec, t_final=0.1, dt=1e-2, record_weights=weights, eps_boundary=0.05)
-    assert len(calls) == 4 * 10
+    assert len(calls) == 2 + 3 * 9 + 2 * 10
     assert set(calls) == set(memo_calls)
     assert np.array_equal(run.final.values, oracle.final.values)
     assert np.array_equal(run.weighted_norms["pow0.5"], oracle.weighted_norms["pow0.5"])

@@ -117,10 +117,10 @@ def apply_adjoint_generator(
     if g.diffusion.has_variable_part:
         out -= _variable_diffusion_term(vals, g.diffusion.sigma_squared(grid.nodes), grid.dx, adjoint=True)
     out += _jump_term(vals, grid, g, jump_route)
-    faces = upwind_faces(face_velocities(grid, g.drift, t), grid.dx)
-    flux = transport_flux(vals, faces, grid.dx, limiter)
-    # flux approximates -b*m, so div(b m) = -divergence_of_flux(flux)
-    out += divergence_of_flux(flux, grid.dx)
+    faces = upwind_faces(face_velocities(grid, g.drift, t))
+    flux = transport_flux(vals, faces, limiter)
+    # flux approximates -b*m, so div(b m) = -divergence_of_flux(flux) / dx
+    out += divergence_of_flux(flux) / grid.dx
     return Field(grid, out, t)
 
 
@@ -414,22 +414,23 @@ def test_face_velocities_positions_and_sign():
 def test_divergence_telescopes_to_zero():
     rng = np.random.default_rng(11)
     m = rng.standard_normal(GRID.n) ** 2
-    faces = upwind_faces(rng.standard_normal(GRID.n), GRID.dx)
+    faces = upwind_faces(rng.standard_normal(GRID.n))
     for limiter in ("off", "mc"):
-        flux = transport_flux(m, faces, GRID.dx, limiter)
-        div = divergence_of_flux(flux, GRID.dx)
+        flux = transport_flux(m, faces, limiter)
+        div = divergence_of_flux(flux) / GRID.dx
         assert abs(div.sum() * GRID.dx) < 1e-10
 
 
 def test_transport_flux_donor_upwind():
     m = np.array([1.0, 2.0, 4.0, 0.5])
     w = np.array([1.0, 1.0, -1.0, 2.0])
-    faces = upwind_faces(w, 1.0)
+    faces = upwind_faces(w)
     # positive w takes the left cell, negative w the right cell; entry 0 is
-    # face -1/2, the wrap of the last face
+    # face -1/2, the wrap of the last face. half is +-1/8: times the slope
+    # 4 dx s it moves the donor's value by +-(dx/2) s
     assert faces.donor.tolist() == [3, 0, 1, 3, 3]
-    assert faces.half.tolist() == [0.5, 0.5, 0.5, -0.5, 0.5]
-    flux = transport_flux(m, faces, 1.0, limiter="off")
+    assert faces.half.tolist() == [0.125, 0.125, 0.125, -0.125, 0.125]
+    flux = transport_flux(m, faces, limiter="off")
     np.testing.assert_allclose(flux, [1.0, 1.0, 2.0, -0.5, 1.0])
 
 
@@ -438,17 +439,17 @@ def test_limited_slopes_second_order_on_linear_data():
     # reconstruction is second order there
     g = Grid(n=64, half_width=8.0)
     m = np.sin(np.pi * g.nodes / g.half_width)
-    faces = upwind_faces(np.full(g.n, 1.0), g.dx)
-    err_off = np.abs(divergence_of_flux(transport_flux(m, faces, g.dx, "off"), g.dx)
+    faces = upwind_faces(np.full(g.n, 1.0))
+    err_off = np.abs(divergence_of_flux(transport_flux(m, faces, "off")) / g.dx
                      - np.pi / g.half_width * np.cos(np.pi * g.nodes / g.half_width)).max()
-    err_mc = np.abs(divergence_of_flux(transport_flux(m, faces, g.dx, "mc"), g.dx)
+    err_mc = np.abs(divergence_of_flux(transport_flux(m, faces, "mc")) / g.dx
                     - np.pi / g.half_width * np.cos(np.pi * g.nodes / g.half_width)).max()
     assert err_mc < 0.2 * err_off
 
 
 def test_unknown_limiter_rejected():
     with pytest.raises(ValueError, match="limiter"):
-        transport_flux(np.ones(8), upwind_faces(np.ones(8), 0.1), 0.1, limiter="superbee")
+        transport_flux(np.ones(8), upwind_faces(np.ones(8)), limiter="superbee")
 
 
 # ---------------------------------------------------------------------------

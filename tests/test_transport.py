@@ -2,8 +2,9 @@
 divergence and the backward advection must agree bit for bit, sign bits of
 zeros included, and so must whole forward and backward steps. The backward
 advection is also held to the retired one-dimensional code it replaced,
-NaN payloads included. A (rows, n) stack must give each row the bits of
-that row alone, whatever its neighbours hold."""
+NaN payloads included, and the undivided MC slope to the retired divided
+one, to rounding. A (rows, n) stack must give each row the bits of that
+row alone, whatever its neighbours hold."""
 import numpy as np
 import pytest
 
@@ -17,38 +18,41 @@ from levyfp.operators import (
     LIMITERS,
     StepSetup,
     UpwindFaces,
+    _mc_slope,
+    _ring,
     divergence_of_flux,
     face_velocities,
     transport_flux,
     upwind_faces,
 )
+from strang_oracle import mc_slope_retired
 
 # ---------------------------------------------------------------------------
 # oracles: the np.roll expressions the slicing code replaced
 
 
-def oracle_slope(m, dx, limiter):
+def oracle_slope(m, limiter):
+    # 4 dx times the MC slope, from undivided differences
     if limiter == "off":
         return np.zeros_like(m)
-    left = (m - np.roll(m, 1, axis=-1)) / dx
-    right = (np.roll(m, -1, axis=-1) - m) / dx
-    central = 0.5 * (left + right)
-    lim = np.minimum(np.abs(central), 2.0 * np.minimum(np.abs(left), np.abs(right)))
-    return np.where(left * right > 0, np.sign(central) * lim, 0.0)
+    left = m - np.roll(m, 1, axis=-1)
+    right = np.roll(m, -1, axis=-1) - m
+    lim = np.minimum(np.abs(left) + np.abs(right), 4.0 * np.minimum(np.abs(left), np.abs(right)))
+    return lim * (np.sign(left) + np.sign(right))
 
 
-def oracle_flux(m, faces, dx, limiter="mc"):
+def oracle_flux(m, faces, limiter="mc"):
     # both reconstructions, then the upwind pick per face, row by row: reads
     # only faces.w, faces 1/2 .. n - 1/2 of the padded record
     w = faces.w[..., 1:]
-    s = oracle_slope(m, dx, limiter)
-    from_left = m + 0.5 * dx * s
-    from_right = np.roll(m - 0.5 * dx * s, -1, axis=-1)
+    s = oracle_slope(m, limiter)
+    from_left = m + 0.125 * s
+    from_right = np.roll(m - 0.125 * s, -1, axis=-1)
     return np.where(w >= 0, w * from_left, w * from_right)
 
 
-def oracle_divergence(flux, dx):
-    return (flux - np.roll(flux, 1, axis=-1)) / dx
+def oracle_divergence(flux):
+    return flux - np.roll(flux, 1, axis=-1)
 
 
 def oracle_advect(stepper, v, t):
@@ -111,16 +115,16 @@ SIZES = (4, 8, 256, 1024)
 @pytest.mark.parametrize("limiter", LIMITERS)
 def test_flux_and_divergence_match_roll_oracle(n, limiter):
     rng = np.random.default_rng(1000 + n)
-    for dx in (1e-3, 0.0625, 3.0):
+    for _ in range(3):
         m = random_field(rng, n)
         w = random_velocity(rng, n)
         assert np.any(w > 0) and np.any(w < 0) and np.any(w == 0)
-        faces = upwind_faces(w, dx)
-        flux = transport_flux(m, faces, dx, limiter)
+        faces = upwind_faces(w)
+        flux = transport_flux(m, faces, limiter)
         # padded face order: entry 0 is face -1/2, the wrap of face n - 1/2
         assert_bitwise(flux[:1], flux[n:])
-        assert_bitwise(flux[1:], oracle_flux(m, faces, dx, limiter))
-        assert_bitwise(divergence_of_flux(flux, dx), oracle_divergence(flux[1:], dx))
+        assert_bitwise(flux[1:], oracle_flux(m, faces, limiter))
+        assert_bitwise(divergence_of_flux(flux), oracle_divergence(flux[1:]))
 
 
 @pytest.mark.parametrize("limiter", LIMITERS)
@@ -129,25 +133,42 @@ def test_flux_matches_oracle_on_signed_zero_fields(limiter):
     # turn -0.0 into +0.0 exactly as zero slopes did
     m = np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0])
     w = np.array([1.0, -1.0, 0.0, -0.0, 2.0, -2.0, -0.0, 1.0])
-    faces = upwind_faces(w, 0.5)
-    assert_bitwise(transport_flux(m, faces, 0.5, limiter)[1:], oracle_flux(m, faces, 0.5, limiter))
+    faces = upwind_faces(w)
+    assert_bitwise(transport_flux(m, faces, limiter)[1:], oracle_flux(m, faces, limiter))
 
 
 @pytest.mark.parametrize("scale", [1e-318, 1e303])
 def test_flux_matches_oracle_at_the_ends_of_the_float_range(scale):
-    # subnormal differences (left * right underflows to 0) and overflowing
-    # ones (slopes of inf): the MC slope built from |d| and copysign must
-    # still agree with the oracle's sign(central) * lim bit for bit
+    # subnormal differences and overflowing ones (|dl| + |dr| of inf): the
+    # slope formed in place on |d| must still agree with the oracle bit for bit
     rng = np.random.default_rng(5000)
     for _ in range(20):
         m = random_field(rng, 64) * scale
-        faces = upwind_faces(random_velocity(rng, 64), 0.0625)
+        faces = upwind_faces(random_velocity(rng, 64))
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            got, want = transport_flux(m, faces, 0.0625, "mc")[1:], oracle_flux(m, faces, 0.0625, "mc")
+            got, want = transport_flux(m, faces, "mc")[1:], oracle_flux(m, faces, "mc")
         # inf * 0 leaves NaN in both; the other entries agree with their sign bits
         assert np.array_equal(np.isnan(got), np.isnan(want))
         number = ~np.isnan(want)
         assert_bitwise(got[number], want[number])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mc_slope_keeps_the_retired_law(n):
+    # the undivided slope is 4 dx times the retired MC slope, to 4 ulp of the
+    # larger of the cell's two differences; flat and extremum cells get +-0
+    rng = np.random.default_rng(5100 + n)
+    for dx in (1e-3, 0.1, 3.0):
+        for rows in (1, 3):
+            e = np.array([random_field(rng, n) for _ in range(rows)]).take(_ring(rows, n))
+            got, want = _mc_slope(e), mc_slope_retired(e, dx)
+            cells = (np.arange(rows)[:, None] * (n + 2) + np.arange(n)).ravel()  # no row seams
+            d = np.diff(e)
+            left, right = d[:-1][cells], d[1:][cells]
+            gap = np.abs(got[cells] / 4.0 - want[cells] * dx)
+            assert np.all(gap <= 4.0 * np.finfo(float).eps * np.maximum(np.abs(left), np.abs(right)))
+            still = left * right <= 0.0
+            assert still.any() and np.all(got[cells][still] == 0.0)
 
 
 def _advect_stepper(n, rng, time_dependent):
@@ -196,6 +217,14 @@ def test_advect_matches_roll_oracle(n, time_dependent):
 # whole steps built from the oracles
 
 
+def open_step_close(stepper, m):
+    """The opening step from t = 0.25, one merged step and the closing half
+    at 0.254, each state as the stepper leaves it."""
+    opened = stepper.step(m, 0.25, 0.252)
+    stepped = stepper.step(opened, 0.252, 0.254)
+    return opened, stepped, stepper.close(stepped, 0.254)
+
+
 FRAC_OU = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5), DriftSpec.ou(1.0))
 MOVING = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
                        DriftSpec.perturbed_power(1.0, 2.0, 0.5))
@@ -204,12 +233,15 @@ MOVING = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
 @pytest.mark.parametrize("limiter", LIMITERS)
 @pytest.mark.parametrize("spec", [FRAC_OU, MOVING], ids=["spectral", "moving"])
 def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
+    # the opening step, a merged step and the closing half, each built from
+    # the oracles bit for bit
     g = Grid(n=256, half_width=8.0)
     m = random_field(np.random.default_rng(3), g.n)[None, :]
-    stepper = _run_stepper(spec, g, 2e-3, limiter)
-    got = stepper.step(m, 0.25, 0.252)
+
+    got = open_step_close(_run_stepper(spec, g, 2e-3, limiter), m)
     # the stepper must reach the oracles through forward's module names (the
-    # names perfbench's spans wrap): 2 RK substeps x 2 transport halves
+    # names perfbench's spans wrap): 2 forward-Euler stages to open, 3 per
+    # merged step and 2 to close
     calls = []
 
     def counted(name, fn):
@@ -220,8 +252,15 @@ def test_forward_strang_step_matches_oracle_step(monkeypatch, limiter, spec):
 
     monkeypatch.setattr(forward, "transport_flux", counted("flux", oracle_flux))
     monkeypatch.setattr(forward, "divergence_of_flux", counted("div", oracle_divergence))
-    assert_bitwise(got, stepper.step(m, 0.25, 0.252))
-    assert calls == ["flux", "div"] * 4
+    oracle = _run_stepper(spec, g, 2e-3, limiter)
+    opened = oracle.step(m, 0.25, 0.252)
+    assert calls == ["flux", "div"] * 2
+    stepped = oracle.step(opened, 0.252, 0.254)
+    assert calls == ["flux", "div"] * (2 + 3)
+    closed = oracle.close(stepped, 0.254)
+    assert calls == ["flux", "div"] * (2 + 3 + 2)
+    for got_state, want_state in zip(got, (opened, stepped, closed)):
+        assert_bitwise(got_state, want_state)
 
 
 def test_static_faces_are_one_record_at_every_time():
@@ -269,15 +308,15 @@ def test_real_fft_pair_over_a_stack_matches_each_row(n):
 @pytest.mark.parametrize("limiter", LIMITERS)
 def test_flux_and_divergence_of_a_stack_match_each_row(n, limiter):
     rng = np.random.default_rng(7000 + n)
-    for dx in (1e-3, 0.0625, 3.0):
+    for _ in range(3):
         m = np.array([random_field(rng, n) for _ in range(5)])
         w = np.array([random_velocity(rng, n) for _ in range(5)])
-        flux = transport_flux(m, upwind_faces(w, dx), dx, limiter)
+        flux = transport_flux(m, upwind_faces(w), limiter)
         assert_bitwise(flux[:, 0], flux[:, n])
-        div = divergence_of_flux(flux, dx)
+        div = divergence_of_flux(flux)
         for r in range(5):
-            assert_bitwise(flux[r], transport_flux(m[r], upwind_faces(w[r], dx), dx, limiter))
-            assert_bitwise(div[r], divergence_of_flux(flux[r], dx))
+            assert_bitwise(flux[r], transport_flux(m[r], upwind_faces(w[r]), limiter))
+            assert_bitwise(div[r], divergence_of_flux(flux[r]))
 
 
 VARIABLE = GeneratorSpec(LocalDiffusionSpec.tanh_variable(0.5, 0.5), LevyMeasureSpec.fractional(1.5),
@@ -305,12 +344,14 @@ def test_forward_step_of_a_stack_matches_each_row(limiter, specs, zero_rows):
     m = np.array([random_field(rng, g.n) for _ in specs])
     m[list(zero_rows)] = -0.0
     stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], limiter)
-    got = stepper.step(m, 0.25, 0.252)
+    states = open_step_close(stepper, m)
     for r, spec in enumerate(specs):
-        assert_bitwise(got[r], _run_stepper(spec, g, 2e-3, limiter).step(m[r:r + 1], 0.25, 0.252)[0])
+        lone = open_step_close(_run_stepper(spec, g, 2e-3, limiter), m[r:r + 1])
+        for state, lone_state in zip(states, lone):
+            assert_bitwise(state[r], lone_state[0])
 
 
-def oracle_stacked_faces(w, dx):
+def oracle_stacked_faces(w):
     # the retired path: each row's one-row record (donor i where w_i >= 0,
     # i + 1 mod n otherwise, as an offset into its own ring copy), then the
     # rows stacked with donor offsets r * (n + 2)
@@ -321,7 +362,7 @@ def oracle_stacked_faces(w, dx):
     for row in w:
         padded = row.take(left)
         ahead = padded >= 0
-        records.append((padded, np.where(ahead, left, right), np.where(ahead, 0.5 * dx, -(0.5 * dx))))
+        records.append((padded, np.where(ahead, left, right), np.where(ahead, 0.125, -0.125)))
     offsets = np.arange(0, (n + 2) * rows, n + 2)[:, None]
     return UpwindFaces(np.stack([r[0] for r in records]), np.stack([r[1] for r in records]) + offsets,
                        np.stack([r[2] for r in records]))
@@ -349,15 +390,15 @@ def test_one_call_record_matches_stacked_rows(n, rows):
     # per-row records stacked by hand: the same w, donors and half-widths,
     # bit for bit, NaN and the sign bits of zeros included
     rng = np.random.default_rng(7800 + 10 * n + rows)
-    for dx in (1e-3, 0.0625, 3.0):
+    for _ in range(3):
         w = np.array([special_velocity(rng, n) for _ in range(rows)])
-        got, want = upwind_faces(w, dx), oracle_stacked_faces(w, dx)
+        got, want = upwind_faces(w), oracle_stacked_faces(w)
         for name in ("w", "donor", "half"):
             assert_same_bits(getattr(got, name), getattr(want, name))
         # an (n,) array gets the one-row record without its row axis
-        lone = upwind_faces(w[0], dx)
+        lone = upwind_faces(w[0])
         for name in ("w", "donor", "half"):
-            assert_same_bits(getattr(lone, name), getattr(oracle_stacked_faces(w[:1], dx), name)[0])
+            assert_same_bits(getattr(lone, name), getattr(oracle_stacked_faces(w[:1]), name)[0])
 
 
 def assert_donors_inside_their_rows(faces, n):
@@ -373,7 +414,7 @@ def assert_donors_inside_their_rows(faces, n):
 def test_stacked_donors_stay_inside_their_rows(n):
     rng = np.random.default_rng(7700 + n)
     w = np.array([random_velocity(rng, n) for _ in range(5)])
-    assert_donors_inside_their_rows(upwind_faces(w, 0.0625), n)
+    assert_donors_inside_their_rows(upwind_faces(w), n)
     # the steppers' records: static faces built once, moving ones per time
     g = Grid(n=n, half_width=8.0)
     for specs in ([FRAC_OU, TEMPERED_POWER], [MOVING, FRAC_OU, MOVING]):
@@ -397,8 +438,9 @@ JUNK = {
 @pytest.mark.parametrize("junk", sorted(JUNK))
 def test_junk_rows_do_not_leak_into_their_neighbours(limiter, junk):
     # junk rows between and around ordinary ones: the seams of the ring copy
-    # mix neighbouring rows, so the ordinary rows' flux, divergence and whole
-    # Strang step must still be those of their lone runs, bit for bit
+    # mix neighbouring rows, so the ordinary rows' flux, divergence, opening
+    # and merged steps and closing half must still be those of their lone
+    # runs, bit for bit
     g = Grid(n=256, half_width=8.0)
     rng = np.random.default_rng(9000)
     specs = [FRAC_OU, MOVING, FRAC_OU, TEMPERED_POWER, MOVING]
@@ -406,15 +448,16 @@ def test_junk_rows_do_not_leak_into_their_neighbours(limiter, junk):
     stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], limiter)
     faces = stepper.faces(0.25)
     with np.errstate(all="ignore"):
-        flux = transport_flux(m, faces, g.dx, limiter)
-        div = divergence_of_flux(flux, g.dx)
-        step = stepper.step(m, 0.25, 0.252)
+        flux = transport_flux(m, faces, limiter)
+        div = divergence_of_flux(flux)
+        states = open_step_close(stepper, m)
     for r in (1, 3):
         lone = _run_stepper(specs[r], g, 2e-3, limiter)
-        (lone_flux,) = transport_flux(m[r:r + 1], lone.faces(0.25), g.dx, limiter)
+        (lone_flux,) = transport_flux(m[r:r + 1], lone.faces(0.25), limiter)
         assert_bitwise(flux[r], lone_flux)
-        assert_bitwise(div[r], divergence_of_flux(lone_flux, g.dx))
-        assert_bitwise(step[r], lone.step(m[r:r + 1], 0.25, 0.252)[0])
+        assert_bitwise(div[r], divergence_of_flux(lone_flux))
+        for state, lone_state in zip(states, open_step_close(lone, m[r:r + 1])):
+            assert_bitwise(state[r], lone_state[0])
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +482,15 @@ PERTURBED = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.frac
 
 
 def step_grid_times(n_steps, dt):
-    # each step's start, k dt, and its midpoint, k dt + dt/2, the end of one
-    # step being the start of the next
-    return sorted([k * dt for k in range(n_steps + 1)] + [k * dt + 0.5 * dt for k in range(n_steps)])
+    # each step's start, k dt, and its midpoint, read from its end as
+    # (k + 1) dt - dt/2, the end of one step being the start of the next
+    return sorted([k * dt for k in range(n_steps + 1)] + [(k + 1) * dt - 0.5 * dt for k in range(n_steps)])
 
 
 def test_moving_faces_are_built_once_per_step_grid_time(monkeypatch):
-    # at (t + dt/2) + dt/2 the end of a step missed k dt, where the next one
-    # starts, on 5 of these 10 steps: 26 face arrays, not 21
+    # a record at every step closes at t - dt/2 and t, and the march comes
+    # back to both: the two-time memo builds each face time once, 2 per step
+    # and the end time, 2 n_steps + 1 face arrays
     calls = spy_on(monkeypatch, "face_velocities")
     g = Grid(n=64, half_width=4.0)
     forward.solve(forward.gaussian(g), PERTURBED, t_final=0.1, dt=1e-2, eps_boundary=1.0)
