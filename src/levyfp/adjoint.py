@@ -6,10 +6,10 @@ diffusion stage the forward solver uses, on a one-row stack of the stepper
 machinery both clocks share (``operators.StackStepper``). The advection
 update is the exact matrix transpose of the forward donor flux; its two
 differences, v_i - v_{i+1} and v_{i-1} - v_i, are read off the ring copy of
--v that the forward flux also takes (``operators._ring``). The only duality
-mismatch between the two solvers is the splitting-order difference, which
-is O(dt^2) per step and Theta(dt) accumulated; it cannot hide a sign or
-stencil inconsistency.
+-v that the forward flux also takes (``operators._ring``), which the
+stepper holds as its ``ring``. The only duality mismatch between the two
+solvers is the splitting-order difference, which is O(dt^2) per step and
+Theta(dt) accumulated; it cannot hide a sign or stencil inconsistency.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .generators import GeneratorSpec
 from .grids import Field, Grid
 from .norms import weighted_seminorm
-from .operators import RunGuard, StackStepper, StepSetup, _ring
+from .operators import RunGuard, StackStepper, StepSetup
 from .weights import WeightFunction
 
 __all__ = [
@@ -75,11 +75,15 @@ def tapered_linear(grid: Grid) -> Field:
 class _BackwardStepper(StackStepper):
     """One Lie step of the backward clock on a (rows, n) stack, its drift
     read at forward time t. Its face record is the split max(w_i, 0),
-    min(w_{i-1}, 0): it reads no donors."""
+    min(w_{i-1}, 0): it reads no donors. ``rho`` = dt/dx is taken once."""
+
+    def __init__(self, stages: list):
+        super().__init__(stages)
+        self.rho = self.dt / self.grid.dx
 
     def _record(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the ring copy (``_ring``) of each row of w is w_{n-1}, w_0, ..., w_{n-1}, w_0
-        ring = w.take(_ring(*w.shape)).reshape(len(w), -1)
+        # the ring copy (``ring``) of each row of w is w_{n-1}, w_0, ..., w_{n-1}, w_0
+        ring = w.take(self.ring, mode="clip")
         return np.maximum(ring[:, 1:-1], 0.0), np.minimum(ring[:, :-2], 0.0)
 
     def _advect(self, v: np.ndarray, t: float) -> np.ndarray:
@@ -88,12 +92,12 @@ class _BackwardStepper(StackStepper):
         # with e the ring copy of -v, d[k] = e[k+1] - e[k] = v[k-1] - v[k], k = 0..n:
         # v - rho * (wp * d[1:] + wm_prev * d[:-1]), formed in place
         wp, wm_prev = self.faces(t)
-        e = v.take(_ring(*v.shape)).reshape(len(v), -1)
+        e = v.take(self.ring, mode="clip")
         np.negative(e, out=e)
         d = e[:, 1:] - e[:, :-1]
         du = wp * d[:, 1:]
         du += wm_prev * d[:, :-1]
-        du *= self.dt / self.grid.dx
+        du *= self.rho
         return np.subtract(v, du, out=du)
 
     def step(self, v: np.ndarray, t: float) -> np.ndarray:

@@ -6,7 +6,10 @@ diagonal in Fourier space with its exact symbol ``LevyMeasureSpec.symbol``
 (scale*|xi|^sigma for the fractional kind, the truncated-Levy exponent for
 the tempered one). The time steppers apply constant-coefficient diffusion
 and that symbol as one exponential factor in one real FFT pair (rfft/irfft)
-on the n//2 + 1 half spectrum.
+on the n//2 + 1 half spectrum. The pair writes its spectrum into a buffer
+the stepper owns, and the 1/n of the inverse transform rides in a complex
+copy of the factor; n is a power of two, so that fold moves no bit of a
+normal number (``StackStepper.diffuse``).
 
 The drift enters the adjoint in divergence form through a conservative
 finite-volume upwind flux (optional second-order limited reconstruction),
@@ -29,8 +32,12 @@ reconstructs the donor side only, and ``divergence_of_flux`` subtracts
 adjacent entries of the padded flux. None of the three reads dx: the flux
 carries the units of the velocities it is given. The forward stepper hands
 them Courant numbers w dt / (2 dx) of a stage of dt/2, so that a stage is
-m minus that difference, with no pass by dx or dt. The centered second
-differences slice one periodically padded copy of their input.
+m minus that difference, with no pass by dx or dt. The ring copy and the
+donor reads, here and in the backward advection, are gathers with
+``mode="clip"``, which spends no bounds check per call: ``_ring`` and
+``_face_cells`` build every index in range, so no clamp ever acts. The
+centered second differences slice one periodically padded copy of their
+input.
 """
 from __future__ import annotations
 
@@ -185,15 +192,15 @@ def transport_flux(m: np.ndarray, faces: UpwindFaces, limiter: str = "mc") -> np
     signed zeros included.
     """
     n = m.shape[-1]
-    e = m.take(_ring(m.size // n, n))
+    e = m.take(_ring(m.size // n, n), mode="clip")
     if limiter == "off":
         rec = faces.half * 0.0
     elif limiter == "mc":
-        rec = _mc_slope(e).take(faces.donor)
+        rec = _mc_slope(e).take(faces.donor, mode="clip")
         rec *= faces.half
     else:
         raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
-    rec += e[1:].take(faces.donor)
+    rec += e[1:].take(faces.donor, mode="clip")
     rec *= faces.w
     return rec
 
@@ -349,8 +356,11 @@ class StepSetup:
 class StackStepper:
     """What a step of either clock shares on a (rows, n) stack of runs with
     one grid and dt, row r that of the StepSetup ``stages[r]``: the diffusion
-    stage and the face memo. ``diffusion_factor`` stacks the rows' factors,
-    and ``sigma_squared`` the Sigma^2 of the ``variable_rows`` only, so that
+    stage, the ring index of the stack (``_ring`` as a (rows, n + 2) array,
+    which the backward clock's gathers read) and the face memo. ``_factor``
+    stacks the rows' diffusion factors over n as complex numbers, for the
+    spectrum buffer ``_spectrum`` that ``diffuse`` owns, and
+    ``sigma_squared`` the Sigma^2 of the ``variable_rows`` only, so that
     the other rows keep their bits (adding a zero term would turn -0.0 into
     0.0). The face record, ``_record`` of the (rows, n) velocity stack, is
     built once when every drift is static, else once per face time, after
@@ -362,7 +372,11 @@ class StackStepper:
     def __init__(self, stages: list):
         self.stages = stages
         self.grid, self.dt = stages[0].grid, stages[0].dt
-        self.diffusion_factor = np.stack([s.diffusion_factor for s in stages])
+        n, rows = self.grid.n, len(stages)
+        # the complex copy spares the multiply a cast of the factor per call
+        self._factor = (np.stack([s.diffusion_factor for s in stages]) / n).astype(complex)
+        self._spectrum = np.empty((rows, n // 2 + 1), complex)
+        self.ring = _ring(rows, n).reshape(rows, n + 2)
         self.variable_rows = [r for r, s in enumerate(stages) if s.sigma_squared is not None]
         self.sigma_squared = (np.stack([stages[r].sigma_squared for r in self.variable_rows])
                               if self.variable_rows else None)
@@ -414,10 +428,21 @@ class StackStepper:
         """Diffusion and jumps over dt on a (rows, n) stack, by one real FFT
         pair with the stacked factors, then the explicit variable-Sigma term
         (adjoint=True: its Fokker-Planck form, for the forward clock) on
-        ``variable_rows``."""
-        spectrum = np.fft.rfft(values)
-        spectrum *= self.diffusion_factor
-        out = np.fft.irfft(spectrum, self.grid.n)
+        ``variable_rows``. Returns a new array and leaves ``values`` alone.
+
+        rfft writes into ``_spectrum``, which the stepper owns and each call
+        overwrites; the factor over n scales it in place, and irfft with
+        norm="forward" (no 1/n of its own) writes into a fresh array. n is a
+        power of two (``Grid``), so dividing by it and multiplying by 1/n
+        are exact and commute with every rounding of the pair: the output
+        keeps the bits of rfft, factor, irfft(..., n) wherever the numbers
+        involved are normal. On subnormal data the two can differ in the
+        last places (by up to 2.5e-321 at inputs of 1e-310); where the
+        unscaled inverse transform, n times the output, would overflow, the
+        fold still returns the finite result."""
+        spectrum = np.fft.rfft(values, out=self._spectrum)
+        spectrum *= self._factor
+        out = np.fft.irfft(spectrum, norm="forward", out=np.empty_like(values))
         if self.sigma_squared is not None:
             rows = self.variable_rows
             term = _variable_diffusion_term(out[rows], self.sigma_squared, self.grid.dx, adjoint)

@@ -1,8 +1,9 @@
 """The diffusion stage against its oracles: the half-spectrum FFT pair against
-the complex pair it replaced, and the sliced second differences against their
-np.roll stencils, bit for bit, sign bits of zeros included. The quadrature
-oracle's tap-built impulse response is held to its per-node shell loop the
-same way."""
+the complex pair it replaced and, bit for bit, against the retired real pair
+(rfft, factor, irfft with its own 1/n) that the folded pair replaced; the
+sliced second differences against their np.roll stencils, bit for bit, sign
+bits of zeros included. The quadrature oracle's tap-built impulse response
+is held to its per-node shell loop the same way."""
 import numpy as np
 import pytest
 import quadrature_oracle
@@ -38,6 +39,19 @@ def oracle_diffuse(setup: StepSetup, values: np.ndarray, adjoint: bool) -> np.nd
     out = np.real(np.fft.ifft(oracle_factor(setup) * np.fft.fft(values)))
     if setup.spec.diffusion.has_variable_part:
         out = out + setup.dt * oracle_variable_term(out, setup.grid, setup.spec, adjoint)
+    return out
+
+
+def retired_diffuse(stepper: StackStepper, values: np.ndarray, adjoint: bool) -> np.ndarray:
+    """The retired diffusion stage: rfft into a new spectrum, the real
+    stacked factors, irfft(..., n) with its own 1/n, then the variable term."""
+    spectrum = np.fft.rfft(values)
+    spectrum *= np.stack([s.diffusion_factor for s in stepper.stages])
+    out = np.fft.irfft(spectrum, stepper.grid.n)
+    if stepper.sigma_squared is not None:
+        rows = stepper.variable_rows
+        term = _variable_diffusion_term(out[rows], stepper.sigma_squared, stepper.grid.dx, adjoint)
+        out[rows] += stepper.dt * term
     return out
 
 
@@ -98,12 +112,82 @@ def test_diffuse_matches_complex_pair(kind, variable, n):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _stack_stepper(kind, variable, n, rows):
+    # rows of one kind with different dt, so every row has its own factor
+    g = Grid(n=n, half_width=16.0)
+    return StackStepper([StepSetup(_spec(kind, variable), g, 1e-4 * (1 + r)) for r in range(rows)])
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+@pytest.mark.parametrize("n", [8, 256, 1024])
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+@pytest.mark.parametrize("kind", ["fractional", "tempered"])
+def test_diffuse_matches_retired_pair_bit_for_bit(kind, variable, n, rows):
+    stepper = _stack_stepper(kind, variable, n, rows)
+    rng = np.random.default_rng(60 + n + rows)
+    for scale in (1.0, 1e-300, 1e300):
+        for adjoint in (True, False):
+            v = np.array([random_field(rng, n) for _ in range(rows)]) * scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = stepper.diffuse(v, adjoint), retired_diffuse(stepper, v, adjoint)
+            # at 1e300 and n = 1024 the retired inverse transform, n times
+            # the output, overflows on a few entries, which the folded pair
+            # need not; every other entry keeps its bits
+            finite = np.isfinite(want)
+            assert scale == 1e300 or finite.all()
+            assert_same_bytes(got[finite], want[finite])
+
+
+def test_folded_pair_is_finite_where_the_retired_pair_overflowed():
+    # a spike of 2^1020 on n = 1024: the retired irfft forms 2^1030 before its
+    # 1/n, the folded one never does; scaling by 2^-10 is exact, so the folded
+    # output is 2^10 times the retired pair on the scaled spike, bit for bit
+    stepper = _stack_stepper("fractional", False, 1024, 1)
+    v = np.zeros((1, 1024))
+    v[0, 300] = 2.0**1020
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(retired_diffuse(stepper, v, True)).all()
+    assert_same_bytes(stepper.diffuse(v, True), 2.0**10 * retired_diffuse(stepper, v * 2.0**-10, True))
+
+
 def test_diffuse_leaves_its_input_alone():
     setup = StepSetup(_spec("fractional", True), Grid(n=64, half_width=16.0), 1e-4)
     v = np.random.default_rng(5).standard_normal((1, 64))
     keep = v.copy()
-    StackStepper([setup]).diffuse(v, adjoint=True)
+    stepper = StackStepper([setup])
+    first = stepper.diffuse(v, adjoint=True)
     assert np.array_equal(v, keep)
+    # each output is a new array: not the spectrum buffer the pair reuses,
+    # nor the output of the call before
+    second = stepper.diffuse(first, adjoint=True)
+    assert not np.shares_memory(first, second)
+    for out in (first, second):
+        assert not np.shares_memory(out, stepper._spectrum)
+        assert not np.shares_memory(out, v)
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+def test_diffuse_runs_one_fft_pair(monkeypatch, rows):
+    stepper = _stack_stepper("tempered", True, 256, rows)
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
+    v = np.random.default_rng(6).standard_normal((rows, 256))
+    for k in range(1, 4):
+        v = stepper.diffuse(v, adjoint=k % 2 == 0)
+        assert calls == ["rfft", "irfft"] * k
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,32 @@ def test_backward_step_matches_oracle_step(monkeypatch, spec):
     assert_bitwise(got, stepper.step(v, 0.75))
 
 
+class Gathered(np.ndarray):
+    """An array that counts the gathers (``take``) made from it and from the
+    arrays computed from it."""
+
+    takes = 0
+
+    def take(self, *args, **kwargs):
+        Gathered.takes += 1
+        return super().take(*args, **kwargs)
+
+
+@pytest.mark.parametrize("spec", [FRAC_OU, MOVING], ids=["spectral", "moving"])
+def test_backward_step_gathers_its_ring_once(monkeypatch, spec):
+    # the stepper holds its ring index: a step makes one gather of the state
+    # and looks up no ring; moving faces gather their velocities, not v
+    g = Grid(n=256, half_width=8.0)
+    stepper = _BackwardStepper([StepSetup(spec, g, 2e-3)])
+    lookups = spy_on(monkeypatch, "_ring")
+    monkeypatch.setattr(Gathered, "takes", 0)
+    v = random_field(np.random.default_rng(4), g.n)[None, :].view(Gathered)
+    for k in range(1, 4):
+        v = stepper.step(v, 1.0 - k * 2e-3)
+        assert type(v) is Gathered and Gathered.takes == k
+    assert lookups == []
+
+
 # ---------------------------------------------------------------------------
 # stacks: every kernel acts row by row
 
@@ -421,6 +447,41 @@ def test_stacked_donors_stay_inside_their_rows(n):
         stepper = _Stepper([StepSetup(spec, g, 2e-3, substep=0.5) for spec in specs], "mc")
         for t in (0.0, 0.25):
             assert_donors_inside_their_rows(stepper.faces(t), n)
+
+
+def assert_gathers_in_range(index, size):
+    # the ring and donor gathers run with mode="clip", which would clamp an
+    # out-of-range index to the nearest end without a word: every index must
+    # lie inside the array it reads
+    assert index.dtype.kind == "i"
+    assert index.min() >= 0 and index.max() < size
+
+
+def test_index_guard_fails_on_an_out_of_range_index():
+    ring = _ring(3, 8)
+    assert_gathers_in_range(ring, 3 * 8)
+    for bad in (3 * 8, -1):
+        with pytest.raises(AssertionError):
+            assert_gathers_in_range(np.append(ring, bad), 3 * 8)
+    # what the guard stands for: clip reads the last cell for the index past it
+    assert np.arange(4.0).take([4], mode="clip")[0] == 3.0
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024])
+@pytest.mark.parametrize("rows", range(1, 9))
+def test_check_free_gathers_stay_in_range(rows, n):
+    rng = np.random.default_rng(7900 + 10 * n + rows)
+    # the ring copy gathers from a (rows, n) stack, and so does the backward
+    # stepper's ring, the same index in rows of n + 2
+    ring = _ring(rows, n)
+    assert ring.size == rows * (n + 2)
+    assert_gathers_in_range(ring, rows * n)
+    stepper = _BackwardStepper([StepSetup(FRAC_OU, Grid(n=n, half_width=8.0), 1e-3)] * rows)
+    assert_same_bits(stepper.ring, ring.reshape(rows, n + 2))
+    # donors gather from e[1:], the ring copy after its first entry
+    for w in (np.array([random_velocity(rng, n) for _ in range(rows)]),
+              np.array([special_velocity(rng, n) for _ in range(rows)])):
+        assert_gathers_in_range(upwind_faces(w).donor, rows * (n + 2) - 1)
 
 
 JUNK = {
