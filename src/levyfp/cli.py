@@ -30,7 +30,13 @@ from .config import (
 )
 from .forward import NumericalFailure, solve, solve_stack, stationary_solve
 from .lyapunov import classify_weight, solve_rate_ode, verify_lemma_lyap
-from .particles import ensemble_at, ensemble_from_density, reflection_coupling_run, simulate
+from .particles import (
+    ParticleEnsemble,
+    ensemble_at,
+    ensemble_from_density,
+    reflection_coupling_run,
+    simulate,
+)
 from .rates import FITTERS, predicted_q, window_shift_stability
 
 __all__ = ["main"]
@@ -167,14 +173,18 @@ def _run_duality_check(cfg: ExperimentConfig, outdir: Path) -> dict:
     return payload
 
 
-def _run_particles(cfg: ExperimentConfig, outdir: Path) -> dict:
+def _start_ensemble(cfg: ExperimentConfig) -> ParticleEnsemble:
     n, seed = cfg["particles.n"], cfg["seed"]
     if cfg["particles.source"] == "initial":
-        ens = ensemble_from_density(cfg.initial, n, seed=seed)
-    else:
-        ens = ensemble_at(cfg["particles.x0"], n, seed=seed)
+        return ensemble_from_density(cfg.initial, n, seed=seed)
+    return ensemble_at(cfg["particles.x0"], n, seed=seed)
+
+
+def _run_particles(cfg: ExperimentConfig, outdir: Path) -> dict:
+    # the start ensemble is bound to no name here, so simulate can free it
+    # once it has copied the positions into the buffer it steps in place
     run = simulate(
-        ens,
+        _start_ensemble(cfg),
         cfg.generator,
         cfg["time.dt"],
         cfg["time.t_final"],
@@ -186,7 +196,7 @@ def _run_particles(cfg: ExperimentConfig, outdir: Path) -> dict:
     cols = [run.times] + [run.moments[lab] for lab in labels]
     write_csv(outdir / "series.csv", header, list(zip(*cols)))
     return {
-        "n_particles": n,
+        "n_particles": cfg["particles.n"],
         "t_final": float(run.times[-1]),
         "final_moments": {lab: float(run.moments[lab][-1]) for lab in labels},
         **_cap_excess_entry(run.cap_excess),

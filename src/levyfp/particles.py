@@ -12,7 +12,7 @@ trajectories are bitwise identical no matter how the ensemble is chunked
 across workers.
 
 A step runs over fixed chunks of particles, each of which draws its own
-uniform block and writes its own slice of the new positions, so the chunks
+uniform block and overwrites its own slice in place, so the chunks
 can be mapped over a thread pool: numpy releases the interpreter lock in the
 PCG fill and in the ufuncs, and the bytes do not depend on the worker
 count.
@@ -332,8 +332,15 @@ class _ParticleStepper:
         the reflected move of a coupled pair's Y: the "gauss" terms are
         negated, and each jump increment below reflect_below in size, row by
         row. Negation is exact, so both moves of a pair read one draw and
-        give the bits of two separate draws."""
-        np.subtract(x, self.spec.drift(t, x) * self.dt, out=out)
+        give the bits of two separate draws.
+
+        out may be x itself: every factor that reads x, the drift and
+        Sigma(x), is evaluated before out is first written."""
+        shift = self.spec.drift(t, x) * self.dt
+        if "variable" in self.columns:
+            s = np.sqrt(self.spec.diffusion.sigma_squared(x))
+            s *= math.sqrt(2.0 * self.dt)
+        np.subtract(x, shift, out=out)
         for kind, v in terms:
             if kind == "gauss":
                 if reflect_below is None:
@@ -341,8 +348,6 @@ class _ParticleStepper:
                 else:
                     out -= v
             elif kind == "variable":
-                s = np.sqrt(self.spec.diffusion.sigma_squared(x))
-                s *= math.sqrt(2.0 * self.dt)
                 s *= v
                 out += s
             elif kind == "jump":
@@ -402,17 +407,30 @@ def _for_chunks(advance, n: int, pool: ThreadPoolExecutor | None):
         raise
 
 
+def _checked_ensemble(positions: np.ndarray, seed: int, step_index: int) -> ParticleEnsemble:
+    """A ParticleEnsemble on positions already known to be finite, without
+    the constructor's rescan."""
+    ens = object.__new__(ParticleEnsemble)
+    ens.__dict__.update(positions=positions, seed=seed, step_index=step_index)
+    return ens
+
+
 def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
                   _stepper: _ParticleStepper | None = None,
-                  _pool: ThreadPoolExecutor | None = None) -> ParticleEnsemble:
+                  _pool: ThreadPoolExecutor | None = None,
+                  _out: np.ndarray | None = None) -> ParticleEnsemble:
     """Advance every particle one Euler step, step k = ens.step_index + 1 from
     t = (k - 1) * dt to k * dt, in cache-sized chunks, and raise
     NumericalFailure if a position leaves the finite range. The result is
-    bitwise independent of the chunk size and of the pool the chunks run on."""
+    bitwise independent of the chunk size and of the pool the chunks run on.
+
+    The new positions go to a fresh array, or to _out, which may be
+    ens.positions itself: a chunk reads and writes only its own slice, and a
+    particle's move reads only its own position."""
     stepper = _stepper if _stepper is not None else _ParticleStepper(spec, dt)
     k = ens.step_index + 1
     t, t_new = ens.step_index * dt, k * dt
-    new = np.empty_like(ens.positions)
+    new = np.empty_like(ens.positions) if _out is None else _out
 
     def advance(i0: int, i1: int):
         u = _uniforms(ens.seed, k, i0, i1 - i0, stepper.stride)
@@ -420,10 +438,8 @@ def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
         RunGuard.check_positions(new[i0:i1], t_new)
 
     _for_chunks(advance, ens.n_particles, _pool)
-    # every chunk has checked its positions: skip the constructor's rescan
-    stepped = object.__new__(ParticleEnsemble)
-    stepped.__dict__.update(positions=new, seed=ens.seed, step_index=k)
-    return stepped
+    # every chunk has checked its positions
+    return _checked_ensemble(new, ens.seed, k)
 
 
 @dataclass(frozen=True)
@@ -445,10 +461,17 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
     weighted moments) every record_every steps. Every step is checked for
     finiteness. The chunks of a step, and the weight evaluations of a record,
     run on a thread pool with one thread per available core; the result does
-    not depend on the core count."""
+    not depend on the core count.
+
+    The run holds two n-length arrays: one position buffer, which every step
+    overwrites in place, and one buffer of weight values for the records.
+    The start positions are copied into the position buffer and the start
+    ensemble is released, so the caller's ensemble is left unchanged and is
+    freed during the run if the caller keeps no reference to it."""
     guard = RunGuard(dt, t_final, record_every, t0=ens.step_index * dt)
     stepper = _ParticleStepper(spec, dt)
     moment_weights = moment_weights or {}
+    ens = _checked_ensemble(ens.positions.copy(), ens.seed, ens.step_index)
 
     times, moments = [], {name: [] for name in moment_weights}
     values = np.empty(ens.n_particles)
@@ -465,7 +488,7 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
     with _chunk_pool(ens.n_particles) as pool:
         record()
         for k in range(1, guard.n_steps + 1):
-            ens = step_ensemble(ens, spec, dt, _stepper=stepper, _pool=pool)
+            ens = step_ensemble(ens, spec, dt, _stepper=stepper, _pool=pool, _out=ens.positions)
             if guard.records(k):
                 record()
 
