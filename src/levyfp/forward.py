@@ -243,7 +243,7 @@ def solve(
     record_weights: dict | None = None,
     snapshot_times: tuple = (),
 ) -> ForwardRun:
-    """Integrate from m0.t to the end time t_final, recording diagnostics
+    """Integrate from t = 0 to the end time t_final, recording diagnostics
     every record_every steps and at the steps nearest snapshot_times.
 
     record_weights maps names to weight functions phi; each recorded entry is
@@ -288,13 +288,17 @@ def solve_stack(
     (CFL, variable diffusion), at a record (blow-up, boundary band) or, for
     a moving drift, at the face array that broke CFL (its ``row``); the run
     leaves the stack and the others go on. A t_final that is no whole number
-    of steps from m0.t is a ValueError for every run that got past setup.
+    of steps of dt is a ValueError for every run that got past setup. Every
+    run starts at t = 0: initial data tagged with another time is a
+    ValueError, rather than records stamped from the wrong time.
 
     The stack marches the open state, and a record closes it on a copy: the
     records, snapshots and final fields read the closed state, while a
     restack and the retake after a CFL failure act on the open one. Every
     record_every steps cost 3 record_every + 2 flux passes.
     """
+    if m0.t != 0.0:
+        raise ValueError(f"a forward run starts at t = 0, got initial data at t={m0.t:g}")
     grid = m0.grid
     results: list = [None] * len(specs)
     live, stages = [], []  # the runs set up, in row order, and their setups
@@ -305,15 +309,15 @@ def solve_stack(
             results[i] = exc
         else:
             live.append(i)
-    snap_steps = {int(round((ts - m0.t) / dt)) for ts in snapshot_times}
+    snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
     try:
-        guard = RunGuard(dt, t_final, record_every, t0=m0.t, extra_records=snap_steps)
+        guard = RunGuard(dt, t_final, record_every, extra_records=snap_steps)
     except ValueError as exc:  # a horizon of no whole number of steps ends every run set up
         return [exc if r is None else r for r in results]
     weights = record_weights or [{}] * len(specs)
     series = {i: _Series(m0, specs[i], dt, weights[i], guard, eps_boundary) for i in live}
     m = np.repeat(m0.values[None, :], len(live), axis=0)
-    t = m0.t
+    t = 0.0
 
     def restack(failed: dict):
         # the rows in failed (row -> NumericalFailure) leave the open state,
@@ -349,7 +353,7 @@ def solve_stack(
     record(0)
     k = 0
     while live and k < guard.n_steps:
-        t_next = m0.t + (k + 1) * dt
+        t_next = (k + 1) * dt
         try:
             stepped = stepper.step(m, t, t_next)
         except NumericalFailure as exc:

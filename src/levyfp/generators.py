@@ -169,9 +169,9 @@ class LocalDiffusionSpec:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Velocity field b(t, x) with declared confinement and one-sided bounds;
-    it stores the alpha and gamma the Lyapunov checks read, and each
-    constructor states its R and c0.
+    """Velocity field b(t, x) = steady(x) + wave(t, x) with declared
+    confinement and one-sided bounds; it stores the alpha and gamma the
+    Lyapunov checks read, and each constructor states its R and c0.
 
     Confinement:  b(t, x) . x >= alpha * |x|^gamma   for |x| >= R.
     One-sided:    (b(x) - b(y)) . (x - y) >= -c0 * |x - y| * (|x-y| ^ 1 wedge 1)
@@ -179,23 +179,20 @@ class DriftSpec:
                   perturbation), which implies the sigma <= 1 modulus for any
                   delta <= sigma.
 
-    A moving drift may split as fn(t, x) = steady(x) + wave(t, x), so that a
-    caller evaluating it at fixed points many times evaluates ``steady``
-    there once; ``steady`` and ``wave`` are None for a drift without a split.
+    ``wave`` is None for a static drift. A caller that evaluates a moving
+    drift at fixed points many times evaluates ``steady`` there once and
+    adds ``wave`` to it, as ``__call__`` does.
     """
 
     alpha: float
     gamma: float
-    time_dependent: bool = False
-    fn: Callable[[float, np.ndarray], np.ndarray] = field(default=None, repr=False)
-    steady: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    steady: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     wave: Callable[[float, np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     @staticmethod
     def none() -> "DriftSpec":
         """b = 0: no transport, no confinement claimed (alpha = 0), c0 = 0."""
-        return DriftSpec(alpha=0.0, gamma=2.0,
-                         fn=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+        return DriftSpec(alpha=0.0, gamma=2.0, steady=np.zeros_like)
 
     @staticmethod
     def ou(alpha: float = 1.0) -> "DriftSpec":
@@ -203,8 +200,7 @@ class DriftSpec:
         and b is monotone, so c0 = 0."""
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        return DriftSpec(alpha=alpha, gamma=2.0,
-                         fn=lambda t, x: alpha * np.asarray(x, dtype=float))
+        return DriftSpec(alpha=alpha, gamma=2.0, steady=lambda x: alpha * x)
 
     @staticmethod
     def power(alpha: float, gamma: float, R: float = 1.0) -> "DriftSpec":
@@ -219,10 +215,8 @@ class DriftSpec:
         if not 0.0 < gamma <= 2.0:
             raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
         alpha_decl = alpha * (R**2 / (1.0 + R**2)) ** ((2.0 - gamma) / 2.0)
-        return DriftSpec(
-            alpha=alpha_decl, gamma=gamma,
-            fn=lambda t, x: alpha * np.asarray(x, dtype=float) * bracket(x) ** (gamma - 2.0),
-        )
+        return DriftSpec(alpha=alpha_decl, gamma=gamma,
+                         steady=lambda x: alpha * x * bracket(x) ** (gamma - 2.0))
 
     @staticmethod
     def perturbed_power(alpha: float, gamma: float, amplitude: float, R: float = 1.0) -> "DriftSpec":
@@ -246,16 +240,13 @@ class DriftSpec:
             alpha_decl -= amplitude
         elif amplitude != 0:
             alpha_decl /= 2.0
-        pfn = base.fn
-        steady = lambda x: pfn(0.0, x)  # the power drift does not read t
-        wave = lambda t, x: amplitude * np.sin(np.asarray(x, dtype=float) + t)
-        return DriftSpec(
-            alpha=alpha_decl, gamma=gamma, time_dependent=True,
-            fn=lambda t, x: steady(x) + wave(t, x), steady=steady, wave=wave,
-        )
+        return DriftSpec(alpha=alpha_decl, gamma=gamma, steady=base.steady,
+                         wave=lambda t, x: amplitude * np.sin(x + t))
 
     def __call__(self, t: float, x) -> np.ndarray:
-        return self.fn(t, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        b = self.steady(x)
+        return b if self.wave is None else b + self.wave(t, x)
 
 
 @dataclass(frozen=True)
@@ -272,4 +263,4 @@ class GeneratorSpec:
 
     @property
     def is_time_dependent(self) -> bool:
-        return self.drift.time_dependent
+        return self.drift.wave is not None

@@ -165,17 +165,23 @@ def generator_on_weight(g: GeneratorSpec, w: WeightFunction, xs: np.ndarray, t: 
 # Lyapunov inequality gate
 
 
+def _lower_envelope(g: GeneratorSpec, w: WeightFunction, xs: np.ndarray) -> np.ndarray:
+    """min over t of L^b[w](xs) at t = 0 and, for a moving drift, at
+    _DRIFT_PROBE_TIMES: the inequalities checked on it are one-sided."""
+    out = generator_on_weight(g, w, xs)
+    if g.is_time_dependent:
+        for t in _DRIFT_PROBE_TIMES:
+            out = np.minimum(out, generator_on_weight(g, w, xs, t=t))
+    return out
+
+
 def _smallest_K(g: GeneratorSpec, beta: float, eps: float, radii: np.ndarray) -> float:
     w = WeightFunction.power(beta)
     x = np.concatenate([radii, -radii[radii > 0]])
     alpha, gamma = g.drift.alpha, g.drift.gamma
     rhs = (alpha - eps) * beta * w(x) / bracket(x) ** (2.0 - gamma)
-    t_samples = (0.0, *_DRIFT_PROBE_TIMES) if g.is_time_dependent else (0.0,)
-    worst = -math.inf
-    for t in t_samples:
-        deficit = rhs - generator_on_weight(g, w, x, t=t)
-        worst = max(worst, float(deficit.max()))
-    return max(0.0, worst)
+    # rounding is monotone, so max over t of rhs - L_t equals rhs - min over t of L_t
+    return max(0.0, float((rhs - _lower_envelope(g, w, x)).max()))
 
 
 def check_lemma_preconditions(g: GeneratorSpec, beta: float, eps: float) -> None:
@@ -270,13 +276,7 @@ def classify_weight(g: GeneratorSpec, w: WeightFunction) -> LyapunovReport:
     models (power in w, inverse power of log w) are fitted on the outer half
     and selected by residual; "neither" is a valid outcome."""
     radii = _default_radii(w)
-    lb_pos = generator_on_weight(g, w, radii)
-    lb_neg = generator_on_weight(g, w, -radii)
-    if g.is_time_dependent:
-        for t in _DRIFT_PROBE_TIMES:
-            lb_pos = np.minimum(lb_pos, generator_on_weight(g, w, radii, t=t))
-            lb_neg = np.minimum(lb_neg, generator_on_weight(g, w, -radii, t=t))
-    vals = np.minimum(lb_pos, lb_neg)  # lower envelope: the inequalities are one-sided
+    vals = np.minimum(_lower_envelope(g, w, radii), _lower_envelope(g, w, -radii))
     phi = w(radii)
     ratio = vals / phi
 

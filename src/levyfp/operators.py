@@ -36,8 +36,7 @@ m minus that difference, with no pass by dx or dt. The ring copy and the
 donor reads, here and in the backward advection, are gathers with
 ``mode="clip"``, which spends no bounds check per call: ``_ring`` and
 ``_face_cells`` build every index in range, so no clamp ever acts. The
-centered second differences slice one periodically padded copy of their
-input.
+centered second differences slice the same ring copy of their input.
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ from .grids import Grid
 __all__ = [
     "transport_flux",
     "divergence_of_flux",
-    "face_velocities",
     "UpwindFaces",
     "upwind_faces",
     "StepSetup",
@@ -65,26 +63,6 @@ LIMITERS = ("mc", "off")
 
 # ---------------------------------------------------------------------------
 # conservative transport pieces
-
-
-def _face_points(grid: Grid) -> np.ndarray:
-    """Interfaces x_{i+1/2} = x_i + dx/2. The last face, at L - dx/2,
-    separates the last cell from the first; mass crossing it wraps around
-    the periodic seam."""
-    return grid.nodes + 0.5 * grid.dx
-
-
-def face_velocities(grid: Grid, drift, t: float, steady: np.ndarray | None = None) -> np.ndarray:
-    """Transport velocity w = -b at the interfaces ``_face_points``.
-
-    ``steady`` is ``drift.steady`` at the faces, evaluated once by the
-    caller: then only ``drift.wave`` is evaluated and added to it, as
-    ``drift(t, x)`` adds the two, so w keeps every bit.
-    """
-    x = _face_points(grid)
-    if steady is None:
-        return -np.asarray(drift(t, x), dtype=float)
-    return -(steady + drift.wave(t, x))
 
 
 _RINGS: dict = {}  # (rows, n) -> ring indices
@@ -154,7 +132,7 @@ def _face_cells(shape: tuple) -> tuple:
     cells = _FACE_CELLS.get(shape)
     if cells is None:
         n = shape[-1]
-        ring = np.concatenate(([n - 1], np.arange(n), [0]))  # a row of ``_ring``
+        ring = _ring(1, n)
         row = np.arange(int(np.prod(shape[:-1])))[:, None]
         at, left, right = row * n + ring[:-1], row * (n + 2) + ring[:-1], row * (n + 2) + ring[1:]
         cells = _FACE_CELLS[shape] = tuple(a.reshape(shape[:-1] + (n + 1,)) for a in (at, left, right))
@@ -221,15 +199,11 @@ def _variable_diffusion_term(values: np.ndarray, s2: np.ndarray, dx: float, adjo
     return s2 * _second_difference(values, dx)
 
 
-def _periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
-    """values with ``width`` periodic ghost cells at each end of the last
-    axis: q[..., i + width] = values[..., i mod n]."""
-    return np.concatenate((values[..., -width:], values, values[..., :width]), axis=-1)
-
-
 def _second_difference(p: np.ndarray, dx: float) -> np.ndarray:
-    """3-point centered periodic second difference along the last axis."""
-    q = _periodic_pad(p, 1)
+    """3-point centered periodic second difference along the last axis, on
+    the ring copy of p (``_ring``): q[..., i + 1] = p[..., i mod n]."""
+    n = p.shape[-1]
+    q = p.take(_ring(p.size // n, n), mode="clip").reshape(p.shape[:-1] + (n + 2,))
     return (q[..., 2:] - 2.0 * p + q[..., :-2]) / dx**2
 
 
@@ -248,15 +222,15 @@ class NumericalFailure(RuntimeError):
 
 class RunGuard:
     """The validity envelope every marching loop polices: ``n_steps`` whole steps
-    of dt from t0 to t_final, the steps it records, blow-up and the boundary
+    of dt from 0 to t_final, the steps it records, blow-up and the boundary
     band. Messages name the time ``clock``: "t", or "s" on the backward clock."""
 
     BAND = 0.05  # share of the cells at each end of the box that forms the boundary band
 
-    def __init__(self, dt: float, t_final: float, record_every: int = 1, t0: float = 0.0,
+    def __init__(self, dt: float, t_final: float, record_every: int = 1,
                  clock: str = "t", extra_records=()):
-        self.n_steps = int(round((t_final - t0) / dt))
-        if abs(t0 + self.n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        self.n_steps = int(round(t_final / dt))
+        if abs(self.n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
             raise ValueError(f"{clock}_final={t_final} is not an integer number of steps of dt={dt}")
         self.record_every = record_every
         self.extra_records = extra_records
@@ -299,13 +273,13 @@ class StepSetup:
     """The per-spec pieces of a time step of either clock for a fixed (spec,
     grid, dt): ``diffusion_factor`` exp(-dt (lambda0 xi^2 + symbol(xi))) on
     the n//2 + 1 half spectrum of rfft, the exact symbol of every measure in
-    the exponent; Sigma^2; a static drift's velocities ``static_w``, or a
-    moving drift's steady part at the faces, so that each face array
-    ``moving_w`` builds adds only its wave; and the two gates. Faces are in
-    forward time. The advection is checked against the CFL bound for a step
-    of ``substep * dt`` on every face array, so over exactly the times a run
-    steps through; the variable diffusion once. ``where`` names the clock in
-    the messages."""
+    the exponent; Sigma^2; the drift's steady part at the faces nodes + dx/2,
+    evaluated once, so that a static drift's velocities ``static_w`` are
+    -steady and each face array ``moving_w`` builds for a moving drift adds
+    only its wave; and the two gates. Faces are in forward time. The
+    advection is checked against the CFL bound for a step of ``substep * dt``
+    on every face array, so over exactly the times a run steps through; the
+    variable diffusion once. ``where`` names the clock in the messages."""
 
     def __init__(self, spec: GeneratorSpec, grid: Grid, dt: float, substep: float = 1.0, where: str = ""):
         if dt <= 0:
@@ -319,13 +293,12 @@ class StepSetup:
         xi = grid.wavenumber_magnitude[: grid.n // 2 + 1]  # the half spectrum of rfft
         self.diffusion_factor = np.exp(-dt * (diffusion.lambda0 * xi**2 + spec.levy.symbol(xi)))
         self.sigma_squared = diffusion.sigma_squared(grid.nodes) if diffusion.has_variable_part else None
-        self.static_w = self._steady = None
+        self._face_x = grid.nodes + 0.5 * grid.dx  # the last face, at L - dx/2, is the periodic seam
+        self._steady = spec.drift.steady(self._face_x)
+        self.static_w = None
         if not spec.is_time_dependent:
-            w = face_velocities(grid, spec.drift, 0.0)
-            self._check_cfl(w)
-            self.static_w = w
-        elif spec.drift.steady is not None:
-            self._steady = spec.drift.steady(_face_points(grid))
+            self.static_w = -self._steady
+            self._check_cfl(self.static_w)
         self._check_variable_diffusion()
 
     def _check_cfl(self, w: np.ndarray, t: float | None = None):
@@ -347,8 +320,9 @@ class StepSetup:
                     f"{0.45 * dx**2 / smax:g}, got {dt:g}")
 
     def moving_w(self, t: float) -> np.ndarray:
-        """Face velocities of a time-dependent drift at forward time t, CFL-checked."""
-        w = face_velocities(self.grid, self.spec.drift, t, self._steady)
+        """Face velocities -(steady + wave(t)) of a moving drift at forward
+        time t, CFL-checked: the bits of -drift(t, faces)."""
+        w = -(self._steady + self.spec.drift.wave(t, self._face_x))
         self._check_cfl(w, t)
         return w
 

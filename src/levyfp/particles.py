@@ -434,7 +434,8 @@ def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
 
     def advance(i0: int, i1: int):
         u = _uniforms(ens.seed, k, i0, i1 - i0, stepper.stride)
-        stepper.move(ens.positions[i0:i1], t, stepper.increments(u), out=new[i0:i1])
+        with np.errstate(over="ignore", invalid="ignore"):  # check_positions reports a blow-up
+            stepper.move(ens.positions[i0:i1], t, stepper.increments(u), out=new[i0:i1])
         RunGuard.check_positions(new[i0:i1], t_new)
 
     _for_chunks(advance, ens.n_particles, _pool)
@@ -467,8 +468,14 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
     overwrites in place, and one buffer of weight values for the records.
     The start positions are copied into the position buffer and the start
     ensemble is released, so the caller's ensemble is left unchanged and is
-    freed during the run if the caller keeps no reference to it."""
-    guard = RunGuard(dt, t_final, record_every, t0=ens.step_index * dt)
+    freed during the run if the caller keeps no reference to it.
+
+    The run starts at t = 0: an ensemble whose step_index is not 0 is a
+    ValueError, since its records would be stamped from the wrong time
+    (``step_ensemble`` chains from any step)."""
+    if ens.step_index != 0:
+        raise ValueError(f"simulate starts at step 0, got an ensemble at step_index {ens.step_index}")
+    guard = RunGuard(dt, t_final, record_every)
     stepper = _ParticleStepper(spec, dt)
     moment_weights = moment_weights or {}
     ens = _checked_ensemble(ens.positions.copy(), ens.seed, ens.step_index)
@@ -480,7 +487,8 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
         times.append(ens.step_index * dt)
         for name, w in moment_weights.items():
             def evaluate(i0: int, i1: int):
-                values[i0:i1] = w(ens.positions[i0:i1])
+                with np.errstate(over="ignore"):  # a weight of a huge position is inf
+                    values[i0:i1] = w(ens.positions[i0:i1])
 
             _for_chunks(evaluate, ens.n_particles, pool)
             moments[name].append(float(np.mean(values)))
@@ -569,17 +577,20 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
                 u = _uniforms(seed, k, i0, i1 - i0, stepper.stride)
                 terms = stepper.increments(u)
                 xs, ys = x_new[i0:i1], y_new[i0:i1]
-                stepper.move(x[i0:i1], t, terms, out=xs)
-                guard.check_positions(xs, t_new)
-                ys[:] = xs  # a coupled pair moves as one
-                apart = np.flatnonzero(~coupled[i0:i1])
-                ya = y[i0:i1][apart]
-                reflect_below = np.minimum(1.0, 0.5 * np.abs(x[i0:i1][apart] - ya))
-                ya_new = np.empty_like(ya)
-                stepper.move(ya, t, [(kind, v[apart]) for kind, v in terms], out=ya_new,
-                             reflect_below=reflect_below)
-                guard.check_positions(ya_new, t_new)
-                meet = np.abs(xs[apart] - ya_new) < eps_couple
+                # as in step_ensemble: check_positions reports a blow-up, and a
+                # pair far apart may be an infinite distance apart
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stepper.move(x[i0:i1], t, terms, out=xs)
+                    guard.check_positions(xs, t_new)
+                    ys[:] = xs  # a coupled pair moves as one
+                    apart = np.flatnonzero(~coupled[i0:i1])
+                    ya = y[i0:i1][apart]
+                    reflect_below = np.minimum(1.0, 0.5 * np.abs(x[i0:i1][apart] - ya))
+                    ya_new = np.empty_like(ya)
+                    stepper.move(ya, t, [(kind, v[apart]) for kind, v in terms], out=ya_new,
+                                 reflect_below=reflect_below)
+                    guard.check_positions(ya_new, t_new)
+                    meet = np.abs(xs[apart] - ya_new) < eps_couple
                 ys[apart[~meet]] = ya_new[~meet]
                 met = apart[meet]
                 t_couple[i0:i1][met] = t_new

@@ -14,7 +14,6 @@ import numpy as np
 from levyfp.generators import LevyMeasureSpec
 from levyfp.grids import Field, Grid
 from levyfp.lyapunov import _second_moment_inner, shell_quadrature_nodes
-from levyfp.operators import _periodic_pad
 
 
 def _mass_beyond(nu: LevyMeasureSpec, z_max: float) -> float:
@@ -54,7 +53,7 @@ def periodic_shift_interp(values: np.ndarray, grid: Grid, z: float) -> np.ndarra
 
 def fourth_order_d2(values: np.ndarray, dx: float) -> np.ndarray:
     """4th-order centered periodic second difference."""
-    q = _periodic_pad(values, 2)
+    q = np.concatenate((values[-2:], values, values[:2]))
     return (-q[4:] + 16.0 * q[3:-1] - 30.0 * values + 16.0 * q[1:-3] - q[:-4]) / (12.0 * dx**2)
 
 

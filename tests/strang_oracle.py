@@ -1,6 +1,8 @@
 """The forward step before its transport halves were merged, kept as the
 law oracle of the merged march.
 
+``face_velocities`` is the drift evaluated whole at the faces, as the
+steppers read it before ``StepSetup`` evaluated the steady part once.
 ``mc_slope_retired`` is the MC slope formed on differences divided by dx,
 with a select and copysign. ``strang_step_retired`` is one whole Strang step
 T(dt/2) D T(dt/2), each half two SSP-RK2 substeps of the physical flux
@@ -14,7 +16,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from levyfp.operators import _ring, face_velocities, upwind_faces
+from levyfp.operators import _ring, upwind_faces
+
+
+def _face_points(grid) -> np.ndarray:
+    """Interfaces x_{i+1/2} = x_i + dx/2. The last face, at L - dx/2,
+    separates the last cell from the first; mass crossing it wraps around
+    the periodic seam."""
+    return grid.nodes + 0.5 * grid.dx
+
+
+def face_velocities(grid, drift, t: float) -> np.ndarray:
+    """Transport velocity w = -b(t, x) at the interfaces ``_face_points``."""
+    return -np.asarray(drift(t, _face_points(grid)), dtype=float)
 
 
 def mc_slope_retired(e: np.ndarray, dx: float) -> np.ndarray:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from quadrature_oracle import levy_integral_field
 
-from levyfp import operators
 from levyfp.adjoint import (
     _BackwardStepper,
     duality_residual,
@@ -240,8 +239,7 @@ def test_backward_cfl_violation_detected():
 def test_backward_cfl_bound_covers_run_times():
     # |b| = (1 + t)|x| is checked at the forward times the run steps through:
     # within the bound for t <= 0.01, broken once 1 + t > 0.95 / (1e-3 * 16 * 32)
-    drift = DriftSpec(alpha=1.0, gamma=2.0, time_dependent=True,
-                      fn=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float))
+    drift = DriftSpec(alpha=1.0, gamma=2.0, steady=np.zeros_like, wave=lambda t, x: (1.0 + t) * x)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
     assert 1e-3 * 1.01 * GRID.half_width < 0.95 * GRID.dx < 1e-3 * 2.0 * GRID.half_width
     run = solve_backward(tanh_profile(GRID), spec, s_final=0.01, dt=1e-3)
@@ -294,13 +292,13 @@ def test_time_dependent_drift_runs_without_a_horizon():
 def test_backward_clock_reverses_at_s_final(monkeypatch):
     # step k (from 0) reads the drift at forward time s_final - k dt
     read = []
-    evaluate = operators.face_velocities
+    evaluate = StepSetup.moving_w
 
-    def spy(grid, drift, t, *steady):
+    def spy(self, t):
         read.append(t)
-        return evaluate(grid, drift, t, *steady)
+        return evaluate(self, t)
 
-    monkeypatch.setattr(operators, "face_velocities", spy)
+    monkeypatch.setattr(StepSetup, "moving_w", spy)
     g = Grid(n=128, half_width=4.0)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
                          DriftSpec.perturbed_power(1.0, 2.0, 0.5))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -827,6 +828,27 @@ def validate_fresh(cfg):
     script = f"import sys\nsys.path.insert(0, {SRC!r})\nfrom levyfp.cli import main\nsys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", script, "validate", str(cfg)],
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("experiment", ["particles", "coupling"])
+def test_particle_blow_up_prints_only_its_failure(tmp_path, experiment, cores):
+    # x -> -9999 x per step overflows the drift, and the pow0.5 weight of the
+    # records, steps before a position leaves the finite range. stderr holds
+    # the failure alone, from chunks run inline and on the pool's threads
+    # (a fresh interpreter shows numpy's warnings; chunks of 1000 give 2)
+    cfg = write_config(tmp_path, "blow.json", **{
+        "experiment": experiment, "levy.kind": "fractional", "drift.kind": "power",
+        "drift.alpha": 1e4, "drift.gamma": 2.0, "particles.source": "point", "particles.n": 2000,
+        "coupling.n_pairs": 2000, "time.dt": 1.0, "time.t_final": 200.0, "fit.model": "none",
+        "output.dir": str(tmp_path / "out")})
+    script = (f"import os, sys\nsys.path.insert(0, {SRC!r})\n"
+              f"os.sched_getaffinity = lambda pid: set(range({cores}))\n"
+              "from levyfp import particles\nparticles._CHUNK = 1000\n"
+              "from levyfp.cli import main\nsys.exit(main(['run', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert re.fullmatch(r"numerical failure: particle positions left the finite range at t=\d+\n", proc.stderr)
 
 
 def test_rate_ode_refusal_prints_no_numpy_warning(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from quadrature_oracle import levy_integral_field
 from strang_oracle import strang_step_retired
 
-from levyfp import forward, generators, operators
+from levyfp import forward, generators
 from levyfp.adjoint import solve_backward, tanh_profile
 from levyfp.forward import (
     NumericalFailure,
@@ -20,6 +20,7 @@ from levyfp.forward import (
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Field, Grid
 from levyfp.norms import weighted_tv_norm
+from levyfp.operators import StepSetup
 from levyfp.weights import WeightFunction
 
 GRID = Grid(n=1024, half_width=16.0)
@@ -154,7 +155,7 @@ def test_merged_march_keeps_the_law_of_whole_strang_steps():
     m0 = gaussian_difference(g, 0.0, 1.0, 0.0, 2.0)
     for limiter in ("mc", "off"):
         runs = solve_stack(m0, specs, 0.1, 4e-3, limiter, eps_boundary=1.0, record_every=25)
-        retired = _Stepper([operators.StepSetup(spec, g, 4e-3, substep=0.5) for spec in specs], limiter)
+        retired = _Stepper([StepSetup(spec, g, 4e-3, substep=0.5) for spec in specs], limiter)
         m = np.repeat(m0.values[None, :], len(specs), axis=0)
         for k in range(25):
             m = strang_step_retired(retired, m, k * 4e-3, (k + 1) * 4e-3)
@@ -262,14 +263,16 @@ def test_snapshots_match_repeated_single_steps():
 
 
 def test_solve_runs_from_the_initial_time_to_t_final():
-    # t_final is an end time, also for data that starts after t = 0
+    # every run starts at t = 0 and t_final is its end time; data tagged with
+    # a later time is refused, not restamped
     g = Grid(n=64, half_width=8.0)
-    m0 = Field(g, gaussian(g).values, 0.5)
-    fw = solve(m0, ou_spec(), t_final=1.0, dt=0.05, record_every=5, eps_boundary=0.05,
-               snapshot_times=(0.75,))
-    np.testing.assert_allclose(fw.times, [0.5, 0.75, 1.0], rtol=0, atol=1e-12)
+    kw = dict(t_final=1.0, dt=0.05, record_every=5, eps_boundary=0.05, snapshot_times=(0.75,))
+    fw = solve(gaussian(g), ou_spec(), **kw)
+    np.testing.assert_allclose(fw.times, [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-12)
     assert fw.final.t == pytest.approx(1.0, abs=1e-12)
     assert [snap.t for snap in fw.snapshots] == pytest.approx([0.75], abs=1e-12)
+    with pytest.raises(ValueError, match=r"starts at t = 0, got initial data at t=0\.5"):
+        solve(Field(g, gaussian(g).values, 0.5), ou_spec(), **kw)
 
 
 @pytest.mark.parametrize("limiter", ["mc", "off"])
@@ -286,13 +289,13 @@ def test_records_do_not_depend_on_the_stride(monkeypatch, limiter, moving):
     kw = dict(t_final=n_steps * 1e-2, dt=1e-2, limiter=limiter, eps_boundary=0.05,
               record_weights={"pow0.5": WeightFunction.power(0.5)})
     builds = []
-    evaluate = operators.face_velocities
+    evaluate = StepSetup.moving_w
 
-    def spy(*args):
-        builds.append(args[2])
-        return evaluate(*args)
+    def spy(self, t):
+        builds.append(t)
+        return evaluate(self, t)
 
-    monkeypatch.setattr(operators, "face_velocities", spy)
+    monkeypatch.setattr(StepSetup, "moving_w", spy)
     every = solve(gaussian_difference(g, -0.3, 1.0, 0.2, 2.0), spec, record_every=1, **kw)
     counts = [len(builds)]
     for stride in (10, n_steps):
@@ -304,7 +307,7 @@ def test_records_do_not_depend_on_the_stride(monkeypatch, limiter, moving):
             assert np.array_equal(getattr(run, key), getattr(every, key)[shared])
         assert np.array_equal(run.weighted_norms["pow0.5"], every.weighted_norms["pow0.5"][shared])
         assert np.array_equal(run.final.values, every.final.values)
-    assert counts == [2 * n_steps + 1 if moving else 1] * 3  # a static drift's one array, at setup
+    assert counts == [2 * n_steps + 1 if moving else 0] * 3  # a static drift's one array is built at setup
 
 
 def test_norm_series_accessor_matches_direct_norm():
@@ -330,8 +333,7 @@ def _stack_specs() -> dict:
         "band": spec(LevyMeasureSpec.fractional(0.8), DriftSpec.power(1.0, 1.5)),
         "cfl_setup": spec(LevyMeasureSpec.fractional(1.5), DriftSpec.ou(5.0)),
         "cfl_moving": spec(LevyMeasureSpec.none(), DriftSpec(
-            alpha=1.0, gamma=2.0, time_dependent=True,
-            fn=lambda t, x: (1.0 + 10.0 * t) * np.asarray(x, dtype=float))),
+            alpha=1.0, gamma=2.0, steady=np.zeros_like, wave=lambda t, x: (1.0 + 10.0 * t) * x)),
         "moving": spec(LevyMeasureSpec.fractional(1.5), DriftSpec.perturbed_power(1.0, 1.5, 0.3)),
         "variable": spec(LevyMeasureSpec.tempered(1.5), DriftSpec.ou(1.0),
                          LocalDiffusionSpec.tanh_variable(0.5, 0.5)),
@@ -393,8 +395,7 @@ def test_cfl_violation_reports_allowed_dt():
 def test_cfl_bound_covers_times_past_ten():
     # b = (1 + t) x breaks 0.5 dt max|w| <= 0.95 dx only once t > 11.06
     g = Grid(n=64, half_width=4.0)
-    drift = DriftSpec(alpha=1.0, gamma=2.0, time_dependent=True,
-                      fn=lambda t, x: (1.0 + t) * np.asarray(x, dtype=float))
+    drift = DriftSpec(alpha=1.0, gamma=2.0, steady=np.zeros_like, wave=lambda t, x: (1.0 + t) * x)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
     m0 = gaussian(g, std=0.5)
     run = solve(m0, spec, t_final=11.0, dt=5e-3, record_every=10**9)
@@ -414,13 +415,13 @@ def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
     m0 = gaussian(GRID, std=1.0)
     weights = {"pow0.5": WeightFunction.power(0.5)}
     calls = []
-    evaluate = operators.face_velocities
+    evaluate = StepSetup.moving_w
 
-    def spy(grid, drift, t, *steady):
+    def spy(self, t):
         calls.append(t)
-        return evaluate(grid, drift, t, *steady)
+        return evaluate(self, t)
 
-    monkeypatch.setattr(operators, "face_velocities", spy)
+    monkeypatch.setattr(StepSetup, "moving_w", spy)
     run = solve(m0, spec, t_final=0.1, dt=1e-2, record_weights=weights, eps_boundary=0.05)
     memo_calls = list(calls)
     assert len(memo_calls) == 2 * 10 + 1
@@ -429,9 +430,7 @@ def test_moving_faces_evaluated_once_per_distinct_time(monkeypatch):
     def faces_unmemoized(self, t):
         w = self._w.copy()
         for r in self.moving:
-            stage = self.stages[r]
-            w[r] = operators.face_velocities(stage.grid, stage.spec.drift, t)
-            stage._check_cfl(w[r], t)
+            w[r] = self.stages[r].moving_w(t)
         return self._record(w)
 
     calls.clear()

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import levy_integral_field, quadrature_symbol
+from strang_oracle import face_velocities
 
+from levyfp.config import _DRIFT
 from levyfp.generators import (
     DriftSpec,
     GeneratorSpec,
@@ -25,7 +27,6 @@ from levyfp.operators import (
     StepSetup,
     _variable_diffusion_term,
     divergence_of_flux,
-    face_velocities,
     transport_flux,
     upwind_faces,
 )
@@ -152,7 +153,7 @@ def check_confinement(drift: DriftSpec, R: float, radii: np.ndarray, t_samples=(
         return True
     x = np.concatenate([r, -r])
     for t in t_samples:
-        if np.any(drift.fn(t, x) * x < drift.alpha * np.abs(x) ** drift.gamma - slack):
+        if np.any(drift(t, x) * x < drift.alpha * np.abs(x) ** drift.gamma - slack):
             return False
     return True
 
@@ -162,7 +163,7 @@ def check_one_sided(drift: DriftSpec, c0: float, xs: np.ndarray, ys: np.ndarray,
     """(b(x)-b(y)).(x-y) >= -c0 |x-y| (|x-y| wedge 1) on sample pairs."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    lhs = (drift.fn(t, x) - drift.fn(t, y)) * (x - y)
+    lhs = (drift(t, x) - drift(t, y)) * (x - y)
     r = np.abs(x - y)
     return bool(np.all(lhs >= -c0 * r * np.minimum(r, 1.0) - slack))
 
@@ -172,8 +173,7 @@ def check_one_sided(drift: DriftSpec, c0: float, xs: np.ndarray, ys: np.ndarray,
 
 
 def _zero_drift() -> DriftSpec:
-    return DriftSpec(alpha=0.0, gamma=2.0,
-                     fn=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+    return DriftSpec(alpha=0.0, gamma=2.0, steady=np.zeros_like)
 
 
 def _tempered_spec() -> GeneratorSpec:
@@ -404,11 +404,28 @@ def test_measure_bound_declarations():
 
 def test_face_velocities_positions_and_sign():
     g = Grid(n=8, half_width=4.0)
-    w = face_velocities(g, DriftSpec.ou(1.0), 0.0)
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), DriftSpec.ou(1.0))
+    w = StepSetup(spec, g, 0.1).static_w
     # faces at x_i + dx/2; the last one, at L - dx/2, separates the last cell
     # from the first through the periodic seam
     np.testing.assert_allclose(w, -(g.nodes + 0.5 * g.dx))
     assert w[-1] == pytest.approx(-(4.0 - 0.5 * g.dx))
+    assert np.array_equal(w, face_velocities(g, spec.drift, 0.0))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37])
+@pytest.mark.parametrize("kind", sorted(_DRIFT))
+def test_setup_faces_match_the_whole_drift_bit_for_bit(kind, t):
+    # the steady part evaluated once at setup, plus the wave per face array,
+    # gives the bits of -drift(t, faces), signed zeros included
+    g = Grid(n=64, half_width=8.0)
+    data = {"drift.alpha": 1.0, "drift.gamma": 1.5, "drift.R": 1.0, "drift.amplitude": 0.3}
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), _DRIFT[kind](data))
+    setup = StepSetup(spec, g, 1e-3)
+    w = setup.moving_w(t) if spec.is_time_dependent else setup.static_w
+    assert (setup.static_w is None) == (kind == "perturbed-power")
+    want = face_velocities(g, spec.drift, t)
+    assert np.array_equal(w, want) and np.array_equal(np.signbit(w), np.signbit(want))
 
 
 def test_divergence_telescopes_to_zero():

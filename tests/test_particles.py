@@ -767,15 +767,23 @@ def test_particle_clock_is_a_step_count():
 
     def spy(t, x):
         read.append(t)
-        return drift.fn(t, x)
+        return drift.wave(t, x)
 
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(),
-                         dataclasses.replace(drift, fn=spy))
+                         dataclasses.replace(drift, wave=spy))
     run = simulate(ensemble_at(0.5, 100, seed=3), spec, dt=0.01, t_final=1.0)
     want = [k * 0.01 for k in range(101)]
     assert run.times.tolist() == want
     assert read == want[:-1]  # step k reads the drift at its start, (k - 1) * dt
     assert run.final.step_index == 100
+
+
+def test_simulate_refuses_an_ensemble_past_step_zero():
+    # its records would be stamped from t = 0; step_ensemble chains from any step
+    ens = step_ensemble(ensemble_at(0.5, 100, seed=3), ou_brownian_spec(), 0.1)
+    assert step_ensemble(ens, ou_brownian_spec(), 0.1).step_index == 2
+    with pytest.raises(ValueError, match="starts at step 0, got an ensemble at step_index 1"):
+        simulate(ens, ou_brownian_spec(), dt=0.1, t_final=0.3)
 
 
 def test_steps_skip_the_constructor_rescan(monkeypatch):

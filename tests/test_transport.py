@@ -21,11 +21,10 @@ from levyfp.operators import (
     _mc_slope,
     _ring,
     divergence_of_flux,
-    face_velocities,
     transport_flux,
     upwind_faces,
 )
-from strang_oracle import mc_slope_retired
+from strang_oracle import face_velocities, mc_slope_retired
 
 # ---------------------------------------------------------------------------
 # oracles: the np.roll expressions the slicing code replaced
@@ -175,10 +174,10 @@ def _advect_stepper(n, rng, time_dependent):
     g = Grid(n=n, half_width=4.0)
     w = random_velocity(rng, n)
     if time_dependent:
-        drift = DriftSpec(alpha=0.0, gamma=2.0, time_dependent=True,
-                          fn=lambda t, x: -(1.0 + t) * w)
+        # -w - t w: the moving faces keep the signed zeros of w
+        drift = DriftSpec(alpha=0.0, gamma=2.0, steady=lambda x: -w, wave=lambda t, x: -t * w)
     else:
-        drift = DriftSpec(alpha=0.0, gamma=2.0, fn=lambda t, x: -w)
+        drift = DriftSpec(alpha=0.0, gamma=2.0, steady=lambda x: -w)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.none(), drift)
     # up to t = 1 the moving faces reach 2 max|w|
     dt = 0.2 * g.dx / (2.0 * np.abs(w).max())
@@ -538,6 +537,19 @@ def spy_on(monkeypatch, name):
     return calls
 
 
+def spy_on_moving_w(monkeypatch):
+    """Record (drift, t) of every face array a moving drift's StepSetup builds."""
+    calls = []
+    build = StepSetup.moving_w
+
+    def spy(self, t):
+        calls.append((self.spec.drift, t))
+        return build(self, t)
+
+    monkeypatch.setattr(StepSetup, "moving_w", spy)
+    return calls
+
+
 PERTURBED = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5),
                           DriftSpec.perturbed_power(1.0, 1.5, 0.3))
 
@@ -552,10 +564,10 @@ def test_moving_faces_are_built_once_per_step_grid_time(monkeypatch):
     # a record at every step closes at t - dt/2 and t, and the march comes
     # back to both: the two-time memo builds each face time once, 2 per step
     # and the end time, 2 n_steps + 1 face arrays
-    calls = spy_on(monkeypatch, "face_velocities")
+    calls = spy_on_moving_w(monkeypatch)
     g = Grid(n=64, half_width=4.0)
     forward.solve(forward.gaussian(g), PERTURBED, t_final=0.1, dt=1e-2, eps_boundary=1.0)
-    assert sorted(args[2] for args in calls) == step_grid_times(10, 1e-2)
+    assert sorted(t for _, t in calls) == step_grid_times(10, 1e-2)
 
 
 def test_a_stack_stacks_each_face_time_once(monkeypatch):
@@ -567,7 +579,7 @@ def test_a_stack_stacks_each_face_time_once(monkeypatch):
                                       DriftSpec.perturbed_power(1.0, 2.0, 0.5))]
     lone = [forward.solve(m0, spec, t_final=0.1, dt=1e-2, eps_boundary=1.0) for spec in specs]
     stacked = spy_on(monkeypatch, "upwind_faces")
-    velocities = spy_on(monkeypatch, "face_velocities")
+    velocities = spy_on_moving_w(monkeypatch)
     runs = forward.solve_stack(m0, specs, t_final=0.1, dt=1e-2, eps_boundary=1.0)
     assert len(stacked) == len(step_grid_times(10, 1e-2)) == 21
     assert all(args[0].shape == (2, g.n) for args in stacked)
@@ -586,14 +598,14 @@ def test_a_restack_keeps_the_face_memo(monkeypatch):
                            DriftSpec.perturbed_power(1.0, 1.5, 0.3))
     heavy = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.1), DriftSpec.ou(1.0))
     clock = dict(t_final=0.06, dt=4e-3, eps_boundary=3e-4)
-    calls = spy_on(monkeypatch, "face_velocities")
+    calls = spy_on_moving_w(monkeypatch)
     lone = forward.solve(m0, moving, **clock)
-    assert sorted(args[2] for args in calls) == step_grid_times(15, 4e-3)
+    assert sorted(t for _, t in calls) == step_grid_times(15, 4e-3)
     alone = len(calls)
     calls.clear()
     failed, run = forward.solve_stack(m0, [heavy, moving], **clock)
     assert isinstance(failed, forward.NumericalFailure) and "at t=0.02:" in str(failed)
-    assert len([args for args in calls if args[1] is moving.drift]) == alone == 31
+    assert len([t for drift, t in calls if drift is moving.drift]) == alone == 31
     assert_bitwise(run.final.values, lone.final.values)
     assert_bitwise(run.boundary_mass, lone.boundary_mass)
 
@@ -611,13 +623,13 @@ def test_a_cfl_failure_keeps_the_face_memo(monkeypatch, failing_first, built):
     fast = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.9),
                          DriftSpec.perturbed_power(1.0, 1.5, 26.89453125))
     clock = dict(t_final=0.1, dt=4e-3, eps_boundary=1.0)
-    calls = spy_on(monkeypatch, "face_velocities")
+    calls = spy_on_moving_w(monkeypatch)
     lone = forward.solve(m0, moving, **clock)
-    assert sorted(args[2] for args in calls) == step_grid_times(25, 4e-3)
+    assert sorted(t for _, t in calls) == step_grid_times(25, 4e-3)
     calls.clear()
     runs = forward.solve_stack(m0, [fast, moving] if failing_first else [moving, fast], **clock)
     failed, run = runs if failing_first else runs[::-1]
     assert isinstance(failed, forward.NumericalFailure) and "CFL violation at t=0.03:" in str(failed)
-    assert len([args for args in calls if args[1] is moving.drift]) == built
+    assert len([t for drift, t in calls if drift is moving.drift]) == built
     assert_bitwise(run.final.values, lone.final.values)
     assert_bitwise(run.boundary_mass, lone.boundary_mass)
