@@ -36,7 +36,8 @@ m minus that difference, with no pass by dx or dt. The ring copy and the
 donor reads, here and in the backward advection, are gathers with
 ``mode="clip"``, which spends no bounds check per call: ``_ring`` and
 ``_face_cells`` build every index in range, so no clamp ever acts. The
-centered second differences slice the same ring copy of their input.
+centered second differences slice a copy of their input laid out as a ring
+row, joined by concatenate: on this small copy that is faster than the gather.
 """
 from __future__ import annotations
 
@@ -201,9 +202,8 @@ def _variable_diffusion_term(values: np.ndarray, s2: np.ndarray, dx: float, adjo
 
 def _second_difference(p: np.ndarray, dx: float) -> np.ndarray:
     """3-point centered periodic second difference along the last axis, on
-    the ring copy of p (``_ring``): q[..., i + 1] = p[..., i mod n]."""
-    n = p.shape[-1]
-    q = p.take(_ring(p.size // n, n), mode="clip").reshape(p.shape[:-1] + (n + 2,))
+    p with one periodic ghost cell at each end: q[..., i + 1] = p[..., i mod n]."""
+    q = np.concatenate((p[..., -1:], p, p[..., :1]), axis=-1)
     return (q[..., 2:] - 2.0 * p + q[..., :-2]) / dx**2
 
 

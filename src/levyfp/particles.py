@@ -390,13 +390,20 @@ def _for_chunks(advance, n: int, pool: ThreadPoolExecutor | None):
     """advance(i0, i1) for every chunk, on the pool when there is one. Chunks
     write disjoint slices. The first failure in chunk order is raised once
     the chunks already running have finished; chunks not yet started are
-    cancelled."""
+    cancelled. numpy's overflow and invalid warnings are off in every chunk:
+    a blow-up is reported by check_positions, and a weight of a huge
+    position is inf. The errstate is entered inside the task, since pool
+    threads do not inherit the caller's."""
+    def quiet(i0: int, i1: int):
+        with np.errstate(over="ignore", invalid="ignore"):
+            advance(i0, i1)
+
     bounds = _chunk_bounds(n)
     if pool is None:
         for i0, i1 in bounds:
-            advance(i0, i1)
+            quiet(i0, i1)
         return
-    futures = [pool.submit(advance, i0, i1) for i0, i1 in bounds]
+    futures = [pool.submit(quiet, i0, i1) for i0, i1 in bounds]
     try:
         for future in futures:
             future.result()
@@ -434,8 +441,7 @@ def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
 
     def advance(i0: int, i1: int):
         u = _uniforms(ens.seed, k, i0, i1 - i0, stepper.stride)
-        with np.errstate(over="ignore", invalid="ignore"):  # check_positions reports a blow-up
-            stepper.move(ens.positions[i0:i1], t, stepper.increments(u), out=new[i0:i1])
+        stepper.move(ens.positions[i0:i1], t, stepper.increments(u), out=new[i0:i1])
         RunGuard.check_positions(new[i0:i1], t_new)
 
     _for_chunks(advance, ens.n_particles, _pool)
@@ -487,8 +493,7 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
         times.append(ens.step_index * dt)
         for name, w in moment_weights.items():
             def evaluate(i0: int, i1: int):
-                with np.errstate(over="ignore"):  # a weight of a huge position is inf
-                    values[i0:i1] = w(ens.positions[i0:i1])
+                values[i0:i1] = w(ens.positions[i0:i1])
 
             _for_chunks(evaluate, ens.n_particles, pool)
             moments[name].append(float(np.mean(values)))
@@ -577,20 +582,17 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
                 u = _uniforms(seed, k, i0, i1 - i0, stepper.stride)
                 terms = stepper.increments(u)
                 xs, ys = x_new[i0:i1], y_new[i0:i1]
-                # as in step_ensemble: check_positions reports a blow-up, and a
-                # pair far apart may be an infinite distance apart
-                with np.errstate(over="ignore", invalid="ignore"):
-                    stepper.move(x[i0:i1], t, terms, out=xs)
-                    guard.check_positions(xs, t_new)
-                    ys[:] = xs  # a coupled pair moves as one
-                    apart = np.flatnonzero(~coupled[i0:i1])
-                    ya = y[i0:i1][apart]
-                    reflect_below = np.minimum(1.0, 0.5 * np.abs(x[i0:i1][apart] - ya))
-                    ya_new = np.empty_like(ya)
-                    stepper.move(ya, t, [(kind, v[apart]) for kind, v in terms], out=ya_new,
-                                 reflect_below=reflect_below)
-                    guard.check_positions(ya_new, t_new)
-                    meet = np.abs(xs[apart] - ya_new) < eps_couple
+                stepper.move(x[i0:i1], t, terms, out=xs)
+                guard.check_positions(xs, t_new)
+                ys[:] = xs  # a coupled pair moves as one
+                apart = np.flatnonzero(~coupled[i0:i1])
+                ya = y[i0:i1][apart]
+                reflect_below = np.minimum(1.0, 0.5 * np.abs(x[i0:i1][apart] - ya))
+                ya_new = np.empty_like(ya)
+                stepper.move(ya, t, [(kind, v[apart]) for kind, v in terms], out=ya_new,
+                             reflect_below=reflect_below)
+                guard.check_positions(ya_new, t_new)
+                meet = np.abs(xs[apart] - ya_new) < eps_couple
                 ys[apart[~meet]] = ya_new[~meet]
                 met = apart[meet]
                 t_couple[i0:i1][met] = t_new

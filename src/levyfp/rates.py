@@ -108,50 +108,36 @@ def _linear_fit(x, y):
     return float(slope), float(intercept)
 
 
-def _log_linear_fit(model, rate, times, values, window, transient_frac, series_source, abscissa) -> DecayFit:
-    """Least squares of log(value) against x = abscissa(tw, vw, anchor) on the
-    fit window (tw, vw the windowed series, anchor its first recorded value),
-    which returns x and the parameters it fixed; the fit adds rate = -slope
-    and K = exp(intercept)."""
+def _windowed(times, values, window, transient_frac):
+    """The fit window, the first recorded value and the windowed series
+    (tw, vw), checked positive on the window."""
     t, v = _as_series(times, values)
     window, mask = _resolve_window(t, window, transient_frac)
     tw, vw = t[mask], v[mask]
     _check_positive(vw)
-    x, params = abscissa(tw, vw, v[0])
+    return window, v[0], tw, vw
+
+
+def _log_fit(x, vw):
+    """Least squares of log(vw) against x: the rate -slope, K = exp(intercept)
+    and the r^2 of the log fit."""
     logv = np.log(vw)
     slope, intercept = _linear_fit(x, logv)
-    params.update({rate: -slope, "K": float(np.exp(intercept))})
-    return DecayFit(model, params, window, _r2(logv, slope * x + intercept), series_source)
+    return -slope, float(np.exp(intercept)), _r2(logv, slope * x + intercept)
 
 
 def fit_exponential(times, values, window=None, transient_frac=0.2, series_source="") -> DecayFit:
     """Least squares of log(value) against t: omega = -slope."""
-    return _log_linear_fit("exponential", "omega", times, values, window, transient_frac, series_source,
-                           lambda tw, vw, anchor: (tw, {}))
+    window, _, tw, vw = _windowed(times, values, window, transient_frac)
+    omega, K, r2 = _log_fit(tw, vw)
+    return DecayFit("exponential", {"omega": omega, "K": K}, window, r2, series_source)
 
 
 def fit_power(times, values, window=None, transient_frac=0.2, series_source="") -> DecayFit:
     """Least squares of log(value) against log(1 + t): q = -slope."""
-    return _log_linear_fit("power", "q", times, values, window, transient_frac, series_source,
-                           lambda tw, vw, anchor: (np.log1p(tw), {}))
-
-
-def _stretched_shape(tw, vw, anchor):
-    """Stage one of ``fit_stretched``: beta_s from log(-log(value/anchor))
-    against log t, and the abscissa t^{beta_s} of stage two."""
-    if np.any(np.diff(vw) >= 0.0):
-        raise ValueError("stretched fit needs a strictly decreasing series on the window")
-    if not anchor > 0.0:
-        raise ValueError(f"stretched fit needs a positive anchor value, got {anchor:g}")
-    u = vw / anchor
-    # the anchor point itself (u = 1) and any t = 0 sample have no log-log image
-    ok = (u < 1.0) & (tw > 0.0)
-    if ok.sum() < 3:
-        raise ValueError("fit window leaves fewer than 3 usable points after anchoring")
-    beta_s, _ = _linear_fit(np.log(tw[ok]), np.log(-np.log(u[ok])))
-    if not np.isfinite(beta_s) or beta_s <= 0.0:
-        raise ValueError(f"stretched-shape regression produced an unusable exponent {beta_s:g}")
-    return tw**beta_s, {"beta_s": beta_s}
+    window, _, tw, vw = _windowed(times, values, window, transient_frac)
+    q, K, r2 = _log_fit(np.log1p(tw), vw)
+    return DecayFit("power", {"q": q, "K": K}, window, r2, series_source)
 
 
 def fit_stretched(times, values, window=None, transient_frac=0.0, series_source="") -> DecayFit:
@@ -166,8 +152,21 @@ def fit_stretched(times, values, window=None, transient_frac=0.0, series_source=
     normalizing inside the window would subtract the accumulated exponent
     C t_lo^{beta_s} and steepen the regression.
     """
-    return _log_linear_fit("stretched", "C", times, values, window, transient_frac, series_source,
-                           _stretched_shape)
+    window, anchor, tw, vw = _windowed(times, values, window, transient_frac)
+    if np.any(np.diff(vw) >= 0.0):
+        raise ValueError("stretched fit needs a strictly decreasing series on the window")
+    if not anchor > 0.0:
+        raise ValueError(f"stretched fit needs a positive anchor value, got {anchor:g}")
+    u = vw / anchor
+    # the anchor point itself (u = 1) and any t = 0 sample have no log-log image
+    ok = (u < 1.0) & (tw > 0.0)
+    if ok.sum() < 3:
+        raise ValueError("fit window leaves fewer than 3 usable points after anchoring")
+    beta_s, _ = _linear_fit(np.log(tw[ok]), np.log(-np.log(u[ok])))
+    if not np.isfinite(beta_s) or beta_s <= 0.0:
+        raise ValueError(f"stretched-shape regression produced an unusable exponent {beta_s:g}")
+    C, K, r2 = _log_fit(tw**beta_s, vw)
+    return DecayFit("stretched", {"beta_s": beta_s, "C": C, "K": K}, window, r2, series_source)
 
 
 # decay model name -> fitter

@@ -1,4 +1,6 @@
 """Forward solver: semigroup oracles, conservation invariants, failure paths."""
+import dataclasses
+
 import numpy as np
 import pytest
 from quadrature_oracle import levy_integral_field
@@ -280,10 +282,18 @@ def test_solve_runs_from_the_initial_time_to_t_final():
 def test_records_do_not_depend_on_the_stride(monkeypatch, limiter, moving):
     # a record closes the split on a copy and the march goes on from the
     # open state, so every record step shared by two strides reads the same
-    # bits. A moving drift builds 2 face arrays per step and the end time's
-    # at every stride: the two-time memo serves each close and the step after it
+    # bits. The steady part is evaluated once per run, at setup; a moving
+    # drift builds 2 face arrays per step and the end time's at every
+    # stride: the two-time memo serves each close and the step after it
     g = Grid(128, 8.0)
     drift = DriftSpec.perturbed_power(1.0, 1.5, 0.3) if moving else DriftSpec.power(1.0, 1.5)
+    steadies, evaluate_steady = [], drift.steady
+
+    def steady(x):
+        steadies.append(x)
+        return evaluate_steady(x)
+
+    drift = dataclasses.replace(drift, steady=steady)
     spec = GeneratorSpec(LocalDiffusionSpec.constant(0.5), LevyMeasureSpec.fractional(1.5), drift)
     n_steps = 30
     kw = dict(t_final=n_steps * 1e-2, dt=1e-2, limiter=limiter, eps_boundary=0.05,
@@ -297,17 +307,18 @@ def test_records_do_not_depend_on_the_stride(monkeypatch, limiter, moving):
 
     monkeypatch.setattr(StepSetup, "moving_w", spy)
     every = solve(gaussian_difference(g, -0.3, 1.0, 0.2, 2.0), spec, record_every=1, **kw)
-    counts = [len(builds)]
+    counts = [(len(steadies), len(builds))]
     for stride in (10, n_steps):
+        steadies.clear()
         builds.clear()
         run = solve(gaussian_difference(g, -0.3, 1.0, 0.2, 2.0), spec, record_every=stride, **kw)
-        counts.append(len(builds))
+        counts.append((len(steadies), len(builds)))
         shared = np.arange(0, n_steps + 1, stride)
         for key in ("times", "mass", "min_value", "boundary_mass"):
             assert np.array_equal(getattr(run, key), getattr(every, key)[shared])
         assert np.array_equal(run.weighted_norms["pow0.5"], every.weighted_norms["pow0.5"][shared])
         assert np.array_equal(run.final.values, every.final.values)
-    assert counts == [2 * n_steps + 1 if moving else 0] * 3  # a static drift's one array is built at setup
+    assert counts == [(1, 2 * n_steps + 1 if moving else 0)] * 3
 
 
 def test_norm_series_accessor_matches_direct_norm():
