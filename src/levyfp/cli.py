@@ -181,8 +181,6 @@ def _start_ensemble(cfg: ExperimentConfig) -> ParticleEnsemble:
 
 
 def _run_particles(cfg: ExperimentConfig, outdir: Path) -> dict:
-    # the start ensemble is bound to no name here, so simulate can free it
-    # once it has copied the positions into the buffer it steps in place
     run = simulate(
         _start_ensemble(cfg),
         cfg.generator,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSpec, LevyMeasureSpec
+from .rates import _linear_fit
 from .weights import WeightFunction, bracket
 
 __all__ = [
@@ -259,11 +260,11 @@ def _default_radii(w: WeightFunction) -> np.ndarray:
 
 
 def _log_slope(logx: np.ndarray, logy: np.ndarray) -> tuple[float, float, float]:
-    """LSQ slope/intercept of logy against logx plus the RMS residual."""
-    a = np.vstack([logx, np.ones_like(logx)]).T
-    coef, *_ = np.linalg.lstsq(a, logy, rcond=None)
-    res = logy - a @ coef
-    return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(res**2)))
+    """LSQ slope/intercept of logy against logx (``rates._linear_fit``) plus
+    the RMS residual."""
+    slope, intercept = _linear_fit(logx, logy)
+    res = logy - (slope * logx + intercept)
+    return slope, intercept, float(np.sqrt(np.mean(res**2)))
 
 
 def classify_weight(g: GeneratorSpec, w: WeightFunction) -> LyapunovReport:

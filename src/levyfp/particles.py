@@ -11,11 +11,14 @@ jumps its stream ahead by c i words with PCG's exact ``advance``, and
 trajectories are bitwise identical no matter how the ensemble is chunked
 across workers.
 
-A step runs over fixed chunks of particles, each of which draws its own
-uniform block and overwrites its own slice in place, so the chunks
-can be mapped over a thread pool: numpy releases the interpreter lock in the
-PCG fill and in the ufuncs, and the bytes do not depend on the worker
-count.
+Particles never interact, so a run marches chunk-major: each chunk of
+particles runs every step in turn while its slice of the one position buffer
+sits in cache, drawing its own uniform block per step and overwriting its
+slice in place. The chunks are mapped over a thread pool: numpy releases the
+interpreter lock in the PCG fill and in the ufuncs, and the bytes do not
+depend on the worker count. The chunks are leaves of numpy's pairwise
+summation tree, so a recorded moment folds the chunks' sums into the bits of
+``np.mean`` over the whole ensemble.
 
 The Gaussian and stable samplers make no sin or cos call: every angle
 comes from the tangent of its half, by the half-angle identities. On x86-64
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,7 +45,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, LevyMeasureSpec
 from .grids import Field
-from .operators import RunGuard
+from .operators import NumericalFailure, RunGuard
 from .weights import WeightFunction
 
 __all__ = [
@@ -187,7 +191,10 @@ class ParticleEnsemble:
 
 
 def ensemble_at(x0: float, n_particles: int, seed: int = 0) -> ParticleEnsemble:
-    return ParticleEnsemble(np.full(n_particles, float(x0)), seed)
+    """n_particles at x0, as a read-only zero-stride view of one value: a
+    point source holds no n-length array until a run copies it into the
+    buffer it steps."""
+    return ParticleEnsemble(np.broadcast_to(np.float64(x0), (n_particles,)), seed)
 
 
 def ensemble_from_density(m: Field, n_particles: int, seed: int = 0) -> ParticleEnsemble:
@@ -359,18 +366,64 @@ class _ParticleStepper:
                     v = np.where(np.abs(v) < reflect_below[:, None], -v, v)
                 out += v.sum(axis=1)
 
+    def step(self, x: np.ndarray, seed: int, k: int, i0: int, out: np.ndarray) -> None:
+        """Step k, from t = (k - 1) dt to k dt, of the particles [i0, i0 +
+        x.size) of a run with this seed, written to out, which may be x:
+        their words of step k's stream, their increments and the move.
+        NumericalFailure if a new position is not finite."""
+        u = _uniforms(seed, k, i0, x.size, self.stride)
+        self.move(x, (k - 1) * self.dt, self.increments(u), out=out)
+        RunGuard.check_positions(out, k * self.dt)
+
     @property
     def cap_excess(self) -> float | None:
         """Poisson mass beyond the tempered jump cap; None without tempered jumps."""
         return None if self.tempered is None else self.tempered.cap_excess
 
 
+# numpy sums a float64 array pairwise: a run of at most _PAIRWISE_BLOCK
+# values in eight interleaved partial sums, a longer run as the sum of its two
+# halves, the first rounded down to a multiple of 8 values (pairwise_sum in
+# numpy's umath loops)
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_split(m: int) -> int:
+    """Length of the first half of a pairwise-summed run of m > _PAIRWISE_BLOCK values."""
+    h = m // 2
+    return h - h % 8
+
+
 def _chunk_bounds(n: int):
-    """The fewest equal chunks of at most _CHUNK particles, so that threads
-    get even shares."""
-    k = -(-n // _CHUNK)
-    edges = [n * i // k for i in range(k + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+    """(i0, i1) of every chunk of n particles: the leaves, in order, of
+    numpy's pairwise summation tree over n values, cut at the first node that
+    holds at most max(_CHUNK, _PAIRWISE_BLOCK) values. The two halves of a
+    node differ by at most 15 values, so threads get even shares."""
+    cap = max(_CHUNK, _PAIRWISE_BLOCK)
+
+    def leaves(i0: int, m: int):
+        if m <= cap:
+            return [(i0, i0 + m)]
+        h = _pairwise_split(m)
+        return leaves(i0, h) + leaves(i0 + h, m - h)
+
+    return leaves(0, n)
+
+
+def _tree_sum(sums, n: int):
+    """np.sum of n values from the sums of their _chunk_bounds(n) chunks, in
+    chunk order: the chunk sums are added up numpy's pairwise tree, so the
+    result has np.sum's bits. The sums may be arrays, added elementwise."""
+    cap = max(_CHUNK, _PAIRWISE_BLOCK)
+    chunk_sums = iter(sums)
+
+    def fold(m: int):
+        if m <= cap:
+            return next(chunk_sums)
+        h = _pairwise_split(m)
+        return fold(h) + fold(m - h)
+
+    return fold(n)
 
 
 @contextmanager
@@ -414,6 +467,44 @@ def _for_chunks(advance, n: int, pool: ThreadPoolExecutor | None):
         raise
 
 
+def _march(n: int, steps: range, chunk):
+    """March n particles chunk-major through steps, on a thread pool with one
+    thread per core. chunk(i0, i1) sets up the particles [i0, i1) and returns
+    their step(k), which advances them by step k in place and raises
+    NumericalFailure when they leave the finite range. Each chunk runs step
+    after step while its slice sits in cache. It stops at its first failing
+    step, and skips the steps past the earliest failure any chunk has
+    reported so far.
+
+    Once every chunk has stopped, the failure of the earliest failing step
+    is raised, the first chunk's on ties. Every chunk runs at least up to
+    that step, so the failure raised does not depend on the chunk size or
+    the pool. Any other exception is raised before it, the first in chunk
+    order (see _for_chunks)."""
+    failures = []  # (k, i0, NumericalFailure)
+    earliest = math.inf
+    lock = threading.Lock()
+
+    def run(i0: int, i1: int):
+        nonlocal earliest
+        step = chunk(i0, i1)
+        for k in steps:
+            if k > earliest:
+                return
+            try:
+                step(k)
+            except NumericalFailure as exc:
+                with lock:
+                    failures.append((k, i0, exc))
+                    earliest = min(earliest, k)
+                return
+
+    with _chunk_pool(n) as pool:
+        _for_chunks(run, n, pool)
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+
+
 def _checked_ensemble(positions: np.ndarray, seed: int, step_index: int) -> ParticleEnsemble:
     """A ParticleEnsemble on positions already known to be finite, without
     the constructor's rescan."""
@@ -422,29 +513,20 @@ def _checked_ensemble(positions: np.ndarray, seed: int, step_index: int) -> Part
     return ens
 
 
-def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float,
-                  _stepper: _ParticleStepper | None = None,
-                  _pool: ThreadPoolExecutor | None = None,
-                  _out: np.ndarray | None = None) -> ParticleEnsemble:
+def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float) -> ParticleEnsemble:
     """Advance every particle one Euler step, step k = ens.step_index + 1 from
-    t = (k - 1) * dt to k * dt, in cache-sized chunks, and raise
-    NumericalFailure if a position leaves the finite range. The result is
-    bitwise independent of the chunk size and of the pool the chunks run on.
-
-    The new positions go to a fresh array, or to _out, which may be
-    ens.positions itself: a chunk reads and writes only its own slice, and a
-    particle's move reads only its own position."""
-    stepper = _stepper if _stepper is not None else _ParticleStepper(spec, dt)
+    t = (k - 1) * dt to k * dt, into a fresh array, and raise NumericalFailure
+    if a position leaves the finite range. It runs simulate's chunks and step
+    body, so a chain of steps gives simulate's bits, and neither depends on
+    the chunk size or the pool the chunks run on."""
+    stepper = _ParticleStepper(spec, dt)
     k = ens.step_index + 1
-    t, t_new = ens.step_index * dt, k * dt
-    new = np.empty_like(ens.positions) if _out is None else _out
+    new = np.empty(ens.n_particles)
 
-    def advance(i0: int, i1: int):
-        u = _uniforms(ens.seed, k, i0, i1 - i0, stepper.stride)
-        stepper.move(ens.positions[i0:i1], t, stepper.increments(u), out=new[i0:i1])
-        RunGuard.check_positions(new[i0:i1], t_new)
+    def chunk(i0: int, i1: int):
+        return lambda k: stepper.step(ens.positions[i0:i1], ens.seed, k, i0, out=new[i0:i1])
 
-    _for_chunks(advance, ens.n_particles, _pool)
+    _march(ens.n_particles, range(k, k + 1), chunk)
     # every chunk has checked its positions
     return _checked_ensemble(new, ens.seed, k)
 
@@ -465,16 +547,23 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
              record_every: int = 1,
              moment_weights: dict[str, WeightFunction] | None = None) -> ParticleRun:
     """March the ensemble to t_final recording mean weight values (empirical
-    weighted moments) every record_every steps. Every step is checked for
-    finiteness. The chunks of a step, and the weight evaluations of a record,
-    run on a thread pool with one thread per available core; the result does
-    not depend on the core count.
+    weighted moments) every record_every steps. The march is chunk-major (see
+    the module docstring), on a thread pool with one thread per available
+    core; the result does not depend on the core count or the chunk size.
 
-    The run holds two n-length arrays: one position buffer, which every step
-    overwrites in place, and one buffer of weight values for the records.
-    The start positions are copied into the position buffer and the start
-    ensemble is released, so the caller's ensemble is left unchanged and is
-    freed during the run if the caller keeps no reference to it.
+    The run allocates one n-length array, the position buffer: each chunk
+    copies its slice of the start positions into it and steps that slice in
+    place, and at a record it keeps only the sum of each weight over the
+    slice. The chunks are leaves of numpy's pairwise summation tree and
+    their sums are added up that tree, so every moment has the bits of
+    np.mean over the whole ensemble. The caller's ensemble is left
+    unchanged; a point source (``ensemble_at``) holds no n-length array, so
+    such a run holds one in all.
+
+    NumericalFailure is raised at the earliest step where a position leaves
+    the finite range. A run whose positions stay finite fails at its
+    earliest record whose moment is not finite, naming the weight: a weight
+    of a huge position is inf. Neither verdict depends on the chunking.
 
     The run starts at t = 0: an ensemble whose step_index is not 0 is a
     ValueError, since its records would be stamped from the wrong time
@@ -483,32 +572,40 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
         raise ValueError(f"simulate starts at step 0, got an ensemble at step_index {ens.step_index}")
     guard = RunGuard(dt, t_final, record_every)
     stepper = _ParticleStepper(spec, dt)
-    moment_weights = moment_weights or {}
-    ens = _checked_ensemble(ens.positions.copy(), ens.seed, ens.step_index)
+    weights = moment_weights or {}
+    record_steps = [0] + [k for k in range(1, guard.n_steps + 1) if guard.records(k)]
+    row = {k: r for r, k in enumerate(record_steps)}
+    start, seed, n = ens.positions, ens.seed, ens.n_particles
+    positions = np.empty(n)
+    sums = {}  # i0 -> the (record, weight) sums over the chunk [i0, i1)
 
-    times, moments = [], {name: [] for name in moment_weights}
-    values = np.empty(ens.n_particles)
+    def chunk(i0: int, i1: int):
+        x = positions[i0:i1]
+        x[:] = start[i0:i1]
+        chunk_sums = sums[i0] = np.empty((len(record_steps), len(weights)))
 
-    def record():
-        times.append(ens.step_index * dt)
-        for name, w in moment_weights.items():
-            def evaluate(i0: int, i1: int):
-                values[i0:i1] = w(ens.positions[i0:i1])
+        def record(r: int):
+            chunk_sums[r] = [np.sum(w(x)) for w in weights.values()]
 
-            _for_chunks(evaluate, ens.n_particles, pool)
-            moments[name].append(float(np.mean(values)))
+        def step(k: int):
+            stepper.step(x, seed, k, i0, out=x)
+            if k in row:
+                record(row[k])
 
-    with _chunk_pool(ens.n_particles) as pool:
-        record()
-        for k in range(1, guard.n_steps + 1):
-            ens = step_ensemble(ens, spec, dt, _stepper=stepper, _pool=pool, _out=ens.positions)
-            if guard.records(k):
-                record()
+        record(0)
+        return step
 
+    _march(n, range(1, guard.n_steps + 1), chunk)
+    means = _tree_sum([sums[i0] for i0, _ in _chunk_bounds(n)], n) / n
+    bad = np.argwhere(~np.isfinite(means))  # in time order, then weight order
+    if bad.size:
+        r, j = bad[0]
+        raise NumericalFailure(f"particle moment {list(weights)[j]} left the finite range "
+                               f"at t={record_steps[r] * dt:g}")
     return ParticleRun(
-        times=np.array(times),
-        moments={k: np.array(v) for k, v in moments.items()},
-        final=ens,
+        times=np.array([k * dt for k in record_steps]),
+        moments={name: means[:, j] for j, name in enumerate(weights)},
+        final=_checked_ensemble(positions, seed, guard.n_steps),
         cap_excess=stepper.cap_excess,
     )
 
@@ -520,9 +617,21 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
 def empirical_cf(ens: ParticleEnsemble, xi_values: np.ndarray) -> np.ndarray:
     """Re of the empirical characteristic function at each xi: mean cos(xi X).
     The sine part carries no signal for the symmetric laws checked here, so
-    dropping it halves the Monte Carlo noise."""
+    dropping it halves the Monte Carlo noise. The cosine is (1 - t^2) /
+    (1 + t^2) with t = tan(xi X / 2), with no cos call, as in the samplers
+    (see the module docstring)."""
     xi = np.atleast_1d(np.asarray(xi_values, dtype=float))
-    return np.array([float(np.mean(np.cos(v * ens.positions))) for v in xi])
+    cf = []
+    for v in xi:
+        t = np.multiply(v, ens.positions)
+        t *= 0.5
+        np.tan(t, out=t)
+        t *= t
+        c = np.subtract(1.0, t)
+        t += 1.0
+        c /= t
+        cf.append(float(np.mean(c)))
+    return np.array(cf)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +666,12 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
     lambda0 Brownian increment is reflected (negated, d = 1) for Y while the
     pair is apart, jump increments are reflected only below min(1, r/2) and
     synchronized above, and a pair couples once |X - Y| < eps_couple, after
-    which it moves as one. Pairs are stepped in chunks on a thread pool as in
-    simulate: each chunk draws one uniform block and turns it into increments
-    once; X moves by them, a coupled Y copies X's new position, and only the
-    pairs still apart move Y by the reflected increments."""
+    which it moves as one. Pairs march chunk-major and in place, as in
+    simulate: each chunk runs every step on its slices of X and Y, drawing
+    one uniform block a step and turning it into increments once; X moves by
+    them, a coupled Y copies X's new position, and only the pairs still apart
+    move Y by the reflected increments. A failure is reported as in simulate,
+    for the earliest step that has one."""
     _check_seed(seed)
     stepper = _ParticleStepper(spec, dt)
     guard = RunGuard(dt, t_final, record_every)
@@ -571,41 +682,32 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
     y[coupled] = x[coupled]
     t_couple = np.where(coupled, 0.0, np.inf)
 
-    times = [0.0]
-    t = 0.0
-    with _chunk_pool(n_pairs) as pool:
-        for k in range(1, guard.n_steps + 1):
-            x_new, y_new = np.empty_like(x), np.empty_like(y)
-            t_new = k * dt
+    def chunk(i0: int, i1: int):
+        xs, ys, cs, ts = x[i0:i1], y[i0:i1], coupled[i0:i1], t_couple[i0:i1]
 
-            def advance(i0: int, i1: int):
-                u = _uniforms(seed, k, i0, i1 - i0, stepper.stride)
-                terms = stepper.increments(u)
-                xs, ys = x_new[i0:i1], y_new[i0:i1]
-                stepper.move(x[i0:i1], t, terms, out=xs)
-                guard.check_positions(xs, t_new)
-                ys[:] = xs  # a coupled pair moves as one
-                apart = np.flatnonzero(~coupled[i0:i1])
-                ya = y[i0:i1][apart]
-                reflect_below = np.minimum(1.0, 0.5 * np.abs(x[i0:i1][apart] - ya))
-                ya_new = np.empty_like(ya)
-                stepper.move(ya, t, [(kind, v[apart]) for kind, v in terms], out=ya_new,
-                             reflect_below=reflect_below)
-                guard.check_positions(ya_new, t_new)
-                meet = np.abs(xs[apart] - ya_new) < eps_couple
-                ys[apart[~meet]] = ya_new[~meet]
-                met = apart[meet]
-                t_couple[i0:i1][met] = t_new
-                coupled[i0:i1][met] = True
+        def step(k: int):
+            t, t_new = (k - 1) * dt, k * dt
+            terms = stepper.increments(_uniforms(seed, k, i0, i1 - i0, stepper.stride))
+            apart = np.flatnonzero(~cs)
+            ya = ys[apart]
+            reflect_below = np.minimum(1.0, 0.5 * np.abs(xs[apart] - ya))
+            stepper.move(xs, t, terms, out=xs)
+            RunGuard.check_positions(xs, t_new)
+            stepper.move(ya, t, [(kind, v[apart]) for kind, v in terms], out=ya,
+                         reflect_below=reflect_below)
+            RunGuard.check_positions(ya, t_new)
+            meet = np.abs(xs[apart] - ya) < eps_couple
+            ys[:] = xs  # a coupled pair moves as one
+            ys[apart[~meet]] = ya[~meet]
+            met = apart[meet]
+            ts[met] = t_new
+            cs[met] = True
 
-            _for_chunks(advance, n_pairs, pool)
-            t = t_new
-            x, y = x_new, y_new
-            if guard.records(k):
-                times.append(t)
+        return step
 
+    _march(n_pairs, range(1, guard.n_steps + 1), chunk)
     return CouplingRun(
-        times=np.array(times),
+        times=np.array([0.0] + [k * dt for k in range(1, guard.n_steps + 1) if guard.records(k)]),
         coupling_times=t_couple,
         x_final=x,
         y_final=y,

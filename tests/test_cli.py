@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
 import shutil
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from levyfp import cli, config, forward
+from levyfp import cli, config, forward, particles
 from levyfp.cli import main
 from levyfp.config import (
     ConfigError,
@@ -753,6 +754,25 @@ def test_particle_blow_up_exits_3_with_its_time(tmp_path):
     assert main(["run", str(path)]) == 3
     failure = json.loads((tmp_path / "out" / "failure.json").read_text())
     assert failure["error"] == "particle positions left the finite range at t=78"
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_particle_moment_overflow_exits_3_naming_the_weight(tmp_path, monkeypatch, cores):
+    # x -> -9999 x per step: the positions are still finite at t_final 70,
+    # but their pow0.5 weight overflows to inf from the record at t=40. A
+    # numerical failure with failure.json, not a config error from writing
+    # inf to series.csv; chunks of 1000 give 2, run inline or on the pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(particles, "_CHUNK", 1000)
+    cfg = write_config(tmp_path, "overflow.json", **{
+        "experiment": "particles", "levy.kind": "fractional", "levy.sigma": 1.5, "drift.kind": "power",
+        "drift.alpha": 1e4, "drift.gamma": 2.0, "particles.source": "point", "particles.n": 2000,
+        "time.dt": 1.0, "time.t_final": 70.0, "time.stride": 10, "seed": 0,
+        "output.dir": str(tmp_path / "out")})
+    assert main(["run", str(cfg)]) == 3
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["error"] == "particle moment pow0.5 left the finite range at t=40"
+    assert not (tmp_path / "out" / "series.csv").exists()
 
 
 @pytest.mark.parametrize("experiment", ["particles", "coupling"])

@@ -600,8 +600,8 @@ KIND_SPECS = {
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("chunk", [None, 999])
 def test_in_place_march_matches_public_step_chain(monkeypatch, kind, cores, chunk):
-    # simulate steps one buffer in place; step_ensemble without _out writes
-    # a fresh array each step
+    # simulate marches one buffer in place, chunk by chunk through every
+    # step; step_ensemble writes a fresh array each step
     set_cores(monkeypatch, cores)
     set_chunk(monkeypatch, chunk)
     spec = KIND_SPECS[kind]
@@ -633,11 +633,11 @@ def test_move_in_place_matches_move_out_of_place(kind):
 @pytest.mark.parametrize("cores", [1, 2])
 def test_simulate_holds_one_position_buffer(monkeypatch, cores):
     # peak of what simulate allocates, in position arrays of n doubles:
-    # 2.19 (1 core) and 2.44 (2 cores) for the in-place march, which holds
-    # the position buffer, the weight values and the temporaries of one chunk
-    # per thread; 3.19 and 3.44 for a march that keeps the old and new
-    # positions of a step. The bound leaves 0.16 of an array, 170 KB, above
-    # the larger of the two.
+    # 1.20 (1 core) and 1.45 (2 cores) for the chunk-major march, which holds
+    # the position buffer and the temporaries of one chunk per thread; 2.19
+    # and 2.44 for a march that also keeps an n-length buffer of weight
+    # values for the records. The bound leaves 0.15 of an array, 160 KB,
+    # above the larger of the two.
     set_cores(monkeypatch, cores)
     monkeypatch.setattr(particles, "_CHUNK", 4096)
     n = 1 << 17
@@ -653,7 +653,7 @@ def test_simulate_holds_one_position_buffer(monkeypatch, cores):
     finally:
         tracemalloc.stop()
     assert run.final.step_index == 4
-    assert peak <= 2.6 * 8 * n
+    assert peak <= 1.6 * 8 * n
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
@@ -695,7 +695,7 @@ def test_coupling_on_more_threads_than_cores_matches_oracle(monkeypatch):
 
 def test_failed_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
     # chunk 1 holds the single thread while the failure of chunk 0 is raised,
-    # so chunks 2..49 are still queued and must never run
+    # so chunks 2..63 are still queued and must never run
     ran, gate = set(), threading.Event()
 
     def advance(i0, i1):
@@ -704,11 +704,14 @@ def test_failed_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
         gate.wait(0.1)
         ran.add(i0)
 
-    monkeypatch.setattr(particles, "_CHUNK", 1)
+    # chunks hold at least 128 particles, the pairwise summation block
+    monkeypatch.setattr(particles, "_CHUNK", 128)
+    bounds = particles._chunk_bounds(64 * 128)
+    assert len(bounds) == 64
     with ThreadPoolExecutor(max_workers=1) as pool:
         with pytest.raises(NumericalFailure, match="chunk 0"):
-            particles._for_chunks(advance, 50, pool)
-    assert ran <= {1}
+            particles._for_chunks(advance, 64 * 128, pool)
+    assert ran <= {bounds[1][0]}
 
 
 def test_ensemble_from_density_matches_one_block_draw():
@@ -757,6 +760,45 @@ def test_recorded_moments_match_whole_array_mean(monkeypatch, cores, chunk):
     for name, w in weights.items():
         want = [np.mean(w(ens.positions)), np.mean(w(run.final.positions))]
         assert np.array_equal(run.moments[name], want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 999, 70_001, 1_000_000])
+@pytest.mark.parametrize("chunk", [None, 999, 4096])
+def test_tree_sum_of_chunk_sums_is_np_sum(monkeypatch, n, chunk):
+    # squared Cauchy draws span many magnitudes, so the order in which the
+    # chunk sums are added shows in the bits
+    set_chunk(monkeypatch, chunk)
+    bounds = particles._chunk_bounds(n)
+    assert [i0 for i0, _ in bounds] == [0] + [i1 for _, i1 in bounds[:-1]] and bounds[-1][1] == n
+    assert max(i1 - i0 for i0, i1 in bounds) <= max(particles._CHUNK, 128)
+    v = np.random.default_rng(n).standard_cauchy(n) ** 2
+    assert_bitwise(particles._tree_sum([np.sum(v[i0:i1]) for i0, i1 in bounds], n), np.sum(v))
+
+
+POWER_BLOW_UP = GeneratorSpec(LocalDiffusionSpec.constant(0.0), LevyMeasureSpec.fractional(1.5),
+                              DriftSpec.power(1e4, 2.0))  # x -> -9999 x plus a jump per step
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("chunk", [None, 999])
+def test_failure_is_the_earliest_step_over_all_chunks(monkeypatch, cores, chunk):
+    # the last chunk starts near 1e150 and leaves the finite range about 40
+    # steps before the first chunk, which starts near 1: a march that
+    # reported the first chunk's failure would name a later time
+    set_cores(monkeypatch, cores)
+    set_chunk(monkeypatch, chunk)
+    x = ensemble_from_density(gaussian(GRID, std=1.0), 70_001, seed=21).positions
+    x[-500:] *= 1e150
+    ens = ParticleEnsemble(x, seed=5)
+    with pytest.raises(NumericalFailure, match="particle positions left the finite range") as run:
+        simulate(ens, POWER_BLOW_UP, dt=1.0, t_final=200.0)
+    with pytest.raises(NumericalFailure) as chain:
+        for _ in range(200):
+            ens = step_ensemble(ens, POWER_BLOW_UP, 1.0)
+    assert str(run.value) == str(chain.value)
+    with pytest.raises(NumericalFailure) as first:
+        simulate(ParticleEnsemble(x[:-500], seed=5), POWER_BLOW_UP, dt=1.0, t_final=200.0)
+    assert str(first.value) != str(run.value)
 
 
 def test_particle_clock_is_a_step_count():
