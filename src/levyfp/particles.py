@@ -388,42 +388,28 @@ class _ParticleStepper:
 _PAIRWISE_BLOCK = 128
 
 
-def _pairwise_split(m: int) -> int:
-    """Length of the first half of a pairwise-summed run of m > _PAIRWISE_BLOCK values."""
-    h = m // 2
-    return h - h % 8
+def _tree_sum(n: int, leaf):
+    """leaf(i0, i1) of every chunk [i0, i1) of n values, added up numpy's
+    pairwise summation tree: a node of at most max(_CHUNK, _PAIRWISE_BLOCK)
+    values is a chunk, and a larger one the sum of its two halves. With
+    leaf the np.sum of a chunk's values, the result has the bits of np.sum
+    over all n values; leaf's values may be arrays, added elementwise."""
+    cap = max(_CHUNK, _PAIRWISE_BLOCK)
+
+    def fold(i0: int, m: int):
+        if m <= cap:
+            return leaf(i0, i0 + m)
+        h = m // 2 - m // 2 % 8
+        return fold(i0, h) + fold(i0 + h, m - h)
+
+    return fold(0, n)
 
 
 def _chunk_bounds(n: int):
-    """(i0, i1) of every chunk of n particles: the leaves, in order, of
-    numpy's pairwise summation tree over n values, cut at the first node that
-    holds at most max(_CHUNK, _PAIRWISE_BLOCK) values. The two halves of a
-    node differ by at most 15 values, so threads get even shares."""
-    cap = max(_CHUNK, _PAIRWISE_BLOCK)
-
-    def leaves(i0: int, m: int):
-        if m <= cap:
-            return [(i0, i0 + m)]
-        h = _pairwise_split(m)
-        return leaves(i0, h) + leaves(i0 + h, m - h)
-
-    return leaves(0, n)
-
-
-def _tree_sum(sums, n: int):
-    """np.sum of n values from the sums of their _chunk_bounds(n) chunks, in
-    chunk order: the chunk sums are added up numpy's pairwise tree, so the
-    result has np.sum's bits. The sums may be arrays, added elementwise."""
-    cap = max(_CHUNK, _PAIRWISE_BLOCK)
-    chunk_sums = iter(sums)
-
-    def fold(m: int):
-        if m <= cap:
-            return next(chunk_sums)
-        h = _pairwise_split(m)
-        return fold(h) + fold(m - h)
-
-    return fold(n)
+    """(i0, i1) of every chunk of n particles, in order: the leaves of
+    _tree_sum's tree. The two halves of a node differ by at most 15 values,
+    so threads get even shares."""
+    return _tree_sum(n, lambda i0, i1: [(i0, i1)])
 
 
 @contextmanager
@@ -596,7 +582,7 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
         return step
 
     _march(n, range(1, guard.n_steps + 1), chunk)
-    means = _tree_sum([sums[i0] for i0, _ in _chunk_bounds(n)], n) / n
+    means = _tree_sum(n, lambda i0, i1: sums[i0]) / n
     bad = np.argwhere(~np.isfinite(means))  # in time order, then weight order
     if bad.size:
         r, j = bad[0]

@@ -772,7 +772,7 @@ def test_tree_sum_of_chunk_sums_is_np_sum(monkeypatch, n, chunk):
     assert [i0 for i0, _ in bounds] == [0] + [i1 for _, i1 in bounds[:-1]] and bounds[-1][1] == n
     assert max(i1 - i0 for i0, i1 in bounds) <= max(particles._CHUNK, 128)
     v = np.random.default_rng(n).standard_cauchy(n) ** 2
-    assert_bitwise(particles._tree_sum([np.sum(v[i0:i1]) for i0, i1 in bounds], n), np.sum(v))
+    assert_bitwise(particles._tree_sum(n, lambda i0, i1: np.sum(v[i0:i1])), np.sum(v))
 
 
 POWER_BLOW_UP = GeneratorSpec(LocalDiffusionSpec.constant(0.0), LevyMeasureSpec.fractional(1.5),
