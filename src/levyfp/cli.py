@@ -419,6 +419,8 @@ def _sanitize(text: str) -> str:
 
 
 def cmd_sweep(config_path: str, workers: int) -> int:
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
     cfg = load_config(config_path)
     axes = _sweep_axes(cfg)
     out_root = cfg["output.dir"]
@@ -431,7 +433,7 @@ def cmd_sweep(config_path: str, workers: int) -> int:
         for i, (gamma, sigma, k, kbar) in enumerate(cells)
     ]
     # --workers N: N contiguous groups of cells, each marched as one stack
-    n_groups = max(1, min(workers, len(payloads)))
+    n_groups = min(workers, len(payloads))
     bounds = [len(payloads) * g // n_groups for g in range(n_groups + 1)]
     groups = [payloads[a:b] for a, b in zip(bounds, bounds[1:])]
     if n_groups == 1:

@@ -1,6 +1,7 @@
-"""Particle side of the dynamics: Euler steps with exact stable increments,
-ensembles sampled from grid densities, the empirical characteristic function,
-and reflection coupling.
+"""Particle side of the dynamics: Euler runs from t = 0 with exact stable
+increments (``simulate``), ensembles sampled from grid densities, the
+empirical characteristic function of a run's final positions, and
+reflection coupling.
 
 Randomness comes from PCG64DXSM streams, one per step: step k = 1, 2, ...
 draws from the stream seeded by SeedSequence([seed, k]), and stream 0 seeds
@@ -14,7 +15,8 @@ across workers.
 Particles never interact, so a run marches chunk-major: each chunk of
 particles runs every step in turn while its slice of the one position buffer
 sits in cache, drawing its own uniform block per step and overwriting its
-slice in place. The chunks are mapped over a thread pool: numpy releases the
+slice in place. One loop, ``_for_chunks``, maps the chunks of every run and
+of every sampled ensemble over a thread pool: numpy releases the
 interpreter lock in the PCG fill and in the ufuncs, and the bytes do not
 depend on the worker count. The chunks are leaves of numpy's pairwise
 summation tree, so a recorded moment folds the chunks' sums into the bits of
@@ -36,8 +38,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,7 +55,6 @@ __all__ = [
     "CouplingRun",
     "ensemble_at",
     "ensemble_from_density",
-    "step_ensemble",
     "simulate",
     "empirical_cf",
     "reflection_coupling_run",
@@ -170,13 +170,11 @@ def _check_seed(seed) -> None:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Positions plus the substream bookkeeping needed to continue the run.
-    Every run starts at t = 0, so after step_index steps of dt the ensemble
-    is at t = step_index * dt: a step count, not a running sum of dt."""
+    """The start of a run at t = 0: finite positions and the seed of the
+    run's streams."""
 
     positions: np.ndarray
     seed: int
-    step_index: int = 0
 
     def __post_init__(self):
         _check_seed(self.seed)
@@ -224,7 +222,7 @@ def ensemble_from_density(m: Field, n_particles: int, seed: int = 0) -> Particle
         frac = (u - prev) / np.maximum(cdf[idx] - prev, 1e-300)
         positions[i0:i1] = left + frac * g.dx
 
-    _for_chunks(draw, n_particles, None)
+    _for_chunks(draw, n_particles)
     return ParticleEnsemble(positions, seed)
 
 
@@ -366,15 +364,6 @@ class _ParticleStepper:
                     v = np.where(np.abs(v) < reflect_below[:, None], -v, v)
                 out += v.sum(axis=1)
 
-    def step(self, x: np.ndarray, seed: int, k: int, i0: int, out: np.ndarray) -> None:
-        """Step k, from t = (k - 1) dt to k dt, of the particles [i0, i0 +
-        x.size) of a run with this seed, written to out, which may be x:
-        their words of step k's stream, their increments and the move.
-        NumericalFailure if a new position is not finite."""
-        u = _uniforms(seed, k, i0, x.size, self.stride)
-        self.move(x, (k - 1) * self.dt, self.increments(u), out=out)
-        RunGuard.check_positions(out, k * self.dt)
-
     @property
     def cap_excess(self) -> float | None:
         """Poisson mass beyond the tempered jump cap; None without tempered jumps."""
@@ -412,50 +401,41 @@ def _chunk_bounds(n: int):
     return _tree_sum(n, lambda i0, i1: [(i0, i1)])
 
 
-@contextmanager
-def _chunk_pool(n: int):
-    """Thread pool for one run's chunks, one thread per core this process may
-    run on but no more than there are chunks; None (run inline) when that is
-    one thread."""
-    workers = min(len(os.sched_getaffinity(0)), len(_chunk_bounds(n)))
-    if workers == 1:
-        yield None
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool
-
-
-def _for_chunks(advance, n: int, pool: ThreadPoolExecutor | None):
-    """advance(i0, i1) for every chunk, on the pool when there is one. Chunks
-    write disjoint slices. The first failure in chunk order is raised once
-    the chunks already running have finished; chunks not yet started are
-    cancelled. numpy's overflow and invalid warnings are off in every chunk:
-    a blow-up is reported by check_positions, and a weight of a huge
-    position is inf. The errstate is entered inside the task, since pool
-    threads do not inherit the caller's."""
+def _for_chunks(advance, n: int):
+    """advance(i0, i1) for every chunk of n particles: the one chunk loop, for
+    every run and every sampled ensemble. The chunks run on a thread pool of
+    one thread per core this process may run on, but no more than there are
+    chunks, and inline when that is one thread. Chunks write disjoint
+    slices. The first failure in chunk order is raised once the chunks
+    already running have finished; chunks not yet started are cancelled.
+    numpy's overflow and invalid warnings are off in every chunk: a blow-up
+    is reported by check_positions, and a weight of a huge position is inf.
+    The errstate is entered inside the task, since pool threads do not
+    inherit the caller's."""
     def quiet(i0: int, i1: int):
         with np.errstate(over="ignore", invalid="ignore"):
             advance(i0, i1)
 
     bounds = _chunk_bounds(n)
-    if pool is None:
+    workers = min(len(os.sched_getaffinity(0)), len(bounds))
+    if workers == 1:
         for i0, i1 in bounds:
             quiet(i0, i1)
         return
-    futures = [pool.submit(quiet, i0, i1) for i0, i1 in bounds]
-    try:
-        for future in futures:
-            future.result()
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        raise
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(quiet, i0, i1) for i0, i1 in bounds]
+        try:
+            for future in futures:
+                future.result()
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise  # leaving the pool waits for the chunks already running
 
 
-def _march(n: int, steps: range, chunk):
-    """March n particles chunk-major through steps, on a thread pool with one
-    thread per core. chunk(i0, i1) sets up the particles [i0, i1) and returns
+def _march(n: int, n_steps: int, chunk):
+    """March n particles chunk-major through steps 1..n_steps (see
+    _for_chunks). chunk(i0, i1) sets up the particles [i0, i1) and returns
     their step(k), which advances them by step k in place and raises
     NumericalFailure when they leave the finite range. Each chunk runs step
     after step while its slice sits in cache. It stops at its first failing
@@ -465,8 +445,8 @@ def _march(n: int, steps: range, chunk):
     Once every chunk has stopped, the failure of the earliest failing step
     is raised, the first chunk's on ties. Every chunk runs at least up to
     that step, so the failure raised does not depend on the chunk size or
-    the pool. Any other exception is raised before it, the first in chunk
-    order (see _for_chunks)."""
+    the worker count. Any other exception is raised before it, the first in
+    chunk order (see _for_chunks)."""
     failures = []  # (k, i0, NumericalFailure)
     earliest = math.inf
     lock = threading.Lock()
@@ -474,7 +454,7 @@ def _march(n: int, steps: range, chunk):
     def run(i0: int, i1: int):
         nonlocal earliest
         step = chunk(i0, i1)
-        for k in steps:
+        for k in range(1, n_steps + 1):
             if k > earliest:
                 return
             try:
@@ -485,47 +465,20 @@ def _march(n: int, steps: range, chunk):
                     earliest = min(earliest, k)
                 return
 
-    with _chunk_pool(n) as pool:
-        _for_chunks(run, n, pool)
+    _for_chunks(run, n)
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
 
 
-def _checked_ensemble(positions: np.ndarray, seed: int, step_index: int) -> ParticleEnsemble:
-    """A ParticleEnsemble on positions already known to be finite, without
-    the constructor's rescan."""
-    ens = object.__new__(ParticleEnsemble)
-    ens.__dict__.update(positions=positions, seed=seed, step_index=step_index)
-    return ens
-
-
-def step_ensemble(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float) -> ParticleEnsemble:
-    """Advance every particle one Euler step, step k = ens.step_index + 1 from
-    t = (k - 1) * dt to k * dt, into a fresh array, and raise NumericalFailure
-    if a position leaves the finite range. It runs simulate's chunks and step
-    body, so a chain of steps gives simulate's bits, and neither depends on
-    the chunk size or the pool the chunks run on."""
-    stepper = _ParticleStepper(spec, dt)
-    k = ens.step_index + 1
-    new = np.empty(ens.n_particles)
-
-    def chunk(i0: int, i1: int):
-        return lambda k: stepper.step(ens.positions[i0:i1], ens.seed, k, i0, out=new[i0:i1])
-
-    _march(ens.n_particles, range(k, k + 1), chunk)
-    # every chunk has checked its positions
-    return _checked_ensemble(new, ens.seed, k)
-
-
 @dataclass(frozen=True)
 class ParticleRun:
-    """Recorded moment series plus the final ensemble. cap_excess is the
+    """Recorded moment series plus the final positions. cap_excess is the
     per-step Poisson mass beyond the tempered jump cap (None without
     tempered jumps)."""
 
     times: np.ndarray
     moments: dict
-    final: ParticleEnsemble
+    final: np.ndarray
     cap_excess: float | None = None
 
 
@@ -533,29 +486,25 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
              record_every: int = 1,
              moment_weights: dict[str, WeightFunction] | None = None) -> ParticleRun:
     """March the ensemble to t_final recording mean weight values (empirical
-    weighted moments) every record_every steps. The march is chunk-major (see
-    the module docstring), on a thread pool with one thread per available
-    core; the result does not depend on the core count or the chunk size.
+    weighted moments) every record_every steps; the run starts at t = 0. The
+    march is chunk-major (see the module docstring), on a thread pool with
+    one thread per available core; the result does not depend on the core
+    count or the chunk size.
 
     The run allocates one n-length array, the position buffer: each chunk
     copies its slice of the start positions into it and steps that slice in
     place, and at a record it keeps only the sum of each weight over the
     slice. The chunks are leaves of numpy's pairwise summation tree and
     their sums are added up that tree, so every moment has the bits of
-    np.mean over the whole ensemble. The caller's ensemble is left
-    unchanged; a point source (``ensemble_at``) holds no n-length array, so
-    such a run holds one in all.
+    np.mean over the whole ensemble. The buffer is the run's ``final``; the
+    caller's ensemble is left unchanged, and a point source
+    (``ensemble_at``) holds no n-length array, so such a run holds one in
+    all.
 
     NumericalFailure is raised at the earliest step where a position leaves
     the finite range. A run whose positions stay finite fails at its
     earliest record whose moment is not finite, naming the weight: a weight
-    of a huge position is inf. Neither verdict depends on the chunking.
-
-    The run starts at t = 0: an ensemble whose step_index is not 0 is a
-    ValueError, since its records would be stamped from the wrong time
-    (``step_ensemble`` chains from any step)."""
-    if ens.step_index != 0:
-        raise ValueError(f"simulate starts at step 0, got an ensemble at step_index {ens.step_index}")
+    of a huge position is inf. Neither verdict depends on the chunking."""
     guard = RunGuard(dt, t_final, record_every)
     stepper = _ParticleStepper(spec, dt)
     weights = moment_weights or {}
@@ -574,14 +523,16 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
             chunk_sums[r] = [np.sum(w(x)) for w in weights.values()]
 
         def step(k: int):
-            stepper.step(x, seed, k, i0, out=x)
+            u = _uniforms(seed, k, i0, i1 - i0, stepper.stride)
+            stepper.move(x, (k - 1) * dt, stepper.increments(u), out=x)
+            RunGuard.check_positions(x, k * dt)
             if k in row:
                 record(row[k])
 
         record(0)
         return step
 
-    _march(n, range(1, guard.n_steps + 1), chunk)
+    _march(n, guard.n_steps, chunk)
     means = _tree_sum(n, lambda i0, i1: sums[i0]) / n
     bad = np.argwhere(~np.isfinite(means))  # in time order, then weight order
     if bad.size:
@@ -591,7 +542,7 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
     return ParticleRun(
         times=np.array([k * dt for k in record_steps]),
         moments={name: means[:, j] for j, name in enumerate(weights)},
-        final=_checked_ensemble(positions, seed, guard.n_steps),
+        final=positions,
         cap_excess=stepper.cap_excess,
     )
 
@@ -600,16 +551,17 @@ def simulate(ens: ParticleEnsemble, spec: GeneratorSpec, dt: float, t_final: flo
 # measurement
 
 
-def empirical_cf(ens: ParticleEnsemble, xi_values: np.ndarray) -> np.ndarray:
-    """Re of the empirical characteristic function at each xi: mean cos(xi X).
-    The sine part carries no signal for the symmetric laws checked here, so
-    dropping it halves the Monte Carlo noise. The cosine is (1 - t^2) /
-    (1 + t^2) with t = tan(xi X / 2), with no cos call, as in the samplers
-    (see the module docstring)."""
+def empirical_cf(positions: np.ndarray, xi_values: np.ndarray) -> np.ndarray:
+    """Re of the empirical characteristic function of the positions X (a
+    run's ``final``) at each xi: mean cos(xi X). The sine part carries no
+    signal for the symmetric laws checked here, so dropping it halves the
+    Monte Carlo noise. The cosine is (1 - t^2) / (1 + t^2) with
+    t = tan(xi X / 2), with no cos call, as in the samplers (see the module
+    docstring)."""
     xi = np.atleast_1d(np.asarray(xi_values, dtype=float))
     cf = []
     for v in xi:
-        t = np.multiply(v, ens.positions)
+        t = np.multiply(v, positions)
         t *= 0.5
         np.tan(t, out=t)
         t *= t
@@ -691,7 +643,7 @@ def reflection_coupling_run(spec: GeneratorSpec, x0: float, y0: float, dt: float
 
         return step
 
-    _march(n_pairs, range(1, guard.n_steps + 1), chunk)
+    _march(n_pairs, guard.n_steps, chunk)
     return CouplingRun(
         times=np.array([0.0] + [k * dt for k in range(1, guard.n_steps + 1) if guard.records(k)]),
         coupling_times=t_couple,

@@ -602,6 +602,15 @@ def test_sweep_rejects_empty_axes(tmp_path):
     assert main(["sweep", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    # a count below 1 names no worker: a config error before any file is written
+    cfg = write_sweep(tmp_path, "sweep.json", **{"output.dir": str(tmp_path / "sw")})
+    assert main(["sweep", str(cfg), "--workers", str(workers)]) == 2
+    assert capsys.readouterr().err == f"config error: --workers must be at least 1, got {workers}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
 def tree_digest(root) -> dict:
     """sha256 of every file under root, by path relative to root."""
     root = pathlib.Path(root)

@@ -34,7 +34,6 @@ from levyfp.particles import (
     ensemble_from_density,
     reflection_coupling_run,
     simulate,
-    step_ensemble,
 )
 from levyfp.weights import WeightFunction
 
@@ -106,7 +105,7 @@ def test_sampled_ensemble_reproduces_density():
 def test_empirical_cf_of_point_mass_is_cosine():
     ens = ensemble_at(1.3, 1000, seed=0)
     xi = np.array([0.0, 0.7, 2.0])
-    assert np.abs(empirical_cf(ens, xi) - np.cos(1.3 * xi)).max() < 1e-12
+    assert np.abs(empirical_cf(ens.positions, xi) - np.cos(1.3 * xi)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +115,19 @@ def test_empirical_cf_of_point_mass_is_cosine():
 def test_chunking_does_not_change_trajectories(monkeypatch):
     spec = ou_frac_spec()
     ens = ensemble_from_density(gaussian(GRID, std=1.0), 5000, seed=21)
-    whole = ens
-    for _ in range(5):
-        whole = step_ensemble(whole, spec, 1e-2)
+    whole = simulate(ens, spec, dt=1e-2, t_final=0.05)
     monkeypatch.setattr(particles, "_CHUNK", 999)
-    split = ens
-    for _ in range(5):
-        split = step_ensemble(split, spec, 1e-2)
-    assert np.array_equal(whole.positions, split.positions)
+    split = simulate(ens, spec, dt=1e-2, t_final=0.05)
+    assert np.array_equal(whole.final, split.final)
 
 
 def test_same_seed_reproduces_run_bitwise():
     spec = ou_brownian_spec()
     a = simulate(ensemble_at(0.5, 2000, seed=4), spec, dt=1e-2, t_final=0.5)
     b = simulate(ensemble_at(0.5, 2000, seed=4), spec, dt=1e-2, t_final=0.5)
-    assert np.array_equal(a.final.positions, b.final.positions)
+    assert np.array_equal(a.final, b.final)
     c = simulate(ensemble_at(0.5, 2000, seed=5), spec, dt=1e-2, t_final=0.5)
-    assert not np.array_equal(a.final.positions, c.final.positions)
+    assert not np.array_equal(a.final, c.final)
 
 
 def test_simulate_requires_integer_step_count():
@@ -237,7 +232,7 @@ def test_bad_seeds_are_refused_before_any_draw(seed):
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1), 2**64, 2**70])
 def test_numpy_and_wide_seeds_are_accepted(seed):
     run = simulate(ensemble_at(0.0, 10, seed=seed), ou_brownian_spec(), dt=0.1, t_final=0.2)
-    assert np.isfinite(run.final.positions).all()
+    assert np.isfinite(run.final).all()
     reflection_coupling_run(ou_brownian_spec(), 1.0, -1.0, dt=0.1, t_final=0.2, n_pairs=10, seed=seed)
 
 
@@ -437,7 +432,7 @@ def test_drift_only_spec_draws_no_words(monkeypatch):
     x = ens.positions
     for k in range(3):
         x = x - spec.drift(k * 0.1, x) * 0.1
-    assert_bitwise(run.final.positions, x)
+    assert_bitwise(run.final, x)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -451,7 +446,7 @@ def test_stride_19_chunks_match_whole_array_oracle(monkeypatch, cores):
     assert columns == 19
     ens = ensemble_from_density(gaussian(GRID, std=1.0), 20_001, seed=13)
     run = simulate(ens, spec, dt=1e-2, t_final=0.03)
-    assert_bitwise(run.final.positions, simulate_oracle(ens, spec, 1e-2, 3))
+    assert_bitwise(run.final, simulate_oracle(ens, spec, 1e-2, 3))
 
 
 def kernel_inputs():
@@ -581,8 +576,11 @@ def test_simulate_matches_whole_array_oracle(monkeypatch, name, cores, chunk):
     set_chunk(monkeypatch, chunk)
     spec = ORACLE_SPECS[name]
     ens = ensemble_from_density(gaussian(GRID, std=1.0), 70_001, seed=21)
+    start = ens.positions.copy()
     run = simulate(ens, spec, dt=1e-2, t_final=0.05)
-    assert_bitwise(run.final.positions, simulate_oracle(ens, spec, 1e-2, 5))
+    assert_bitwise(run.final, simulate_oracle(ens, spec, 1e-2, 5))
+    assert_bitwise(ens.positions, start)  # the caller's start is left alone
+    assert not np.shares_memory(run.final, ens.positions)
 
 
 # one spec per increment kind a move adds: "gauss" alone (local Brownian),
@@ -594,27 +592,6 @@ KIND_SPECS = {
     "jump": ORACLE_SPECS["fractional"],
     "jumps": ORACLE_SPECS["tempered"],
 }
-
-
-@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
-@pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("chunk", [None, 999])
-def test_in_place_march_matches_public_step_chain(monkeypatch, kind, cores, chunk):
-    # simulate marches one buffer in place, chunk by chunk through every
-    # step; step_ensemble writes a fresh array each step
-    set_cores(monkeypatch, cores)
-    set_chunk(monkeypatch, chunk)
-    spec = KIND_SPECS[kind]
-    ens = ensemble_from_density(gaussian(GRID, std=1.0), 70_001, seed=21)
-    start = ens.positions.copy()
-    run = simulate(ens, spec, dt=1e-2, t_final=0.05)
-    chain = ens
-    for _ in range(5):
-        chain = step_ensemble(chain, spec, 1e-2)
-    assert run.final.step_index == chain.step_index == 5
-    assert_bitwise(run.final.positions, chain.positions)
-    assert_bitwise(ens.positions, start)  # the caller's start is left alone
-    assert not np.shares_memory(run.final.positions, ens.positions)
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_SPECS))
@@ -652,7 +629,7 @@ def test_simulate_holds_one_position_buffer(monkeypatch, cores):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert run.final.step_index == 4
+    assert len(run.times) == 5
     assert peak <= 1.6 * 8 * n
 
 
@@ -694,8 +671,9 @@ def test_coupling_on_more_threads_than_cores_matches_oracle(monkeypatch):
 
 
 def test_failed_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
-    # chunk 1 holds the single thread while the failure of chunk 0 is raised,
-    # so chunks 2..63 are still queued and must never run
+    # two cores, but a pool of one thread: chunk 1 holds the thread while the
+    # failure of chunk 0 is raised, so chunks 2..63 are still queued and must
+    # never run
     ran, gate = set(), threading.Event()
 
     def advance(i0, i1):
@@ -706,19 +684,31 @@ def test_failed_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
 
     # chunks hold at least 128 particles, the pairwise summation block
     monkeypatch.setattr(particles, "_CHUNK", 128)
+    set_cores(monkeypatch, 2)
+    pools = []
+
+    def one_thread(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    monkeypatch.setattr(particles, "ThreadPoolExecutor", one_thread)
     bounds = particles._chunk_bounds(64 * 128)
     assert len(bounds) == 64
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        with pytest.raises(NumericalFailure, match="chunk 0"):
-            particles._for_chunks(advance, 64 * 128, pool)
+    with pytest.raises(NumericalFailure, match="chunk 0"):
+        particles._for_chunks(advance, 64 * 128)
+    assert pools == [2]
     assert ran <= {bounds[1][0]}
 
 
-def test_ensemble_from_density_matches_one_block_draw():
-    # 70_001 particles: the last chunk is shorter than the others
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("chunk", [None, 999])
+def test_ensemble_from_density_matches_one_block_draw(monkeypatch, cores, chunk):
+    # 70_001 particles in chunks of unequal length, drawn on the pool at 2 cores
+    set_cores(monkeypatch, cores)
+    set_chunk(monkeypatch, chunk)
     m = gaussian(GRID, center=0.5, std=1.2)
     n = 70_001
-    assert n % particles._CHUNK != 0
+    assert len(particles._chunk_bounds(n)) > 1
     ens = ensemble_from_density(m, n, seed=9)
     cell_mass = m.values * GRID.dx
     cdf = np.cumsum(cell_mass) / cell_mass.sum()
@@ -758,7 +748,7 @@ def test_recorded_moments_match_whole_array_mean(monkeypatch, cores, chunk):
     finally:
         sys.setswitchinterval(interval)
     for name, w in weights.items():
-        want = [np.mean(w(ens.positions)), np.mean(w(run.final.positions))]
+        want = [np.mean(w(ens.positions)), np.mean(w(run.final))]
         assert np.array_equal(run.moments[name], want)
 
 
@@ -792,10 +782,11 @@ def test_failure_is_the_earliest_step_over_all_chunks(monkeypatch, cores, chunk)
     ens = ParticleEnsemble(x, seed=5)
     with pytest.raises(NumericalFailure, match="particle positions left the finite range") as run:
         simulate(ens, POWER_BLOW_UP, dt=1.0, t_final=200.0)
-    with pytest.raises(NumericalFailure) as chain:
-        for _ in range(200):
-            ens = step_ensemble(ens, POWER_BLOW_UP, 1.0)
-    assert str(run.value) == str(chain.value)
+    monkeypatch.setattr(particles, "_CHUNK", x.size)
+    assert len(particles._chunk_bounds(x.size)) == 1
+    with pytest.raises(NumericalFailure) as whole:
+        simulate(ens, POWER_BLOW_UP, dt=1.0, t_final=200.0)
+    assert str(run.value) == str(whole.value)
     with pytest.raises(NumericalFailure) as first:
         simulate(ParticleEnsemble(x[:-500], seed=5), POWER_BLOW_UP, dt=1.0, t_final=200.0)
     assert str(first.value) != str(run.value)
@@ -817,27 +808,6 @@ def test_particle_clock_is_a_step_count():
     want = [k * 0.01 for k in range(101)]
     assert run.times.tolist() == want
     assert read == want[:-1]  # step k reads the drift at its start, (k - 1) * dt
-    assert run.final.step_index == 100
-
-
-def test_simulate_refuses_an_ensemble_past_step_zero():
-    # its records would be stamped from t = 0; step_ensemble chains from any step
-    ens = step_ensemble(ensemble_at(0.5, 100, seed=3), ou_brownian_spec(), 0.1)
-    assert step_ensemble(ens, ou_brownian_spec(), 0.1).step_index == 2
-    with pytest.raises(ValueError, match="starts at step 0, got an ensemble at step_index 1"):
-        simulate(ens, ou_brownian_spec(), dt=0.1, t_final=0.3)
-
-
-def test_steps_skip_the_constructor_rescan(monkeypatch):
-    ens = ensemble_at(0.5, 1000, seed=4)
-    scans = []
-    monkeypatch.setattr(ParticleEnsemble, "__post_init__", lambda self: scans.append(self.step_index))
-    run = simulate(ens, ou_brownian_spec(), dt=0.1, t_final=0.3)
-    assert scans == []
-    final = run.final
-    assert (final.seed, final.step_index, final.n_particles) == (4, 3, 1000)
-    ParticleEnsemble(final.positions, final.seed, final.step_index)
-    assert len(scans) == 1  # the public constructor still scans
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +836,7 @@ def test_blow_up_raises_at_first_bad_step_for_any_stride(monkeypatch, cores):
     # one step earlier every position was still finite
     ok = simulate(ensemble_at(1.0, 40_000, seed=4), spec, dt=1.0, t_final=t_bad - 1.0,
                   record_every=10**9)
-    assert np.all(np.isfinite(ok.final.positions))
+    assert np.all(np.isfinite(ok.final))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

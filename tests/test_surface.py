@@ -1,8 +1,9 @@
-"""Every name a module lists in ``__all__`` resolves on that module, no
-module imports a name it never uses, every parameter is read by its body and
-every dataclass field outside the unit tests, every function, class and
-method is named by other code of the package, no two classes declare one
-field list, and importing levyfp loads neither scipy nor multiprocessing."""
+"""Every name a module lists in ``__all__`` resolves on that module and is
+loaded outside the unit tests, no module imports a name it never uses,
+every parameter is read by its body and every dataclass field outside the
+unit tests, every function, class and method is named by other code of the
+package, no two classes declare one field list, and importing levyfp loads
+neither scipy nor multiprocessing."""
 import ast
 import collections
 import importlib
@@ -232,6 +233,50 @@ def test_no_unread_fields():
     assert unread == [], "no reader outside the unit tests: " + ", ".join(unread)
     # an exemption whose field has gained a reader, or is gone, goes too
     assert sorted(found) == sorted(FIELDS_READ_BY_TESTS_ONLY)
+
+
+def unloaded_public_names(declaring: dict, reading: list) -> list:
+    """Names in the ``__all__`` of a ``declaring`` source (module name ->
+    source text) that no ``reading`` source loads: as a name, as an
+    attribute, or as an import alias. The match is by name alone; a string
+    constant, the ``__all__`` entry itself included, is no load."""
+    public = []
+    for module, source in declaring.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                public.extend((elt.value, f"{module}.{elt.value}") for elt in node.value.elts)
+    loaded = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    return sorted(where for name, where in public if name not in loaded)
+
+
+def test_unloaded_public_name_check_sees_what_it_should():
+    declaring = {
+        "a": "__all__ = ['f', 'g', 'h', 'k', 'unread']\ndef f():\n    return 'unread'\ndef g():\n    pass\n"
+             "def h():\n    pass\ndef k():\n    pass\ndef unread():\n    pass\n",
+        "b": "__all__ = ['B']\nclass B:\n    pass\n",
+    }
+    readers = ["from a import f\nimport a\nprint(a.g)\n", "class C:\n    def m(self):\n        return h(B)\n"
+               "def k():\n    pass\n"]
+    # a store (k's def) and a string constant ('unread') are no loads
+    assert unloaded_public_names(declaring, readers) == ["a.k", "a.unread"]
+    assert unloaded_public_names(declaring, []) == ["a.f", "a.g", "a.h", "a.k", "a.unread", "b.B"]
+
+
+def test_every_public_name_has_a_reader_outside_the_unit_tests():
+    # the readers of test_no_unread_fields: the package, the benchmark, or an acceptance item
+    declaring = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "levyfp").glob("*.py"))}
+    reading = [*declaring.values(), *(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))),
+               (ROOT / "tests" / "test_acceptance.py").read_text()]
+    assert len(reading) > len(declaring) > 10
+    assert unloaded_public_names(declaring, reading) == []
 
 
 def unreferenced_definitions(sources: dict) -> list:
