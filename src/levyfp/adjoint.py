@@ -19,7 +19,7 @@ import numpy as np
 
 from .generators import GeneratorSpec
 from .grids import Field, Grid
-from .norms import weighted_seminorm
+from .norms import nodal_weights, weighted_seminorm
 from .operators import RunGuard, StackStepper, StepSetup
 from .weights import WeightFunction
 
@@ -157,8 +157,10 @@ def solve_backward(
 
 def oscillation_trace(run: AdjointRun, weight: WeightFunction) -> np.ndarray:
     """[v(s)]_w at every recorded s: the quantity whose decay the weighted
-    regularity estimates control (backward s plays the role of elapsed time)."""
-    return np.array([weighted_seminorm(p, weight) for p in run.profiles])
+    regularity estimates control (backward s plays the role of elapsed time).
+    The weight is evaluated on the nodes, and checked, once per trace."""
+    phi = nodal_weights(weight, run.final.grid)
+    return np.array([weighted_seminorm(p, phi) for p in run.profiles])
 
 
 @dataclass(frozen=True)

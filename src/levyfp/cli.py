@@ -22,6 +22,7 @@ from .adjoint import duality_residual, oscillation_trace, solve_backward
 from .config import (
     ConfigError,
     ExperimentConfig,
+    canonical_digest,
     canonical_json,
     config_hash,
     format_float,
@@ -47,6 +48,8 @@ __all__ = ["main"]
 
 
 def _cell(value) -> str:
+    if isinstance(value, float):
+        return format_float(value)
     if value is None:
         return ""
     if isinstance(value, str):
@@ -68,9 +71,17 @@ def write_csv(path, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_json(path, obj) -> None:
+def _rows(*columns) -> list:
+    """Table rows from equal-length columns, numpy arrays as Python numbers."""
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def write_json(path, obj) -> str:
+    """Write canonical_json(obj) and a newline; returns the canonical text."""
+    text = canonical_json(obj)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(canonical_json(obj) + "\n")
+        fh.write(text + "\n")
+    return text
 
 
 def _fit_series(cfg: ExperimentConfig, outdir: Path, times, series: dict, prefix: str = "") -> dict:
@@ -128,7 +139,7 @@ def _forward_decay_outputs(cfg: ExperimentConfig, outdir: Path, run) -> dict:
     header = ["t", "mass", "min_value", "boundary_mass"] + [f"norm_{lab}" for lab in labels]
     cols = [run.times, run.mass, run.min_value, run.boundary_mass]
     cols += [run.weighted_norms[lab] for lab in labels]
-    write_csv(outdir / "series.csv", header, list(zip(*cols)))
+    write_csv(outdir / "series.csv", header, _rows(*cols))
     return {
         "t_final": float(run.times[-1]),
         "mass_initial": float(run.mass[0]),
@@ -151,7 +162,7 @@ def _run_adjoint_oscillation(cfg: ExperimentConfig, outdir: Path) -> dict:
     traces = {lab: oscillation_trace(run, w) for lab, w in cfg.weights.items()}
     header = ["s", "sup_norm"] + [f"osc_{lab}" for lab in labels]
     cols = [run.times, run.sup_norm] + [traces[lab] for lab in labels]
-    write_csv(outdir / "series.csv", header, list(zip(*cols)))
+    write_csv(outdir / "series.csv", header, _rows(*cols))
     return {
         "s_final": float(run.times[-1]),
         "sup_norm_final": float(run.sup_norm[-1]),
@@ -192,7 +203,7 @@ def _run_particles(cfg: ExperimentConfig, outdir: Path) -> dict:
     labels = list(cfg.weights)
     header = ["t"] + [f"moment_{lab}" for lab in labels]
     cols = [run.times] + [run.moments[lab] for lab in labels]
-    write_csv(outdir / "series.csv", header, list(zip(*cols)))
+    write_csv(outdir / "series.csv", header, _rows(*cols))
     return {
         "n_particles": cfg["particles.n"],
         "t_final": float(run.times[-1]),
@@ -222,7 +233,7 @@ def _run_coupling(cfg: ExperimentConfig, outdir: Path) -> dict:
     write_csv(
         outdir / "series.csv",
         ["t", "uncoupled_fraction"],
-        list(zip(run.times, run.uncoupled_fraction)),
+        _rows(run.times, run.uncoupled_fraction),
     )
     # the fraction hits exact zero once every pair meets; fit the positive part
     positive = run.uncoupled_fraction > 0.0
@@ -254,7 +265,7 @@ def _run_rate_ode(cfg: ExperimentConfig, outdir: Path) -> dict:
         T=cfg["rate_ode.t_final"],
         n_points=cfg["rate_ode.n_points"],
     )
-    write_csv(outdir / "varpi.csv", ["t", "varpi"], list(zip(sol.times, sol.varpi)))
+    write_csv(outdir / "varpi.csv", ["t", "varpi"], _rows(sol.times, sol.varpi))
     return {
         "max_implicit_residual": sol.max_implicit_residual,
         "varpi_final": float(sol.varpi[-1]),
@@ -264,7 +275,7 @@ def _run_rate_ode(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 def _run_stationary(cfg: ExperimentConfig, outdir: Path) -> dict:
     profile, info = stationary_solve(cfg.generator, cfg.grid, cfg["time.dt"], **_solver_kwargs(cfg))
-    write_csv(outdir / "profile.csv", ["x", "density"], list(zip(cfg.grid.nodes, profile.values)))
+    write_csv(outdir / "profile.csv", ["x", "density"], _rows(cfg.grid.nodes, profile.values))
     return {
         "t_converged": info["t_converged"],
         "tv_increment": info["tv_increment"],
@@ -296,8 +307,7 @@ def _execute(cfg: ExperimentConfig, outdir: Path, experiment=None) -> tuple:
 
     Returns (exit code, summary-or-failure payload)."""
     outdir.mkdir(parents=True, exist_ok=True)
-    write_json(outdir / "config.resolved.json", cfg.data)
-    digest = config_hash(cfg)
+    digest = canonical_digest(write_json(outdir / "config.resolved.json", cfg.data))
     try:
         summary = (experiment or _EXPERIMENTS[cfg.experiment])(cfg, outdir)
     except NumericalFailure as exc:

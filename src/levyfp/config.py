@@ -30,6 +30,7 @@ from .lyapunov import (
     h_model_function,
 )
 from .operators import LIMITERS
+from .particles import check_samplable
 from .rates import FITTERS
 from .weights import WeightFunction
 
@@ -37,6 +38,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "EXPERIMENTS",
+    "canonical_digest",
     "canonical_json",
     "config_hash",
     "load_config",
@@ -165,8 +167,9 @@ _CHOICES = {
 }
 
 _NUMBER = r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"  # what float() reads
-_WEIGHT_POW = re.compile(rf"pow{_NUMBER}")
-_WEIGHT_EXP = re.compile(rf"exp{_NUMBER}_{_NUMBER}")
+# whole-label patterns: "$" would let a trailing newline into the CSV headers, "\Z" does not
+_WEIGHT_POW = re.compile(rf"pow{_NUMBER}\Z")
+_WEIGHT_EXP = re.compile(rf"exp{_NUMBER}_{_NUMBER}\Z")
 
 
 def _coerce(key, tag, value):
@@ -211,8 +214,7 @@ def _finite(key, value) -> float:
 def parse_weight(label: str) -> WeightFunction:
     """Weight descriptor in label form: pow<k> or exp<mu>_<k>, each number
     finite. A refusal of the weight's constructor is led by ``weights: ``."""
-    # whole-label match: "$" would let a trailing newline into the CSV headers
-    m = _WEIGHT_POW.fullmatch(label) or _WEIGHT_EXP.fullmatch(label)
+    m = _WEIGHT_POW.match(label) or _WEIGHT_EXP.match(label)
     numbers = [float(text) for text in m.groups()] if m else []
     if not numbers or not all(map(math.isfinite, numbers)):
         raise ConfigError(f"weights: cannot parse {label!r}; use pow<k> or exp<mu>_<k>")
@@ -276,6 +278,8 @@ def _check_admissibility(cfg: ExperimentConfig):
                data["rate_ode.theta"], data["rate_ode.t_final"], data["rate_ode.n_points"])
     if cfg.experiment == "stationary":
         _refuse_as("drift.kind: ", check_stationary_spec, cfg.generator)
+    if cfg.experiment == "particles" and data["particles.source"] == "initial":
+        _refuse_as("initial: ", check_samplable, cfg.initial)
     if data["time.dt"] <= 0 or data["time.t_final"] <= 0:
         raise ConfigError("time.dt and time.t_final must be positive")
     if data["time.stride"] < 1:
@@ -358,11 +362,11 @@ def load_config(path) -> ExperimentConfig:
 def format_float(x: float) -> str:
     if x != x:
         raise ValueError("cannot serialize NaN into a config or table")
-    if x in (float("inf"), float("-inf")):
+    if math.isinf(x):
         raise ValueError("cannot serialize infinities into a config or table")
     s = f"{x:.17g}"
     # keep the value recognizably a float so the echo re-parses to the same type
-    if re.fullmatch(r"-?[0-9]+", s):
+    if s.lstrip("-").isdigit():
         s += ".0"
     return s
 
@@ -397,5 +401,11 @@ def canonical_json(obj, indent="") -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
 
+def canonical_digest(text: str) -> str:
+    """sha256 hex digest of a canonical_json text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(canonical_json(cfg.data).encode("utf-8")).hexdigest()
+    """The digest of the resolved config: config.resolved.json without its final newline."""
+    return canonical_digest(canonical_json(cfg.data))

@@ -28,9 +28,9 @@ The forward state has one shape, a (rows, n) stack. One marching loop,
 limiter and boundary budget but not their generator specs or record weights
 (the cells of a sweep) as one stack: the kernels act along the rows, so
 each step costs one numpy call per stage for all rows, and each row keeps
-the bits of its own run. Guards and records stay per row; a run that fails
-leaves the stack and the others go on. ``solve`` and ``stationary_solve``
-march a one-row stack.
+the bits of its own run. A record is one pass over the stack, and its
+verdicts stay per row; a run that fails leaves the stack and the others go
+on. ``solve`` and ``stationary_solve`` march a one-row stack.
 """
 from __future__ import annotations
 
@@ -193,28 +193,25 @@ class ForwardRun:
 
 
 class _Series:
-    """The records of one run of a stack, taken from its row of the state."""
+    """The records of one run of a stack, handed to it by the one pass of a
+    record over the stack (``solve_stack``); a Field copy is taken only for
+    a snapshot."""
 
-    def __init__(self, m0: Field, spec: GeneratorSpec, dt: float, weights: dict, guard: RunGuard,
-                 eps_boundary: float):
-        self.m0, self.spec, self.dt, self.weights = m0, spec, dt, weights
-        self.guard, self.eps_boundary = guard, eps_boundary
+    def __init__(self, m0: Field, spec: GeneratorSpec, dt: float, weights: dict):
+        self.m0, self.spec, self.dt = m0, spec, dt
+        self.phis = [np.asarray(w(m0.grid.nodes), dtype=float) for w in weights.values()]
         self.times, self.mass, self.minv, self.bnd, self.snaps = [], [], [], [], []
         self.norms: dict = {name: [] for name in weights}
 
-    def record(self, m: np.ndarray, t: float, snapshot: bool):
-        grid = self.m0.grid
-        self.guard.check_blow_up(m, t)
+    def record(self, t: float, mass, minv, bnd, norms, snapshot: np.ndarray | None):
         self.times.append(t)
-        self.mass.append(m.sum() * grid.dx)
-        self.minv.append(m.min())
-        self.bnd.append(self.guard.boundary_mass(m, grid.dx, self.eps_boundary, t))
-        if self.weights or snapshot:
-            sample = Field(grid, m, t)  # one copy and finiteness scan for every weight and the snapshot
-            for name, phi in self.weights.items():
-                self.norms[name].append(weighted_tv_norm(sample, phi))
-            if snapshot:
-                self.snaps.append(sample)
+        self.mass.append(mass)
+        self.minv.append(minv)
+        self.bnd.append(bnd)
+        for column, value in zip(self.norms.values(), norms):
+            column.append(value)
+        if snapshot is not None:
+            self.snaps.append(Field(self.m0.grid, snapshot, t))
 
     def run(self, m: np.ndarray, t: float) -> ForwardRun:
         return ForwardRun(
@@ -251,13 +248,15 @@ def solve(
     The run aborts with NumericalFailure once the absolute mass in
     the outer 5% of the cells at each end exceeds eps_boundary: from then on
     the periodic wrap-around is feeding the tails back into the bulk. That
-    and blow-up are checked at the recorded steps only (snapshot steps too).
+    and blow-up are checked at the recorded steps only (snapshot steps too),
+    blow-up first.
 
     The march carries the open state of the merged Strang split; each
     record, snapshot and the final field close it on a copy (module
     docstring), so they read the same values at any record_every, and
     record_every steps cost 3 record_every + 2 flux passes. This is the
-    one-row case of ``solve_stack``: it marches a (1, n) stack.
+    one-row case of ``solve_stack``: it marches a (1, n) stack, and a record
+    is one pass over it.
     """
     (run,) = solve_stack(m0, [spec], t_final, dt, limiter, eps_boundary, record_every,
                          [record_weights or {}], snapshot_times)
@@ -296,6 +295,11 @@ def solve_stack(
     records, snapshots and final fields read the closed state, while a
     restack and the retake after a CFL failure act on the open one. Every
     record_every steps cost 3 record_every + 2 flux passes.
+
+    A record is one pass over the closed stack: the guard of every row
+    (``RunGuard.check_rows``), mass, min and every (row, weight) norm are
+    reductions along the rows, each run's weights evaluated on the nodes
+    once. Verdicts are still taken at records only.
     """
     if m0.t != 0.0:
         raise ValueError(f"a forward run starts at t = 0, got initial data at t={m0.t:g}")
@@ -315,14 +319,21 @@ def solve_stack(
     except ValueError as exc:  # a horizon of no whole number of steps ends every run set up
         return [exc if r is None else r for r in results]
     weights = record_weights or [{}] * len(specs)
-    series = {i: _Series(m0, specs[i], dt, weights[i], guard, eps_boundary) for i in live}
+    series = {i: _Series(m0, specs[i], dt, weights[i]) for i in live}
     m = np.repeat(m0.values[None, :], len(live), axis=0)
     t = 0.0
 
+    def pair_up() -> tuple:
+        # the (row, weight) pairs of the live rows, in row order: their rows and nodal weights
+        phis = [phi for i in live for phi in series[i].phis]
+        rows = np.array([r for r, i in enumerate(live) for _ in series[i].phis], dtype=int)
+        return rows, np.array(phis).reshape(len(phis), grid.n)
+
     def restack(failed: dict):
         # the rows in failed (row -> NumericalFailure) leave the open state,
-        # the last closed one and the stepper, which keeps the face memo of the rest
-        nonlocal live, m, closed
+        # the last closed one, the weight pairs and the stepper, which keeps
+        # the face memo of the rest
+        nonlocal live, m, closed, pair_rows, pair_phi
         keep = [r for r in range(len(live)) if r not in failed]
         for r, exc in failed.items():
             results[live[r]] = exc
@@ -330,6 +341,7 @@ def solve_stack(
         live = [live[r] for r in keep]
         if live:
             stepper.keep(keep)
+        pair_rows, pair_phi = pair_up()
 
     def record(k: int):
         nonlocal closed
@@ -339,17 +351,25 @@ def solve_stack(
                 break
             except NumericalFailure as exc:
                 restack({exc.row: exc})  # the others close again
-        failed = {}
-        for r, row in enumerate(closed):
-            try:
-                series[live[r]].record(row, t, k in snap_steps)
-            except NumericalFailure as exc:
-                failed[r] = exc
+        # one pass over the stack: every entry of every row is a reduction along the rows
+        band, failed = guard.check_rows(closed, grid.dx, eps_boundary, t)
+        mass = closed.sum(axis=1) * grid.dx
+        minv = closed.min(axis=1)
+        norms = weighted_tv_norm(closed[pair_rows], pair_phi, grid.dx).tolist()
+        snapshot = k in snap_steps
+        at = 0
+        for r, i in enumerate(live):
+            n_weights = len(series[i].phis)
+            if r not in failed:
+                series[i].record(t, mass[r], minv[r], band[r], norms[at:at + n_weights],
+                                 closed[r] if snapshot else None)
+            at += n_weights
         if failed:
             restack(failed)
 
     stepper = _Stepper(stages, limiter) if live else None
     closed = m
+    pair_rows, pair_phi = pair_up()
     record(0)
     k = 0
     while live and k < guard.n_steps:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Field
+from .grids import Field, Grid
 from .weights import WeightFunction
 
 __all__ = [
+    "nodal_weights",
     "weighted_seminorm",
     "inf_shift_norm",
     "weighted_tv_norm",
@@ -33,12 +34,20 @@ _PAIR_CHUNK = 512
 _EPS = float(np.finfo(float).eps)
 
 
-def _values_and_weights(field: Field, w: WeightFunction):
-    u = np.asarray(field.values, dtype=float)
-    phi = np.asarray(w(field.grid.nodes), dtype=float)
+def nodal_weights(w: WeightFunction, grid: Grid) -> np.ndarray:
+    """phi = w on the grid's nodes; ValueError unless it is strictly positive
+    there. A caller that takes many norms with one weight evaluates it once."""
+    phi = np.asarray(w(grid.nodes), dtype=float)
     if np.any(phi <= 0):
         raise ValueError("weight must be strictly positive on the grid")
-    return u, phi
+    return phi
+
+
+def _values_and_weights(field: Field, w) -> tuple:
+    """The field's values and its weight on the nodes: w is a weight function
+    or the nodal values ``nodal_weights`` returned for the field's grid."""
+    phi = w if isinstance(w, np.ndarray) else nodal_weights(w, field.grid)
+    return np.asarray(field.values, dtype=float), phi
 
 
 def _max_pair_ratio(u, phi, rows, cols) -> float:
@@ -92,8 +101,9 @@ def _seminorm(u: np.ndarray, phi: np.ndarray) -> float:
     return _max_pair_ratio(u, phi, rows, cols)
 
 
-def weighted_seminorm(field: Field, w: WeightFunction) -> float:
-    """[u]_phi, equal bit for bit to the exhaustive pair scan.
+def weighted_seminorm(field: Field, w) -> float:
+    """[u]_phi, equal bit for bit to the exhaustive pair scan; w is a weight
+    function or its ``nodal_weights`` on the field's grid.
 
     Dinkelbach's iteration starts from M = 0.  Each pass takes
     i = argmax(u - M phi) and j = argmin(u + M phi), the pair that maximizes
@@ -123,7 +133,10 @@ def inf_shift_norm(field: Field, w: WeightFunction) -> float:
     return float(np.max(np.abs(u + c) / phi))
 
 
-def weighted_tv_norm(m: Field, w: WeightFunction) -> float:
-    """Integral of phi d|m| by the midpoint rule on the grid."""
-    phi = np.asarray(w(m.grid.nodes), dtype=float)
-    return float(np.sum(phi * np.abs(m.values)) * m.grid.dx)
+def weighted_tv_norm(values: np.ndarray, phi: np.ndarray, dx: float) -> np.ndarray:
+    """Integral of phi d|m| by the midpoint rule on a grid of spacing dx,
+    along the last axis: of one field's values, or of every row of a
+    C-contiguous (rows, n) stack at once, each row the bits of its own
+    call. phi holds the weights on the nodes (``nodal_weights``), one row or
+    one per row of the stack."""
+    return np.sum(phi * np.abs(values), axis=-1) * dx

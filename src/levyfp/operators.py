@@ -223,7 +223,12 @@ class NumericalFailure(RuntimeError):
 class RunGuard:
     """The validity envelope every marching loop polices: ``n_steps`` whole steps
     of dt from 0 to t_final, the steps it records, blow-up and the boundary
-    band. Messages name the time ``clock``: "t", or "s" on the backward clock."""
+    band. Messages name the time ``clock``: "t", or "s" on the backward clock.
+
+    ``check_rows`` takes the whole guard of a (rows, n) stack in one pass: the
+    sup and the band mass of every row are reductions along the rows of one
+    |values|, which give each row the bits of its own ``check_blow_up`` and
+    ``boundary_mass``. Verdicts are still taken at records only."""
 
     BAND = 0.05  # share of the cells at each end of the box that forms the boundary band
 
@@ -240,27 +245,52 @@ class RunGuard:
         """Every record_every-th step, the last one and those in extra_records."""
         return k % self.record_every == 0 or k == self.n_steps or k in self.extra_records
 
+    def _blow_up(self, at: float) -> NumericalFailure:
+        run = "backward run" if self.clock == "s" else "forward run"
+        return NumericalFailure(f"{run} blew up at {self.clock}={at:g}")
+
     def check_blow_up(self, values: np.ndarray, at: float) -> float:
         """sup|values|; NumericalFailure when it is NaN (max propagates NaN) or beyond 1e12."""
         sup = np.abs(values).max()
         if not sup <= 1e12:
-            run = "backward run" if self.clock == "s" else "forward run"
-            raise NumericalFailure(f"{run} blew up at {self.clock}={at:g}")
+            raise self._blow_up(at)
         return float(sup)
+
+    @staticmethod
+    def _band_sum(magnitudes: np.ndarray) -> np.ndarray:
+        """The sum along the last axis of the first and last ceil(BAND * n) entries, in index order."""
+        w = int(np.ceil(RunGuard.BAND * magnitudes.shape[-1]))
+        return np.concatenate((magnitudes[..., :w], magnitudes[..., -w:]), axis=-1).sum(axis=-1)
+
+    @staticmethod
+    def _band_failure(b: float, dx: float, eps: float, t: float | None) -> NumericalFailure:
+        return NumericalFailure(
+            f"stationary profile parks {b:.3e} mass in the boundary band (eps={eps:g}); enlarge the box"
+            if t is None else
+            f"boundary mass {b:.3e} exceeds eps={eps:g} at t={t:g}: the box is too small for this horizon, "
+            f"or dx={dx:g} is too coarse for the data")
 
     @staticmethod
     def boundary_mass(values: np.ndarray, dx: float, eps: float, t: float | None = None) -> float:
         """Absolute mass in the first and last ceil(BAND * n) cells, summed in index
         order; NumericalFailure above eps at time t, or (t=None) in a stationary profile."""
-        w = int(np.ceil(RunGuard.BAND * values.size))
-        b = float(np.sum(np.abs(np.concatenate((values[:w], values[-w:])))) * dx)
+        b = float(RunGuard._band_sum(np.abs(values)) * dx)
         if b > eps:
-            raise NumericalFailure(
-                f"stationary profile parks {b:.3e} mass in the boundary band (eps={eps:g}); enlarge the box"
-                if t is None else
-                f"boundary mass {b:.3e} exceeds eps={eps:g} at t={t:g}: the box is too small for this horizon, "
-                f"or dx={dx:g} is too coarse for the data")
+            raise RunGuard._band_failure(b, dx, eps, t)
         return b
+
+    def check_rows(self, values: np.ndarray, dx: float, eps: float, t: float) -> tuple[np.ndarray, dict]:
+        """The guard of a C-contiguous (rows, n) stack at time t in one pass:
+        the band mass of every row, and the rows that fail, each with the
+        NumericalFailure its own check would raise, blow-up before the band."""
+        magnitudes = np.abs(values)
+        sup = magnitudes.max(axis=1)
+        band = self._band_sum(magnitudes) * dx
+        failed = {}
+        blown = ~(sup <= 1e12)  # NaN too
+        for r in np.flatnonzero(blown | (band > eps)).tolist():
+            failed[r] = self._blow_up(t) if blown[r] else self._band_failure(float(band[r]), dx, eps, t)
+        return band, failed
 
     @staticmethod
     def check_positions(x: np.ndarray, t: float):

@@ -54,6 +54,7 @@ __all__ = [
     "ParticleRun",
     "CouplingRun",
     "ensemble_at",
+    "check_samplable",
     "ensemble_from_density",
     "simulate",
     "empirical_cf",
@@ -195,20 +196,24 @@ def ensemble_at(x0: float, n_particles: int, seed: int = 0) -> ParticleEnsemble:
     return ParticleEnsemble(np.broadcast_to(np.float64(x0), (n_particles,)), seed)
 
 
+def check_samplable(m: Field) -> None:
+    """Refuse a grid density that ``ensemble_from_density`` cannot sample:
+    one with a negative value, or with no mass."""
+    if np.any(m.values < 0):
+        raise ValueError("cannot sample a signed density")
+    if not np.sum(m.values * m.grid.dx) > 0:
+        raise ValueError("density has no mass to sample")
+
+
 def ensemble_from_density(m: Field, n_particles: int, seed: int = 0) -> ParticleEnsemble:
     """Inverse-CDF sample of the piecewise-constant law the grid density
     defines on its cells. Draws one word per particle from stream 0, chunk
     by chunk."""
     _check_seed(seed)
-    vals = m.values
-    if np.any(vals < 0):
-        raise ValueError("cannot sample a signed density")
+    check_samplable(m)
     g = m.grid
-    cell_mass = vals * g.dx
-    total = cell_mass.sum()
-    if total <= 0:
-        raise ValueError("density has no mass to sample")
-    cdf = np.cumsum(cell_mass) / total
+    cell_mass = m.values * g.dx
+    cdf = np.cumsum(cell_mass) / cell_mass.sum()
     # the running sum can end an ulp short of the pairwise total; a top of
     # exactly 1 keeps every u < 1 inside the last cell that holds mass
     cdf[cdf == cdf[-1]] = 1.0

@@ -1,5 +1,7 @@
 """Backward solver: semigroup oracles, duality against the forward run,
 oscillation traces, and the transpose structure of the advection step."""
+import dataclasses
+
 import numpy as np
 import pytest
 from quadrature_oracle import levy_integral_field
@@ -17,6 +19,7 @@ from levyfp.adjoint import (
 from levyfp.forward import NumericalFailure, _run_stepper, gaussian, solve
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Field, Grid
+from levyfp.norms import weighted_seminorm
 from levyfp.operators import StepSetup, divergence_of_flux, transport_flux
 from levyfp.weights import WeightFunction
 
@@ -166,6 +169,25 @@ def test_oscillation_trace_is_shift_invariant():
     ta = oscillation_trace(solve_backward(xi, spec, s_final=0.5, dt=2e-3, record_every=50), w)
     tb = oscillation_trace(solve_backward(shifted, spec, s_final=0.5, dt=2e-3, record_every=50), w)
     assert np.abs(ta - tb).max() < 1e-12
+
+
+def test_oscillation_trace_is_the_per_profile_seminorm():
+    # the trace evaluates each weight on the nodes once, and every entry is
+    # the bits of the profile's own weighted_seminorm; an exponential weight
+    # that overflows at the box ends takes the seminorm's finite-part rule
+    g = Grid(n=256, half_width=16.0)
+    run = solve_backward(tanh_profile(g), OU_FRAC, s_final=0.2, dt=2e-3, record_every=10)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(WeightFunction.exponential(50.0, 1.0)(g.nodes)).all()
+    for w in (WeightFunction.power(0.5), WeightFunction.power(1.0), WeightFunction.exponential(50.0, 1.0)):
+        calls = []
+        counted = dataclasses.replace(w, profile=lambda s, w=w: calls.append(s.size) or w.profile(s))
+        with np.errstate(over="ignore"):
+            trace = oscillation_trace(run, counted)
+            expected = np.array([weighted_seminorm(p, w) for p in run.profiles])
+        assert calls == [g.n]
+        assert len(trace) == len(run.profiles) == 11 and trace[0] > 0.0
+        assert np.array_equal(trace, expected)
 
 
 def test_oscillation_heavier_weight_dominates():

@@ -17,6 +17,7 @@ from levyfp.config import (
     canonical_json,
     config_hash,
     format_float,
+    load_config,
     parse_config,
     parse_weight,
 )
@@ -176,14 +177,17 @@ def test_library_argument_checks_refuse_at_parse_time(tmp_path, capsys, command,
      "config error: initial: bump support does not contain any grid node"),
     ({"experiment": "stationary", "drift.kind": "perturbed-power"},
      "config error: drift.kind: stationary solve needs a time-independent drift"),
+    ({"experiment": "particles", "particles.source": "initial", "initial.kind": "gaussian-difference"},
+     "config error: initial: cannot sample a signed density"),
     *(({"weights": [label]}, f"config error: weights: cannot parse {label!r}; use pow<k> or exp<mu>_<k>")
       for label in ("pow1e", "pow.", "exp1_-", "pow1e400", "exp0.5_1e400", "pow1\n")),
     ({"weights": ["pow-1"]}, "config error: weights: power weight needs k >= 0, got -1.0"),
-], ids=["std", "std-any-experiment", "std2", "bump", "stationary",
+], ids=["std", "std-any-experiment", "std2", "bump", "stationary", "signed-particles",
         "pow1e", "pow.", "exp1_-", "pow1e400", "exp0.5_1e400", "pow1-newline", "pow-1"])
 def test_built_objects_refuse_at_parse_time(tmp_path, capsys, command, overrides, message):
     # the initial density is built for every experiment, the stationary
-    # solver's drift rule is its own check, and a weight label must hold
+    # solver's drift rule and the particle sampler's density rule are their
+    # own checks, and a weight label must hold
     # finite numbers its constructor accepts, so all refuse before output.dir
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "late.json", **{**overrides, "output.dir": str(out)})
@@ -240,6 +244,47 @@ def test_format_float_round_trips_and_marks_floats():
     assert format_float(16.0) == "16.0"  # echo re-parses to float, not int
     with pytest.raises(ValueError):
         format_float(float("nan"))
+
+
+def _format_float_by_regex(x: float) -> str:
+    """format_float as it was written with a regex, the oracle of its string test."""
+    if x != x:
+        raise ValueError("cannot serialize NaN into a config or table")
+    if x in (float("inf"), float("-inf")):
+        raise ValueError("cannot serialize infinities into a config or table")
+    s = f"{x:.17g}"
+    if re.fullmatch(r"-?[0-9]+", s):
+        s += ".0"
+    return s
+
+
+def test_format_float_matches_the_regex_form():
+    rng = np.random.default_rng(30)
+    corpus = [0.0, -0.0, 1.0, -1.0, 16.0, -3.0, 1e15, 1e16, -1e16, 1e17, 1e22, 2.5e22, 5e-324, -5e-324,
+              1.7976931348623157e308, 2.0**53, 2.0**53 + 2.0, 123456789012345678.0, 0.5, 1e-5]
+    corpus += rng.standard_normal(5000).tolist()
+    corpus += (rng.standard_normal(5000) * 10.0 ** rng.integers(-320, 308, 5000)).tolist()
+    for x in corpus:
+        assert format_float(x) == _format_float_by_regex(x)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError) as want:
+            _format_float_by_regex(bad)
+        with pytest.raises(ValueError) as got:
+            format_float(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_config_hash_is_the_digest_of_the_resolved_echo(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, "run.json", **{"time.t_final": 0.1, "output.dir": str(out)})
+    assert main(["run", str(cfg_path)]) == 0
+    echo = (out / "config.resolved.json").read_bytes()
+    assert echo.endswith(b"}\n")
+    digest = hashlib.sha256(echo[:-1]).hexdigest()
+    assert digest == config_hash(load_config(cfg_path))
+    assert json.loads((out / "summary.json").read_text())["config_hash"] == digest
+    assert main(["validate", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == f"valid: forward-decay ({digest[:12]})\n"
 
 
 def test_canonical_json_is_order_insensitive():

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 from quadrature_oracle import levy_integral_field
+from record_oracle import solve_stack_per_row, weighted_tv_norm_per_field
 from strang_oracle import strang_step_retired
 
 from levyfp import forward, generators
@@ -22,7 +23,7 @@ from levyfp.forward import (
 from levyfp.generators import DriftSpec, GeneratorSpec, LevyMeasureSpec, LocalDiffusionSpec
 from levyfp.grids import Field, Grid
 from levyfp.norms import weighted_tv_norm
-from levyfp.operators import StepSetup
+from levyfp.operators import RunGuard, StepSetup
 from levyfp.weights import WeightFunction
 
 GRID = Grid(n=1024, half_width=16.0)
@@ -325,7 +326,7 @@ def test_norm_series_accessor_matches_direct_norm():
     m0 = gaussian(GRID)
     w = WeightFunction.power(0.5)
     fw = solve(m0, ou_spec(), t_final=0.01, dt=1e-3, record_weights={"mk": w})
-    assert fw.weighted_norms["mk"][0] == pytest.approx(weighted_tv_norm(m0, w))
+    assert fw.weighted_norms["mk"][0] == pytest.approx(weighted_tv_norm(m0.values, w(GRID.nodes), GRID.dx))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +384,105 @@ def test_stack_rows_match_their_own_solves():
     assert sorted(failed) == ["band", "cfl_moving", "cfl_setup"]
     assert failed["band"].startswith("boundary mass 1.359e-04 exceeds eps=0.0001 at t=0.2:")
     assert failed["cfl_moving"].startswith("CFL violation at t=0.274:")
+
+
+def _assert_same_run(got, want):
+    for key in ("times", "mass", "min_value", "boundary_mass"):
+        assert np.array_equal(getattr(got, key), getattr(want, key))
+    assert list(got.weighted_norms) == list(want.weighted_norms)
+    for key in want.weighted_norms:
+        assert np.array_equal(got.weighted_norms[key], want.weighted_norms[key])
+    assert got.final.t == want.final.t and np.array_equal(got.final.values, want.final.values)
+    assert [snap.t for snap in got.snapshots] == [snap.t for snap in want.snapshots]
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stack_record_matches_the_per_row_oracle(monkeypatch):
+    # one record of a 4-row stack: "poisoned" turns inf at step 30 and blows
+    # up at the record of step 50 (t = 0.2), where "band" breaks the band;
+    # the poisoned row's band is inf too, so its message shows blow-up is
+    # checked first. The survivors record, snapshot and end bit for bit as
+    # the retired per-row record and as their own solves.
+    g = Grid(256, 12.0)
+    m0 = gaussian_difference(g, -0.3, 1.0, 0.2, 2.0)
+    specs = _stack_specs()
+    stack = {"power": specs["power"],
+             "poisoned": GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(1.5),
+                                       DriftSpec.power(1.0, 1.2)),
+             "band": specs["band"], "moving": specs["moving"]}
+    weights = [{"pow0.5": WeightFunction.power(0.5), "pow1": WeightFunction.power(1.0)},
+               {"pow0.5": WeightFunction.power(0.5)}, {"pow0.2": WeightFunction.power(0.2)}, {}]
+    kw = dict(t_final=1.0, dt=4e-3, record_every=25, eps_boundary=1e-4, snapshot_times=(0.3, 0.5))
+    clean = _Stepper.step
+
+    def poisoned(self, m, t, t_end):
+        out = clean(self, m, t, t_end)
+        if t == 29 * 4e-3:
+            out = out.copy()
+            for r, stage in enumerate(self.stages):
+                if stage.spec is stack["poisoned"]:
+                    out[r, 100] = np.inf
+        return out
+
+    monkeypatch.setattr(_Stepper, "step", poisoned)
+    runs = solve_stack(m0, list(stack.values()), record_weights=weights, **kw)
+    oracle = solve_stack_per_row(m0, list(stack.values()), record_weights=weights, **kw)
+    failed = {}
+    for name, spec, w, run, want in zip(stack, stack.values(), weights, runs, oracle):
+        if isinstance(want, NumericalFailure):
+            assert type(run) is NumericalFailure and str(run) == str(want)
+            failed[name] = str(run)
+            continue
+        _assert_same_run(run, want)
+        _assert_same_run(run, solve(m0, spec, record_weights=w, **kw))
+        assert len(run.snapshots) == 2
+    assert failed["poisoned"] == "forward run blew up at t=0.2"
+    assert failed["band"].startswith("boundary mass 1.359e-04 exceeds eps=0.0001 at t=0.2:")
+    assert sorted(failed) == ["band", "poisoned"]
+
+
+def test_stack_reductions_match_the_per_row_ones():
+    # the guard, the mass, the min and the weighted norms of a stack are
+    # reductions along its rows: each row keeps the bits of its own scan
+    rng = np.random.default_rng(11)
+    for rows, n in ((6, 256), (1, 1024), (3, 2048), (7, 512)):
+        g = Grid(n, 16.0)
+        ws = [WeightFunction.power(0.5), WeightFunction.exponential(0.5, 0.5)]
+        phi = np.array([w(g.nodes) for w in ws] * rows)
+        guard = RunGuard(1.0, 1.0)
+        for _ in range(5):
+            stack = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-8, 2, (rows, 1))
+            band, failed = guard.check_rows(stack, g.dx, np.inf, 0.5)
+            norms = weighted_tv_norm(np.repeat(stack, len(ws), axis=0), phi, g.dx)
+            assert failed == {}
+            for r, row in enumerate(stack):
+                assert band[r] == RunGuard.boundary_mass(row, g.dx, np.inf)
+                assert (stack.sum(axis=1) * g.dx)[r] == row.sum() * g.dx
+                assert stack.min(axis=1)[r] == row.min()
+                for j, w in enumerate(ws):
+                    assert norms[r * len(ws) + j] == weighted_tv_norm_per_field(Field(g, row), w)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stack_guard_names_each_failing_row():
+    # blow-up (inf, NaN or beyond 1e12) before the band, row by row, with
+    # the messages of the lone checks
+    g = Grid(64, 4.0)
+    stack = np.tile(gaussian(g).values, (5, 1))
+    stack[1, 30], stack[2, 0], stack[3, 30], stack[4, 0] = np.nan, 1.0, 2e12, np.inf
+    guard = RunGuard(0.1, 1.0)
+    band, failed = guard.check_rows(stack, g.dx, 1e-3, 0.5)
+    assert sorted(failed) == [1, 2, 3, 4]
+    for r in (1, 3, 4):
+        with pytest.raises(NumericalFailure) as info:
+            guard.check_blow_up(stack[r], 0.5)
+        assert str(failed[r]) == str(info.value) == "forward run blew up at t=0.5"
+    with pytest.raises(NumericalFailure) as info:
+        RunGuard.boundary_mass(stack[2], g.dx, 1e-3, 0.5)
+    assert str(failed[2]) == str(info.value)
+    assert band[0] == RunGuard.boundary_mass(stack[0], g.dx, 1e-3, 0.5)
 
 
 def test_stack_horizon_error_ends_the_runs_past_setup():
