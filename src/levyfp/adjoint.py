@@ -20,7 +20,7 @@ import numpy as np
 from .generators import GeneratorSpec
 from .grids import Field, Grid
 from .norms import nodal_weights, weighted_seminorm
-from .operators import RunGuard, StackStepper, StepSetup
+from .operators import RunGuard, StackStepper, StepSetup, march
 from .weights import WeightFunction
 
 __all__ = [
@@ -130,29 +130,25 @@ def solve_backward(
     the profile at every record_every-th step (endpoints always included).
 
     The clock reverses at s_final: a time-dependent drift is read at forward
-    time t = s_final - s.
+    time t = s_final - s. v marches as a one-row stack on ``operators.march``,
+    and each record checks it for blow-up (``RunGuard.check_rows``; this
+    clock has no band budget): verdicts are taken at records only.
     """
     grid = xi.grid
-    stepper = _BackwardStepper([StepSetup(spec, grid, dt, where=" in adjoint advection")])
+    back = _BackwardStepper([StepSetup(spec, grid, dt, where=" in adjoint advection")]).step
     guard = RunGuard(dt, s_final, record_every, clock="s")
+    profiles, sup = [], []
 
-    times, profiles, sup = [], [], []
-    v = xi.values[None, :]  # a one-row stack
-    s = 0.0
-
-    def record():
-        sup.append(guard.check_blow_up(v, s))
-        times.append(s)
+    def record(k: int, s: float, v: np.ndarray) -> np.ndarray:
+        row_sup, _, failed = guard.check_rows(v, grid.dx, np.inf, s)
+        if failed:
+            raise failed[0]
+        sup.append(float(row_sup[0]))
         profiles.append(Field(grid, v[0], s))
+        return v
 
-    record()
-    for k in range(1, guard.n_steps + 1):
-        v = stepper.step(v, s_final - s)
-        s = k * dt
-        if guard.records(k):
-            record()
-
-    return AdjointRun(times=np.array(times), profiles=tuple(profiles), sup_norm=np.array(sup))
+    march(lambda v, s, s_end: back(v, s_final - s), guard, xi.values[None, :], record)
+    return AdjointRun(times=np.array([p.t for p in profiles]), profiles=tuple(profiles), sup_norm=np.array(sup))
 
 
 def oscillation_trace(run: AdjointRun, weight: WeightFunction) -> np.ndarray:
@@ -184,7 +180,7 @@ def duality_residual(fw, xi: Field) -> DualityReport:
     if xi.grid != grid:
         raise ValueError("xi and the forward run must share one grid")
     t = float(fw.times[-1] - fw.times[0])
-    n_steps = RunGuard(fw.dt, t, clock="s").n_steps
+    n_steps = int(round(t / fw.dt))
     adj = solve_backward(xi, fw.spec, s_final=t, dt=fw.dt, record_every=max(1, n_steps))
     dx = grid.dx
     lhs = float(np.sum(xi.values * fw.final.values) * dx)

@@ -305,7 +305,8 @@ def _execute(cfg: ExperimentConfig, outdir: Path, experiment=None) -> tuple:
     ``experiment(cfg, outdir)`` stands in for the config's experiment when
     given: a sweep cell writes the outputs of its row of a stack.
 
-    Returns (exit code, summary-or-failure payload)."""
+    Returns (exit code, summary-or-failure payload); the caller prints a
+    failure's line."""
     outdir.mkdir(parents=True, exist_ok=True)
     digest = canonical_digest(write_json(outdir / "config.resolved.json", cfg.data))
     try:
@@ -318,7 +319,6 @@ def _execute(cfg: ExperimentConfig, outdir: Path, experiment=None) -> tuple:
             "config_hash": digest,
         }
         write_json(outdir / "failure.json", failure)
-        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3, failure
     summary = {"experiment": cfg.experiment, "config_hash": digest, **summary}
     write_json(outdir / "summary.json", summary)
@@ -327,7 +327,9 @@ def _execute(cfg: ExperimentConfig, outdir: Path, experiment=None) -> tuple:
 
 def cmd_run(config_path: str) -> int:
     cfg = load_config(config_path)
-    code, _ = _execute(cfg, Path(cfg["output.dir"]))
+    code, payload = _execute(cfg, Path(cfg["output.dir"]))
+    if code == 3:
+        print(f"numerical failure: {payload['error']}", file=sys.stderr)
     return code
 
 
@@ -366,15 +368,16 @@ def _cell_config(base: dict, index: int, n_cells: int, gamma, sigma, k, out_root
     return data
 
 
-def _sweep_group(payloads) -> list:
+def _sweep_group(payloads) -> tuple:
     """A contiguous group of sweep cells, its forward runs marched as one
-    stack; returns their sweep.csv rows in order. Runs in a worker process.
+    stack; returns their sweep.csv rows and their numerical failure lines,
+    in cell order, for ``cmd_sweep`` to print. Runs in a worker process.
 
     Every cell is built from one base config and changes only drift, jump
     part, weight and fit, so the cells share grid, data, clock and solver
     settings, and the first cell's settings serve the stack. Each cell writes
     the files its own ``levyfp run`` would, failure.json included."""
-    cells, rows = [], {}
+    cells, rows, failures = [], {}, []
     for index, data, gamma, sigma, k, kbar in payloads:
         try:
             q_pred = predicted_q(k, kbar, gamma)
@@ -398,13 +401,14 @@ def _sweep_group(payloads) -> list:
             **_solver_kwargs(first),
         )
         for (index, cfg, head), run in zip(cells, runs):
-            rows[index] = head + _sweep_cell(cfg, run)
-    return [rows[payload[0]] for payload in payloads]
+            rows[index] = head + _sweep_cell(cfg, run, failures)
+    return [rows[payload[0]] for payload in payloads], failures
 
 
-def _sweep_cell(cfg: ExperimentConfig, run) -> tuple:
+def _sweep_cell(cfg: ExperimentConfig, run, failures: list) -> tuple:
     """Write one cell's files from its row of the stack (a ForwardRun, or the
-    exception that ended it); returns the (fitted_exponent, r2, status) of its row."""
+    exception that ended it); returns the (fitted_exponent, r2, status) of its
+    row, and appends the line of a numerical failure to ``failures``."""
 
     def outputs(cfg, outdir):
         if isinstance(run, Exception):
@@ -416,6 +420,7 @@ def _sweep_cell(cfg: ExperimentConfig, run) -> tuple:
     except ValueError as exc:
         return (None, None, _sanitize(f"validation-error: {exc}"))
     if code != 0:
+        failures.append(f"numerical failure: {summary['error']}")
         return (None, None, _sanitize(f"numerical-failure: {summary['error']}"))
     fit = summary["fits"][cfg.data["weights"][0]]
     if fit is None or "error" in fit:
@@ -447,12 +452,16 @@ def cmd_sweep(config_path: str, workers: int) -> int:
     bounds = [len(payloads) * g // n_groups for g in range(n_groups + 1)]
     groups = [payloads[a:b] for a, b in zip(bounds, bounds[1:])]
     if n_groups == 1:
-        rows = _sweep_group(payloads)
+        done = [_sweep_group(payloads)]
     else:
         import multiprocessing
 
         with multiprocessing.get_context("spawn").Pool(processes=n_groups) as pool:
-            rows = [row for group in pool.map(_sweep_group, groups) for row in group]
+            done = pool.map(_sweep_group, groups)
+    rows = [row for group_rows, _ in done for row in group_rows]
+    for _, failures in done:
+        for line in failures:
+            print(line, file=sys.stderr)
 
     write_csv(
         Path(out_root) / "sweep.csv",

@@ -23,14 +23,15 @@ the jump part (lambda0 xi^2 plus the measure's exact symbol) are applied
 exactly in Fourier space; variable Sigma is an explicit Euler term.
 Every stage telescopes, so mass is conserved to rounding regardless of step size.
 
-The forward state has one shape, a (rows, n) stack. One marching loop,
-``solve_stack``, advances runs that share grid, initial data, clock,
+The forward state has one shape, a (rows, n) stack. ``solve_stack``
+advances runs that share grid, initial data, clock,
 limiter and boundary budget but not their generator specs or record weights
 (the cells of a sweep) as one stack: the kernels act along the rows, so
 each step costs one numpy call per stage for all rows, and each row keeps
 the bits of its own run. A record is one pass over the stack, and its
 verdicts stay per row; a run that fails leaves the stack and the others go
-on. ``solve`` and ``stationary_solve`` march a one-row stack.
+on. ``solve`` and ``stationary_solve`` march a one-row stack. Both
+marches, and the backward one, run on the one driver ``operators.march``.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .operators import (
     StackStepper,
     StepSetup,
     divergence_of_flux,
+    march,
     transport_flux,
 )
 
@@ -194,8 +196,8 @@ class ForwardRun:
 
 class _Series:
     """The records of one run of a stack, handed to it by the one pass of a
-    record over the stack (``solve_stack``); a Field copy is taken only for
-    a snapshot."""
+    record over the stack (``solve_stack``), and its row of the last closed
+    stack; a Field copy is taken only for a snapshot and the final field."""
 
     def __init__(self, m0: Field, spec: GeneratorSpec, dt: float, weights: dict):
         self.m0, self.spec, self.dt = m0, spec, dt
@@ -203,17 +205,18 @@ class _Series:
         self.times, self.mass, self.minv, self.bnd, self.snaps = [], [], [], [], []
         self.norms: dict = {name: [] for name in weights}
 
-    def record(self, t: float, mass, minv, bnd, norms, snapshot: np.ndarray | None):
+    def record(self, t: float, mass, minv, bnd, norms, closed: np.ndarray, snapshot: bool):
+        self.closed = closed
         self.times.append(t)
         self.mass.append(mass)
         self.minv.append(minv)
         self.bnd.append(bnd)
         for column, value in zip(self.norms.values(), norms):
             column.append(value)
-        if snapshot is not None:
-            self.snaps.append(Field(self.m0.grid, snapshot, t))
+        if snapshot:
+            self.snaps.append(Field(self.m0.grid, closed, t))
 
-    def run(self, m: np.ndarray, t: float) -> ForwardRun:
+    def run(self) -> ForwardRun:
         return ForwardRun(
             grid=self.m0.grid,
             spec=self.spec,
@@ -224,7 +227,7 @@ class _Series:
             min_value=np.array(self.minv),
             boundary_mass=np.array(self.bnd),
             weighted_norms={k: np.array(v) for k, v in self.norms.items()},
-            final=Field(self.m0.grid, m, t),
+            final=Field(self.m0.grid, self.closed, self.times[-1]),
             snapshots=tuple(self.snaps),
         )
 
@@ -255,8 +258,8 @@ def solve(
     record, snapshot and the final field close it on a copy (module
     docstring), so they read the same values at any record_every, and
     record_every steps cost 3 record_every + 2 flux passes. This is the
-    one-row case of ``solve_stack``: it marches a (1, n) stack, and a record
-    is one pass over it.
+    one-row case of ``solve_stack``: it marches a (1, n) stack on
+    ``operators.march``, and a record is one pass over it.
     """
     (run,) = solve_stack(m0, [spec], t_final, dt, limiter, eps_boundary, record_every,
                          [record_weights or {}], snapshot_times)
@@ -291,10 +294,11 @@ def solve_stack(
     run starts at t = 0: initial data tagged with another time is a
     ValueError, rather than records stamped from the wrong time.
 
-    The stack marches the open state, and a record closes it on a copy: the
-    records, snapshots and final fields read the closed state, while a
-    restack and the retake after a CFL failure act on the open one. Every
-    record_every steps cost 3 record_every + 2 flux passes.
+    The stack marches the open state on ``operators.march``, and a record
+    closes it on a copy: the records, snapshots and final fields read the
+    closed state, while a restack, the march's retake after a CFL failure,
+    acts on the open one. Every record_every steps cost 3 record_every + 2
+    flux passes.
 
     A record is one pass over the closed stack: the guard of every row
     (``RunGuard.check_rows``), mass, min and every (row, weight) norm are
@@ -320,8 +324,6 @@ def solve_stack(
         return [exc if r is None else r for r in results]
     weights = record_weights or [{}] * len(specs)
     series = {i: _Series(m0, specs[i], dt, weights[i]) for i in live}
-    m = np.repeat(m0.values[None, :], len(live), axis=0)
-    t = 0.0
 
     def pair_up() -> tuple:
         # the (row, weight) pairs of the live rows, in row order: their rows and nodal weights
@@ -329,30 +331,33 @@ def solve_stack(
         rows = np.array([r for r, i in enumerate(live) for _ in series[i].phis], dtype=int)
         return rows, np.array(phis).reshape(len(phis), grid.n)
 
-    def restack(failed: dict):
-        # the rows in failed (row -> NumericalFailure) leave the open state,
-        # the last closed one, the weight pairs and the stepper, which keeps
-        # the face memo of the rest
-        nonlocal live, m, closed, pair_rows, pair_phi
+    def restack(failed: dict, m: np.ndarray):
+        # the rows in failed (row -> NumericalFailure) leave the open state m,
+        # the weight pairs and the stepper, which keeps the face memo of the
+        # rest; returns the rest of m, or None once no run is left
+        nonlocal live, pair_rows, pair_phi
         keep = [r for r in range(len(live)) if r not in failed]
         for r, exc in failed.items():
             results[live[r]] = exc
-        m, closed = m[keep], closed[keep]
         live = [live[r] for r in keep]
-        if live:
-            stepper.keep(keep)
+        if not live:
+            return None
+        stepper.keep(keep)
         pair_rows, pair_phi = pair_up()
+        return m[keep]
 
-    def record(k: int):
-        nonlocal closed
-        while k and live:  # step 0's closed state is m0
+    def record(k: int, t: float, m: np.ndarray):
+        closed = m  # step 0's closed state is m0
+        while k:
             try:
                 closed = stepper.close(m, t)
                 break
-            except NumericalFailure as exc:
-                restack({exc.row: exc})  # the others close again
+            except NumericalFailure as exc:  # a moving drift's faces at t: the others close again
+                m = restack({exc.row: exc}, m)
+                if m is None:
+                    return None
         # one pass over the stack: every entry of every row is a reduction along the rows
-        band, failed = guard.check_rows(closed, grid.dx, eps_boundary, t)
+        _, band, failed = guard.check_rows(closed, grid.dx, eps_boundary, t)
         mass = closed.sum(axis=1) * grid.dx
         minv = closed.min(axis=1)
         norms = weighted_tv_norm(closed[pair_rows], pair_phi, grid.dx).tolist()
@@ -361,30 +366,18 @@ def solve_stack(
         for r, i in enumerate(live):
             n_weights = len(series[i].phis)
             if r not in failed:
-                series[i].record(t, mass[r], minv[r], band[r], norms[at:at + n_weights],
-                                 closed[r] if snapshot else None)
+                series[i].record(t, mass[r], minv[r], band[r], norms[at:at + n_weights], closed[r], snapshot)
             at += n_weights
-        if failed:
-            restack(failed)
+        return restack(failed, m) if failed else m
 
-    stepper = _Stepper(stages, limiter) if live else None
-    closed = m
-    pair_rows, pair_phi = pair_up()
-    record(0)
-    k = 0
-    while live and k < guard.n_steps:
-        t_next = (k + 1) * dt
-        try:
-            stepped = stepper.step(m, t, t_next)
-        except NumericalFailure as exc:
-            restack({exc.row: exc})  # the others take the step again
-            continue
-        m, k, t = stepped, k + 1, t_next
-        if guard.records(k):
-            record(k)
-
-    for r, i in enumerate(live):
-        results[i] = series[i].run(closed[r], t)
+    if live:
+        stepper = _Stepper(stages, limiter)
+        pair_rows, pair_phi = pair_up()
+        # a row whose faces break CFL leaves, and the others take the step again
+        march(stepper.step, guard, np.repeat(m0.values[None, :], len(live), axis=0), record,
+              lambda exc, m: restack({exc.row: exc}, m))
+    for i in live:
+        results[i] = series[i].run()
     return results
 
 
@@ -411,32 +404,37 @@ def stationary_solve(
     Heavy-tailed stationary laws park real mass near the seam, so the
     boundary budget default is far looser than for transient runs; the
     attained boundary mass is reported for the caller to judge. The march
-    carries the open state of the merged Strang split (module docstring);
-    each block end of unit time closes it on a copy, which the blow-up
-    check and the convergence test read.
+    (``operators.march``) carries the open state of the merged Strang split
+    (module docstring); its records, the block ends of unit time, close it
+    on a copy, which the blow-up check and the convergence test read. The
+    band is checked once, on the converged profile.
     """
     check_stationary_spec(spec)
     stepper = _run_stepper(spec, grid, dt, limiter)
-    # one block of steps between convergence checks
-    block = RunGuard(dt, max(1, int(round(1.0 / dt))) * dt)
-    m = closed = gaussian(grid).values[None, :]
-    k, t = 0, 0.0
-    diff = np.inf
-    while t < _STATIONARY_MAX_TIME:
-        prev = closed
-        for _ in range(block.n_steps):
-            k += 1
-            m = stepper.step(m, t, k * dt)
-            t = k * dt
-        closed = stepper.close(m, t)
-        block.check_blow_up(closed, t)
-        diff = float(np.sum(np.abs(closed - prev)) * grid.dx)
-        if diff < _STATIONARY_TOL:
-            break
-    else:
+    block = max(1, int(round(1.0 / dt)))  # the steps of a unit of time, between convergence tests
+    # a horizon past _STATIONARY_MAX_TIME in whole blocks: the record stops the march there
+    blocks = int(_STATIONARY_MAX_TIME / (block * dt)) + 2
+    guard = RunGuard(dt, blocks * block * dt, record_every=block)
+    closed, at, diff = gaussian(grid).values[None, :], 0.0, np.inf
+
+    def record(k: int, t: float, m: np.ndarray):
+        # the march stops once converged, or at _STATIONARY_MAX_TIME
+        nonlocal closed, at, diff
+        if k:
+            prev = closed
+            closed, at = stepper.close(m, t), t
+            failed = guard.check_rows(closed, grid.dx, np.inf, t)[2]
+            if failed:
+                raise failed[0]
+            diff = float(np.sum(np.abs(closed - prev)) * grid.dx)
+        return m if diff >= _STATIONARY_TOL and t < _STATIONARY_MAX_TIME else None
+
+    march(stepper.step, guard, closed, record)
+    if diff >= _STATIONARY_TOL:
         raise NumericalFailure(
             f"no stationary profile within t={_STATIONARY_MAX_TIME:g}: last TV increment {diff:.3e}")
     m = closed[0] / (closed.sum() * grid.dx)  # unit mass exactly on the grid
-    out = Field(grid, m, t)
-    b = RunGuard.boundary_mass(m, grid.dx, eps_boundary)
-    return out, {"t_converged": t, "tv_increment": diff, "boundary_mass": b}
+    _, band, failed = guard.check_rows(m[None, :], grid.dx, eps_boundary, None)
+    if failed:
+        raise failed[0]
+    return Field(grid, m, at), {"t_converged": at, "tv_increment": diff, "boundary_mass": float(band[0])}

@@ -1,5 +1,5 @@
-"""Grid discretizations of the generator and its formal adjoint, and the
-validity envelope of the runs that march them.
+"""Grid discretizations of the generator and its formal adjoint, the
+validity envelope of the runs that march them, and their one march driver.
 
 The jump part: on the periodic grid every builtin symmetric measure is
 diagonal in Fourier space with its exact symbol ``LevyMeasureSpec.symbol``
@@ -56,6 +56,7 @@ __all__ = [
     "StepSetup",
     "StackStepper",
     "RunGuard",
+    "march",
     "LIMITERS",
 ]
 
@@ -221,14 +222,16 @@ class NumericalFailure(RuntimeError):
 
 
 class RunGuard:
-    """The validity envelope every marching loop polices: ``n_steps`` whole steps
-    of dt from 0 to t_final, the steps it records, blow-up and the boundary
-    band. Messages name the time ``clock``: "t", or "s" on the backward clock.
+    """The validity envelope every march (``march``) polices: ``n_steps`` whole
+    steps of dt from 0 to t_final, the steps it records, blow-up and the
+    boundary band. Messages name the time ``clock``: "t", or "s" on the
+    backward clock.
 
-    ``check_rows`` takes the whole guard of a (rows, n) stack in one pass: the
-    sup and the band mass of every row are reductions along the rows of one
-    |values|, which give each row the bits of its own ``check_blow_up`` and
-    ``boundary_mass``. Verdicts are still taken at records only."""
+    ``check_rows``, the one check of a grid state, takes the guard of a
+    (rows, n) stack in one pass: the sup and the band mass of every row are
+    reductions along the rows of one |values|, which give each row the bits
+    of its own scan; a lone run is a one-row stack. The runs call it from
+    their records, so verdicts are still taken at records only."""
 
     BAND = 0.05  # share of the cells at each end of the box that forms the boundary band
 
@@ -237,6 +240,7 @@ class RunGuard:
         self.n_steps = int(round(t_final / dt))
         if abs(self.n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
             raise ValueError(f"{clock}_final={t_final} is not an integer number of steps of dt={dt}")
+        self.dt = dt
         self.record_every = record_every
         self.extra_records = extra_records
         self.clock = clock
@@ -245,58 +249,59 @@ class RunGuard:
         """Every record_every-th step, the last one and those in extra_records."""
         return k % self.record_every == 0 or k == self.n_steps or k in self.extra_records
 
-    def _blow_up(self, at: float) -> NumericalFailure:
-        run = "backward run" if self.clock == "s" else "forward run"
-        return NumericalFailure(f"{run} blew up at {self.clock}={at:g}")
-
-    def check_blow_up(self, values: np.ndarray, at: float) -> float:
-        """sup|values|; NumericalFailure when it is NaN (max propagates NaN) or beyond 1e12."""
-        sup = np.abs(values).max()
-        if not sup <= 1e12:
-            raise self._blow_up(at)
-        return float(sup)
-
-    @staticmethod
-    def _band_sum(magnitudes: np.ndarray) -> np.ndarray:
-        """The sum along the last axis of the first and last ceil(BAND * n) entries, in index order."""
-        w = int(np.ceil(RunGuard.BAND * magnitudes.shape[-1]))
-        return np.concatenate((magnitudes[..., :w], magnitudes[..., -w:]), axis=-1).sum(axis=-1)
-
-    @staticmethod
-    def _band_failure(b: float, dx: float, eps: float, t: float | None) -> NumericalFailure:
-        return NumericalFailure(
-            f"stationary profile parks {b:.3e} mass in the boundary band (eps={eps:g}); enlarge the box"
-            if t is None else
-            f"boundary mass {b:.3e} exceeds eps={eps:g} at t={t:g}: the box is too small for this horizon, "
-            f"or dx={dx:g} is too coarse for the data")
-
-    @staticmethod
-    def boundary_mass(values: np.ndarray, dx: float, eps: float, t: float | None = None) -> float:
-        """Absolute mass in the first and last ceil(BAND * n) cells, summed in index
-        order; NumericalFailure above eps at time t, or (t=None) in a stationary profile."""
-        b = float(RunGuard._band_sum(np.abs(values)) * dx)
-        if b > eps:
-            raise RunGuard._band_failure(b, dx, eps, t)
-        return b
-
-    def check_rows(self, values: np.ndarray, dx: float, eps: float, t: float) -> tuple[np.ndarray, dict]:
-        """The guard of a C-contiguous (rows, n) stack at time t in one pass:
-        the band mass of every row, and the rows that fail, each with the
-        NumericalFailure its own check would raise, blow-up before the band."""
+    def check_rows(self, values: np.ndarray, dx: float, eps: float, t: float | None) -> tuple:
+        """The guard of a C-contiguous (rows, n) stack at time t in one pass.
+        Returns each row's sup|values|, each row's band mass (the absolute
+        mass in its first and last ceil(BAND * n) cells, summed in index
+        order) and the rows that fail, each with its NumericalFailure:
+        blow-up (a NaN, or a sup beyond 1e12) before a band mass above eps.
+        With t=None the band message is that of a stationary profile."""
         magnitudes = np.abs(values)
         sup = magnitudes.max(axis=1)
-        band = self._band_sum(magnitudes) * dx
+        w = int(np.ceil(self.BAND * values.shape[1]))
+        band = np.concatenate((magnitudes[:, :w], magnitudes[:, -w:]), axis=1).sum(axis=1) * dx
         failed = {}
-        blown = ~(sup <= 1e12)  # NaN too
-        for r in np.flatnonzero(blown | (band > eps)).tolist():
-            failed[r] = self._blow_up(t) if blown[r] else self._band_failure(float(band[r]), dx, eps, t)
-        return band, failed
+        for r, (row_sup, b) in enumerate(zip(sup.tolist(), band.tolist())):
+            if not row_sup <= 1e12:  # NaN too
+                run = "backward run" if self.clock == "s" else "forward run"
+                failed[r] = NumericalFailure(f"{run} blew up at {self.clock}={t:g}")
+            elif b > eps:
+                failed[r] = NumericalFailure(
+                    f"stationary profile parks {b:.3e} mass in the boundary band (eps={eps:g}); enlarge the box"
+                    if t is None else
+                    f"boundary mass {b:.3e} exceeds eps={eps:g} at t={t:g}: the box is too small for this "
+                    f"horizon, or dx={dx:g} is too coarse for the data")
+        return sup, band, failed
 
     @staticmethod
     def check_positions(x: np.ndarray, t: float):
         """Finiteness only, which particle loops check on every chunk of every step."""
         if not np.isfinite(x).all():
             raise NumericalFailure(f"particle positions left the finite range at t={t:g}")
+
+
+def march(step, guard: RunGuard, m, record, retake=None) -> None:
+    """The one march of a grid run, on either clock: m = step(m, t, t_end)
+    over the ``guard.n_steps`` steps, step k + 1 from t = k dt to t_end =
+    (k + 1) dt, and m = record(k, t, m) at step 0 and at each step
+    ``guard.records`` picks. A record returns the state to go on from, or
+    None to stop. A NumericalFailure a step raises goes to retake(exc, m),
+    which returns the state to take the step again from, or None to stop;
+    with no retake it propagates. The records take the verdicts."""
+    dt, n_steps, records = guard.dt, guard.n_steps, guard.records
+    m = record(0, 0.0, m)
+    k = 0
+    while m is not None and k < n_steps:
+        t_end = (k + 1) * dt
+        try:
+            stepped = step(m, k * dt, t_end)
+        except NumericalFailure as exc:
+            if retake is None:
+                raise
+            m = retake(exc, m)
+            continue
+        k += 1
+        m = record(k, t_end, stepped) if records(k) else stepped
 
 
 class StepSetup:

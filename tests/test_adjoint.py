@@ -295,6 +295,28 @@ def test_backward_blow_up_is_raised_at_the_first_record_after_it(monkeypatch, ba
     assert len(steps) == raised_after
 
 
+@pytest.mark.parametrize("drift", [DriftSpec.ou(1.0), DriftSpec.perturbed_power(1.0, 2.0, 0.5)],
+                         ids=["ou", "perturbed-power"])
+def test_backward_records_do_not_depend_on_the_stride(drift):
+    # the march steps through every step whatever it records, so the
+    # profiles and sup norms at the s two strides share are the same bits;
+    # the moving drift is read at forward time s_final - s on every stride
+    g = Grid(n=128, half_width=4.0)
+    spec = GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(1.5), drift)
+    n_steps, dt = 21, 1e-3
+    runs = {stride: solve_backward(tanh_profile(g), spec, s_final=n_steps * dt, dt=dt, record_every=stride)
+            for stride in (1, 7, n_steps)}
+    every = runs[1]
+    assert list(every.times) == [k * dt for k in range(n_steps + 1)]
+    for stride in (7, n_steps):
+        run = runs[stride]
+        steps = list(range(0, n_steps + 1, stride))
+        assert list(run.times) == [every.times[k] for k in steps]
+        for j, k in enumerate(steps):
+            assert np.array_equal(run.profiles[j].values, every.profiles[k].values)
+            assert run.sup_norm[j] == every.sup_norm[k]
+
+
 def test_backward_horizon_must_be_step_multiple():
     with pytest.raises(ValueError, match="integer number of steps"):
         solve_backward(tanh_profile(GRID), OU, s_final=0.0015, dt=1e-3)

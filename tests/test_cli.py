@@ -428,6 +428,21 @@ def test_stationary_blow_up_exits_3_at_the_first_block_end(tmp_path, monkeypatch
     assert failure["error"] == "forward run blew up at t=1"
 
 
+def test_stationary_profile_that_parks_mass_in_the_band_exits_3(tmp_path, capsys):
+    # fractional OU with sigma 1 has Cauchy-like tails: on a box of half-width
+    # 8 the profile converges at t = 10 with 3.03e-3 of its mass in the band
+    cfg = write_config(tmp_path, "stationary.json", **{
+        "experiment": "stationary", "grid.n": 64, "grid.half_width": 8.0, "time.dt": 0.01,
+        "levy.kind": "fractional", "levy.sigma": 1.0, "solver.eps_boundary": 1e-3,
+        "output.dir": str(tmp_path / "out")})
+    assert main(["run", str(cfg)]) == 3
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["error"] == ("stationary profile parks 3.030e-03 mass in the boundary band (eps=0.001); "
+                                "enlarge the box")
+    assert capsys.readouterr().err == f"numerical failure: {failure['error']}\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["config.resolved.json", "failure.json"]
+
+
 def test_validate_command(tmp_path, capsys):
     good = write_config(tmp_path, "good.json")
     assert main(["validate", str(good)]) == 0
@@ -677,6 +692,43 @@ def test_sweep_workers_byte_identical(tmp_path, monkeypatch):
         digests.append(tree_digest(run_dir / "sw"))
     assert len(digests[0]) == 2 + 4 * 4  # sweep.csv and its config; 4 files in each of 4 cells
     assert digests[0] == digests[1] == digests[2]
+
+
+# gamma 2 breaks CFL at dt 0.016 on this box, and sigma 0.8 breaks the band:
+# one band failure in the first half of the cells and three CFL failures in the second
+FAILING_SWEEP = {"sweep.gamma": [1.5, 2.0], "sweep.sigma": [2.0, 0.8, 1.5], "time.dt": 0.016,
+                 "time.t_final": 0.96, "solver.eps_boundary": 1e-4, "output.dir": "sw"}
+
+
+def test_sweep_failure_lines_come_in_cell_order(tmp_path, monkeypatch, capfd):
+    # the groups return their lines and the sweep prints them once all are
+    # done, so stderr does not depend on which worker process finishes first
+    errs = []
+    for workers in (1, 2):
+        run_dir = tmp_path / f"workers{workers}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        cfg = write_sweep(run_dir, "sweep.json", **FAILING_SWEEP)
+        assert main(["sweep", str(cfg), "--workers", str(workers)]) == 0
+        errs.append(capfd.readouterr().err)
+    lines = errs[0].splitlines()
+    assert len(lines) == 4 and lines[0].startswith("numerical failure: boundary mass ")
+    assert all(line.startswith("numerical failure: CFL violation: ") for line in lines[1:])
+    assert errs[1] == errs[0]
+
+
+def test_sweep_group_returns_its_failure_lines(tmp_path, monkeypatch, capfd):
+    # a worker's group writes nothing to stderr itself
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(write_sweep(tmp_path, "sweep.json", **FAILING_SWEEP))
+    payloads = [(i, cli._cell_config(cfg.data, i, 6, gamma, sigma, 0.2, "sw"), gamma, sigma, 0.2, 0.7)
+                for i, (gamma, sigma) in enumerate([(1.5, 0.8), (2.0, 2.0)])]
+    rows, failures = cli._sweep_group(payloads)
+    assert capfd.readouterr().err == ""
+    assert [row[-1].split(":")[0] for row in rows] == ["numerical-failure"] * 2
+    assert len(failures) == 2
+    assert failures[0].startswith("numerical failure: boundary mass 1.753e-04 exceeds eps=0.0001 at t=0.4: ")
+    assert failures[1].startswith("numerical failure: CFL violation: dt=0.016 exceeds ")
 
 
 def _solo_runs_match_cells(tmp_path, cells_root) -> list:

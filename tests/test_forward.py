@@ -1,5 +1,6 @@
 """Forward solver: semigroup oracles, conservation invariants, failure paths."""
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -454,11 +455,13 @@ def test_stack_reductions_match_the_per_row_ones():
         guard = RunGuard(1.0, 1.0)
         for _ in range(5):
             stack = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-8, 2, (rows, 1))
-            band, failed = guard.check_rows(stack, g.dx, np.inf, 0.5)
+            sup, band, failed = guard.check_rows(stack, g.dx, np.inf, 0.5)
             norms = weighted_tv_norm(np.repeat(stack, len(ws), axis=0), phi, g.dx)
             assert failed == {}
             for r, row in enumerate(stack):
-                assert band[r] == RunGuard.boundary_mass(row, g.dx, np.inf)
+                own_sup, own_band, _ = guard.check_rows(stack[r:r + 1], g.dx, np.inf, 0.5)  # a lone run's
+                assert sup[r] == own_sup[0] == np.abs(row).max()
+                assert band[r] == own_band[0]
                 assert (stack.sum(axis=1) * g.dx)[r] == row.sum() * g.dx
                 assert stack.min(axis=1)[r] == row.min()
                 for j, w in enumerate(ws):
@@ -468,21 +471,37 @@ def test_stack_reductions_match_the_per_row_ones():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stack_guard_names_each_failing_row():
     # blow-up (inf, NaN or beyond 1e12) before the band, row by row, with
-    # the messages of the lone checks
+    # the messages of each row's lone check, a one-row stack
     g = Grid(64, 4.0)
     stack = np.tile(gaussian(g).values, (5, 1))
     stack[1, 30], stack[2, 0], stack[3, 30], stack[4, 0] = np.nan, 1.0, 2e12, np.inf
     guard = RunGuard(0.1, 1.0)
-    band, failed = guard.check_rows(stack, g.dx, 1e-3, 0.5)
+    _, band, failed = guard.check_rows(stack, g.dx, 1e-3, 0.5)
+    lone = [guard.check_rows(stack[r:r + 1], g.dx, 1e-3, 0.5) for r in range(5)]
     assert sorted(failed) == [1, 2, 3, 4]
     for r in (1, 3, 4):
-        with pytest.raises(NumericalFailure) as info:
-            guard.check_blow_up(stack[r], 0.5)
-        assert str(failed[r]) == str(info.value) == "forward run blew up at t=0.5"
-    with pytest.raises(NumericalFailure) as info:
-        RunGuard.boundary_mass(stack[2], g.dx, 1e-3, 0.5)
-    assert str(failed[2]) == str(info.value)
-    assert band[0] == RunGuard.boundary_mass(stack[0], g.dx, 1e-3, 0.5)
+        assert str(failed[r]) == str(lone[r][2][0]) == "forward run blew up at t=0.5"
+    assert str(failed[2]) == str(lone[2][2][0]) == (
+        f"boundary mass {band[2]:.3e} exceeds eps=0.001 at t=0.5: the box is too small for this horizon, "
+        "or dx=0.125 is too coarse for the data")
+    assert lone[0][2] == {} and band[0] == lone[0][1][0]
+
+
+def test_grid_runs_leave_no_reference_cycle():
+    # a run's records, stepper and closed stacks go as soon as it returns,
+    # not at the next collection: no closure of a march refers to itself
+    g = Grid(256, 12.0)
+    specs = [GeneratorSpec(LocalDiffusionSpec.constant(1.0), LevyMeasureSpec.fractional(sigma),
+                           DriftSpec.power(1.0, 1.5)) for sigma in (1.2, 1.5)]
+    gc.collect()
+    gc.disable()
+    try:
+        solve_stack(gaussian_difference(g), specs, 0.5, 0.002, eps_boundary=0.05, record_every=25)
+        solve_backward(tanh_profile(g), specs[0], 0.1, 1e-3, record_every=10)
+        stationary_solve(ou_spec(), Grid(64, 8.0), dt=0.01)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stack_horizon_error_ends_the_runs_past_setup():

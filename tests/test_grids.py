@@ -60,8 +60,9 @@ def test_boundary_band_mass_matches_mask_oracle():
         mask = (idx < width) | (idx >= n - width)
         m = rng.standard_normal(n)
         oracle = float(np.sum(np.abs(m[mask])) * g.dx)
-        assert RunGuard.boundary_mass(m, g.dx, np.inf) == oracle
+        guard = RunGuard(1.0, 1.0)
+        assert guard.check_rows(m[None, :], g.dx, np.inf, 0.5)[1][0] == oracle
         with pytest.raises(NumericalFailure, match=r"^boundary mass .* at t=0\.5: the box"):
-            RunGuard.boundary_mass(m, g.dx, 0.5 * oracle, t=0.5)
+            raise guard.check_rows(m[None, :], g.dx, 0.5 * oracle, 0.5)[2][0]
         with pytest.raises(NumericalFailure, match=r"^stationary profile parks"):
-            RunGuard.boundary_mass(m, g.dx, 0.5 * oracle)
+            raise guard.check_rows(m[None, :], g.dx, 0.5 * oracle, None)[2][0]

@@ -24,9 +24,12 @@ from levyfp.generators import (
 from levyfp.grids import Field, Grid
 from levyfp.lyapunov import levy_integral_callable, shell_quadrature_nodes
 from levyfp.operators import (
+    NumericalFailure,
+    RunGuard,
     StepSetup,
     _variable_diffusion_term,
     divergence_of_flux,
+    march,
     transport_flux,
     upwind_faces,
 )
@@ -579,3 +582,59 @@ def test_perturbed_power_validation():
         DriftSpec.perturbed_power(1.0, 0.5, 0.1)
     with pytest.raises(ValueError, match="swallows"):
         DriftSpec.perturbed_power(1.0, 1.0, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# the march driver
+
+
+def test_march_steps_on_a_step_count_and_records_what_the_guard_picks():
+    # 10 steps of 0.1, stride 4 and an extra record at step 3: records at
+    # step 0, at 3, at every stride and at the last step; each step runs
+    # from k dt to (k + 1) dt, and the state a record returns goes on
+    steps, records = [], []
+
+    def step(m, t, t_end):
+        steps.append((t, t_end))
+        return m + 1
+
+    def record(k, t, m):
+        records.append((k, t, m))
+        return m * 10 if k == 3 else m
+
+    march(step, RunGuard(0.1, 1.0, 4, extra_records={3}), 0, record)
+    assert steps == [(k * 0.1, (k + 1) * 0.1) for k in range(10)]
+    assert records == [(0, 0.0, 0), (3, 3 * 0.1, 3), (4, 4 * 0.1, 31), (8, 8 * 0.1, 35), (10, 10 * 0.1, 37)]
+
+
+def test_march_stops_when_a_record_or_a_retake_returns_none():
+    guard = RunGuard(1.0, 5.0)
+    seen = []
+
+    def record(k, t, m):
+        seen.append(k)
+        return None if k == 2 else m
+
+    march(lambda m, t, t_end: m + 1, guard, 0, record)
+    assert seen == [0, 1, 2]
+
+    def failing(m, t, t_end):
+        if t == 2.0:
+            raise NumericalFailure("faces at t=2")
+        return m + 1
+
+    def retake(exc, m):
+        # the first failure is retaken from the state it had, the second stops the march
+        retaken.append((str(exc), m))
+        return m if len(retaken) == 1 else None
+
+    def record_all(k, t, m):
+        seen.append(k)
+        return m
+
+    retaken, seen = [], []
+    march(failing, guard, 0, record_all, retake)
+    assert retaken == [("faces at t=2", 2), ("faces at t=2", 2)]
+    assert seen == [0, 1, 2]
+    with pytest.raises(NumericalFailure, match="faces at t=2"):
+        march(failing, guard, 0, lambda k, t, m: m)
